@@ -82,6 +82,12 @@ from .terms import (
     separating_term_posmv,
     term_function,
 )
-from .topology import FiniteTopology, discrete_topology, indiscrete_topology, topology_from_subbasis
+from .topology import (
+    FiniteTopology,
+    discrete_topology,
+    indiscrete_topology,
+    topology_from_opens,
+    topology_from_subbasis,
+)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -756,13 +756,3 @@ def relative_congruences(A: FiniteAlgebra, L: FiniteAlgebra,
             if t1.meet(t2) not in out:
                 raise AssertionError("relative congruences not meet-closed")
     return out
-
-
-def is_distributive_lattice(elems, meet, join) -> bool:
-    """Triple-scan distributivity test for an explicitly given finite lattice."""
-    for x in elems:
-        for y in elems:
-            for z in elems:
-                if meet(x, join(y, z)) != join(meet(x, y), meet(x, z)):
-                    return False
-    return True

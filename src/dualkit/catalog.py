@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import FiniteAlgebra, InvalidInput, Signature
+from .algebras import DEFAULT_BUDGET, BudgetExceeded, FiniteAlgebra, InvalidInput, Signature
 
 BOOL_SIGNATURE = Signature((("meet", 2), ("join", 2), ("neg", 1), ("zero", 0), ("one", 0)))
 DL_SIGNATURE = Signature((("meet", 2), ("join", 2), ("zero", 0), ("one", 0)))
@@ -111,8 +111,11 @@ def build(name: str) -> CatalogEntry:
         return bool2()
     if m.group(1) == "dl2":
         return dl2()
+    n = int(m.group(3))
+    if (n + 1) ** 2 > DEFAULT_BUDGET:
+        raise BudgetExceeded("%s(%d) has too many table entries" % (m.group(2), n))
     ctor = luk if m.group(2) == "luk" else posluk
-    return ctor(int(m.group(3)))
+    return ctor(n)
 
 
 def reduct(A: FiniteAlgebra, op_subset) -> FiniteAlgebra:

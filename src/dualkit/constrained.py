@@ -24,7 +24,7 @@ from .algebras import (
     power_tuple,
     subuniverses,
 )
-from .spaces import LSpace, is_continuous_vector, lspace
+from .spaces import LSpace, lspace
 from .terms import TermFunction, check_near_unanimity
 from .topology import FiniteTopology, bits_of, mask_of
 
@@ -233,27 +233,21 @@ def validate_constrained(space: ConstrainedSpace) -> ConstrainedReport:
     return ConstrainedReport(subdirect, continuous, separated, scott)
 
 
-def _local_continuous(top: FiniteTopology, points_sorted, fun) -> bool:
-    sub = top.subspace(points_sorted)
-    return is_continuous_vector(sub, fun)
-
-
 def _family_is_continuous(space: ConstrainedSpace) -> bool:
-    top, L, k, n = space.topology, space.dualizer, space.k, space.n
+    top, k, n = space.topology, space.k, space.n
     for key, funs in space.constraints.items():
         order = tuple(sorted(key))
         for f in funs:
-            if not _local_continuous(top, order, f):
+            if not top.is_locally_constant(order, f):
                 return False
-    # X_a = { xbar : abar in A_xbar } must be open in the product topology.
+    # Each X_a = { xbar : abar in A_xbar } must be open in the product
+    # topology: A_xbar lies in A_ybar for every ybar in N(x1) x ... x N(xk).
     nbhd = [bits_of(top.min_nbhd(x)) for x in range(n)]
-    for abar in itertools.product(L.elements, repeat=k):
-        for xbar in itertools.product(range(n), repeat=k):
-            if abar not in space.constraint_tuple(xbar):
-                continue
-            for ybar in itertools.product(*(nbhd[x] for x in xbar)):
-                if abar not in space.constraint_tuple(ybar):
-                    return False
+    for xbar in itertools.product(range(n), repeat=k):
+        here = space.constraint_tuple(xbar)
+        for ybar in itertools.product(*(nbhd[x] for x in xbar)):
+            if not here <= space.constraint_tuple(ybar):
+                return False
     return True
 
 
@@ -302,15 +296,8 @@ def validate_unary(space: UnaryConstrainedSpace) -> UnaryReport:
         top.is_open(mask_of(x for x in range(n) if a in space.fibers[x]))
         for a in L.elements)
     # the complement of the equivalence relation must be open in X^2
-    equiv_closed = True
-    for x in range(n):
-        for y in range(n):
-            if space.related(x, y):
-                continue
-            for u in bits_of(top.min_nbhd(x)):
-                for v in bits_of(top.min_nbhd(y)):
-                    if space.related(u, v):
-                        equiv_closed = False
+    equiv_closed = top.is_closed_relation(
+        [mask_of(y for y in range(n) if space.related(x, y)) for x in range(n)])
     separation_witnessed = all(
         space.related(x, y)
         or any(a != b for a in space.fibers[x] for b in space.fibers[y])
@@ -340,7 +327,7 @@ def is_compatible_local(space, points_sorted, fun, check_continuity=True) -> boo
             for J in itertools.combinations(points_sorted, size):
                 if restrict_local(fun, points_sorted, J) not in space.constraint(J):
                     return False
-    if check_continuity and not _local_continuous(space.topology, points_sorted, fun):
+    if check_continuity and not space.topology.is_locally_constant(points_sorted, fun):
         return False
     return True
 
@@ -641,11 +628,8 @@ def is_constrained_map(values, X, Y, check_continuity: bool = True) -> bool:
     values = tuple(values)
     if len(values) != X.n or any(not 0 <= v < Y.n for v in values):
         raise InvalidInput("point map does not match the spaces")
-    if check_continuity:
-        for u in Y.topology.opens:
-            pre = mask_of(x for x in range(X.n) if u & (1 << values[x]))
-            if not X.topology.is_open(pre):
-                return False
+    if check_continuity and not X.topology.is_continuous_map(Y.topology, values):
+        return False
     if isinstance(X, UnaryConstrainedSpace) != isinstance(Y, UnaryConstrainedSpace):
         raise InvalidInput("spaces must be of the same kind")
     if isinstance(X, UnaryConstrainedSpace):
@@ -684,14 +668,9 @@ def priestley_from_order(top: FiniteTopology, leq, dl: FiniteAlgebra) -> Constra
     for x in range(n):
         if not leq[x][x]:
             raise InvalidInput("relation must be reflexive")
-    for x in range(n):
-        for y in range(n):
-            if leq[x][y]:
-                continue
-            for u in bits_of(top.min_nbhd(x)):
-                for v in bits_of(top.min_nbhd(y)):
-                    if leq[u][v]:
-                        raise InvalidInput("relation is not closed in the product")
+    if not top.is_closed_relation([mask_of(y for y in range(n) if leq[x][y])
+                                   for x in range(n)]):
+        raise InvalidInput("relation is not closed in the product")
     family: dict = {frozenset(): {()}}
     for x in range(n):
         family[frozenset((x,))] = {(0,), (1,)}

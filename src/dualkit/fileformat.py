@@ -200,9 +200,13 @@ def _parse_topology(doc, points):
     n = len(points)
     if opens is None:
         return discrete_topology(n)
+    if not isinstance(opens, list):
+        raise ValidationError("opens must be a list of lists of point labels")
     index = {p: i for i, p in enumerate(points)}
     masks = []
     for subset in opens:
+        if not isinstance(subset, list) or not all(isinstance(p, str) for p in subset):
+            raise ValidationError("opens must be a list of lists of point labels")
         try:
             masks.append(mask_of(index[p] for p in subset))
         except KeyError as exc:

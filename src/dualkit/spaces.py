@@ -34,10 +34,7 @@ from .topology import (
 
 def is_continuous_vector(top: FiniteTopology, vec) -> bool:
     """Every fiber of the vector is open (the codomain is discrete)."""
-    fibers: dict[int, int] = {}
-    for point, value in enumerate(vec):
-        fibers[value] = fibers.get(value, 0) | (1 << point)
-    return all(top.is_open(m) for m in fibers.values())
+    return top.is_locally_constant(range(top.n), vec)
 
 
 def continuous_functions(top: FiniteTopology, L: FiniteAlgebra,
@@ -124,11 +121,7 @@ class LMap:
 
 
 def is_point_map_continuous(phi: LMap) -> bool:
-    for u in phi.codomain.topology.opens:
-        pre = mask_of(x for x in range(phi.domain.n) if u & (1 << phi.values[x]))
-        if not phi.domain.topology.is_open(pre):
-            return False
-    return True
+    return phi.domain.topology.is_continuous_map(phi.codomain.topology, phi.values)
 
 
 def reflects_compatibility(phi: LMap) -> bool:

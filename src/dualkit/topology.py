@@ -1,15 +1,29 @@
-"""Finite topologies stored as the full open-set family, one bitmask per open.
+"""Finite topologies stored as minimal open neighbourhoods, one bitmask per point.
 
-Subbases are closed under intersection and union explicitly; no
-specialization-preorder shortcut is taken in the core (a preorder view
-exists only for rendering).
+A finite topology is fixed by each point's minimal open neighbourhood N(x),
+the intersection of the opens that contain x (Alexandroff 1937; Stong,
+"Finite topological spaces", Trans. AMS 123, 1966).  The opens are exactly
+the unions of these sets, and y in N(x) is the specialization preorder.
+
+This module used to store the full open-set family and took no
+specialization-preorder shortcut, so that the core followed the textbook
+definitions literally.  That choice is reversed because its cost grew with
+the family, which has up to 2^n members: validating a family compared every
+pair of opens, so ``discrete_topology(12)`` took seconds, and every
+continuity test on a subset of points built and validated a subspace.  On
+neighbourhoods, openness, continuity into a discrete or finite space,
+subspaces, quotients and closedness of a relation in X x X are all tests of
+at most O(n^2) bitmask operations.  The open family is still available as
+``opens``, derived on demand within a budget; the open-family class lives on
+in the tests as the oracle these operations are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .algebras import BudgetExceeded, InvalidInput
+from .algebras import DEFAULT_BUDGET, BudgetExceeded, InvalidInput
 
 MAX_POINTS = 20
 
@@ -34,44 +48,57 @@ def bits_of(mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FiniteTopology:
-    """Points 0..n-1 plus every open set as a bitmask."""
+    """Points 0..n-1; nbhds[x] is the bitmask of the smallest open set containing x."""
 
     n: int
-    opens: frozenset[int]
+    nbhds: tuple[int, ...]
 
     def __post_init__(self):
         if self.n < 0 or self.n > MAX_POINTS:
             raise InvalidInput("point count must lie in 0..%d" % MAX_POINTS)
+        nbhds = tuple(self.nbhds)
+        object.__setattr__(self, "nbhds", nbhds)
+        if len(nbhds) != self.n:
+            raise InvalidInput("one neighbourhood per point is required")
         full = (1 << self.n) - 1
-        if 0 not in self.opens or full not in self.opens:
-            raise InvalidInput("a topology contains the empty set and the whole space")
-        for u in self.opens:
+        for x, u in enumerate(nbhds):
             if u & ~full:
                 raise InvalidInput("open set outside the point range")
-            for v in self.opens:
-                if u | v not in self.opens or u & v not in self.opens:
-                    raise InvalidInput("opens not closed under union/intersection")
+            if not u >> x & 1:
+                raise InvalidInput("a neighbourhood must contain its point")
+            for y in bits_of(u):
+                if nbhds[y] & ~u:
+                    raise InvalidInput("neighbourhoods are not transitive")
 
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
+    @cached_property
+    def opens(self) -> frozenset[int]:
+        """Every open set as a bitmask: the unions of minimal neighbourhoods."""
+        opens = {0}
+        for u in set(self.nbhds):
+            for v in list(opens):
+                opens.add(u | v)
+                if len(opens) > DEFAULT_BUDGET:
+                    raise BudgetExceeded("open-set family exceeds budget")
+        return frozenset(opens)
+
     def is_open(self, mask: int) -> bool:
-        return mask in self.opens
+        if mask & ~self.full_mask:
+            return False
+        return all(not self.nbhds[x] & ~mask for x in bits_of(mask))
 
     def is_closed(self, mask: int) -> bool:
-        return (self.full_mask & ~mask) in self.opens
+        return self.is_open(self.full_mask & ~mask)
 
     def is_discrete(self) -> bool:
-        return len(self.opens) == 1 << self.n
+        return all(u == 1 << x for x, u in enumerate(self.nbhds))
 
     def min_nbhd(self, point: int) -> int:
-        """Smallest open set containing the point (opens are meet-closed)."""
-        out = self.full_mask
-        for u in self.opens:
-            if u & (1 << point):
-                out &= u
-        return out
+        """Smallest open set containing the point."""
+        return self.nbhds[point]
 
     def components(self) -> tuple[int, ...]:
         """Classes of the equivalence generated by y in min_nbhd(x).
@@ -87,8 +114,8 @@ class FiniteTopology:
                 x = parent[x]
             return x
 
-        for x in range(self.n):
-            for y in bits_of(self.min_nbhd(x)):
+        for x, u in enumerate(self.nbhds):
+            for y in bits_of(u):
                 parent[find(x)] = find(y)
         canon: dict[int, int] = {}
         out = []
@@ -100,60 +127,131 @@ class FiniteTopology:
         return tuple(out)
 
     def specialization(self):
-        """x <= y iff every open containing y contains x.
-
-        A rendering helper only; the core works with the open-set family.
-        """
-        return [[bool(self.min_nbhd(y) & (1 << x)) for y in range(self.n)]
+        """x <= y iff every open containing y contains x, i.e. x in min_nbhd(y)."""
+        return [[bool(self.nbhds[y] >> x & 1) for y in range(self.n)]
                 for x in range(self.n)]
 
     def subspace(self, points) -> "FiniteTopology":
         points = sorted(set(points))
         position = {p: i for i, p in enumerate(points)}
-        opens = set()
-        for u in self.opens:
-            opens.add(mask_of(position[p] for p in bits_of(u) if p in position))
-        return FiniteTopology(len(points), frozenset(opens))
+        return FiniteTopology(len(points), tuple(
+            mask_of(position[q] for q in bits_of(self.nbhds[p]) if q in position)
+            for p in points))
 
     def quotient(self, classes) -> "FiniteTopology":
-        """Quotient topology along a point -> class index map."""
+        """Quotient topology along a point -> class index map.
+
+        A set of classes is open when it holds the class of every point in
+        N(x) for each point x in it, so a class's neighbourhood is the
+        transitive closure of those images.
+        """
         classes = tuple(classes)
         if len(classes) != self.n:
             raise InvalidInput("class vector does not match point count")
         m = max(classes) + 1 if classes else 0
-        opens = set()
-        for candidate in range(1 << m):
-            preimage = mask_of(p for p in range(self.n) if candidate & (1 << classes[p]))
-            if preimage in self.opens:
-                opens.add(candidate)
-        return FiniteTopology(m, frozenset(opens))
+        step = [0] * m
+        for x, u in enumerate(self.nbhds):
+            step[classes[x]] |= mask_of(classes[y] for y in bits_of(u))
+        nbhds = []
+        for c in range(m):
+            reach = frontier = 1 << c
+            while frontier:
+                grown = reach
+                for d in bits_of(frontier):
+                    grown |= step[d]
+                frontier = grown & ~reach
+                reach = grown
+            nbhds.append(reach)
+        return FiniteTopology(m, tuple(nbhds))
+
+    def is_locally_constant(self, points, values) -> bool:
+        """points[i] -> values[i] is constant on each N(p) within points.
+
+        That is continuity into a discrete space on the subspace on points,
+        decided without building the subspace.
+        """
+        nbhds = self.nbhds
+        inside = mask_of(points)
+        value_at = None
+        for p, v in zip(points, values):
+            others = nbhds[p] & inside & ~(1 << p)
+            if others:
+                if value_at is None:
+                    value_at = dict(zip(points, values))
+                if any(value_at[q] != v for q in bits_of(others)):
+                    return False
+        return True
+
+    def is_continuous_map(self, target: "FiniteTopology", values) -> bool:
+        """x -> values[x] is continuous into target: f(N(x)) lies in N(f(x))."""
+        into = target.nbhds
+        for x, u in enumerate(self.nbhds):
+            image = into[values[x]]
+            if any(not image >> values[y] & 1 for y in bits_of(u)):
+                return False
+        return True
+
+    def is_closed_relation(self, rows) -> bool:
+        """The relation {(x, y) : bit y of rows[x]} is closed in X x X.
+
+        Its complement is open when N(x) x N(y) misses the relation for every
+        pair (x, y) outside it.
+        """
+        nbhds = self.nbhds
+        reach = []
+        for u in nbhds:
+            r = 0
+            for x in bits_of(u):
+                r |= rows[x]
+            reach.append(r)
+        return all(rows[x] >> y & 1 or not reach[x] & nbhds[y]
+                   for x in range(self.n) for y in range(self.n))
 
 
 def discrete_topology(n: int) -> FiniteTopology:
     if n > MAX_POINTS:
         raise BudgetExceeded("too many points for an explicit topology")
-    return FiniteTopology(n, frozenset(range(1 << n)))
+    return FiniteTopology(n, tuple(1 << x for x in range(n)))
 
 
 def indiscrete_topology(n: int) -> FiniteTopology:
-    return FiniteTopology(n, frozenset((0, (1 << n) - 1)))
+    return FiniteTopology(n, ((1 << n) - 1,) * n)
 
 
 def topology_from_subbasis(n: int, masks) -> FiniteTopology:
-    """Generate a topology: close the subbasis under intersection and union."""
+    """Generate a topology: N(x) is the whole space cut by every mask containing x."""
     if n > MAX_POINTS:
         raise BudgetExceeded("too many points for an explicit topology")
     full = (1 << n) - 1
-    opens = {0, full}
-    opens.update(m & full for m in masks)
-    changed = True
-    while changed:
-        changed = False
-        current = list(opens)
-        for i, u in enumerate(current):
-            for v in current[i + 1:]:
-                for w in (u | v, u & v):
-                    if w not in opens:
-                        opens.add(w)
-                        changed = True
-    return FiniteTopology(n, frozenset(opens))
+    nbhds = [full] * n
+    for m in masks:
+        m &= full
+        for x in bits_of(m):
+            nbhds[x] &= m
+    return FiniteTopology(n, tuple(nbhds))
+
+
+def topology_from_opens(n: int, opens) -> FiniteTopology:
+    """The topology whose open sets are exactly the given bitmasks.
+
+    A family holding the empty set and the whole space is closed under union
+    and intersection exactly when it holds every minimal neighbourhood N(x)
+    and every union U | N(x) with a member U, so the check costs
+    O(|opens| * n) set lookups rather than a pass over all pairs of opens.
+    """
+    if n < 0 or n > MAX_POINTS:
+        raise InvalidInput("point count must lie in 0..%d" % MAX_POINTS)
+    opens = frozenset(opens)
+    full = (1 << n) - 1
+    if 0 not in opens or full not in opens:
+        raise InvalidInput("a topology contains the empty set and the whole space")
+    nbhds = [full] * n
+    for u in opens:
+        if u & ~full:
+            raise InvalidInput("open set outside the point range")
+        for x in bits_of(u):
+            nbhds[x] &= u
+    for u in set(nbhds):
+        if u not in opens or any(u | v not in opens for v in opens):
+            raise InvalidInput("opens not closed under union/intersection")
+    return FiniteTopology(n, tuple(nbhds))

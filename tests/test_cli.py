@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -262,6 +263,14 @@ def test_parse_error_exits_two(capsys, tmp_path):
 def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "props", "/nonexistent/file.dk")
     assert code == 2
+
+
+def test_oversized_builtin_exits_two_quickly(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "nu-search", "--dualizer", "builtin:luk(9999999)")
+    assert code == 2
+    assert "error:" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_corpus_command_wiring(capsys, monkeypatch):

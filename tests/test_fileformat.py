@@ -124,6 +124,27 @@ def test_unknown_point_rejected():
         parse_space(bad)
 
 
+TWO_POINT_LSPACE = """\
+kind: lspace
+dualizer: builtin:dl2
+points: ["x", "y"]
+comp: [["0", "0"], ["1", "1"]]
+"""
+
+
+def test_opens_parsed_as_subbasis():
+    doc = parse_space(TWO_POINT_LSPACE + 'opens: [["x"]]\n')
+    assert doc.space.topology.opens == frozenset({0, 1, 3})
+
+
+@pytest.mark.parametrize("opens", ['3', '[["x"], 5]', '[["x", ["y"]]]', '"xy"', '["xy"]'],
+                         ids=["number", "number-subset", "nested-label", "string",
+                              "string-subset"])
+def test_malformed_opens_rejected(opens):
+    with pytest.raises(ValidationError):
+        parse_space(TWO_POINT_LSPACE + "opens: %s\n" % opens)
+
+
 def test_dot_for_two_chain_has_one_edge():
     doc = parse_space(PRIESTLEY_DOC)
     dot = export_dot(doc)
