@@ -8,11 +8,21 @@ in the prevariety generated by a fixed dualizing algebra.
 Elements are dense indices ``0..n-1``; human-readable labels live in the
 catalog and in file formats, never here.  All values are immutable after
 construction and all operations are pure.
+
+Closing a set of vectors over an algebra under its pointwise operations is
+done by one kernel, ``_close``: semi-naive rounds over int64 row arrays,
+with each operation applied by indexing its table.  It serves
+``generate_vectors`` (vectors over L) and ``generate_subalgebra`` (the
+kernel at length 1).  Its lookup half, ``_images``, serves the closedness
+test ``unclosed_operation`` (L-space and constrained-space validation) and
+the table building in ``algebra_from_vectors``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +83,7 @@ class FiniteAlgebra:
     the signature has no constants.
     """
 
-    __slots__ = ("signature", "size", "tables", "_key")
+    __slots__ = ("signature", "size", "tables", "_key", "_arity", "_columns", "_stacks")
 
     def __init__(self, signature: Signature, size: int, tables: dict):
         if size < 0:
@@ -99,6 +109,10 @@ class FiniteAlgebra:
         object.__setattr__(self, "tables", frozen)
         key = (signature, size, tuple(frozen[name] for name in signature.names))
         object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_arity", dict(signature.ops))
+        # numpy views of the tables, built on first use (_op_columns, _op_stacks)
+        object.__setattr__(self, "_columns", None)
+        object.__setattr__(self, "_stacks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteAlgebra is immutable")
@@ -114,7 +128,9 @@ class FiniteAlgebra:
 
     def apply(self, name: str, *args: int) -> int:
         """Apply a basic operation to element indices."""
-        arity = self.signature.arity(name)
+        arity = self._arity.get(name)
+        if arity is None:
+            raise InvalidInput("unknown operation symbol %r" % name)
         if len(args) != arity:
             raise InvalidInput("%r expects %d arguments, got %d" % (name, arity, len(args)))
         index = 0
@@ -146,11 +162,18 @@ class ElementMap:
         return self.values[element]
 
     def is_homomorphism(self) -> bool:
-        A, B, h = self.domain, self.codomain, self.values
-        for name, arity in A.signature.ops:
-            for args in itertools.product(A.elements, repeat=arity):
-                if h[A.apply(name, *args)] != B.apply(name, *(h[a] for a in args)):
-                    return False
+        A, B = self.domain, self.codomain
+        h = np.array(self.values, dtype=np.int64)
+        for name in A.signature.constants:
+            if h[A.apply(name)] != B.apply(name):
+                return False
+        b_columns = _op_columns(B)
+        for name, (cols, res) in _op_columns(A).items():
+            index = np.zeros(len(res), dtype=np.int64)
+            for c in cols:
+                index = index * B.size + h[c]
+            if not np.array_equal(h[res], b_columns[name][1][index]):
+                return False
         return True
 
     def compose(self, inner: "ElementMap") -> "ElementMap":
@@ -242,55 +265,237 @@ def _op_columns(A):
 
     The flat table is already in lexicographic argument order, so the result
     array is the table itself; the argument columns are its mixed-radix
-    decode.  Cached on the algebra via its key id.
+    decode.  Built once per algebra.
     """
-    cache = _OP_COLUMNS_CACHE
-    hit = cache.get(id(A))
-    if hit is not None and hit[0] is A:
-        return hit[1]
-    n = A.size
-    out = {}
-    for name, arity in A.signature.ops:
-        if arity == 0:
-            continue
-        idx = np.arange(n**arity)
-        cols = [(idx // n ** (arity - 1 - i)) % n for i in range(arity)]
-        out[name] = (cols, np.array(A.tables[name], dtype=np.int64))
-    cache[id(A)] = (A, out)
-    if len(cache) > 256:
-        cache.pop(next(iter(cache)))
-    return out
+    if A._columns is None:
+        n = A.size
+        out = {}
+        for name, arity in A.signature.ops:
+            if arity == 0:
+                continue
+            idx = np.arange(n**arity)
+            cols = [(idx // n ** (arity - 1 - i)) % n for i in range(arity)]
+            out[name] = (cols, np.array(A.tables[name], dtype=np.int64))
+        object.__setattr__(A, "_columns", out)
+    return A._columns
 
 
-_OP_COLUMNS_CACHE: dict = {}
+# --- the vector-closure kernel ------------------------------------------------
+#
+# Vectors over an algebra A are the rows of an int64 array.  An operation of
+# arity r is applied to a whole block of argument tuples at once by indexing
+# its table, reshaped to (n,)*r, with r row arrays broadcast against each
+# other.  Rows are compared through exact codes: a row is cut into limbs of
+# at most ``per`` columns with n**per < 2**63, each limb is read as one
+# mixed-radix int64, and the limbs of a batch are folded into one dense
+# lexicographic rank (``_ranks``).  Short rows have one limb and no folding;
+# long rows take the same path with more limbs.
+
+_INT64_MAX = 2**63 - 1
+
+#: Cap on the cells (rows x operations x length) of one candidate block, so
+#: memory stays bounded however large |known|**arity grows.
+_BLOCK_CELLS = 1 << 16
 
 
-def _closure_mask(A: FiniteAlgebra, seed) -> np.ndarray:
-    """Boolean membership array of the subuniverse generated by ``seed``."""
-    known = np.zeros(A.size, dtype=bool)
-    for s in seed:
-        if not 0 <= s < A.size:
-            raise InvalidInput("seed element %r outside carrier" % (s,))
-        known[s] = True
-    for name in A.signature.constants:
-        known[A.apply(name)] = True
-    columns = _op_columns(A)
-    changed = True
-    while changed:
-        changed = False
-        for cols, res in columns.values():
-            mask = ~known[res]
-            for c in cols:
-                mask &= known[c]
-            if mask.any():
-                known[res[mask]] = True
-                changed = True
-    return known
+def _op_stacks(A):
+    """Non-constant operations grouped by arity: (names, tables) pairs where
+    tables has shape (len(names),) + (n,)*arity.  Built once per algebra."""
+    if A._stacks is None:
+        groups: dict[int, list[str]] = {}
+        for name, arity in A.signature.ops:
+            if arity > 0:
+                groups.setdefault(arity, []).append(name)
+        stacks = []
+        for arity, names in sorted(groups.items()):
+            tables = np.array([A.tables[name] for name in names], dtype=np.int64)
+            stacks.append((names, tables.reshape((len(names),) + (A.size,) * arity)))
+        object.__setattr__(A, "_stacks", stacks)
+    return A._stacks
+
+
+def _rows(vectors: list, length: int) -> np.ndarray:
+    """Vectors of one length as int64 rows; the shape is explicit so that
+    no vectors, or vectors of length 0, keep it."""
+    return np.array(vectors, dtype=np.int64).reshape(len(vectors), length)
+
+
+@functools.lru_cache(maxsize=256)
+def _radix(n: int, length: int) -> np.ndarray:
+    """Weights (length, limbs): ``rows @ weights`` gives each row's limb codes.
+
+    Column c goes to limb c // per with weight n**(per - 1 - c % per), so
+    comparing limb codes in order compares rows lexicographically.
+    """
+    per = 1
+    while per < length and n ** (per + 1) <= _INT64_MAX:
+        per += 1
+    limbs = max(1, -(-length // per))
+    per = max(1, -(-length // limbs))
+    weights = np.zeros((length, limbs), dtype=np.int64)
+    for c in range(length):
+        weights[c, c // per] = n ** (per - 1 - c % per)
+    weights.flags.writeable = False
+    return weights
+
+
+def _ranks(codes: np.ndarray) -> np.ndarray:
+    """One int64 per row of limb codes, ordered as the rows are; equal
+    exactly when the rows are.  Meaningful only within one batch."""
+    key = codes[:, 0]
+    for j in range(1, codes.shape[1]):
+        _, hi = np.unique(key, return_inverse=True)
+        values, lo = np.unique(codes[:, j], return_inverse=True)
+        key = hi.reshape(-1) * len(values) + lo.reshape(-1)
+    return key
+
+
+def _grid_chunks(dims, limit):
+    """Slices covering the grid ``dims`` in row-major order, at most ``limit``
+    cells each (one cell at least)."""
+    inner, axis = 1, len(dims)
+    while axis > 0 and inner * dims[axis - 1] <= limit:
+        axis -= 1
+        inner *= dims[axis]
+    if axis == 0:
+        yield (slice(None),) * len(dims)
+        return
+    step = max(1, limit // inner)
+    tail = (slice(None),) * (len(dims) - axis)
+    for head in itertools.product(*(range(d) for d in dims[:axis - 1])):
+        fixed = tuple(slice(i, i + 1) for i in head)
+        for s in range(0, dims[axis - 1], step):
+            yield fixed + (slice(s, s + step),) + tail
+
+
+def _pointwise(tables, parts, cells):
+    """Values of the stacked ``tables`` on every tuple of rows drawn from
+    parts[0] x ... x parts[r-1]: row blocks of about ``cells`` cells in
+    row-major argument order (operation outermost within a block)."""
+    r = len(parts)
+    length = parts[0].shape[1]
+    dims = [len(part) for part in parts]
+    if not all(dims):
+        return
+    for chunk in _grid_chunks(dims, max(1, cells // (len(tables) * max(length, 1)))):
+        args = [slice(None)]
+        for q, (part, s) in enumerate(zip(parts, chunk)):
+            x = part[s]
+            args.append(x.reshape((1,) * q + (len(x),) + (1,) * (r - 1 - q) + (length,)))
+        out = tables[tuple(args)]
+        yield out.reshape(math.prod(out.shape[:-1]), length)
+
+
+def _close(A: FiniteAlgebra, rows: np.ndarray, budget: int) -> np.ndarray:
+    """The closure of ``rows`` (distinct vectors over A) under A's
+    non-constant operations, sorted lexicographically.
+
+    Semi-naive rounds: with old the rows known before the last round and
+    delta the rows it added, position p of an r-ary operation draws from
+    old^p x delta x known^(r-1-p), so each argument tuple is tried once.
+    Candidates are deduplicated against the known rows one flush at a time,
+    a flush holding at least as many cells as the known rows (so sorting the
+    known codes again costs no more than the candidates themselves);
+    BudgetExceeded as soon as more than ``budget`` rows are known.
+    """
+    weights = _radix(A.size, rows.shape[1])
+    known, codes = rows, rows @ weights
+    pending: list[np.ndarray] = []
+
+    def flush():
+        nonlocal known, codes
+        cand = np.concatenate(pending)
+        pending.clear()
+        cand_codes = cand @ weights
+        keys = _ranks(np.concatenate((codes, cand_codes)))
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        # first occurrences of each key, and of those the ones not yet known
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        fresh = order[first & (order >= len(codes))] - len(codes)
+        if len(fresh):
+            known = np.concatenate((known, cand[fresh]))
+            codes = np.concatenate((codes, cand_codes[fresh]))
+            if len(known) > budget:
+                raise BudgetExceeded("vector closure exceeds budget %d" % budget)
+
+    start, end = 0, len(known)
+    while start < end:
+        old, delta, current = known[:start], known[start:end], known[:end]
+        size = 0
+        for _, tables in _op_stacks(A):
+            r = tables.ndim - 1
+            for p in range(r):
+                parts = [old] * p + [delta] + [current] * (r - 1 - p)
+                for block in _pointwise(tables, parts, _BLOCK_CELLS):
+                    pending.append(block)
+                    size += block.size
+                    if size >= max(_BLOCK_CELLS, known.size):
+                        flush()
+                        size = 0
+        if pending:
+            flush()
+        start, end = end, len(known)
+    return known[np.argsort(_ranks(codes))]
+
+
+def _images(A: FiniteAlgebra, rows: np.ndarray):
+    """Each operation's pointwise values on rows^arity, looked up in ``rows``.
+
+    Yields (name, positions) pieces: one operation's pieces come in
+    row-major argument order, but operations interleave.  A position is -1
+    where the value is not a row.
+    """
+    length = rows.shape[1]
+    weights = _radix(A.size, length)
+    # a sentinel row of -1 codes, which no vector has, keeps the lookup nonempty
+    codes = np.concatenate((rows @ weights, np.full((1, weights.shape[1]), -1, dtype=np.int64)))
+    cells = max(_BLOCK_CELLS, rows.size)
+
+    def blocks():
+        constants = A.signature.constants
+        if constants:
+            values = np.array([A.tables[name] for name in constants], dtype=np.int64)
+            yield constants, np.repeat(values, length, axis=1)
+        for names, tables in _op_stacks(A):
+            for block in _pointwise(tables, [rows] * (tables.ndim - 1), cells):
+                yield names, block
+
+    for names, block in blocks():
+        keys = _ranks(np.concatenate((codes, block @ weights)))
+        known, wanted = keys[:len(codes)], keys[len(codes):]
+        order = np.argsort(known)
+        spot = order[np.minimum(np.searchsorted(known, wanted, sorter=order), len(rows))]
+        positions = np.where(known[spot] == wanted, spot, -1)
+        share = len(positions) // len(names)
+        for i, name in enumerate(names):
+            yield name, positions[i * share:(i + 1) * share]
+
+
+def _first_in_signature(A: FiniteAlgebra, names) -> str | None:
+    return next((name for name in A.signature.names if name in names), None)
+
+
+def unclosed_operation(L: FiniteAlgebra, length: int, vectors) -> str | None:
+    """The first operation, in signature order, under which the vectors over
+    L are not closed (a constant when its constant vector is missing), or
+    None for a subuniverse of L**length."""
+    rows = _rows(list(vectors), length)
+    return _first_in_signature(L, {name for name, positions in _images(L, rows)
+                                   if (positions < 0).any()})
 
 
 def generate_subalgebra(A: FiniteAlgebra, seed) -> frozenset:
     """Least subuniverse of A containing ``seed`` and all constants."""
-    return frozenset(int(x) for x in np.nonzero(_closure_mask(A, list(seed)))[0])
+    seed = list(seed)
+    for s in seed:
+        if not 0 <= s < A.size:
+            raise InvalidInput("seed element %r outside carrier" % (s,))
+    start = set(seed).union(A.apply(name) for name in A.signature.constants)
+    closed = _close(A, _rows(list(start), 1), A.size)
+    return frozenset(closed[:, 0].tolist())
 
 
 def minimal_generating_set(A: FiniteAlgebra) -> tuple[int, ...]:
@@ -414,9 +619,9 @@ def generate_vectors(L: FiniteAlgebra, length: int, seeds,
                      budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
     """Closure of vectors in L**length under pointwise operations.
 
-    Works directly on tuples so large powers never have to be tabulated.
-    Returns the closed set sorted; it is empty only for constant-free
-    signatures with no seeds.
+    Works directly on vectors (``_close``) so large powers never have to be
+    tabulated.  Returns the closed set sorted; it is empty only for
+    constant-free signatures with no seeds.
     """
     seeds = [tuple(s) for s in seeds]
     for s in seeds:
@@ -424,35 +629,9 @@ def generate_vectors(L: FiniteAlgebra, length: int, seeds,
             raise InvalidInput("seed vector of wrong length")
         if any(not 0 <= v < L.size for v in s):
             raise InvalidInput("seed vector outside carrier")
-    known = set(seeds)
-    for name in L.signature.constants:
-        known.add((L.apply(name),) * length)
-    frontier = list(known)
-    while frontier:
-        new = []
-        ordered = sorted(known)
-        fresh = set(frontier)
-        for name, arity in L.signature.ops:
-            if arity == 0:
-                continue
-            table = L.tables[name]
-            n = L.size
-            for args in itertools.product(ordered, repeat=arity):
-                if not fresh.intersection(args):
-                    continue
-                if arity == 2:
-                    u, v = args
-                    vec = tuple(table[a * n + b] for a, b in zip(u, v))
-                else:
-                    vec = tuple(table[product_index([n] * arity, pointwise)]
-                                for pointwise in zip(*args))
-                if vec not in known:
-                    known.add(vec)
-                    new.append(vec)
-                    if len(known) > budget:
-                        raise BudgetExceeded("vector closure exceeds budget %d" % budget)
-        frontier = new
-    return sorted(known)
+    start = set(seeds).union((L.apply(name),) * length for name in L.signature.constants)
+    closed = _close(L, _rows(list(start), length), budget)
+    return list(map(tuple, closed.tolist()))
 
 
 def algebra_from_vectors(L: FiniteAlgebra, length: int, vectors):
@@ -461,23 +640,15 @@ def algebra_from_vectors(L: FiniteAlgebra, length: int, vectors):
     Returns (algebra, carrier) where carrier[i] is the vector of element i.
     """
     carrier = sorted(set(tuple(v) for v in vectors))
-    index = {v: i for i, v in enumerate(carrier)}
-    n = L.size
-    tables = {}
-    for name, arity in L.signature.ops:
-        table = L.tables[name]
-        entries = []
-        for args in itertools.product(carrier, repeat=arity):
-            if arity == 0:
-                vec = (table[0],) * length
-            elif arity == 2:
-                vec = tuple(table[a * n + b] for a, b in zip(args[0], args[1]))
-            else:
-                vec = tuple(table[product_index([n] * arity, pw)] for pw in zip(*args))
-            if vec not in index:
-                raise InvalidInput("vector set is not closed under %r" % name)
-            entries.append(index[vec])
-        tables[name] = tuple(entries)
+    rows = _rows(carrier, length)
+    tables: dict[str, list[int]] = {name: [] for name in L.signature.names}
+    unclosed = set()
+    for name, positions in _images(L, rows):
+        if (positions < 0).any():
+            unclosed.add(name)
+        tables[name].extend(positions.tolist())
+    if unclosed:
+        raise InvalidInput("vector set is not closed under %r" % _first_in_signature(L, unclosed))
     return FiniteAlgebra(L.signature, len(carrier), tables), carrier
 
 

@@ -23,6 +23,7 @@ from .algebras import (
     power_index,
     power_tuple,
     subuniverses,
+    unclosed_operation,
 )
 from .spaces import LSpace, lspace
 from .terms import TermFunction, check_near_unanimity
@@ -176,19 +177,6 @@ class ConstrainedReport:
         return self.subdirect and self.continuous
 
 
-def _subuniverse_of_tuples(L, width, funs) -> bool:
-    funs = set(funs)
-    for name, arity in L.signature.ops:
-        if arity == 0:
-            if (L.apply(name),) * width not in funs:
-                return False
-            continue
-        for args in itertools.product(sorted(funs), repeat=arity):
-            if tuple(L.apply(name, *pw) for pw in zip(*args)) not in funs:
-                return False
-    return True
-
-
 def validate_constrained(space: ConstrainedSpace) -> ConstrainedReport:
     """Exact flags for subdirectness, continuity, separation, Scott continuity.
 
@@ -200,7 +188,7 @@ def validate_constrained(space: ConstrainedSpace) -> ConstrainedReport:
     m = min(k, n)
     subdirect = True
     for key, funs in space.constraints.items():
-        if not _subuniverse_of_tuples(L, len(key), funs):
+        if unclosed_operation(L, len(key), funs) is not None:
             raise InvalidInput("constraint for %r is not a subuniverse" % sorted(key))
     stored_m = [key for key in space.constraints if len(key) == m]
     for key in stored_m:
@@ -289,7 +277,7 @@ class UnaryReport:
 def validate_unary(space: UnaryConstrainedSpace) -> UnaryReport:
     top, L, n = space.topology, space.dualizer, space.n
     for f in space.fibers:
-        if not _subuniverse_of_tuples(L, 1, {(v,) for v in f}):
+        if unclosed_operation(L, 1, [(v,) for v in f]) is not None:
             raise InvalidInput("a fiber is not a subuniverse of the dualizer")
     subdirect = all(bool(f) == space.a_empty for f in space.fibers) if n else True
     continuous = all(

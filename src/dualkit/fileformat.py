@@ -195,18 +195,24 @@ def _parse_points(doc):
     return tuple(str(p) for p in points)
 
 
+def _list_of_lists(value, key, what, entry=object):
+    """``value`` itself, or ValidationError naming ``key`` unless it is a
+    list of lists of ``entry`` instances."""
+    if not isinstance(value, list) or not all(
+            isinstance(item, list) and all(isinstance(x, entry) for x in item)
+            for item in value):
+        raise ValidationError("%s must be a list of lists of %s" % (key, what))
+    return value
+
+
 def _parse_topology(doc, points):
     opens = doc.get("opens")
     n = len(points)
     if opens is None:
         return discrete_topology(n)
-    if not isinstance(opens, list):
-        raise ValidationError("opens must be a list of lists of point labels")
     index = {p: i for i, p in enumerate(points)}
     masks = []
-    for subset in opens:
-        if not isinstance(subset, list) or not all(isinstance(p, str) for p in subset):
-            raise ValidationError("opens must be a list of lists of point labels")
+    for subset in _list_of_lists(opens, "opens", "point labels", str):
         try:
             masks.append(mask_of(index[p] for p in subset))
         except KeyError as exc:
@@ -238,7 +244,8 @@ def parse_space(text: str, read_file=None) -> SpaceDocument:
         comp = doc.get("comp")
         if not isinstance(comp, list):
             raise ValidationError("lspace documents need a comp block")
-        functions = [_value_tuple(dualizer, f) for f in comp]
+        functions = [_value_tuple(dualizer, f)
+                     for f in _list_of_lists(comp, "comp", "element labels")]
         space = lspace(top, dualizer.algebra, functions)
         return SpaceDocument(kind, points, ref, dualizer, space)
 
@@ -246,12 +253,13 @@ def parse_space(text: str, read_file=None) -> SpaceDocument:
         fibers_doc = doc.get("fibers")
         if not isinstance(fibers_doc, list) or len(fibers_doc) != len(points):
             raise ValidationError("fibers must list one value set per point")
-        fibers = [frozenset(dualizer.label_index(v) for v in f) for f in fibers_doc]
+        fibers = [frozenset(dualizer.label_index(v) for v in f)
+                  for f in _list_of_lists(fibers_doc, "fibers", "element labels")]
         equiv_doc = doc.get("equiv")
         classes = list(range(len(points)))
         if equiv_doc is not None:
             seen = set()
-            for c, block in enumerate(equiv_doc):
+            for c, block in enumerate(_list_of_lists(equiv_doc, "equiv", "point labels", str)):
                 for p in block:
                     if p not in index or p in seen:
                         raise ValidationError("bad equivalence block %r" % (block,))
@@ -276,13 +284,16 @@ def parse_space(text: str, read_file=None) -> SpaceDocument:
             subset = json.loads(key[len("constraint "):])
         except json.JSONDecodeError:
             raise ValidationError("bad constraint key %r" % key)
+        if not isinstance(subset, list) or not all(isinstance(p, str) for p in subset):
+            raise ValidationError("bad constraint key %r" % key)
         try:
             pts = tuple(index[p] for p in subset)
         except KeyError as exc:
             raise ValidationError("unknown point %s in constraint key" % exc)
         if sorted(pts) != list(pts):
             raise ValidationError("constraint keys list points in document order")
-        family[frozenset(pts)] = {_value_tuple(dualizer, f) for f in value}
+        family[frozenset(pts)] = {_value_tuple(dualizer, f)
+                                  for f in _list_of_lists(value, key, "element labels")}
     if "a_empty" in doc:
         family[frozenset()] = {()} if doc["a_empty"] else set()
     space = ConstrainedSpace(k, top, dualizer.algebra, family)
@@ -294,7 +305,7 @@ def _parse_poset(doc):
     index = {p: i for i, p in enumerate(points)}
     n = len(points)
     leq = [[x == y for y in range(n)] for x in range(n)]
-    for pair in doc.get("leq", []):
+    for pair in _list_of_lists(doc.get("leq", []), "leq", "point labels", str):
         try:
             x, y = pair
             leq[index[x]][index[y]] = True

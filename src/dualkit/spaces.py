@@ -23,6 +23,7 @@ from .algebras import (
     algebra_from_vectors,
     enumerate_homs,
     in_prevariety,
+    unclosed_operation,
 )
 from .topology import (
     FiniteTopology,
@@ -70,7 +71,11 @@ class LSpace:
                 raise InvalidInput("compatible function outside the carrier")
             if not is_continuous_vector(self.topology, f):
                 raise InvalidInput("compatible function is not continuous")
-        _check_subuniverse(self.dualizer, self.topology.n, self.functions)
+        name = unclosed_operation(self.dualizer, self.topology.n, self.functions)
+        if name in self.dualizer.signature.constants:
+            raise InvalidInput("compatible functions miss the constant %r" % name)
+        if name is not None:
+            raise InvalidInput("compatible functions not closed under %r" % name)
 
     @property
     def n(self) -> int:
@@ -82,19 +87,6 @@ class LSpace:
         Returns (algebra, carrier) with carrier[i] the vector of element i.
         """
         return algebra_from_vectors(self.dualizer, self.n, self.functions)
-
-
-def _check_subuniverse(L, length, vectors):
-    vectors = set(vectors)
-    for name, arity in L.signature.ops:
-        if arity == 0:
-            if (L.apply(name),) * length not in vectors:
-                raise InvalidInput("compatible functions miss the constant %r" % name)
-            continue
-        for args in itertools.product(sorted(vectors), repeat=arity):
-            value = tuple(L.apply(name, *pw) for pw in zip(*args)) if args else ()
-            if value not in vectors:
-                raise InvalidInput("compatible functions not closed under %r" % name)
 
 
 def lspace(top: FiniteTopology, L: FiniteAlgebra, functions) -> LSpace:

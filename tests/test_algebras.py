@@ -111,6 +111,13 @@ def test_eval_arity_mismatch_rejected():
         eval_term(DL, App("meet", (Var(0),)), {0: 1})
 
 
+def test_apply_rejects_unknown_symbol_and_wrong_arity():
+    with pytest.raises(InvalidInput, match="unknown operation symbol 'nope'"):
+        DL.apply("nope", 0)
+    with pytest.raises(InvalidInput, match="'meet' expects 2 arguments, got 1"):
+        DL.apply("meet", 0)
+
+
 # --- subalgebra generation ----------------------------------------------------
 
 def test_constants_closure_of_luk3():

@@ -260,6 +260,20 @@ def test_parse_error_exits_two(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("old,new", [
+    ('comp: [["0", "0"], ["0", "1"], ["1", "1"]]', "comp: [5]"),
+    ('constraint ["x"]: [["0"], ["1"]]', 'constraint ["x"]: 5'),
+], ids=["comp", "constraint"])
+def test_malformed_nested_value_exits_two(capsys, tmp_path, lspace_file, old, new):
+    text = open(lspace_file).read() if old.startswith("comp") else PRIESTLEY_DOC
+    assert old in text
+    path = tmp_path / "bad.dk"
+    path.write_text(text.replace(old, new))
+    code, _, err = run(capsys, "props", str(path))
+    assert code == 2
+    assert "error:" in err
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "props", "/nonexistent/file.dk")
     assert code == 2

@@ -1,0 +1,382 @@
+"""Differential tests of the vector-closure kernel against the loops it replaced.
+
+The oracles below are the pure-Python closure loops that ``generate_vectors``,
+``algebra_from_vectors``, L-space validation (``_check_subuniverse``),
+constrained-space validation (``_subuniverse_of_tuples``) and
+``generate_subalgebra`` (``_closure_mask``) used before the kernel, and the
+per-argument ``ElementMap.is_homomorphism`` loop, kept verbatim up to
+imports.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dualkit import algebras
+from dualkit.algebras import (
+    BudgetExceeded,
+    ElementMap,
+    FiniteAlgebra,
+    InvalidInput,
+    Signature,
+    _op_columns,
+    algebra_from_vectors,
+    direct_power,
+    enumerate_homs,
+    generate_subalgebra,
+    generate_vectors,
+    product_index,
+    unclosed_operation,
+)
+from dualkit.catalog import luk, reduct
+from dualkit.corpus import dualizer_suite
+from dualkit.spaces import lspace
+from dualkit.topology import discrete_topology
+
+
+# --- oracles: the loops before the kernel ----------------------------------------
+
+def old_generate_vectors(L, length, seeds, budget=algebras.DEFAULT_BUDGET):
+    seeds = [tuple(s) for s in seeds]
+    for s in seeds:
+        if len(s) != length:
+            raise InvalidInput("seed vector of wrong length")
+        if any(not 0 <= v < L.size for v in s):
+            raise InvalidInput("seed vector outside carrier")
+    known = set(seeds)
+    for name in L.signature.constants:
+        known.add((L.apply(name),) * length)
+    frontier = list(known)
+    while frontier:
+        new = []
+        ordered = sorted(known)
+        fresh = set(frontier)
+        for name, arity in L.signature.ops:
+            if arity == 0:
+                continue
+            table = L.tables[name]
+            n = L.size
+            for args in itertools.product(ordered, repeat=arity):
+                if not fresh.intersection(args):
+                    continue
+                if arity == 2:
+                    u, v = args
+                    vec = tuple(table[a * n + b] for a, b in zip(u, v))
+                else:
+                    vec = tuple(table[product_index([n] * arity, pointwise)]
+                                for pointwise in zip(*args))
+                if vec not in known:
+                    known.add(vec)
+                    new.append(vec)
+                    if len(known) > budget:
+                        raise BudgetExceeded("vector closure exceeds budget %d" % budget)
+        frontier = new
+    return sorted(known)
+
+
+def old_algebra_from_vectors(L, length, vectors):
+    carrier = sorted(set(tuple(v) for v in vectors))
+    index = {v: i for i, v in enumerate(carrier)}
+    n = L.size
+    tables = {}
+    for name, arity in L.signature.ops:
+        table = L.tables[name]
+        entries = []
+        for args in itertools.product(carrier, repeat=arity):
+            if arity == 0:
+                vec = (table[0],) * length
+            elif arity == 2:
+                vec = tuple(table[a * n + b] for a, b in zip(args[0], args[1]))
+            else:
+                vec = tuple(table[product_index([n] * arity, pw)] for pw in zip(*args))
+            if vec not in index:
+                raise InvalidInput("vector set is not closed under %r" % name)
+            entries.append(index[vec])
+        tables[name] = tuple(entries)
+    return FiniteAlgebra(L.signature, len(carrier), tables), carrier
+
+
+def old_check_subuniverse(L, length, vectors):
+    vectors = set(vectors)
+    for name, arity in L.signature.ops:
+        if arity == 0:
+            if (L.apply(name),) * length not in vectors:
+                raise InvalidInput("compatible functions miss the constant %r" % name)
+            continue
+        for args in itertools.product(sorted(vectors), repeat=arity):
+            value = tuple(L.apply(name, *pw) for pw in zip(*args)) if args else ()
+            if value not in vectors:
+                raise InvalidInput("compatible functions not closed under %r" % name)
+
+
+def old_subuniverse_of_tuples(L, width, funs) -> bool:
+    funs = set(funs)
+    for name, arity in L.signature.ops:
+        if arity == 0:
+            if (L.apply(name),) * width not in funs:
+                return False
+            continue
+        for args in itertools.product(sorted(funs), repeat=arity):
+            if tuple(L.apply(name, *pw) for pw in zip(*args)) not in funs:
+                return False
+    return True
+
+
+def old_closure_mask(A, seed):
+    known = np.zeros(A.size, dtype=bool)
+    for s in seed:
+        if not 0 <= s < A.size:
+            raise InvalidInput("seed element %r outside carrier" % (s,))
+        known[s] = True
+    for name in A.signature.constants:
+        known[A.apply(name)] = True
+    columns = _op_columns(A)
+    changed = True
+    while changed:
+        changed = False
+        for cols, res in columns.values():
+            mask = ~known[res]
+            for c in cols:
+                mask &= known[c]
+            if mask.any():
+                known[res[mask]] = True
+                changed = True
+    return known
+
+
+def old_is_homomorphism(h):
+    A, B, values = h.domain, h.codomain, h.values
+    for name, arity in A.signature.ops:
+        for args in itertools.product(A.elements, repeat=arity):
+            if values[A.apply(name, *args)] != B.apply(name, *(values[a] for a in args)):
+                return False
+    return True
+
+
+# --- inputs ---------------------------------------------------------------------------
+
+def _median3():
+    """A 3-chain with the ternary median and a unary reversal: no constants,
+    and an operation of arity 3 for the semi-naive positions p = 0, 1, 2."""
+    median = tuple(sorted(args)[1] for args in itertools.product(range(3), repeat=3))
+    return FiniteAlgebra(Signature((("med", 3), ("rev", 1))), 3,
+                         {"med": median, "rev": (2, 1, 0)})
+
+
+def _affine3():
+    """Z/3 with x - y + z and x - y: operations whose value depends on the
+    argument position, so a semi-naive round must try delta in every one."""
+    sub = tuple((x - y) % 3 for x, y in itertools.product(range(3), repeat=2))
+    mal = tuple((x - y + z) % 3 for x, y, z in itertools.product(range(3), repeat=3))
+    return FiniteAlgebra(Signature((("mal", 3), ("sub", 2))), 3, {"mal": mal, "sub": sub})
+
+
+def _late_pair():
+    """f(3, 3) = 1 and f(0, 1) = 2, else f(x, y) = x: from {0, 3}, 2 is
+    reached only by pairing an old row (0) with a row the last round added (1)."""
+    f = tuple({(3, 3): 1, (0, 1): 2}.get((x, y), x)
+              for x, y in itertools.product(range(4), repeat=2))
+    return FiniteAlgebra(Signature((("f", 2),)), 4, {"f": f})
+
+
+SUITE = [entry.algebra for entry in dualizer_suite()]
+ALGEBRAS = SUITE + [_median3(), _affine3(), _late_pair(),
+                    reduct(luk(2).algebra, ["oplus", "neg"])]
+IDS = ["bool2", "dl2", "luk2", "luk3", "posluk2", "median3", "affine3", "late-pair",
+       "luk2-oplus-neg"]
+
+
+def _instance(L, max_length=4):
+    """(length, seeds) with lengths 0..max_length and 0..3 seeds.  The oracle
+    tries every argument tuple each round, so the power is kept to at most
+    81 vectors, and to 27 with a ternary operation."""
+    arity = max(arity for _, arity in L.signature.ops)
+    lengths = [x for x in range(max_length + 1) if L.size ** (x * arity) <= 81**2]
+    return st.sampled_from(lengths).flatmap(lambda x: st.tuples(
+        st.just(x),
+        st.lists(st.tuples(*[st.integers(0, L.size - 1)] * x), max_size=3)))
+
+
+def _closed_and_subset(L):
+    """A closed vector set and a subset of it with some vectors dropped."""
+    return _instance(L).flatmap(lambda inst: st.tuples(
+        st.just(inst[0]),
+        st.just(old_generate_vectors(L, *inst)),
+        st.sets(st.integers(0, 80), max_size=3)))
+
+
+def _error(call, *args):
+    try:
+        call(*args)
+    except (InvalidInput, BudgetExceeded) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# --- closure ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("L", ALGEBRAS, ids=IDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_generate_vectors_matches_oracle(L, data):
+    length, seeds = data.draw(_instance(L))
+    expected = old_generate_vectors(L, length, seeds)
+    assert generate_vectors(L, length, seeds) == expected
+    A, carrier = algebra_from_vectors(L, length, expected)
+    old_A, old_carrier = old_algebra_from_vectors(L, length, expected)
+    assert carrier == old_carrier
+    assert A == old_A
+    assert unclosed_operation(L, length, expected) is None
+
+
+@pytest.mark.parametrize("L", ALGEBRAS, ids=IDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_small_blocks_match_oracle(L, data):
+    """Blocks of a few cells: chunked grids and flushes inside a round."""
+    length, seeds = data.draw(_instance(L, max_length=3))
+    cells, algebras._BLOCK_CELLS = algebras._BLOCK_CELLS, data.draw(st.integers(1, 12))
+    try:
+        got = generate_vectors(L, length, seeds)
+        A, _ = algebra_from_vectors(L, length, got)
+    finally:
+        algebras._BLOCK_CELLS = cells
+    assert got == old_generate_vectors(L, length, seeds)
+    assert A == old_algebra_from_vectors(L, length, got)[0]
+
+
+@pytest.mark.parametrize("L", ALGEBRAS, ids=IDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_non_closed_sets_report_the_same_operation(L, data):
+    length, closed, drop = data.draw(_closed_and_subset(L))
+    vectors = [v for i, v in enumerate(closed) if i not in drop]
+    assert (_error(algebra_from_vectors, L, length, vectors)
+            == _error(old_algebra_from_vectors, L, length, vectors))
+    assert (unclosed_operation(L, length, vectors) is None) == \
+        old_subuniverse_of_tuples(L, length, vectors)
+    assert _error(lspace, discrete_topology(length), L, vectors) == \
+        _error(old_check_subuniverse, L, length, vectors)
+
+
+@pytest.mark.parametrize("L", ALGEBRAS, ids=IDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_arbitrary_sets_report_the_same_operation(L, data):
+    length = data.draw(st.integers(0, 2))
+    vectors = data.draw(st.sets(st.tuples(*[st.integers(0, L.size - 1)] * length), max_size=6))
+    assert (_error(algebra_from_vectors, L, length, vectors)
+            == _error(old_algebra_from_vectors, L, length, vectors))
+    assert (_error(lspace, discrete_topology(length), L, vectors)
+            == _error(old_check_subuniverse, L, length, vectors))
+
+
+@pytest.mark.parametrize("L", ALGEBRAS, ids=IDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_budget_boundary(L, data):
+    length, seeds = data.draw(_instance(L))
+    closure = old_generate_vectors(L, length, seeds)
+    start = set(map(tuple, seeds)) | {(L.apply(c),) * length for c in L.signature.constants}
+    size = len(closure)
+    assert generate_vectors(L, length, seeds, budget=size) == closure
+    expected = _error(old_generate_vectors, L, length, seeds, size - 1)
+    assert _error(generate_vectors, L, length, seeds, size - 1) == expected
+    # the closure only raises once it adds a vector past the budget
+    if size > len(start):
+        assert expected == (BudgetExceeded, "vector closure exceeds budget %d" % (size - 1))
+    else:
+        assert expected is None
+
+
+def test_seed_errors_match_oracle():
+    L = luk(2).algebra
+    for seeds in ([(0, 1), (1,)], [(0, 3)], [(-1, 0)]):
+        assert _error(generate_vectors, L, 2, seeds) == _error(old_generate_vectors, L, 2, seeds)
+
+
+def test_old_rows_meet_new_rows_in_every_position():
+    A = _late_pair()
+    assert generate_subalgebra(A, [0, 3]) == frozenset(range(4))
+    assert generate_vectors(A, 1, [(0,), (3,)]) == [(0,), (1,), (2,), (3,)]
+
+
+def test_empty_and_constant_free():
+    free = _median3()
+    assert generate_vectors(free, 3, []) == []
+    assert generate_vectors(free, 0, [()]) == [()]
+    assert generate_vectors(luk(2).algebra, 0, []) == [()]
+    A, carrier = algebra_from_vectors(free, 2, [])
+    assert (A.size, carrier) == (0, [])
+    assert unclosed_operation(free, 2, []) is None
+    assert unclosed_operation(luk(2).algebra, 2, []) == "zero"
+    assert unclosed_operation(luk(2).algebra, 0, []) == "zero"
+    assert unclosed_operation(luk(2).algebra, 0, [()]) is None
+    assert generate_subalgebra(free, ()) == frozenset()
+
+
+def test_wide_vectors_past_int64_codes():
+    """luk(8) on 20 points: 9**20 > 2**63, so a row needs more than one code."""
+    L = luk(8).algebra
+    assert L.size ** 20 > 2**63
+    u = (0, 4, 8, 4, 0, 8, 8, 4, 0, 0, 4, 4, 8, 0, 8, 4, 0, 8, 4, 4)
+    v = tuple(8 if x == 0 else 0 for x in u)
+    closure = old_generate_vectors(L, 20, [u, v])
+    assert generate_vectors(L, 20, [u, v]) == closure
+    A, carrier = algebra_from_vectors(L, 20, closure)
+    assert (A, carrier) == old_algebra_from_vectors(L, 20, closure)
+    space = lspace(discrete_topology(20), L, closure)
+    assert len(space.functions) == len(closure)
+    broken = closure[:-1]
+    assert _error(lspace, discrete_topology(20), L, broken) == \
+        _error(old_check_subuniverse, L, 20, broken)
+    assert _error(algebra_from_vectors, L, 20, broken) == \
+        _error(old_algebra_from_vectors, L, 20, broken)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 8)] * 20), min_size=1, max_size=30),
+       st.integers(0, 19))
+def test_wide_ranks_order_rows_as_tuples(rows, column):
+    # rows that agree on every column but one, so later limbs decide
+    rows = rows + [r[:column] + (8 - r[column],) + r[column + 1:] for r in rows]
+    array = np.array(rows, dtype=np.int64)
+    keys = algebras._ranks(array @ algebras._radix(9, 20))
+    assert [rows[i] for i in np.argsort(keys, kind="stable")] == sorted(rows)
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        assert (keys[i] == keys[j]) == (rows[i] == rows[j])
+
+
+# --- subalgebras of one algebra (length 1) ----------------------------------------------
+
+POWERS = ALGEBRAS + [direct_power(L, 2) for L in SUITE]
+
+
+@pytest.mark.parametrize("A", POWERS, ids=IDS + [name + "^2" for name in IDS[:len(SUITE)]])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_generate_subalgebra_matches_closure_mask(A, data):
+    seed = data.draw(st.lists(st.integers(0, A.size - 1), max_size=3))
+    expected = frozenset(int(x) for x in np.nonzero(old_closure_mask(A, seed))[0])
+    assert generate_subalgebra(A, seed) == expected
+
+
+def test_generate_subalgebra_rejects_outside_seed():
+    A = luk(2).algebra
+    assert _error(generate_subalgebra, A, [1, 3]) == _error(old_closure_mask, A, [1, 3])
+
+
+@pytest.mark.parametrize("L", SUITE + [_median3()], ids=IDS[:len(SUITE)] + ["median3"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_is_homomorphism_matches_oracle(L, data):
+    A = direct_power(L, 2) if L.size < 4 else L
+    homs = enumerate_homs(A, L)
+    if homs and data.draw(st.booleans()):
+        h = data.draw(st.sampled_from(homs))
+    else:
+        h = ElementMap(A, L, data.draw(st.tuples(*[st.integers(0, L.size - 1)] * A.size)))
+    assert h.is_homomorphism() == old_is_homomorphism(h)

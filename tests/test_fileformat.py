@@ -145,6 +145,59 @@ def test_malformed_opens_rejected(opens):
         parse_space(TWO_POINT_LSPACE + "opens: %s\n" % opens)
 
 
+UNARY_DOC = """\
+kind: constrained-unary
+dualizer: builtin:dl2
+points: ["x", "y"]
+fibers: [["0", "1"], ["0", "1"]]
+equiv: [["x"], ["y"]]
+"""
+
+
+@pytest.mark.parametrize("comp", ['[5]', '[["0", "0"], "11"]', '5'],
+                         ids=["number", "string", "bare-number"])
+def test_malformed_comp_rejected(comp):
+    text = TWO_POINT_LSPACE.replace('[["0", "0"], ["1", "1"]]', comp)
+    with pytest.raises(ValidationError, match="comp"):
+        parse_space(text)
+
+
+@pytest.mark.parametrize("fibers", ['[5, ["0"]]', '[["0"], "01"]'], ids=["number", "string"])
+def test_malformed_fibers_rejected(fibers):
+    text = UNARY_DOC.replace('[["0", "1"], ["0", "1"]]', fibers)
+    with pytest.raises(ValidationError, match="fibers"):
+        parse_space(text)
+
+
+@pytest.mark.parametrize("equiv", ['5', '[5, ["y"]]', '[["x", ["y"]]]', '["xy"]'],
+                         ids=["number", "number-block", "nested-label", "string-block"])
+def test_malformed_equiv_rejected(equiv):
+    text = UNARY_DOC.replace('[["x"], ["y"]]', equiv)
+    with pytest.raises(ValidationError, match="equiv"):
+        parse_space(text)
+
+
+@pytest.mark.parametrize("value", ['5', '[5]', '["0"]'], ids=["number", "number-row", "string-row"])
+def test_malformed_constraint_rejected(value):
+    text = PRIESTLEY_DOC.replace('constraint ["x"]: [["0"], ["1"]]', 'constraint ["x"]: %s' % value)
+    with pytest.raises(ValidationError, match=r'constraint \["x"\]'):
+        parse_space(text)
+
+
+@pytest.mark.parametrize("key", ['5', '[["x"]]', '"x"'], ids=["number", "nested", "string"])
+def test_malformed_constraint_key_rejected(key):
+    text = PRIESTLEY_DOC.replace('constraint ["x"]:', 'constraint %s:' % key)
+    with pytest.raises(ValidationError, match="bad constraint key"):
+        parse_space(text)
+
+
+@pytest.mark.parametrize("leq", ['5', '[5]', '[["a", ["b"]]]'],
+                         ids=["number", "number-pair", "nested"])
+def test_malformed_leq_rejected(leq):
+    with pytest.raises(ValidationError, match="leq"):
+        parse_space('kind: poset\npoints: ["a", "b"]\nleq: %s\n' % leq)
+
+
 def test_dot_for_two_chain_has_one_edge():
     doc = parse_space(PRIESTLEY_DOC)
     dot = export_dot(doc)
