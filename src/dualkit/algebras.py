@@ -93,6 +93,7 @@ class FiniteAlgebra:
         if set(tables) != set(signature.names):
             raise InvalidInput("tables do not match signature symbols")
         frozen = {}
+        carrier = frozenset(range(size))
         for name, arity in signature.ops:
             table = tuple(tables[name])
             if len(table) != size**arity:
@@ -100,9 +101,11 @@ class FiniteAlgebra:
                     "table for %r has %d entries, expected %d"
                     % (name, len(table), size**arity)
                 )
-            for value in table:
-                if not 0 <= value < size:
-                    raise InvalidInput("table entry %r out of range for %r" % (value, name))
+            # one set test for the common case; the loop names the first bad entry
+            if not carrier.issuperset(table):
+                for value in table:
+                    if not 0 <= value < size:
+                        raise InvalidInput("table entry %r out of range for %r" % (value, name))
             frozen[name] = table
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "size", size)

@@ -296,7 +296,7 @@ def cmd_lep(args):
     doc = _load_space(args.input)
     if isinstance(doc.space, LSpace):
         raise ValidationError("lep expects a constrained document")
-    ok, witness = has_local_extension(doc.space, args.bound)
+    ok, witness = has_local_extension(doc.space, args.bound, budget=args.budget)
     fields = [("arity", args.bound), ("local_extension", ok)]
     if not ok:
         fields.append(("witness", repr(witness)))

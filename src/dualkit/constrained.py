@@ -7,11 +7,27 @@ Constraints are stored for |I| = k and |I| <= 1 only; intermediate sizes are
 derived by projection, which subdirectness makes unambiguous (validation
 checks exactly that).  Local functions on I are tuples aligned with
 sorted(I).
+
+Every search over local functions (the compatible functions on a set of
+points, the local extension property, ccomp, the possible-extension sets)
+goes through one lookup, the extension mask ``_extensions(space, I, g, j)``:
+for g compatible on the sorted tuple I and a point j outside it, the bitmask
+over L of every b such that g extended by j -> b is compatible on I + {j}.
+For a k-ary space it ANDs one table per subset T of I with |T| <= k-1; the
+table for (T, j) maps the values of a function on T to the values at j that
+A_{T+{j}} allows (T empty gives j's fiber).  For a unary space it is j's
+fiber, narrowed to g(q) for every q in I equivalent to j.  Local constancy
+narrows both: b must equal g(q) when q lies in N(j) or j in N(q).  The
+tables are built on first use and cached on the space, so every search on
+one space shares them.  Only the compatible functions are ever enumerated:
+those on I extend those on I[:-1] by I[-1].
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .algebras import (
@@ -19,10 +35,7 @@ from .algebras import (
     BudgetExceeded,
     FiniteAlgebra,
     InvalidInput,
-    direct_power,
     power_index,
-    power_tuple,
-    subuniverses,
     unclosed_operation,
 )
 from .spaces import LSpace, lspace
@@ -38,7 +51,7 @@ def restrict_local(fun, I_sorted, J_sorted):
 class ConstrainedSpace:
     """A k-ary constrained space for k >= 2 (immutable after construction)."""
 
-    __slots__ = ("k", "topology", "dualizer", "constraints", "_derived")
+    __slots__ = ("k", "topology", "dualizer", "constraints", "_derived", "_tables")
 
     def __init__(self, k: int, topology: FiniteTopology, dualizer: FiniteAlgebra,
                  constraints: dict):
@@ -79,6 +92,8 @@ class ConstrainedSpace:
         object.__setattr__(self, "dualizer", dualizer)
         object.__setattr__(self, "constraints", normalized)
         object.__setattr__(self, "_derived", {})
+        # extension-mask tables keyed by (T, j), built on first use
+        object.__setattr__(self, "_tables", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ConstrainedSpace is immutable")
@@ -180,9 +195,10 @@ class ConstrainedReport:
 def validate_constrained(space: ConstrainedSpace) -> ConstrainedReport:
     """Exact flags for subdirectness, continuity, separation, Scott continuity.
 
-    Scott continuity is computed independently against the principal upsets
-    of Sub(L^k) and must agree with the openness flag; a mismatch is an
-    internal error, not a property of the input.
+    Scott continuity of xbar -> A_xbar into Sub(L^k) is equivalent to the
+    openness of every X_abar that ``_family_is_continuous`` decides, so it is
+    reported as the same flag; the tests check the equivalence against a
+    direct computation over the principal upsets of Sub(L^k).
     """
     L, n, k = space.dualizer, space.n, space.k
     m = min(k, n)
@@ -208,9 +224,6 @@ def validate_constrained(space: ConstrainedSpace) -> ConstrainedReport:
                     subdirect = False
 
     continuous = _family_is_continuous(space)
-    scott = _family_is_scott_continuous(space)
-    if scott != continuous:
-        raise AssertionError("Scott-continuity disagrees with fiber openness")
 
     separated = True
     for x in range(n):
@@ -218,7 +231,7 @@ def validate_constrained(space: ConstrainedSpace) -> ConstrainedReport:
             pairs = space.constraint_tuple((x, y))
             if not any(a != b for a, b in pairs):
                 separated = False
-    return ConstrainedReport(subdirect, continuous, separated, scott)
+    return ConstrainedReport(subdirect, continuous, separated, continuous)
 
 
 def _family_is_continuous(space: ConstrainedSpace) -> bool:
@@ -236,27 +249,6 @@ def _family_is_continuous(space: ConstrainedSpace) -> bool:
         for ybar in itertools.product(*(nbhd[x] for x in xbar)):
             if not here <= space.constraint_tuple(ybar):
                 return False
-    return True
-
-
-def _family_is_scott_continuous(space: ConstrainedSpace) -> bool:
-    """The map xbar -> A_xbar is continuous into Sub(L^k) with the Scott topology.
-
-    On a finite algebra the Scott opens are generated by principal upsets of
-    subalgebras, so continuity says each { xbar : C <= A_xbar } is open.
-    """
-    top, L, k, n = space.topology, space.dualizer, space.k, space.n
-    square = direct_power(L, k)
-    subs = [frozenset(power_tuple(L.size, k, u) for u in universe)
-            for universe in subuniverses(square)]
-    nbhd = [bits_of(top.min_nbhd(x)) for x in range(n)]
-    for C in subs:
-        for xbar in itertools.product(range(n), repeat=k):
-            if not C <= space.constraint_tuple(xbar):
-                continue
-            for ybar in itertools.product(*(nbhd[x] for x in xbar)):
-                if not C <= space.constraint_tuple(ybar):
-                    return False
     return True
 
 
@@ -295,88 +287,163 @@ def validate_unary(space: UnaryConstrainedSpace) -> UnaryReport:
     return UnaryReport(subdirect, continuous, separated, equiv_closed, separation_witnessed)
 
 
-# --- compatible functions -------------------------------------------------------
+# --- extension masks --------------------------------------------------------------
 
-def is_compatible_local(space, points_sorted, fun, check_continuity=True) -> bool:
-    """Compatibility of a local function on a subset (both space kinds)."""
-    points_sorted = tuple(points_sorted)
+def _table(space: ConstrainedSpace, T, j) -> dict:
+    """Values of a function on the sorted tuple T -> mask of the values at j
+    that A_{T+{j}} allows with them (j outside T, |T| <= k-1)."""
+    table = space._tables.get((T, j))
+    if table is None:
+        S = tuple(sorted(T + (j,)))
+        at = S.index(j)
+        table = {}
+        for f in space.constraint(S):
+            key = f[:at] + f[at + 1:]
+            table[key] = table.get(key, 0) | 1 << f[at]
+        space._tables[T, j] = table
+    return table
+
+
+def _fiber_mask(space, x: int) -> int:
     if isinstance(space, UnaryConstrainedSpace):
-        if not space.a_empty:
-            return False
-        for i, p in enumerate(points_sorted):
-            if fun[i] not in space.fibers[p]:
-                return False
-        for i, p in enumerate(points_sorted):
-            for j, q in enumerate(points_sorted):
-                if space.related(p, q) and fun[i] != fun[j]:
-                    return False
-    else:
-        for size in range(min(space.k, len(points_sorted)) + 1):
-            for J in itertools.combinations(points_sorted, size):
-                if restrict_local(fun, points_sorted, J) not in space.constraint(J):
-                    return False
-    if check_continuity and not space.topology.is_locally_constant(points_sorted, fun):
-        return False
-    return True
+        return mask_of(space.fibers[x])
+    return _table(space, (), x).get((), 0)
 
+
+def _empty_compatible(space) -> bool:
+    """Whether the empty local function is compatible."""
+    if isinstance(space, UnaryConstrainedSpace):
+        return space.a_empty
+    return () in space.constraint(())
+
+
+@functools.lru_cache(maxsize=4096)
+def _subsets(I: tuple, most: int) -> tuple:
+    """(T, key) for every T <= I with |T| <= most, where key picks the
+    values on T out of a function on I as a tuple."""
+    out = []
+    for size in range(min(most, len(I)) + 1):
+        for positions in itertools.combinations(range(len(I)), size):
+            if size > 1:
+                key = operator.itemgetter(*positions)
+            else:       # a slice keeps the value a tuple
+                start = positions[0] if positions else 0
+                key = operator.itemgetter(slice(start, start + size))
+            out.append((tuple(I[i] for i in positions), key))
+    return tuple(out)
+
+
+def _extensions(space, I: tuple, g: tuple, j: int) -> int:
+    """Bitmask over L of every b such that g, extended by j -> b, is
+    compatible on I + {j}; g must be compatible on the sorted tuple I."""
+    if isinstance(space, UnaryConstrainedSpace):
+        mask = mask_of(space.fibers[j])
+        equiv = space.equiv
+        for q, v in zip(I, g):
+            if equiv[q] == equiv[j]:
+                mask &= 1 << v
+    else:
+        mask = -1
+        for T, key in _subsets(I, space.k - 1):
+            mask &= _table(space, T, j).get(key(g), 0)
+    nbhds = space.topology.nbhds
+    around = nbhds[j]
+    for q, v in zip(I, g):
+        if around >> q & 1 or nbhds[q] >> j & 1:
+            mask &= 1 << v
+    return mask
+
+
+def _extend_all(space, I, funs, j) -> list[tuple[int, ...]]:
+    """Every compatible extension by j of the functions funs, compatible on
+    the sorted tuple I; with j above I, lexicographic order is kept."""
+    return [g + (b,) for g in funs for b in bits_of(_extensions(space, I, g, j))]
+
+
+def _local_functions(space, max_size: int):
+    """(I, compatible local functions on I) for every I of at most max_size
+    points, by size and then lexicographically; the functions on I are those
+    on I[:-1] extended by I[-1], so each list is in lexicographic order."""
+    if max_size < 0:
+        return
+    level = {(): [()] if _empty_compatible(space) else []}
+    yield (), level[()]
+    for size in range(1, max_size + 1):
+        previous, level = level, {}
+        for I in itertools.combinations(range(space.n), size):
+            head, j = I[:-1], I[-1]
+            level[I] = funs = _extend_all(space, head, previous[head], j)
+            yield I, funs
+
+
+def compatible_local_functions(space, points_sorted) -> list[tuple[int, ...]]:
+    """The compatible local functions on a sorted tuple of points, in
+    lexicographic order."""
+    I = tuple(points_sorted)
+    funs = [()] if _empty_compatible(space) else []
+    for i, j in enumerate(I):
+        funs = _extend_all(space, I[:i], funs, j)
+    return funs
+
+
+# --- compatible global functions ---------------------------------------------------
 
 def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
-    """The continuous compatible global functions, backtracking over points.
+    """The continuous compatible global functions, by forward checking.
 
-    Points are assigned in ascending fiber-size order; every touched
-    constraint among assigned points prunes, as does disagreement on a
-    topological component (which is exactly the continuity requirement).
+    Points are assigned in ascending fiber-size order.  Assigning p := v
+    narrows the value mask of every unassigned point q: by each constraint
+    on q, p and at most k-2 further assigned points, by the equivalence
+    (unary spaces), and to v on p's topological component (which is exactly
+    the continuity requirement).  A point left without values ends the branch.
     """
     L, top, n = space.dualizer, space.topology, space.n
     if L.size and L.size**n > budget:
         raise BudgetExceeded("ccomp search exceeds budget")
-    unary = isinstance(space, UnaryConstrainedSpace)
-    if unary:
-        fibers = space.fibers
-        empty_ok = space.a_empty
-    else:
-        fibers = tuple(frozenset(f[0] for f in space.constraint((x,))) for x in range(n))
-        empty_ok = () in space.constraint(())
-    if not empty_ok:
+    if not _empty_compatible(space):
         return []
     if n == 0:
         return [()]
-    order = sorted(range(n), key=lambda x: (len(fibers[x]), x))
+    unary = isinstance(space, UnaryConstrainedSpace)
+    start = [_fiber_mask(space, x) for x in range(n)]
+    order = sorted(range(n), key=lambda x: (start[x].bit_count(), x))
     components = top.components()
     values: list[int | None] = [None] * n
     out = []
 
-    def admissible(p, v):
-        for q in range(n):
-            if values[q] is None or q == p:
-                continue
-            if components[q] == components[p] and values[q] != v:
-                return False
-        if unary:
-            return all(values[q] is None or q == p or not space.related(p, q)
-                       or values[q] == v
-                       for q in range(n))
-        assigned = [q for q in range(n) if values[q] is not None and q != p]
-        for size in range(min(space.k, len(assigned) + 1)):
-            for rest in itertools.combinations(assigned, size):
+    def supports(idx, p):
+        """(S, values on S) for every sorted S holding p and at most k-2
+        points assigned before it."""
+        found = []
+        for size in range(min(space.k - 2, idx) + 1):
+            for rest in itertools.combinations(order[:idx], size):
                 S = tuple(sorted(rest + (p,)))
-                local = tuple(v if q == p else values[q] for q in S)
-                if local not in space.constraint(S):
-                    return False
-        return True
+                found.append((S, tuple(values[s] for s in S)))
+        return found
 
-    def extend(idx):
+    def extend(idx, domains):
         if idx == n:
             out.append(tuple(values))
             return
         p = order[idx]
-        for v in sorted(fibers[p]):
-            if admissible(p, v):
-                values[p] = v
-                extend(idx + 1)
-                values[p] = None
+        for v in bits_of(domains[p]):
+            values[p] = v
+            held = () if unary else supports(idx, p)
+            narrowed = list(domains)
+            for q in order[idx + 1:]:
+                mask = narrowed[q]
+                if components[q] == components[p] or (unary and space.related(p, q)):
+                    mask &= 1 << v
+                for S, key in held:
+                    mask &= _table(space, S, q).get(key, 0)
+                if not mask:
+                    break
+                narrowed[q] = mask
+            else:
+                extend(idx + 1, narrowed)
+        values[p] = None
 
-    extend(0)
+    extend(0, start)
     return sorted(out)
 
 
@@ -450,52 +517,36 @@ def has_global_extension(space, budget: int = DEFAULT_BUDGET):
     return True, None, functions
 
 
-def compatible_local_functions(space, points_sorted):
-    L = space.dualizer
-    out = []
-    for fun in itertools.product(L.elements, repeat=len(points_sorted)):
-        if is_compatible_local(space, points_sorted, fun):
-            out.append(fun)
-    return out
-
-
-def has_local_extension(space, n_arity: int):
+def has_local_extension(space, n_arity: int, budget: int = DEFAULT_BUDGET):
     """n-ary local extension property: every compatible local function on at
     most n points extends by any one further point.  Returns (flag, witness)
-    with witness = (points, new point, local function)."""
+    with witness = (points, new point, local function).  The enumerated local
+    functions plus the extension tests may number at most ``budget``."""
     n = space.n
-    for size in range(min(n_arity, n) + 1):
-        for I in itertools.combinations(range(n), size):
-            for g in compatible_local_functions(space, I):
-                for j in range(n):
-                    if j in I:
-                        continue
-                    J = tuple(sorted(I + (j,)))
-                    extended = False
-                    for b in space.dualizer.elements:
-                        candidate = tuple(b if q == j else g[I.index(q)] for q in J)
-                        if is_compatible_local(space, J, candidate):
-                            extended = True
-                            break
-                    if not extended:
-                        return False, (I, j, g)
+    work = 0
+    for I, funs in _local_functions(space, min(n_arity, n)):
+        work += len(funs)
+        for g in funs:
+            work += n - len(I)          # the extension tests of g
+            if work > budget:
+                raise BudgetExceeded("local extension search exceeds budget")
+            for j in range(n):
+                if j not in I and not _extensions(space, I, g, j):
+                    return False, (I, j, g)
     return True, None
 
 
 def possible_extensions(space: ConstrainedSpace, points_sorted, fun, y: int) -> frozenset:
-    """M_{f,y}: the values extending a compatible f on I (|I| <= k-1) to y."""
+    """M_{f,y}: the values b in y's fiber with f + (y -> b) in A_{I+{y}},
+    for f on I with |I| <= k-1."""
     points_sorted = tuple(points_sorted)
     if len(points_sorted) > space.k - 1:
         raise InvalidInput("possible_extensions needs |I| <= k-1")
     if y in points_sorted:
         raise InvalidInput("extension point must lie outside I")
-    J = tuple(sorted(points_sorted + (y,)))
-    out = set()
-    for b in sorted(f[0] for f in space.constraint((y,))):
-        candidate = tuple(b if q == y else fun[points_sorted.index(q)] for q in J)
-        if candidate in space.constraint(J):
-            out.add(b)
-    return frozenset(out)
+    I, f = zip(*sorted(zip(points_sorted, fun))) if points_sorted else ((), ())
+    mask = _table(space, I, y).get(f, 0) & _fiber_mask(space, y)
+    return frozenset(bits_of(mask))
 
 
 def _convex_within(L, m: TermFunction, subset, ambient) -> bool:
@@ -535,18 +586,17 @@ def local_to_global_verify(space: ConstrainedSpace, m: TermFunction,
     if m.arity != space.k + 1:
         raise InvalidInput("near-unanimity arity must be k+1")
     k = space.k
-    for size in range(k):
-        for I in itertools.combinations(range(space.n), size):
-            for g in compatible_local_functions(space, I):
-                for y in range(space.n):
-                    if y in I:
-                        continue
-                    M = possible_extensions(space, I, g, y)
-                    fiber = {f[0] for f in space.constraint((y,))}
-                    if not _convex_within(space.dualizer, m, M, fiber):
-                        raise AssertionError(
-                            "possible-extension set is not convex: lemma violated")
-    lep, lep_wit = has_local_extension(space, k * (k - 1))
+    for I, funs in _local_functions(space, k - 1):
+        for g in funs:
+            for y in range(space.n):
+                if y in I:
+                    continue
+                M = possible_extensions(space, I, g, y)
+                fiber = bits_of(_fiber_mask(space, y))
+                if not _convex_within(space.dualizer, m, M, fiber):
+                    raise AssertionError(
+                        "possible-extension set is not convex: lemma violated")
+    lep, lep_wit = has_local_extension(space, k * (k - 1), budget=budget)
     if not lep:
         return LocalToGlobalVerdict(False, lep_wit, None, None)
     gep, gep_wit, _ = has_global_extension(space, budget=budget)
@@ -754,7 +804,7 @@ def mv_priestley_validate(space: ConstrainedSpace,
     local_cases = local_matches = None
     if report.valid and mv_side:
         local_cases = _mv_local_extension_cases(space, leq, fibers)
-        lep, _ = has_local_extension(space, 2)
+        lep, _ = has_local_extension(space, 2, budget=budget)
         local_matches = local_cases == lep
     return MVPriestleyReport(report.valid, order_ok, subdirect_inclusions,
                              subdiag_ok, pairwise, matches, local_cases,

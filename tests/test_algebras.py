@@ -118,6 +118,18 @@ def test_apply_rejects_unknown_symbol_and_wrong_arity():
         DL.apply("meet", 0)
 
 
+def test_out_of_range_table_entry_is_named():
+    sig = Signature((("meet", 2),))
+    with pytest.raises(InvalidInput, match="table entry 2 out of range for 'meet'"):
+        FiniteAlgebra(sig, 2, {"meet": (0, 2, -1, 1)})
+    with pytest.raises(InvalidInput, match="table entry -1 out of range for 'meet'"):
+        FiniteAlgebra(sig, 2, {"meet": (0, 0, -1, 1)})
+    # NaN compares false both ways, so it is out of range too
+    with pytest.raises(InvalidInput, match="table entry nan out of range for 'meet'"):
+        FiniteAlgebra(sig, 2, {"meet": (0, 0, 0, float("nan"))})
+    assert FiniteAlgebra(sig, 2, {"meet": (0, 0, 0, 1)}).apply("meet", 1, 1) == 1
+
+
 # --- subalgebra generation ----------------------------------------------------
 
 def test_constants_closure_of_luk3():

@@ -93,6 +93,14 @@ def test_lep_detects_intransitivity(capsys, tmp_path):
     assert code == 1
 
 
+def test_lep_budget_exits_two(capsys, priestley_file):
+    code, _, err = run(capsys, "lep", priestley_file, "--budget", "1")
+    assert code == 2
+    assert "local extension search exceeds budget" in err
+    code, _, _ = run(capsys, "lep", priestley_file)
+    assert code == 0
+
+
 def test_local2global_reports_consistent_verdicts(capsys, priestley_file):
     code, out, _ = run(capsys, "local2global", priestley_file)
     assert code == 0

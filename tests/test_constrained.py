@@ -2,13 +2,14 @@ import itertools
 
 import pytest
 
-from dualkit.algebras import InvalidInput
+from dualkit.algebras import BudgetExceeded, InvalidInput
 from dualkit.catalog import bool2, dl2, luk, posluk
 from dualkit.constrained import (
     ConstrainedSpace,
     UnaryConstrainedSpace,
     binary_to_unary,
     ccomp,
+    compatible_local_functions,
     cons,
     func,
     has_global_extension,
@@ -217,6 +218,32 @@ def test_gep_implies_lep_k_and_small_spaces_converse():
             assert lep2
         if lep2:        # |X| = 2 + 1, so binary local extension is enough
             assert gep
+
+
+def test_local_extension_budget_counts_functions_and_tests():
+    space = priestley_from_order(discrete_topology(4), chain_order(4), DL)
+    for bound in range(5):
+        # each compatible function on I, then one test per point outside I
+        work = sum(len(compatible_local_functions(space, I)) * (1 + 4 - len(I))
+                   for size in range(min(bound, 4) + 1)
+                   for I in itertools.combinations(range(4), size))
+        assert has_local_extension(space, bound, budget=work) == (True, None)
+        with pytest.raises(BudgetExceeded, match="local extension search exceeds budget"):
+            has_local_extension(space, bound, budget=work - 1)
+
+
+def test_local_extension_budget_is_not_spent_by_an_early_witness():
+    leq = [[True, True, False],
+           [False, True, True],
+           [False, False, True]]
+    space = priestley_from_order(discrete_topology(3), leq, DL)
+    # 4 on the empty set, 18 on points, 6 on (0, 1), then 4 functions on
+    # (0, 2) and one test for each of the first three: the search stops at 35
+    # of the 42 units it would need to finish
+    witness = ((0, 2), 1, (1, 0))
+    assert has_local_extension(space, 2, budget=35) == (False, witness)
+    with pytest.raises(BudgetExceeded):
+        has_local_extension(space, 2, budget=34)
 
 
 def test_possible_extensions_are_fiber_convex():
