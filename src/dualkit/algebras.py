@@ -14,8 +14,9 @@ done by one kernel, ``_close``: semi-naive rounds over int64 row arrays,
 with each operation applied by indexing its table.  It serves
 ``generate_vectors`` (vectors over L) and ``generate_subalgebra`` (the
 kernel at length 1).  Its lookup half, ``_images``, serves the closedness
-test ``unclosed_operation`` (L-space and constrained-space validation) and
-the table building in ``algebra_from_vectors``.
+test ``unclosed_operation`` (L-space and constrained-space validation) and,
+through ``_tables_on``, the table building in ``algebra_from_vectors`` and
+``subalgebra`` (the same lookup at length 1).
 """
 
 from __future__ import annotations
@@ -193,6 +194,14 @@ class ElementMap:
         return len(set(self.values)) == self.codomain.size
 
 
+def _find(parent: list, x: int) -> int:
+    """Root of x in the union-find forest ``parent``, halving the path to it."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 @dataclass(frozen=True)
 class Congruence:
     """A compatible partition of a carrier, as a block-index vector.
@@ -238,21 +247,14 @@ class Congruence:
         # Transitive closure of the union; for congruences this is again one.
         n = len(self.blocks)
         parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for theta in (self, other):
             rep = {}
             for x, b in enumerate(theta.blocks):
                 if b in rep:
-                    parent[find(x)] = find(rep[b])
+                    parent[_find(parent, x)] = _find(parent, rep[b])
                 else:
                     rep[b] = x
-        return Congruence.from_blocks([find(x) for x in range(n)])
+        return Congruence.from_blocks(_find(parent, x) for x in range(n))
 
 
 def identity_congruence(A: FiniteAlgebra) -> Congruence:
@@ -490,6 +492,18 @@ def unclosed_operation(L: FiniteAlgebra, length: int, vectors) -> str | None:
                                    if (positions < 0).any()})
 
 
+def _tables_on(A: FiniteAlgebra, rows: np.ndarray):
+    """Each operation's table on the rows, as positions in ``rows``, and the
+    first operation in signature order whose values leave them (else None)."""
+    tables: dict[str, list[int]] = {name: [] for name in A.signature.names}
+    unclosed = set()
+    for name, positions in _images(A, rows):
+        if (positions < 0).any():
+            unclosed.add(name)
+        tables[name].extend(positions.tolist())
+    return tables, _first_in_signature(A, unclosed)
+
+
 def generate_subalgebra(A: FiniteAlgebra, seed) -> frozenset:
     """Least subuniverse of A containing ``seed`` and all constants."""
     seed = list(seed)
@@ -515,16 +529,12 @@ def minimal_generating_set(A: FiniteAlgebra) -> tuple[int, ...]:
 def subalgebra(A: FiniteAlgebra, universe) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     """Restrict A to a subuniverse.  Returns (algebra, old indices in order)."""
     old = tuple(sorted(set(universe)))
-    index = {x: i for i, x in enumerate(old)}
-    tables = {}
-    for name, arity in A.signature.ops:
-        entries = []
-        for args in itertools.product(old, repeat=arity):
-            value = A.apply(name, *args)
-            if value not in index:
-                raise InvalidInput("set is not closed under %r" % name)
-            entries.append(index[value])
-        tables[name] = tuple(entries)
+    for x in old:
+        if not 0 <= x < A.size:
+            raise InvalidInput("subset element %r outside carrier" % (x,))
+    tables, unclosed = _tables_on(A, _rows(list(old), 1))
+    if unclosed is not None:
+        raise InvalidInput("set is not closed under %r" % unclosed)
     return FiniteAlgebra(A.signature, len(old), tables), old
 
 
@@ -643,15 +653,9 @@ def algebra_from_vectors(L: FiniteAlgebra, length: int, vectors):
     Returns (algebra, carrier) where carrier[i] is the vector of element i.
     """
     carrier = sorted(set(tuple(v) for v in vectors))
-    rows = _rows(carrier, length)
-    tables: dict[str, list[int]] = {name: [] for name in L.signature.names}
-    unclosed = set()
-    for name, positions in _images(L, rows):
-        if (positions < 0).any():
-            unclosed.add(name)
-        tables[name].extend(positions.tolist())
-    if unclosed:
-        raise InvalidInput("vector set is not closed under %r" % _first_in_signature(L, unclosed))
+    tables, unclosed = _tables_on(L, _rows(carrier, length))
+    if unclosed is not None:
+        raise InvalidInput("vector set is not closed under %r" % unclosed)
     return FiniteAlgebra(L.signature, len(carrier), tables), carrier
 
 
@@ -840,17 +844,10 @@ def generate_congruence(A: FiniteAlgebra, pairs) -> Congruence:
     """Least congruence identifying the given pairs (union-find + propagation)."""
     n = A.size
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     queue = []
 
     def union(a, b):
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             parent[ra] = rb
             queue.append((a, b))
@@ -869,7 +866,7 @@ def generate_congruence(A: FiniteAlgebra, pairs) -> Congruence:
                     args_a = context[:pos] + (a,) + context[pos:]
                     args_b = context[:pos] + (b,) + context[pos:]
                     union(A.apply(name, *args_a), A.apply(name, *args_b))
-    return Congruence.from_blocks([find(x) for x in range(n)])
+    return Congruence.from_blocks(_find(parent, x) for x in range(n))
 
 
 def all_congruences(A: FiniteAlgebra, budget: int = DEFAULT_BUDGET) -> list[Congruence]:

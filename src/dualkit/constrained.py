@@ -33,13 +33,13 @@ from dataclasses import dataclass
 from .algebras import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    Congruence,
     FiniteAlgebra,
     InvalidInput,
-    power_index,
     unclosed_operation,
 )
 from .spaces import LSpace, lspace
-from .terms import TermFunction, check_near_unanimity
+from .terms import TermFunction, _convex_within, check_near_unanimity
 from .topology import FiniteTopology, bits_of, mask_of
 
 
@@ -463,13 +463,7 @@ def cons(X: LSpace, k: int):
     n = X.n
     functions = sorted(X.functions)
     if k == 1:
-        classes: list[int] = []
-        seen: dict[tuple, int] = {}
-        for x in range(n):
-            profile = tuple(f[x] for f in functions)
-            if profile not in seen:
-                seen[profile] = len(seen)
-            classes.append(seen[profile])
+        classes = Congruence.from_blocks(tuple(f[x] for f in functions) for x in range(n)).blocks
         fibers = [frozenset(f[x] for f in functions) for x in range(n)]
         a_empty = bool(functions)
         return UnaryConstrainedSpace(X.topology, X.dualizer, fibers, classes, a_empty)
@@ -549,19 +543,6 @@ def possible_extensions(space: ConstrainedSpace, points_sorted, fun, y: int) -> 
     return frozenset(bits_of(mask))
 
 
-def _convex_within(L, m: TermFunction, subset, ambient) -> bool:
-    """Convexity of subset relative to ambient: the odd entry ranges over
-    ambient rather than all of L (the form the extension lemma provides)."""
-    subset, ambient = sorted(subset), sorted(ambient)
-    for pos in range(m.arity):
-        for inside in itertools.product(subset, repeat=m.arity - 1):
-            for odd in ambient:
-                args = inside[:pos] + (odd,) + inside[pos:]
-                if m.table[power_index(L.size, args)] not in subset:
-                    return False
-    return True
-
-
 @dataclass(frozen=True)
 class LocalToGlobalVerdict:
     lep: bool
@@ -631,13 +612,8 @@ def binary_to_unary(space: ConstrainedSpace) -> UnaryConstrainedSpace:
             raise InvalidInput(
                 "pair %r is neither a subdiagonal nor the product of its fibers"
                 % ((x, y),))
-    classes: list[int] = []
-    seen: dict[int, int] = {}
-    for x in range(n):
-        root = min(y for y in range(n) if related[x][y])
-        if root not in seen:
-            seen[root] = len(seen)
-        classes.append(seen[root])
+    classes = Congruence.from_blocks(min(y for y in range(n) if related[x][y])
+                                     for x in range(n)).blocks
     for x in range(n):
         for y in range(n):
             if (classes[x] == classes[y]) != related[x][y]:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .algebras import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    Congruence,
     ElementMap,
     FiniteAlgebra,
     InvalidInput,
@@ -274,22 +275,17 @@ def separated_quotient(X: LSpace) -> tuple[LSpace, tuple[int, ...]]:
     Returns the quotient space and the point -> class vector; the quotient
     carries the quotient topology and the pushed-down functions.
     """
-    classes: list[int] = []
-    seen: dict[tuple, int] = {}
-    for x in range(X.n):
-        signature = tuple(f[x] for f in sorted(X.functions))
-        if signature not in seen:
-            seen[signature] = len(seen)
-        classes.append(seen[signature])
+    ordered = sorted(X.functions)
+    theta = Congruence.from_blocks(tuple(f[x] for f in ordered) for x in range(X.n))
+    classes = theta.blocks
     top = X.topology.quotient(classes)
     functions = set()
-    m = max(classes) + 1 if classes else 0
     for f in X.functions:
-        pushed = [None] * m
+        pushed = [None] * theta.num_blocks
         for x, c in enumerate(classes):
             pushed[c] = f[x]
         functions.add(tuple(pushed))
-    return lspace(top, X.dualizer, functions), tuple(classes)
+    return lspace(top, X.dualizer, functions), classes
 
 
 @dataclass

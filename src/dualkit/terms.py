@@ -5,10 +5,17 @@ k-ary term functions is generated as the closure of the projections of
 ``L**(L^k)`` under the basic operations applied pointwise to tables; witness
 terms are rebuilt from parent pointers in the closure queue, so tree
 enumeration is never needed and absence at a given arity is decidable.
+
+The near-unanimity cells of a carrier size and arity (``_nu_cells``) are
+listed once here and serve both ``check_near_unanimity`` and the predicate
+and priority of ``search_nu_function``.  The convexity loop,
+``_convex_within``, also lives here: ``is_convex`` runs it against all of L,
+and the local-to-global check in ``constrained`` against a fiber.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -21,6 +28,7 @@ from .algebras import (
     algebra_from_vectors,
     generate_vectors,
     power_index,
+    power_tuple,
 )
 
 
@@ -157,25 +165,27 @@ def check_near_unanimity(L: FiniteAlgebra, f: TermFunction) -> NUCheck:
     n = L.size
     if len(f.table) != n**f.arity:
         raise InvalidInput("table size does not match the carrier")
-    for a in L.elements:
-        for b in L.elements:
-            for pos in range(f.arity):
-                args = [a] * f.arity
-                args[pos] = b
-                if f.table[power_index(n, args)] != a:
-                    return NUCheck(False, tuple(args))
+    table = f.table
+    for index, a in _nu_cells(n, f.arity):
+        if table[index] != a:
+            return NUCheck(False, power_tuple(n, f.arity, index))
     return NUCheck(True)
 
 
-def _is_nu_table(n, arity, table):
+@functools.lru_cache(maxsize=64)
+def _nu_cells(n: int, arity: int) -> tuple[tuple[int, int], ...]:
+    """(flat index, a) for each a, b and position, in that order: the cells
+    where a near-unanimity table must read a.  The b = a cells repeat once
+    per position, so counting failing cells weighs a wrong diagonal entry
+    ``arity`` times."""
+    cells = []
     for a in range(n):
         for b in range(n):
             for pos in range(arity):
                 args = [a] * arity
                 args[pos] = b
-                if table[power_index(n, args)] != a:
-                    return False
-    return True
+                cells.append((power_index(n, args), a))
+    return tuple(cells)
 
 
 def projection_function(L: FiniteAlgebra, arity: int, pos: int) -> TermFunction:
@@ -238,45 +248,24 @@ def clone_search(L: FiniteAlgebra, arity: int, predicate,
             if insert((L.apply(name),) * length, ("app", (name, ()))):
                 return TermFunction(arity, tables[hit[0]], witness(hit[0]))
 
-    binary_ops = [(name, L.tables[name]) for name, r in L.signature.ops if r == 2]
-    unary_ops = [(name, L.tables[name]) for name, r in L.signature.ops if r == 1]
-    other_ops = [(name, r) for name, r in L.signature.ops if r > 2]
+    # unary, then binary, then wider operations, each group in signature
+    # order: the order in which tables are found fixes the witness terms
+    ops = sorted(((name, r, L.tables[name]) for name, r in L.signature.ops if r > 0),
+                 key=lambda op: min(op[1], 3))
     done: list[int] = []
     while heap:
         _, current = heapq.heappop(heap)
         done.append(current)
-        t = tables[current]
-        for name, table in unary_ops:
-            if insert(tuple(table[x] for x in t), ("app", (name, (current,)))):
-                return TermFunction(arity, tables[hit[0]], witness(hit[0]))
-        for name, table in binary_ops:
-            for other in done:
-                u = tables[other]
-                for args, cols in (((current, other), (t, u)), ((other, current), (u, t))):
-                    candidate = tuple(table[x * n + y] for x, y in zip(*cols))
-                    if insert(candidate, ("app", (name, args))):
-                        return TermFunction(arity, tables[hit[0]], witness(hit[0]))
-        for name, r in other_ops:
+        for name, r, table in ops:
             for rest in itertools.product(done, repeat=r - 1):
                 for pos in range(r):
                     args = rest[:pos] + (current,) + rest[pos:]
-                    cols = [tables[a] for a in args]
-                    candidate = tuple(L.apply(name, *pw) for pw in zip(*cols))
-                    if insert(candidate, ("app", (name, args))):
+                    flat = tables[args[0]]
+                    for a in args[1:]:
+                        flat = [i * n + x for i, x in zip(flat, tables[a])]
+                    if insert(tuple([table[i] for i in flat]), ("app", (name, args))):
                         return TermFunction(arity, tables[hit[0]], witness(hit[0]))
     return None
-
-
-def _nu_violations(n, arity, table):
-    count = 0
-    for a in range(n):
-        for b in range(n):
-            for pos in range(arity):
-                args = [a] * arity
-                args[pos] = b
-                if table[power_index(n, args)] != a:
-                    count += 1
-    return count
 
 
 def search_nu_function(L: FiniteAlgebra, arity: int,
@@ -289,9 +278,10 @@ def search_nu_function(L: FiniteAlgebra, arity: int,
     """
     if arity < 3:
         raise InvalidInput("near-unanimity arity must be >= 3")
-    return clone_search(L, arity, lambda t: _is_nu_table(L.size, arity, t),
+    cells = _nu_cells(L.size, arity)
+    return clone_search(L, arity, lambda t: all(t[i] == a for i, a in cells),
                         budget=budget,
-                        priority=lambda t: _nu_violations(L.size, arity, t))
+                        priority=lambda t: sum(t[i] != a for i, a in cells))
 
 
 def pad_nu_function(L: FiniteAlgebra, f: TermFunction, arity: int) -> TermFunction:
@@ -353,16 +343,20 @@ def is_convex(L: FiniteAlgebra, m: TermFunction, M) -> bool:
     """Closure of M under m applied to tuples with at most one entry outside M."""
     if not check_near_unanimity(L, m):
         raise InvalidInput("convexity is defined relative to a near-unanimity function")
-    M = sorted(set(M))
-    for x in M:
-        if not 0 <= x < L.size:
-            raise InvalidInput("subset element outside carrier")
-    n = L.size
-    arity = m.arity
-    for pos in range(arity):
-        for inside in itertools.product(M, repeat=arity - 1):
-            for outside in L.elements:
-                args = inside[:pos] + (outside,) + inside[pos:]
-                if m.table[power_index(n, args)] not in M:
+    M = set(M)
+    if not M.issubset(L.elements):
+        raise InvalidInput("subset element outside carrier")
+    return _convex_within(L, m, M, L.elements)
+
+
+def _convex_within(L: FiniteAlgebra, m: TermFunction, subset, ambient) -> bool:
+    """Convexity of subset relative to ambient: the odd entry ranges over
+    ambient rather than all of L (the form the extension lemma provides)."""
+    subset, ambient = sorted(subset), sorted(ambient)
+    for pos in range(m.arity):
+        for inside in itertools.product(subset, repeat=m.arity - 1):
+            for odd in ambient:
+                args = inside[:pos] + (odd,) + inside[pos:]
+                if m.table[power_index(L.size, args)] not in subset:
                     return False
     return True

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebras import DEFAULT_BUDGET, BudgetExceeded, InvalidInput
+from .algebras import DEFAULT_BUDGET, BudgetExceeded, Congruence, InvalidInput, _find
 
 MAX_POINTS = 20
 
@@ -36,6 +36,8 @@ def mask_of(points) -> int:
 
 
 def bits_of(mask: int) -> tuple[int, ...]:
+    if mask < 0:
+        raise InvalidInput("a point set mask cannot be negative")
     out = []
     i = 0
     while mask:
@@ -107,24 +109,10 @@ class FiniteTopology:
         constant on these classes.
         """
         parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for x, u in enumerate(self.nbhds):
             for y in bits_of(u):
-                parent[find(x)] = find(y)
-        canon: dict[int, int] = {}
-        out = []
-        for x in range(self.n):
-            r = find(x)
-            if r not in canon:
-                canon[r] = len(canon)
-            out.append(canon[r])
-        return tuple(out)
+                parent[_find(parent, x)] = _find(parent, y)
+        return Congruence.from_blocks(_find(parent, x) for x in range(self.n)).blocks
 
     def specialization(self):
         """x <= y iff every open containing y contains x, i.e. x in min_nbhd(y)."""

@@ -32,7 +32,6 @@ from dualkit.constrained import (
     ConstrainedSpace,
     LocalToGlobalVerdict,
     UnaryConstrainedSpace,
-    _convex_within,
     _family_is_continuous,
     ccomp,
     compatible_local_functions,
@@ -45,7 +44,7 @@ from dualkit.constrained import (
     validate_constrained,
 )
 from dualkit.corpus import sample_lspace
-from dualkit.terms import check_near_unanimity, search_nu_function
+from dualkit.terms import _convex_within, check_near_unanimity, search_nu_function
 from dualkit.topology import bits_of, topology_from_subbasis
 
 DL = dl2().algebra
