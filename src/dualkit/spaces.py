@@ -225,8 +225,6 @@ def evaluation_map(X: LSpace) -> EvaluationMap:
             raise AssertionError("point evaluation is not a homomorphism")
         values.append(hom_index[pi_x])
     ev = LMap(X, spec.space, tuple(values))
-    if not is_lmap(ev):
-        raise AssertionError("evaluation map failed to be a continuous L-map")
     return EvaluationMap(X, comp_alg, tuple(carrier), spec, ev)
 
 

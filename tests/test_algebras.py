@@ -18,6 +18,7 @@ from dualkit.algebras import (
     generate_vectors,
     identity_congruence,
     in_prevariety,
+    is_congruence,
     kernel,
     minimal_generating_set,
     power_index,
@@ -263,6 +264,16 @@ def test_quotient_of_square_by_first_coordinate():
 def test_quotient_rejects_incompatible_partition():
     with pytest.raises(InvalidInput):
         quotient(L2, Congruence((0, 0, 1)))  # merges 0 with 1/2 only
+
+
+@pytest.mark.parametrize("blocks", [(0, 2, 2), (0, -1, 1), (1, 1, 1)])
+def test_blocks_must_be_numbered_from_zero_without_gaps(blocks):
+    # (0, 2, 2) skips block 1, (0, -1, 1) uses a negative block, (1, 1, 1)
+    # never uses block 0: none numbers its blocks exactly 0..k-1
+    theta = Congruence(blocks)
+    assert not is_congruence(L2, theta)
+    with pytest.raises(InvalidInput):
+        quotient(L2, theta)
 
 
 def test_generate_congruence_from_nothing():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from dualkit.algebras import (
     subalgebra,
 )
 from dualkit.catalog import bool2, dl2, luk
+from dualkit.corpus import dualizer_suite, sample_lspace
 from dualkit.spaces import (
     LMap,
     canonical_embedding,
@@ -140,6 +142,21 @@ def test_evaluation_bijective_on_spectra():
     ev = evaluation_map(spec.space)
     assert ev.is_injective and ev.is_surjective
     assert is_lspace_isomorphism(ev.map)
+
+
+@pytest.mark.parametrize("entry", dualizer_suite(), ids=lambda e: e.name + str(e.params))
+def test_evaluation_map_is_an_lmap(entry):
+    # true of every L-space by construction: g after ev is the compatible
+    # function g itself, and the preimage of each subbasic open is a fiber of
+    # a compatible function, open because compatible functions are continuous
+    L = entry.algebra
+    tops = [discrete_topology(2), indiscrete_topology(2), SIERPINSKI,
+            topology_from_subbasis(3, [mask_of([0, 1]), mask_of([1, 2])])]
+    spaces = [full_function_space(top, L) for top in tops]
+    rng = random.Random("evaluation|%s|%s" % (entry.name, entry.params))
+    spaces += [sample_lspace(L, rng) for _ in range(12)]
+    for X in spaces:
+        assert is_lmap(evaluation_map(X).map)
 
 
 # --- property flags ---------------------------------------------------------------
