@@ -9,6 +9,7 @@ mirrors the text fields one to one.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -34,8 +35,9 @@ from .fileformat import (
     ParseError,
     SpaceDocument,
     ValidationError,
+    _algebra_from_document,
+    _space_from_document,
     export_dot,
-    parse_algebra,
     parse_document,
     parse_space,
     resolve_algebra,
@@ -59,14 +61,17 @@ def _read(path):
         return handle.read()
 
 
-def _load_algebra(ref) -> AlgebraDocument:
+def _load_algebra(ref, parsed=None) -> AlgebraDocument:
+    """The algebra ``ref`` names; ``parsed`` is its file already split by
+    ``parse_document``, when the caller has read it."""
     if ref.startswith("builtin:"):
         return resolve_algebra(ref)
-    text = _read(ref)
-    kind = parse_document(text).get("kind")
+    if parsed is None:
+        parsed = parse_document(_read(ref))
+    kind = parsed.get("kind")
     if kind != "algebra":
         raise ValidationError("expected an algebra document, found kind %r" % kind)
-    return parse_algebra(text)
+    return _algebra_from_document(parsed)
 
 
 def _load_space(path) -> SpaceDocument:
@@ -117,16 +122,20 @@ def cmd_comp(args):
 
 def cmd_roundtrip(args):
     from .spaces import check_duality_roundtrip_algebra, check_duality_roundtrip_space
-    text = _read(args.input) if not args.input.startswith("builtin:") else None
-    kind = parse_document(text).get("kind") if text else "algebra"
+    if args.input.startswith("builtin:"):
+        parsed, kind = None, "algebra"
+    else:
+        text = _read(args.input)
+        parsed = parse_document(text)
+        kind = parsed.get("kind") if text else "algebra"
     if kind == "algebra":
-        doc = _load_algebra(args.input)
+        doc = _load_algebra(args.input, parsed)
         if not args.dualizer:
             raise InvalidInput("roundtrip on an algebra needs --dualizer")
         dualizer = _load_algebra(args.dualizer)
         report = check_duality_roundtrip_algebra(doc.algebra, dualizer.algebra)
     else:
-        doc = parse_space(text)
+        doc = _space_from_document(parsed)
         if not isinstance(doc.space, LSpace):
             raise ValidationError("roundtrip expects an algebra or lspace document")
         report = check_duality_roundtrip_space(doc.space)
@@ -376,6 +385,7 @@ def cmd_corpus(args):
 
 # --- parser ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="dualkit",

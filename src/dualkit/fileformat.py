@@ -111,7 +111,11 @@ class AlgebraDocument:
 
 
 def parse_algebra(text: str) -> AlgebraDocument:
-    doc = parse_document(text)
+    return _algebra_from_document(parse_document(text))
+
+
+def _algebra_from_document(doc: dict) -> AlgebraDocument:
+    """The algebra of a document already split by ``parse_document``."""
     if doc.get("kind") != "algebra":
         raise ValidationError("expected kind: algebra")
     try:
@@ -225,7 +229,11 @@ def _value_tuple(dualizer_doc, values):
 
 
 def parse_space(text: str, read_file=None) -> SpaceDocument:
-    doc = parse_document(text)
+    return _space_from_document(parse_document(text), read_file)
+
+
+def _space_from_document(doc: dict, read_file=None) -> SpaceDocument:
+    """The space of a document already split by ``parse_document``."""
     kind = doc.get("kind")
     if kind == "poset":
         return _parse_poset(doc)

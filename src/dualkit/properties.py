@@ -253,6 +253,11 @@ def chinese_remainder_check(A: FiniteAlgebra, k: int, system) -> CRPVerdict:
             raise InvalidInput("system element outside carrier")
         if not is_congruence(A, theta):
             raise InvalidInput("system entry is not a congruence")
+    return _crp_verdict(A, k, system)
+
+
+def _crp_verdict(A: FiniteAlgebra, k: int, system) -> CRPVerdict:
+    """``chinese_remainder_check`` on a system already known to be valid."""
     k_wise = True
     for size in range(1, min(k, len(system)) + 1):
         for sub in itertools.combinations(system, size):
@@ -268,14 +273,15 @@ def chinese_remainder_sweep(A: FiniteAlgebra, L: FiniteAlgebra, k: int,
     """All systems over the relative congruences up to the given size.
 
     Returns (number of systems checked, first failing system or None); a
-    failing system is k-wise solvable but globally unsolvable.
+    failing system is k-wise solvable but globally unsolvable.  Every entry
+    comes from ``relative_congruences``, so no system is re-validated.
     """
     thetas = relative_congruences(A, L, budget=budget)
     pool = [(a, theta) for theta in thetas for a in A.elements]
     checked = 0
     for size in range(1, max_equations + 1):
         for system in itertools.combinations_with_replacement(pool, size):
-            verdict = chinese_remainder_check(A, k, list(system))
+            verdict = _crp_verdict(A, k, system)
             checked += 1
             if not verdict.passed:
                 return checked, list(system)

@@ -204,7 +204,9 @@ def clone_search(L: FiniteAlgebra, arity: int, predicate,
     only reorders the closure queue (lower first, ties by insertion), so a
     good heuristic finds a hit early without giving up completeness.  Each
     pair of tables is combined exactly once, when the later of the two is
-    popped.
+    popped.  ``budget`` caps the work: every table tried counts against
+    it, duplicates included, so an absence proof that would combine more
+    argument tuples than that raises BudgetExceeded instead.
     """
     length = L.size**arity
     if length > budget:
@@ -217,6 +219,7 @@ def clone_search(L: FiniteAlgebra, arity: int, predicate,
     index: dict[tuple, int] = {}
     heap: list[tuple] = []
     hit: list[int] = []
+    tried = 0
 
     def witness(i) -> Term:
         kind, payload = recipe[i]
@@ -226,14 +229,16 @@ def clone_search(L: FiniteAlgebra, arity: int, predicate,
         return App(op, tuple(witness(a) for a in args))
 
     def insert(candidate, entry):
+        nonlocal tried
+        tried += 1
+        if tried > budget:
+            raise BudgetExceeded("clone search exceeds budget %d" % budget)
         if candidate in index:
             return False
         i = len(tables)
         index[candidate] = i
         tables.append(candidate)
         recipe.append(entry)
-        if len(tables) > budget:
-            raise BudgetExceeded("clone exceeds budget %d" % budget)
         if predicate(candidate):
             hit.append(i)
             return True

@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 
@@ -307,3 +308,114 @@ def test_corpus_command_wiring(capsys, monkeypatch):
     code, out, _ = run(capsys, "corpus", "--format", "json")
     assert code == 0
     assert json.loads(out)["results"][0]["passed"] is True
+
+
+# --- the parser is built once per process ------------------------------------------
+
+def _subcommands():
+    parser = cli._build_parser.__wrapped__()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(action.choices)
+
+
+# the arguments each subcommand requires, so that the unknown flag is the only error
+REQUIRED = {
+    "spectrum": ["in.dk", "--dualizer", "builtin:dl2"], "comp": ["in.dk"],
+    "roundtrip": ["in.dk"], "props": ["in.dk"], "endos": ["--dualizer", "builtin:dl2"],
+    "classify-sq": ["--dualizer", "builtin:dl2"], "nu-search": ["--dualizer", "builtin:dl2"],
+    "bp-check": ["--dualizer", "builtin:dl2"],
+    "crp-check": ["in.dk", "--dualizer", "builtin:dl2"], "jonsson-check": ["in.dk"],
+    "congruences": ["in.dk", "--dualizer", "builtin:dl2"], "cons": ["in.dk"],
+    "func": ["in.dk"], "gep": ["in.dk"], "lep": ["in.dk"], "local2global": ["in.dk"],
+    "priestley": ["in.dk"], "mv-priestley": ["in.dk"], "export-dot": ["in.dk"],
+    "corpus": [],
+}
+
+
+def _argparse_outcome(capsys, call, argv):
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _argparse_cases():
+    cases = [["--help"], [], ["no-such-command"]]
+    for name in _subcommands():
+        cases.append([name, "--help"])
+        cases.append([name] + REQUIRED[name] + ["--no-such-flag", "1"])
+    for name in ("spectrum", "crp-check", "congruences"):
+        cases.append([name, "in.dk"])                  # --dualizer is required
+    for name in ("endos", "classify-sq", "nu-search", "bp-check"):
+        cases.append([name])
+    cases.append(["bp-check", "--dualizer", "builtin:dl2", "--strategy", "guess"])
+    cases.append(["lep", "in.dk", "--bound", "two"])
+    return cases
+
+
+def test_cached_parser_prints_what_a_fresh_parser_prints(capsys, monkeypatch):
+    assert sorted(REQUIRED) == _subcommands()
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = lambda argv: cli._build_parser.__wrapped__().parse_args(argv)
+    cases = _argparse_cases()
+    # twice through the cached parser, so that the second round runs on a
+    # parser that has already parsed and rejected every case once
+    for _ in range(2):
+        for argv in cases:
+            expected = _argparse_outcome(capsys, fresh, argv)
+            assert expected[0] in (0, 2)
+            assert _argparse_outcome(capsys, cli.main, argv) == expected, argv
+
+
+def test_defaults_do_not_leak_between_calls(capsys, priestley_file):
+    code, out, _ = run(capsys, "lep", priestley_file, "--bound", "3")
+    assert code == 0
+    assert "arity: 3" in out
+    code, out, _ = run(capsys, "lep", priestley_file)
+    assert code == 0
+    assert "arity: 2" in out
+    code, out, _ = run(capsys, "bp-check", "--dualizer", "builtin:dl2", "--seed", "5")
+    assert "seed: 5" in out
+    code, out, _ = run(capsys, "bp-check", "--dualizer", "builtin:dl2")
+    assert "seed: None" in out
+    code, out, _ = run(capsys, "comp", priestley_file, "--format", "json")
+    assert json.loads(out)["count"] == 3
+    code, out, _ = run(capsys, "comp", priestley_file)
+    assert out.startswith("count: 3\n")
+
+
+def test_main_builds_the_parser_once(capsys, priestley_file):
+    parser = cli._build_parser()
+    misses = cli._build_parser.cache_info().misses
+    run(capsys, "comp", priestley_file)
+    run(capsys, "lep", priestley_file)
+    assert cli._build_parser() is parser
+    assert cli._build_parser.cache_info().misses == misses
+
+
+MALFORMED_ALGEBRAS = {
+    "duplicate": ("kind: algebra\nsize: 2\nsize: 3\n",
+                  "error: line 3: duplicate key 'size'\n"),
+    "no-colon": ("kind: algebra\n# note\nsignature [[\"meet\", 2]]\n",
+                 "error: line 3: expected 'key: value'\n"),
+    "kind": ("kind: lspace\nsize: 2\n",
+             "error: expected an algebra document, found kind 'lspace'\n"),
+    "entry": ('kind: algebra\nsignature: [["meet", 2]]\nsize: 2\n'
+              "table meet: [[0, 0], [0, 7]]\n",
+              "error: table entry 7 out of range in 'meet' at (1, 1)\n"),
+    "empty": ("", "error: expected an algebra document, found kind None\n"),
+}
+
+
+@pytest.mark.parametrize("command", ["roundtrip", "spectrum", "congruences"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_ALGEBRAS))
+def test_malformed_algebra_document_exits_two(capsys, tmp_path, command, case):
+    text, message = MALFORMED_ALGEBRAS[case]
+    if command == "roundtrip" and case == "kind":
+        # roundtrip reads any kind other than algebra as a space document
+        message = "error: missing dualizer reference\n"
+    path = tmp_path / "bad.dk"
+    path.write_text(text)
+    assert run(capsys, command, str(path), "--dualizer", "builtin:dl2") == (2, "", message)

@@ -5,7 +5,8 @@ numbering by first occurrence, the convexity loop and the subalgebra tables
 each had several hand-written copies.  The oracles below are those copies,
 kept verbatim up to imports and names: ``check_near_unanimity`` with its own
 cell loop, ``_is_nu_table`` and ``_nu_violations``, the three-branch
-(unary, binary, wider) ``clone_search``, ``is_convex`` with its own loop,
+(unary, binary, wider) ``clone_search`` (with its budget charging every
+table tried, as the shared step's does), ``is_convex`` with its own loop,
 ``Congruence.join`` and ``generate_congruence`` with their own ``find``, the
 numbering loops of ``cons(X, 1)``, ``separated_quotient`` and
 ``binary_to_unary``, and the ``A.apply`` loop of ``subalgebra``.
@@ -151,6 +152,7 @@ def old_clone_search(L, arity, predicate, budget=DEFAULT_BUDGET, priority=None):
     index = {}
     heap = []
     hit = []
+    tried = 0
 
     def witness(i):
         kind, payload = recipe[i]
@@ -160,14 +162,16 @@ def old_clone_search(L, arity, predicate, budget=DEFAULT_BUDGET, priority=None):
         return App(op, tuple(witness(a) for a in args))
 
     def insert(candidate, entry):
+        nonlocal tried
+        tried += 1
+        if tried > budget:
+            raise BudgetExceeded("clone search exceeds budget %d" % budget)
         if candidate in index:
             return False
         i = len(tables)
         index[candidate] = i
         tables.append(candidate)
         recipe.append(entry)
-        if len(tables) > budget:
-            raise BudgetExceeded("clone exceeds budget %d" % budget)
         if predicate(candidate):
             hit.append(i)
             return True

@@ -176,6 +176,30 @@ def test_dl_square_chinese_remainder_sweep():
     assert checked > 0
 
 
+def _old_crp_sweep(A, L, k, max_equations):
+    """The sweep as it was, validating every system through the public check."""
+    pool = [(a, theta) for theta in relative_congruences(A, L) for a in A.elements]
+    checked = 0
+    for size in range(1, max_equations + 1):
+        for system in itertools.combinations_with_replacement(pool, size):
+            checked += 1
+            if not chinese_remainder_check(A, k, list(system)).passed:
+                return checked, list(system)
+    return checked, None
+
+
+@pytest.mark.parametrize("entry", [dl2(), luk(2), posluk(2)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_crp_sweep_matches_the_validating_sweep(monkeypatch, entry, k):
+    L = entry.algebra
+    for A in (L, direct_power(L, 2)):
+        expected = _old_crp_sweep(A, L, k, 2)
+        # every system entry comes from relative_congruences: none is re-checked
+        monkeypatch.setattr("dualkit.properties.is_congruence", None)
+        assert chinese_remainder_sweep(A, L, k, 2) == expected
+        monkeypatch.undo()
+
+
 def test_crp_rejects_non_congruence():
     from dualkit.algebras import Congruence
     with pytest.raises(InvalidInput):

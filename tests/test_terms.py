@@ -1,10 +1,12 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualkit.algebras import (
+    BudgetExceeded,
     FiniteAlgebra,
     InvalidInput,
     Signature,
@@ -122,6 +124,26 @@ def test_clone_search_enumerates_unary_boolean_clone():
     seen = []
     clone_search(BA, 1, lambda t: seen.append(t) or False)
     assert sorted(set(seen)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_clone_search_budget_charges_every_table_tried():
+    # the ternary clone of dl2 has 20 tables, reached by trying 845: the 3
+    # projections, the 2 constants and 840 argument tuples, most of them
+    # rebuilding a table already found
+    seen = []
+    assert clone_search(DL, 3, lambda t: seen.append(t) or False, budget=845) is None
+    assert len(seen) == 20
+    for budget in (100, 844):
+        with pytest.raises(BudgetExceeded, match="clone search exceeds budget %d" % budget):
+            clone_search(DL, 3, lambda t: False, budget=budget)
+
+
+def test_clone_search_absence_proof_stops_at_the_budget():
+    # luk(2)'s binary clone is large: the work budget, not the closure, ends this search
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="clone search"):
+        clone_search(L2, 2, lambda t: False, budget=5000)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_nu_padding_stays_nu():
