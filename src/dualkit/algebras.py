@@ -9,14 +9,17 @@ Elements are dense indices ``0..n-1``; human-readable labels live in the
 catalog and in file formats, never here.  All values are immutable after
 construction and all operations are pure.
 
-Closing a set of vectors over an algebra under its pointwise operations is
-done by one kernel, ``_close``: semi-naive rounds over int64 row arrays,
-with each operation applied by indexing its table.  It serves
-``generate_vectors`` (vectors over L) and ``generate_subalgebra`` (the
-kernel at length 1).  Its lookup half, ``_images``, serves the closedness
-test ``unclosed_operation`` (L-space and constrained-space validation) and,
+There are two closures, each with its own job.  Vectors over an algebra
+close in ``_close``: semi-naive rounds over int64 row arrays, with each
+operation applied by indexing its table.  It serves ``generate_vectors`` at
+every length.  Its lookup half, ``_images``, serves the closedness test
+``unclosed_operation`` (L-space and constrained-space validation) and,
 through ``_tables_on``, the table building in ``algebra_from_vectors`` and
-``subalgebra`` (the same lookup at length 1).
+``subalgebra``.  Elements of one algebra close in ``_rounds``, a boolean
+mask over the carrier grown one round at a time.  It serves
+``generate_subalgebra`` (hence ``subuniverses``) and ``_HomPlan``, whose
+rounds are the stages ``enumerate_homs`` replays and whose generators are
+``minimal_generating_set``.
 
 Evaluating an operation on all argument tuples reads the cached table views
 ``_op_columns`` (argument columns and flat results) and ``_op_stacks``
@@ -509,26 +512,46 @@ def _tables_on(A: FiniteAlgebra, rows: np.ndarray):
     return tables, _first_in_signature(A, unclosed)
 
 
+def _rounds(A: FiniteAlgebra, known: np.ndarray):
+    """Close the boolean mask ``known`` over A's carrier under A's
+    non-constant operations, in place, one round at a time.
+
+    A round applies every operation to all argument tuples of elements known
+    when it starts (a pass over each whole table) and yields the elements it
+    adds, ascending; the rounds end with the first one that adds nothing.
+    """
+    columns = _op_columns(A).values()
+    while True:
+        reached = np.zeros(A.size, dtype=bool)
+        for cols, res in columns:
+            mask = known[cols[0]]
+            for c in cols[1:]:
+                mask &= known[c]
+            reached[res[mask]] = True
+        fresh = np.flatnonzero(reached & ~known)
+        if not len(fresh):
+            return
+        known[fresh] = True
+        yield fresh
+
+
 def generate_subalgebra(A: FiniteAlgebra, seed) -> frozenset:
     """Least subuniverse of A containing ``seed`` and all constants."""
     seed = list(seed)
     for s in seed:
         if not 0 <= s < A.size:
             raise InvalidInput("seed element %r outside carrier" % (s,))
-    start = set(seed).union(A.apply(name) for name in A.signature.constants)
-    closed = _close(A, _rows(list(start), 1), A.size)
-    return frozenset(closed[:, 0].tolist())
+    known = np.zeros(A.size, dtype=bool)
+    known[np.array(seed + [A.apply(name) for name in A.signature.constants],
+                   dtype=np.int64)] = True
+    for _ in _rounds(A, known):
+        pass
+    return frozenset(np.flatnonzero(known).tolist())
 
 
 def minimal_generating_set(A: FiniteAlgebra) -> tuple[int, ...]:
     """Small generating set, grown greedily from the constants closure."""
-    gens: list[int] = []
-    closed = generate_subalgebra(A, gens)
-    while len(closed) < A.size:
-        missing = min(set(A.elements) - closed)
-        gens.append(missing)
-        closed = generate_subalgebra(A, gens)
-    return tuple(gens)
+    return _HomPlan(A).gens
 
 
 def subalgebra(A: FiniteAlgebra, universe) -> tuple[FiniteAlgebra, tuple[int, ...]]:
@@ -668,81 +691,62 @@ def algebra_from_vectors(L: FiniteAlgebra, length: int, vectors):
 class _HomPlan:
     """Derivation plan for backtracking over generator images.
 
-    Elements are replayed level by level (level i = closure of the first i
-    generators together with the constants); operation-consistency checks are
-    grouped by the level at which all their arguments become known, so a bad
-    partial assignment is rejected as early as possible.
+    Level 0 is the constants; level i adds the i-th generator, the given one
+    or else the least element not yet reached, and closes with ``_rounds``.
+    Each round is a stage: constants are stage 0 and a generator no earlier
+    level reached gets one of its own.  ``levels[i]`` is level i's range of
+    stages.  ``stages[t]`` groups, per operation, the applications whose
+    latest argument is at stage t: (name, argument columns, results,
+    positions whose result is first reached at stage t + 1).
     """
 
-    def __init__(self, A: FiniteAlgebra, gens):
-        self.gens = tuple(gens)
-        levels = len(self.gens) + 1
-        columns = _op_columns(A)
-        known = np.zeros(A.size, dtype=bool)
-        level_of = np.full(A.size, -1, dtype=np.int64)
-        recipes: list[list] = []
-
-        def close(level, steps):
-            changed = True
-            while changed:
-                changed = False
-                for name, (cols, res) in columns.items():
-                    mask = ~known[res]
-                    for c in cols:
-                        mask &= known[c]
-                    if not mask.any():
-                        continue
-                    fresh, first = np.unique(res[mask], return_index=True)
-                    spots = np.nonzero(mask)[0][first]
-                    for value, spot in zip(fresh.tolist(), spots.tolist()):
-                        known[value] = True
-                        level_of[value] = level
-                        steps.append((value, name, tuple(int(c[spot]) for c in cols)))
-                    changed = True
-            return steps
-
-        consts = []
-        for name in A.signature.constants:
-            value = A.apply(name)
-            if not known[value]:
-                known[value] = True
-                level_of[value] = 0
-                consts.append((value, name, ()))
-        recipes.append(close(0, consts))
-        # a generator already derived at an earlier level has a forced image
-        self.gen_fresh: list[bool] = []
-        for i, g in enumerate(self.gens, start=1):
-            steps = []
-            self.gen_fresh.append(not known[g])
+    def __init__(self, A: FiniteAlgebra, gens=None):
+        stage = np.full(A.size, -1, dtype=np.int64)
+        self.consts = np.array([A.apply(name) for name in A.signature.constants], dtype=np.int64)
+        stage[self.consts] = 0
+        known = stage == 0
+        picked: list[int] = []
+        self.levels: list[range] = []
+        start, top = 0, 1
+        while True:
+            for fresh in _rounds(A, known):
+                stage[fresh] = top
+                top += 1
+            self.levels.append(range(start, top))
+            if gens is None and not known.all():
+                g = int(np.argmin(known))
+            elif gens is not None and len(picked) < len(gens):
+                g = gens[len(picked)]
+            else:
+                break
+            picked.append(g)
+            start = top
             if not known[g]:
                 known[g] = True
-                level_of[g] = i
-                steps.append((g, None, ()))
-            recipes.append(close(i, steps))
+                stage[g] = top
+                top += 1
         if not known.all():
             raise InvalidInput("given generators do not generate the algebra")
-        self.recipes = recipes
-        # Constant agreement must hold outright.
-        self.const_checks = [(A.apply(name), name) for name in A.signature.constants]
-        # Group every op application by the level where its arguments exist.
-        self.checks: list[dict] = [{} for _ in range(levels)]
-        for name, (cols, res) in columns.items():
-            lvl = level_of[cols[0]]
+        self.gens = tuple(picked)
+        self.stages: list[list] = [[] for _ in range(top)]
+        for name, (cols, res) in _op_columns(A).items():
+            at = stage[cols[0]]
             for c in cols[1:]:
-                lvl = np.maximum(lvl, level_of[c])
-            for level in range(levels):
-                mask = lvl == level
-                if mask.any():
-                    self.checks[level][name] = (
-                        np.stack([c[mask] for c in cols], axis=1), res[mask])
+                at = np.maximum(at, stage[c])
+            for t in np.flatnonzero(np.bincount(at)).tolist():
+                mask = at == t
+                out = res[mask]
+                self.stages[t].append((name, tuple(c[mask] for c in cols), out,
+                                       np.flatnonzero(stage[out] == t + 1)))
 
 
 def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra, gens=None) -> list[ElementMap]:
     """All homomorphisms A -> B, in lexicographic order of generator images.
 
-    Backtracks over images of a generating set, forward-propagating forced
-    values (closure replay) and rejecting on the first operation or constant
-    disagreement.
+    Backtracks over images of a generating set.  Each stage gathers B's
+    tables once, writes the images it derives, and only then compares every
+    application with its result's image, so that two derivations of one
+    element that disagree in B cannot both pass.
     """
     if A.signature != B.signature:
         raise InvalidInput("algebras must share a signature")
@@ -750,50 +754,45 @@ def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra, gens=None) -> list[Elemen
         return [ElementMap(A, B, ())]
     if B.size == 0:
         return []
-    if gens is None:
-        gens = minimal_generating_set(A)
-    else:
+    if gens is not None:
         gens = tuple(gens)
         for g in gens:
             if not 0 <= g < A.size:
                 raise InvalidInput("generator %r outside carrier" % (g,))
-    plan = _HomPlan(A, gens)  # raises if the generators do not generate
+    plan = _HomPlan(A, gens)  # raises if the given generators do not generate
+    gens = plan.gens
     b_tables = {name: res.reshape((B.size,) * len(cols))
                 for name, (cols, res) in _op_columns(B).items()}
+    const_images = np.array([B.apply(name) for name in B.signature.constants], dtype=np.int64)
     image = np.full(A.size, -1, dtype=np.int64)
     results: list[ElementMap] = []
 
     def replay(level, gen_image):
-        if level > 0 and not plan.gen_fresh[level - 1]:
-            # the generator was derived earlier; its image is already forced
-            if image[gens[level - 1]] != gen_image:
-                return False
-        for element, name, args in plan.recipes[level]:
-            if name is None:
-                image[element] = gen_image
-            elif not args:
-                image[element] = B.apply(name)
-            else:
-                image[element] = B.apply(name, *(int(image[a]) for a in args))
         if level == 0:
-            for element, name in plan.const_checks:
-                if image[element] != B.apply(name):
-                    return False
-        for name, (args, res) in plan.checks[level].items():
-            lhs = b_tables[name][tuple(image[args[:, i]] for i in range(args.shape[1]))]
-            if not np.array_equal(lhs, image[res]):
+            # constants that coincide in A must coincide in B
+            image[plan.consts] = const_images
+            if not np.array_equal(image[plan.consts], const_images):
                 return False
+        elif plan.levels[level]:
+            image[gens[level - 1]] = gen_image
+        elif image[gens[level - 1]] != gen_image:
+            # the generator was derived earlier; its image is already forced
+            return False
+        for t in plan.levels[level]:
+            values = [b_tables[name][tuple(image[c] for c in cols)]
+                      for name, cols, _, _ in plan.stages[t]]
+            for (_, _, res, derive), got in zip(plan.stages[t], values):
+                image[res[derive]] = got[derive]
+            for (_, _, res, _), got in zip(plan.stages[t], values):
+                if not np.array_equal(got, image[res]):
+                    return False
         return True
 
     def search(level):
         if level > len(gens):
             results.append(ElementMap(A, B, tuple(int(v) for v in image)))
             return
-        if level == 0:
-            if replay(0, None):
-                search(1)
-            return
-        for b in B.elements:
+        for b in B.elements if level else (None,):
             if replay(level, b):
                 search(level + 1)
     search(0)

@@ -125,9 +125,8 @@ def cmd_roundtrip(args):
     if args.input.startswith("builtin:"):
         parsed, kind = None, "algebra"
     else:
-        text = _read(args.input)
-        parsed = parse_document(text)
-        kind = parsed.get("kind") if text else "algebra"
+        parsed = parse_document(_read(args.input))
+        kind = parsed.get("kind") if parsed else "algebra"
     if kind == "algebra":
         doc = _load_algebra(args.input, parsed)
         if not args.dualizer:

@@ -396,10 +396,10 @@ def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
     on q, p and at most k-2 further assigned points, by the equivalence
     (unary spaces), and to v on p's topological component (which is exactly
     the continuity requirement).  A point left without values ends the branch.
+    Every value tried counts one unit of ``budget``; BudgetExceeded once
+    the count passes it.
     """
-    L, top, n = space.dualizer, space.topology, space.n
-    if L.size and L.size**n > budget:
-        raise BudgetExceeded("ccomp search exceeds budget")
+    top, n = space.topology, space.n
     if not _empty_compatible(space):
         return []
     if n == 0:
@@ -410,6 +410,7 @@ def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
     components = top.components()
     values: list[int | None] = [None] * n
     out = []
+    tried = 0
 
     def supports(idx, p):
         """(S, values on S) for every sorted S holding p and at most k-2
@@ -422,11 +423,15 @@ def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
         return found
 
     def extend(idx, domains):
+        nonlocal tried
         if idx == n:
             out.append(tuple(values))
             return
         p = order[idx]
         for v in bits_of(domains[p]):
+            tried += 1
+            if tried > budget:
+                raise BudgetExceeded("ccomp search exceeds budget")
             values[p] = v
             held = () if unary else supports(idx, p)
             narrowed = list(domains)

@@ -17,7 +17,6 @@ from .algebras import (
     algebra_from_vectors,
     direct_power,
     generate_vectors,
-    power_tuple,
     subuniverses,
 )
 from .catalog import bool2, dl2, luk, posluk, reduct
@@ -129,7 +128,7 @@ def sample_binary_constrained(L, rng, n_points, square_subs=None):
     the subalgebras of the square that project onto the chosen fibers.
     """
     if square_subs is None:
-        square_subs = _square_subuniverses(L)
+        square_subs = [c.pairs for c in classify_square_subalgebras(L).classes]
     fiber_pool = [tuple(sorted(u)) for u in subuniverses(L) if u]
     fibers = [rng.choice(fiber_pool) for _ in range(n_points)]
     family = {frozenset((x,)): {(a,) for a in fibers[x]} for x in range(n_points)}
@@ -142,12 +141,6 @@ def sample_binary_constrained(L, rng, n_points, square_subs=None):
             options = [tuple(itertools.product(fibers[x], fibers[y]))]
         family[frozenset((x, y))] = set(rng.choice(options))
     return ConstrainedSpace(2, discrete_topology(n_points), L, family)
-
-
-def _square_subuniverses(L):
-    square = direct_power(L, 2)
-    return [tuple(sorted(power_tuple(L.size, 2, u) for u in universe))
-            for universe in subuniverses(square)]
 
 
 # --- criterion 1: duality round-trip ------------------------------------------------
@@ -331,7 +324,7 @@ def criterion_local_to_global(seed=0, max_points=4, random_instances=300) -> Cri
         L = entry.algebra
         median = term_function(L, MEDIAN_TERM, 3)
         rng = random.Random("%s|local2global|%s" % (seed, entry_label(entry)))
-        square_subs = _square_subuniverses(L)
+        square_subs = [c.pairs for c in classify_square_subalgebras(L).classes]
         verified = 0
         for _ in range(random_instances):
             space = sample_binary_constrained(L, rng, rng.randint(2, 4), square_subs)

@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .algebras import FiniteAlgebra, InvalidInput, Signature
+from .algebras import FiniteAlgebra, InvalidInput, Signature, power_tuple
 from .catalog import build
 from .constrained import (
     ConstrainedSpace,
     UnaryConstrainedSpace,
+    _mv_leq,
     priestley_to_order,
 )
 from .spaces import LSpace, lspace
@@ -136,20 +137,12 @@ def _algebra_from_document(doc: dict) -> AlgebraDocument:
         flat = _flatten_table(doc[key], size, arity, name)
         for position, entry in enumerate(flat):
             if not isinstance(entry, int) or not 0 <= entry < size:
-                args = tuple(_unrank(position, size, arity))
+                args = power_tuple(size, arity, position)
                 raise ValidationError(
                     "table entry %r out of range in %r at %r" % (entry, name, args))
         tables[name] = flat
     algebra = FiniteAlgebra(signature, size, tables)
     return AlgebraDocument(str(doc.get("name", "")), algebra, tuple(labels))
-
-
-def _unrank(position, size, arity):
-    out = []
-    for _ in range(arity):
-        out.append(position % size)
-        position //= size
-    return reversed(out)
 
 
 def serialize_algebra(doc: AlgebraDocument) -> str:
@@ -425,7 +418,7 @@ def export_dot(doc: SpaceDocument) -> str:
         if space.dualizer.size == 2:
             leq = priestley_to_order(space)
         else:
-            leq = [[_mv_graded(space, x, y) for y in range(space.n)]
+            leq = [[_mv_leq(space, x, y) for y in range(space.n)]
                    for x in range(space.n)]
         labels = doc.dualizer.labels
         for x, y in _hasse_edges(leq, space.n):
@@ -441,7 +434,3 @@ def export_dot(doc: SpaceDocument) -> str:
             lines.append('  "%s" [label="%s (%s)"];' % (points[p], points[p], column))
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _mv_graded(space, x, y):
-    return all(a <= b for a, b in space.constraint_tuple((x, y)))

@@ -31,6 +31,7 @@ from .algebras import (
     subalgebra,
     subuniverses,
 )
+from .spaces import _separates_points
 from .terms import TermFunction, check_near_unanimity, is_convex, search_nu_function
 
 
@@ -146,14 +147,6 @@ def separates_at_most(f, functions, x_size: int) -> bool:
     return True
 
 
-def _is_separated_rep(functions, x_size):
-    for x in range(x_size):
-        for y in range(x + 1, x_size):
-            if not any(g[x] != g[y] for g in functions):
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class BPVerdict:
     passed: bool
@@ -195,7 +188,7 @@ def check_finite_bp(L: FiniteAlgebra, k: int, x_bound: int,
                 yield x_size, frozenset(generate_vectors(L, x_size, seeds, budget=budget))
 
     for x_size, functions in candidate_algebras():
-        if k >= 2 and not _is_separated_rep(functions, x_size):
+        if k >= 2 and not _separates_points(functions, x_size):
             continue
         instances += 1
         subsets = _small_subsets(x_size, k)

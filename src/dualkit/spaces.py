@@ -237,12 +237,17 @@ class SpaceProperties:
     compact: bool = True
 
 
+def _separates_points(functions, n) -> bool:
+    """Whether the functions tell every two of the n points apart."""
+    for x in range(n):
+        for y in range(x + 1, n):
+            if not any(f[x] != f[y] for f in functions):
+                return False
+    return True
+
+
 def space_properties(X: LSpace) -> SpaceProperties:
-    separated = True
-    for x in range(X.n):
-        for y in range(x + 1, X.n):
-            if not any(f[x] != f[y] for f in X.functions):
-                separated = False
+    separated = _separates_points(X.functions, X.n)
     comp_alg, carrier = X.comp_algebra()
     evaluations = {tuple(vec[x] for vec in carrier) for x in range(X.n)}
     full = all(h.values in evaluations for h in enumerate_homs(comp_alg, X.dualizer))

@@ -211,6 +211,19 @@ def test_hom_enumeration_on_powers_matches_brute_force():
     assert sorted(h.values for h in enumerate_homs(P, DL)) == brute_force_homs(P, DL)
 
 
+def test_hom_enumeration_when_two_operations_derive_one_element():
+    # f and g both derive 1 from the generator 0 in the same stage; h(0) = 0
+    # gives f(0) = 1 and g(0) = 2 in B, so it passes only if each derivation
+    # is compared before the other one overwrites h(1)
+    unary = Signature((("f", 1), ("g", 1)))
+    A = FiniteAlgebra(unary, 2, {"f": (1, 1), "g": (1, 1)})
+    B = FiniteAlgebra(unary, 3, {"f": (1, 1, 2), "g": (2, 1, 2)})
+    expected = [(1, 1), (2, 2)]
+    assert brute_force_homs(A, B) == expected
+    assert [h.values for h in enumerate_homs(A, B, gens=(0,))] == expected
+    assert [h.values for h in enumerate_homs(A, B)] == expected
+
+
 def test_hom_rejects_non_generating_set():
     with pytest.raises(InvalidInput):
         enumerate_homs(L2, L2, gens=())

@@ -102,6 +102,12 @@ def test_lep_budget_exits_two(capsys, priestley_file):
     assert code == 0
 
 
+def test_comp_budget_exits_two(capsys, priestley_file):
+    code, _, err = run(capsys, "comp", priestley_file, "--budget", "1")
+    assert code == 2
+    assert "ccomp search exceeds budget" in err
+
+
 def test_local2global_reports_consistent_verdicts(capsys, priestley_file):
     code, out, _ = run(capsys, "local2global", priestley_file)
     assert code == 0
@@ -406,6 +412,8 @@ MALFORMED_ALGEBRAS = {
               "table meet: [[0, 0], [0, 7]]\n",
               "error: table entry 7 out of range in 'meet' at (1, 1)\n"),
     "empty": ("", "error: expected an algebra document, found kind None\n"),
+    "blank": ("\n\n", "error: expected an algebra document, found kind None\n"),
+    "comments": ("# note\n", "error: expected an algebra document, found kind None\n"),
 }
 
 

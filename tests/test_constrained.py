@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from dualkit.algebras import BudgetExceeded, InvalidInput
+from dualkit.algebras import BudgetExceeded, InvalidInput, generate_vectors
 from dualkit.catalog import bool2, dl2, luk, posluk
 from dualkit.constrained import (
     ConstrainedSpace,
@@ -124,6 +124,26 @@ def test_ccomp_respects_topology():
     top = topology_from_subbasis(2, [mask_of([0])])
     space = UnaryConstrainedSpace(top, DL, [{0, 1}, {0, 1}], [0, 1])
     assert ccomp(space) == [(0, 0), (1, 1)]
+
+
+def test_ccomp_budget_counts_values_tried():
+    for n in range(1, 6):
+        space = priestley_from_order(discrete_topology(n), chain_order(n), DL)
+        # points are tried in order, and forward checking leaves each one
+        # only the values that keep the prefix monotone: every monotone
+        # prefix of length m >= 1 is one value tried, and there are m + 1
+        work = sum(m + 1 for m in range(1, n + 1))
+        assert len(ccomp(space, budget=work)) == n + 1
+        with pytest.raises(BudgetExceeded, match="ccomp search exceeds budget"):
+            ccomp(space, budget=work - 1)
+
+
+def test_ccomp_budget_does_not_refuse_by_carrier_size():
+    # 3**13 exceeds the default budget, but the search tries few values
+    seeds = [(0,) * 11 + (0, 1), (0,) * 11 + (1, 0)]
+    X = lspace(discrete_topology(13), L2, generate_vectors(L2, 13, seeds))
+    assert len(X.functions) == 18
+    assert ccomp(cons(X, 2)) == sorted(X.functions)
 
 
 # --- cons --------------------------------------------------------------------------
