@@ -3,24 +3,27 @@
 A k-ary constrained space is a finite topology plus a continuous subdirect
 family of constraints A_I <= L^I for |I| <= k; the unary form replaces the
 family by one subuniverse of L per point and a closed equivalence relation.
-Constraints are stored for |I| = k and |I| <= 1 only; intermediate sizes are
-derived by projection, which subdirectness makes unambiguous (validation
-checks exactly that).  Local functions on I are tuples aligned with
-sorted(I).
+Constraints are stored for |I| = min(k, n) and |I| <= 1 only (a key of any
+other size is rejected); intermediate sizes are derived by projection, which
+subdirectness makes unambiguous (validation checks exactly that).  Local
+functions on I are tuples aligned with sorted(I), and ``_reindex`` is the one
+place that reads them at other points of I.
 
 Every search over local functions (the compatible functions on a set of
 points, the local extension property, ccomp, the possible-extension sets)
 goes through one lookup, the extension mask ``_extensions(space, I, g, j)``:
 for g compatible on the sorted tuple I and a point j outside it, the bitmask
 over L of every b such that g extended by j -> b is compatible on I + {j}.
-For a k-ary space it ANDs one table per subset T of I with |T| <= k-1; the
-table for (T, j) maps the values of a function on T to the values at j that
-A_{T+{j}} allows (T empty gives j's fiber).  For a unary space it is j's
-fiber, narrowed to g(q) for every q in I equivalent to j.  Local constancy
-narrows both: b must equal g(q) when q lies in N(j) or j in N(q).  The
-tables are built on first use and cached on the space, so every search on
-one space shares them.  Only the compatible functions are ever enumerated:
-those on I extend those on I[:-1] by I[-1].
+It ANDs one table per subset T of I with |T| <= k-1; the table for (T, j)
+maps the values of a function on T to the values at j that A_{T+{j}} allows
+(T empty gives j's fiber).  Local constancy narrows it further: b must equal
+g(q) when q lies in N(j) or j in N(q).  The tables are built on first use and
+cached on the space, so every search on one space shares them.  Only the
+compatible functions are ever enumerated: those on I extend those on I[:-1]
+by I[-1].  A unary space is searched through its binary presentation
+(``unary_to_binary``): the diagonal of the fiber on equivalent points and the
+product of the fibers elsewhere have the same compatible functions, so the
+masks, the search order and the budget count are those of the unary form.
 """
 
 from __future__ import annotations
@@ -43,9 +46,12 @@ from .terms import TermFunction, _convex_within, check_near_unanimity
 from .topology import FiniteTopology, bits_of, mask_of
 
 
-def restrict_local(fun, I_sorted, J_sorted):
+def _reindex(funs, I_sorted, xs) -> frozenset:
+    """The local functions funs on the sorted tuple I_sorted, read at the
+    points xs of I (in any order, repeats allowed)."""
     position = {p: i for i, p in enumerate(I_sorted)}
-    return tuple(fun[position[q]] for q in J_sorted)
+    at = [position[x] for x in xs]
+    return frozenset(tuple(f[i] for i in at) for f in funs)
 
 
 class ConstrainedSpace:
@@ -70,6 +76,9 @@ class ConstrainedSpace:
                 raise InvalidInput("constraint key outside the point set")
             if len(key) > k:
                 raise InvalidInput("constraint key larger than k")
+            if 1 < len(key) < m:
+                raise InvalidInput("constraint key %r has %d points; stored keys have %d "
+                                   "or at most one" % (sorted(key), len(key), m))
         # larger keys first so smaller ones can be derived by projection
         for key in sorted(required, key=lambda s: (-len(s), sorted(s))):
             if key in given:
@@ -119,9 +128,7 @@ class ConstrainedSpace:
         """A_{<x1..xl>} in the tuple presentation (repeats allowed)."""
         xs = tuple(xs)
         key_sorted = tuple(sorted(set(xs)))
-        funs = self.constraint(key_sorted)
-        position = {p: i for i, p in enumerate(key_sorted)}
-        return frozenset(tuple(f[position[x]] for x in xs) for f in funs)
+        return _reindex(self.constraint(key_sorted), key_sorted, xs)
 
 
 def _derive_by_projection(stored, key, n, m):
@@ -132,9 +139,7 @@ def _derive_by_projection(stored, key, n, m):
     base = stored.get(superset)
     if base is None:
         raise InvalidInput("missing constraint for %r" % sorted(superset))
-    I_sorted = tuple(sorted(superset))
-    J_sorted = tuple(sorted(key))
-    return frozenset(restrict_local(f, I_sorted, J_sorted) for f in base)
+    return _reindex(base, tuple(sorted(superset)), sorted(key))
 
 
 class UnaryConstrainedSpace:
@@ -206,21 +211,14 @@ def validate_constrained(space: ConstrainedSpace) -> ConstrainedReport:
     for key, funs in space.constraints.items():
         if unclosed_operation(L, len(key), funs) is not None:
             raise InvalidInput("constraint for %r is not a subuniverse" % sorted(key))
+    # every projection of every stored A_I equals the A_J that constraint()
+    # derives, so any two stored constraints agree on their common points
     stored_m = [key for key in space.constraints if len(key) == m]
     for key in stored_m:
         I_sorted = tuple(sorted(key))
         for size in range(m):
             for J in itertools.combinations(I_sorted, size):
-                projected = frozenset(restrict_local(f, I_sorted, J) for f in space.constraints[key])
-                if projected != space.constraint(J):
-                    subdirect = False
-    for k1, k2 in itertools.combinations(stored_m, 2):
-        common = k1 & k2
-        for size in range(len(common) + 1):
-            for J in itertools.combinations(sorted(common), size):
-                p1 = frozenset(restrict_local(f, tuple(sorted(k1)), J) for f in space.constraints[k1])
-                p2 = frozenset(restrict_local(f, tuple(sorted(k2)), J) for f in space.constraints[k2])
-                if p1 != p2:
+                if _reindex(space.constraints[key], I_sorted, J) != space.constraint(J):
                     subdirect = False
 
     continuous = _family_is_continuous(space)
@@ -304,17 +302,20 @@ def _table(space: ConstrainedSpace, T, j) -> dict:
     return table
 
 
-def _fiber_mask(space, x: int) -> int:
-    if isinstance(space, UnaryConstrainedSpace):
-        return mask_of(space.fibers[x])
+def _fiber_mask(space: ConstrainedSpace, x: int) -> int:
     return _table(space, (), x).get((), 0)
 
 
-def _empty_compatible(space) -> bool:
+def _empty_compatible(space: ConstrainedSpace) -> bool:
     """Whether the empty local function is compatible."""
-    if isinstance(space, UnaryConstrainedSpace):
-        return space.a_empty
     return () in space.constraint(())
+
+
+def _kary(space) -> ConstrainedSpace:
+    """The space a search runs on: a unary space's binary presentation."""
+    if isinstance(space, UnaryConstrainedSpace):
+        return unary_to_binary(space)
+    return space
 
 
 @functools.lru_cache(maxsize=4096)
@@ -333,19 +334,12 @@ def _subsets(I: tuple, most: int) -> tuple:
     return tuple(out)
 
 
-def _extensions(space, I: tuple, g: tuple, j: int) -> int:
+def _extensions(space: ConstrainedSpace, I: tuple, g: tuple, j: int) -> int:
     """Bitmask over L of every b such that g, extended by j -> b, is
     compatible on I + {j}; g must be compatible on the sorted tuple I."""
-    if isinstance(space, UnaryConstrainedSpace):
-        mask = mask_of(space.fibers[j])
-        equiv = space.equiv
-        for q, v in zip(I, g):
-            if equiv[q] == equiv[j]:
-                mask &= 1 << v
-    else:
-        mask = -1
-        for T, key in _subsets(I, space.k - 1):
-            mask &= _table(space, T, j).get(key(g), 0)
+    mask = -1
+    for T, key in _subsets(I, space.k - 1):
+        mask &= _table(space, T, j).get(key(g), 0)
     nbhds = space.topology.nbhds
     around = nbhds[j]
     for q, v in zip(I, g):
@@ -379,6 +373,7 @@ def _local_functions(space, max_size: int):
 def compatible_local_functions(space, points_sorted) -> list[tuple[int, ...]]:
     """The compatible local functions on a sorted tuple of points, in
     lexicographic order."""
+    space = _kary(space)
     I = tuple(points_sorted)
     funs = [()] if _empty_compatible(space) else []
     for i, j in enumerate(I):
@@ -393,18 +388,19 @@ def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
 
     Points are assigned in ascending fiber-size order.  Assigning p := v
     narrows the value mask of every unassigned point q: by each constraint
-    on q, p and at most k-2 further assigned points, by the equivalence
-    (unary spaces), and to v on p's topological component (which is exactly
-    the continuity requirement).  A point left without values ends the branch.
-    Every value tried counts one unit of ``budget``; BudgetExceeded once
-    the count passes it.
+    on q, p and at most k-2 further assigned points (for a unary space, the
+    pair constraint of its binary presentation carries the equivalence), and
+    to v on p's topological component (which is exactly the continuity
+    requirement).  A point left without values ends the branch.  Every value
+    tried counts one unit of ``budget``; BudgetExceeded once the count
+    passes it.
     """
+    space = _kary(space)
     top, n = space.topology, space.n
     if not _empty_compatible(space):
         return []
     if n == 0:
         return [()]
-    unary = isinstance(space, UnaryConstrainedSpace)
     start = [_fiber_mask(space, x) for x in range(n)]
     order = sorted(range(n), key=lambda x: (start[x].bit_count(), x))
     components = top.components()
@@ -433,11 +429,11 @@ def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
             if tried > budget:
                 raise BudgetExceeded("ccomp search exceeds budget")
             values[p] = v
-            held = () if unary else supports(idx, p)
+            held = supports(idx, p)
             narrowed = list(domains)
             for q in order[idx + 1:]:
                 mask = narrowed[q]
-                if components[q] == components[p] or (unary and space.related(p, q)):
+                if components[q] == components[p]:
                     mask &= 1 << v
                 for S, key in held:
                     mask &= _table(space, S, q).get(key, 0)
@@ -521,6 +517,7 @@ def has_local_extension(space, n_arity: int, budget: int = DEFAULT_BUDGET):
     most n points extends by any one further point.  Returns (flag, witness)
     with witness = (points, new point, local function).  The enumerated local
     functions plus the extension tests may number at most ``budget``."""
+    space = _kary(space)
     n = space.n
     work = 0
     for I, funs in _local_functions(space, min(n_arity, n)):
@@ -666,18 +663,12 @@ def is_constrained_map(values, X, Y, check_continuity: bool = True) -> bool:
         raise InvalidInput("spaces must share the constraint arity")
     for size in range(min(X.k, X.n) + 1):
         for I in itertools.combinations(range(X.n), size):
-            image_sorted = tuple(sorted({values[p] for p in I}))
-            for g in Y.constraint(image_sorted):
-                pulled = tuple(g[image_sorted.index(values[p])] for p in I)
-                if pulled not in X.constraint(I):
-                    return False
+            if not Y.constraint_tuple(values[p] for p in I) <= X.constraint(I):
+                return False
     return True
 
 
 # --- the Priestley bridge and positive-MV instances -------------------------------
-
-DL_LEQ_FORBIDDEN = (1, 0)      # x <= y  iff  (1,0) is not a constraint pair
-
 
 def priestley_from_order(top: FiniteTopology, leq, dl: FiniteAlgebra) -> ConstrainedSpace:
     """Binary 2_DL-constrained space of a reflexive closed binary relation."""
@@ -704,15 +695,11 @@ def priestley_from_order(top: FiniteTopology, leq, dl: FiniteAlgebra) -> Constra
 
 
 def priestley_to_order(space: ConstrainedSpace):
-    """Extract x <= y  iff  (1,0) not in A_{x,y} from a binary 2_DL space."""
+    """Extract x <= y  iff  (1,0) not in A_{x,y} from a binary 2_DL space:
+    over {0,1} that is every pair (a, b) having a <= b, as ``_mv_leq`` reads."""
     if space.dualizer.size != 2:
         raise InvalidInput("the Priestley bridge needs the two-element lattice")
-    n = space.n
-    leq = [[False] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            leq[x][y] = DL_LEQ_FORBIDDEN not in space.constraint_tuple((x, y))
-    return leq
+    return [[_mv_leq(space, x, y) for y in range(space.n)] for x in range(space.n)]
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 from .algebras import FiniteAlgebra, InvalidInput, Signature, power_tuple
 from .catalog import build
-from .constrained import (
-    ConstrainedSpace,
-    UnaryConstrainedSpace,
-    _mv_leq,
-    priestley_to_order,
-)
+from .constrained import ConstrainedSpace, UnaryConstrainedSpace, _mv_leq
 from .spaces import LSpace, lspace
 from .topology import bits_of, discrete_topology, mask_of, topology_from_subbasis
 
@@ -158,7 +153,7 @@ def serialize_algebra(doc: AlgebraDocument) -> str:
     return serialize_document(items)
 
 
-def resolve_algebra(ref: str, read_file=None) -> AlgebraDocument:
+def resolve_algebra(ref: str) -> AlgebraDocument:
     """Resolve ``builtin:NAME`` against the catalog, anything else as a path."""
     ref = ref.strip()
     if ref.startswith("builtin:"):
@@ -166,12 +161,8 @@ def resolve_algebra(ref: str, read_file=None) -> AlgebraDocument:
         name = entry.name if not entry.params else \
             "%s(%s)" % (entry.name, ",".join(map(str, entry.params)))
         return AlgebraDocument(name, entry.algebra, entry.labels)
-    if read_file is None:
-        with open(ref, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    else:
-        text = read_file(ref)
-    return parse_algebra(text)
+    with open(ref, "r", encoding="utf-8") as handle:
+        return parse_algebra(handle.read())
 
 
 # --- spaces -----------------------------------------------------------------------
@@ -221,11 +212,11 @@ def _value_tuple(dualizer_doc, values):
     return tuple(dualizer_doc.label_index(v) for v in values)
 
 
-def parse_space(text: str, read_file=None) -> SpaceDocument:
-    return _space_from_document(parse_document(text), read_file)
+def parse_space(text: str) -> SpaceDocument:
+    return _space_from_document(parse_document(text))
 
 
-def _space_from_document(doc: dict, read_file=None) -> SpaceDocument:
+def _space_from_document(doc: dict) -> SpaceDocument:
     """The space of a document already split by ``parse_document``."""
     kind = doc.get("kind")
     if kind == "poset":
@@ -236,7 +227,7 @@ def _space_from_document(doc: dict, read_file=None) -> SpaceDocument:
     ref = doc.get("dualizer")
     if not isinstance(ref, str):
         raise ValidationError("missing dualizer reference")
-    dualizer = resolve_algebra(ref, read_file=read_file)
+    dualizer = resolve_algebra(ref)
     points = _parse_points(doc)
     top = _parse_topology(doc, points)
     index = {p: i for i, p in enumerate(points)}
@@ -360,10 +351,9 @@ def serialize_space(doc: SpaceDocument) -> str:
     return serialize_document(items)
 
 
-def space_document(space, dualizer_ref: str, read_file=None,
-                   points=None) -> SpaceDocument:
+def space_document(space, dualizer_ref: str, points=None) -> SpaceDocument:
     """Wrap an in-memory space for serialization."""
-    dualizer = resolve_algebra(dualizer_ref, read_file=read_file)
+    dualizer = resolve_algebra(dualizer_ref)
     n = space.n
     if points is None:
         points = tuple("p%d" % i for i in range(n))
@@ -415,11 +405,8 @@ def export_dot(doc: SpaceDocument) -> str:
             lines.append("  }")
     elif doc.kind.startswith("constrained-"):
         space = doc.space
-        if space.dualizer.size == 2:
-            leq = priestley_to_order(space)
-        else:
-            leq = [[_mv_leq(space, x, y) for y in range(space.n)]
-                   for x in range(space.n)]
+        leq = [[_mv_leq(space, x, y) for y in range(space.n)]
+               for x in range(space.n)]
         labels = doc.dualizer.labels
         for x, y in _hasse_edges(leq, space.n):
             lines.append('  "%s" -> "%s";' % (points[x], points[y]))

@@ -306,6 +306,23 @@ class RoundtripReport:
             self.failures.append((name, witness))
 
 
+def _spectrum_triangle(eta: CanonicalEmbedding, ev: EvaluationMap):
+    """Spec(eta_A) after ev_{Spec A} is the identity on points: yields
+    (i, point i's hom values, those values carried round the triangle)."""
+    elements = eta.spectrum.algebra.elements
+    for i, h in enumerate(eta.spectrum.homs):
+        point = ev.spectrum.homs[ev.map.values[i]]
+        yield i, h.values, tuple(point.values[eta.map.values[a]] for a in elements)
+
+
+def _comp_triangle(ev: EvaluationMap):
+    """Comp(ev_X) after eta_{Comp X} is the identity on Comp X: yields
+    (i, compatible function i, that function carried round the triangle)."""
+    for i, vec in enumerate(ev.comp_carrier):
+        eta_vec = tuple(h.values[i] for h in ev.spectrum.homs)
+        yield i, vec, tuple(eta_vec[x] for x in ev.map.values)
+
+
 def check_duality_roundtrip_algebra(A: FiniteAlgebra, L: FiniteAlgebra,
                                     gens=None) -> RoundtripReport:
     """For A in the prevariety of L: eta_A is an isomorphism onto Comp Spec A,
@@ -322,14 +339,10 @@ def check_duality_roundtrip_algebra(A: FiniteAlgebra, L: FiniteAlgebra,
     report.record("spectrum separated", props.separated)
     report.record("spectrum full", props.full)
     report.record("spectrum completely regular", props.completely_regular)
-    # Triangle: Spec(eta_A) after ev_{Spec A} is the identity on points.
     ev = evaluation_map(eta.spectrum.space)
-    for i, h in enumerate(eta.spectrum.homs):
-        point = ev.map.values[i]
-        transported = tuple(ev.spectrum.homs[point].values[eta.map.values[a]]
-                            for a in A.elements)
-        report.record("triangle on spectrum point %d" % i, transported == h.values,
-                      (h.values, transported))
+    for i, values, transported in _spectrum_triangle(eta, ev):
+        report.record("triangle on spectrum point %d" % i, transported == values,
+                      (values, transported))
     return report
 
 
@@ -343,11 +356,7 @@ def check_duality_roundtrip_space(X: LSpace) -> RoundtripReport:
     report.record("ev surjective iff full", ev.is_surjective == props.full)
     if props.separated and props.full:
         report.record("ev isomorphism", is_lspace_isomorphism(ev.map))
-    # Triangle: Comp(ev_X) after eta_{Comp X} is the identity on Comp X.
-    carrier = ev.comp_carrier
-    for i, vec in enumerate(carrier):
-        eta_vec = tuple(h.values[i] for h in ev.spectrum.homs)
-        pulled = tuple(eta_vec[ev.map.values[x]] for x in range(X.n))
+    for i, vec, pulled in _comp_triangle(ev):
         report.record("triangle on compatible function %d" % i, pulled == vec,
                       (vec, pulled))
     return report

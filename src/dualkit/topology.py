@@ -5,17 +5,15 @@ the intersection of the opens that contain x (Alexandroff 1937; Stong,
 "Finite topological spaces", Trans. AMS 123, 1966).  The opens are exactly
 the unions of these sets, and y in N(x) is the specialization preorder.
 
-This module used to store the full open-set family and took no
-specialization-preorder shortcut, so that the core followed the textbook
-definitions literally.  That choice is reversed because its cost grew with
-the family, which has up to 2^n members: validating a family compared every
-pair of opens, so ``discrete_topology(12)`` took seconds, and every
-continuity test on a subset of points built and validated a subspace.  On
-neighbourhoods, openness, continuity into a discrete or finite space,
-subspaces, quotients and closedness of a relation in X x X are all tests of
-at most O(n^2) bitmask operations.  The open family is still available as
-``opens``, derived on demand within a budget; the open-family class lives on
-in the tests as the oracle these operations are checked against.
+Neighbourhoods are stored instead of the open-set family because costs on
+the family grow with it, and it has up to 2^n members: validating a family
+compares every pair of opens, and a continuity test on a subset of points
+builds and validates a subspace.  On neighbourhoods, openness, continuity
+into a discrete or finite space, subspaces, quotients and closedness of a
+relation in X x X are all tests of at most O(n^2) bitmask operations.  The
+open family is still available as ``opens``, derived on demand within a
+budget; the tests keep an open-family class as the oracle these operations
+are checked against.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import time
 
@@ -29,6 +30,72 @@ constraint ["x", "y"]: [["0", "0"], ["0", "1"], ["1", "1"]]
 constraint ["y", "z"]: [["0", "0"], ["0", "1"], ["1", "1"]]
 constraint ["x", "z"]: [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]
 """
+
+
+# a pair key in a ternary document on four points, where only 3-sets and
+# points are stored
+INTERMEDIATE_KEY = "".join(
+    ["kind: constrained-3\ndualizer: builtin:dl2\npoints: [\"a\", \"b\", \"c\", \"d\"]\n"]
+    + ["constraint %s: %s\n" % (json.dumps(list(key)), json.dumps(
+        [[str(v) for v in f] for f in itertools.product((0, 1), repeat=3)]))
+       for key in itertools.combinations("abcd", 3)]
+    + ['constraint ["a", "b"]: [["0", "0"], ["1", "1"]]\n'])
+
+UNARY_OK = """\
+kind: constrained-unary
+dualizer: builtin:luk(2)
+points: ["a", "b", "c", "d"]
+opens: [["a", "b"], ["c"], ["d"]]
+fibers: [["0", "1"], ["0", "1"], ["0", "1/2", "1"], ["0", "1/2", "1"]]
+equiv: [["a", "b"], ["c", "d"]]
+"""
+
+UNARY_BROKEN = """\
+kind: constrained-unary
+dualizer: builtin:luk(2)
+points: ["a", "b", "c"]
+fibers: [["0", "1"], ["0", "1/2", "1"], ["0", "1/2", "1"]]
+equiv: [["a", "b"], ["c"]]
+"""
+
+# what comp, lep, gep and func print on the two unary documents, recorded
+# when the search still had a separate unary branch
+UNARY_OUTPUTS = {
+    ("ok", "comp"): (0, """\
+count: 6
+functions: [["0", "0", "0", "0"], ["0", "0", "1/2", "1/2"], ["0", "0", "1", "1"], \
+["1", "1", "0", "0"], ["1", "1", "1/2", "1/2"], ["1", "1", "1", "1"]]
+"""),
+    ("ok", "lep"): (0, "arity: 2\nlocal_extension: True\n"),
+    ("ok", "gep"): (0, "global_extension: True\ncompatible_functions: 6\n"),
+    ("ok", "func"): (0, """\
+kind: lspace
+dualizer: builtin:luk(2)
+points: ["a", "b", "c", "d"]
+opens: [[], ["a", "b"], ["a", "b", "c"], ["a", "b", "c", "d"], ["a", "b", "d"], ["c"], \
+["c", "d"], ["d"]]
+comp: [["0", "0", "0", "0"], ["0", "0", "1", "1"], ["0", "0", "1/2", "1/2"], \
+["1", "1", "0", "0"], ["1", "1", "1", "1"], ["1", "1", "1/2", "1/2"]]
+"""),
+    ("broken", "comp"): (0, """\
+count: 6
+functions: [["0", "0", "0"], ["0", "0", "1/2"], ["0", "0", "1"], ["1", "1", "0"], \
+["1", "1", "1/2"], ["1", "1", "1"]]
+"""),
+    ("broken", "lep"): (1, "arity: 2\nlocal_extension: False\nwitness: ((1,), 0, (1,))\n"),
+    ("broken", "gep"): (1, """\
+global_extension: False
+compatible_functions: 6
+witness: ((1,), (1,))
+"""),
+    ("broken", "func"): (0, """\
+kind: lspace
+dualizer: builtin:luk(2)
+points: ["a", "b", "c"]
+comp: [["0", "0", "0"], ["0", "0", "1"], ["0", "0", "1/2"], ["1", "1", "0"], \
+["1", "1", "1"], ["1", "1", "1/2"]]
+"""),
+}
 
 
 @pytest.fixture
@@ -223,6 +290,24 @@ def test_cons_k1_gives_the_unary_form(capsys, lspace_file, tmp_path):
     code, out2, _ = run(capsys, "func", str(unary))
     assert code == 0
     assert "kind: lspace" in out2
+
+
+@pytest.mark.parametrize("document, command", sorted(UNARY_OUTPUTS))
+def test_unary_documents_print_what_the_unary_branch_printed(capsys, tmp_path,
+                                                            document, command):
+    path = tmp_path / "unary.dk"
+    path.write_text(UNARY_OK if document == "ok" else UNARY_BROKEN)
+    assert run(capsys, command, str(path))[:2] == UNARY_OUTPUTS[document, command]
+
+
+@pytest.mark.parametrize("command", ["props", "comp"])
+def test_intermediate_constraint_key_exits_two(capsys, tmp_path, command):
+    path = tmp_path / "intermediate.dk"
+    path.write_text(INTERMEDIATE_KEY)
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: constraint key [0, 1] has 2 points; "
+                   "stored keys have 3 or at most one\n")
 
 
 def test_priestley_both_directions(capsys, tmp_path, priestley_file):

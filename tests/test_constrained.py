@@ -76,6 +76,19 @@ def test_projection_mismatch_breaks_subdirectness():
     assert not report.subdirect
 
 
+def test_intermediate_constraint_keys_are_rejected():
+    # a ternary family on four points stores its 3-sets and its points; a
+    # pair key between the two would never be read, so it is refused
+    cube = set(itertools.product(range(2), repeat=3))
+    family = {frozenset(key): cube for key in itertools.combinations(range(4), 3)}
+    family[frozenset((0, 1))] = DIAG2
+    with pytest.raises(InvalidInput, match=r"constraint key \[0, 1\] has 2 points; "
+                                           r"stored keys have 3 or at most one"):
+        ConstrainedSpace(3, discrete_topology(4), DL, family)
+    del family[frozenset((0, 1))]
+    assert len(ccomp(ConstrainedSpace(3, discrete_topology(4), DL, family))) == 16
+
+
 def test_non_antisymmetric_relation_is_not_separated():
     # x <= y and y <= x on distinct points: the pair constraint is a diagonal
     space = pair_space(DL, 2, {(0, 1): DIAG2})

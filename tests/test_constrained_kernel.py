@@ -10,6 +10,14 @@ with its ``admissible`` check, ``possible_extensions`` by membership,
 ``validate_constrained``.  Spaces are drawn at random: k-ary (k = 2, 3) and
 unary, over discrete and subbasis topologies, with families that need not
 be subdirect or continuous, empty constraints, and no points at all.
+
+A second set of oracles covers the code that one re-indexing helper and the
+binary presentation of unary spaces replaced: ``ccomp`` with its unary
+branch (its budget count included), ``validate_constrained`` with its
+pairwise subdirectness loop, ``is_constrained_map`` pulling constraints back
+one tuple at a time, and ``priestley_to_order`` reading the forbidden pair
+(1, 0); they run on the random spaces and on every reflexive relation over
+dl2 on up to four points.
 """
 
 import itertools
@@ -26,26 +34,32 @@ from dualkit.algebras import (
     direct_power,
     power_tuple,
     subuniverses,
+    unclosed_operation,
 )
 from dualkit.catalog import dl2, luk, posluk, reduct
 from dualkit.constrained import (
+    ConstrainedReport,
     ConstrainedSpace,
     LocalToGlobalVerdict,
     UnaryConstrainedSpace,
     _family_is_continuous,
+    _table,
     ccomp,
     compatible_local_functions,
     cons,
     has_global_extension,
     has_local_extension,
+    is_constrained_map,
     local_to_global_verify,
     possible_extensions,
-    restrict_local,
+    priestley_from_order,
+    priestley_to_order,
+    unary_to_binary,
     validate_constrained,
 )
 from dualkit.corpus import sample_lspace
 from dualkit.terms import _convex_within, check_near_unanimity, search_nu_function
-from dualkit.topology import bits_of, topology_from_subbasis
+from dualkit.topology import bits_of, discrete_topology, mask_of, topology_from_subbasis
 
 DL = dl2().algebra
 BARE_DL = reduct(DL, ("meet", "join"))      # constant-free: empty fibers exist
@@ -55,6 +69,11 @@ ALGEBRAS = (DL, BARE_DL, L2)
 
 
 # --- oracles: the searches before the extension masks ------------------------------
+
+def restrict_local(fun, I_sorted, J_sorted):
+    position = {p: i for i, p in enumerate(I_sorted)}
+    return tuple(fun[position[q]] for q in J_sorted)
+
 
 def old_is_compatible_local(space, points_sorted, fun, check_continuity=True) -> bool:
     """Compatibility of a local function on a subset (both space kinds)."""
@@ -437,3 +456,298 @@ def test_scott_continuity_on_cons_of_random_lspaces(seed, k):
         assert old_family_is_scott_continuous(space)
         assert validate_constrained(space).scott_continuous
 
+
+
+# --- oracles: the unary search branch and the per-call re-indexing ---------------------
+#
+# ``ccomp`` as it was with its unary branch (and the two helpers that branched
+# with it), ``validate_constrained`` with its second, pairwise subdirectness
+# loop, ``is_constrained_map`` pulling constraints back one tuple at a time,
+# and ``priestley_to_order`` reading the forbidden pair (1, 0).
+
+def unary_branch_fiber_mask(space, x: int) -> int:
+    if isinstance(space, UnaryConstrainedSpace):
+        return mask_of(space.fibers[x])
+    return _table(space, (), x).get((), 0)
+
+
+def unary_branch_empty_compatible(space) -> bool:
+    """Whether the empty local function is compatible."""
+    if isinstance(space, UnaryConstrainedSpace):
+        return space.a_empty
+    return () in space.constraint(())
+
+
+def unary_branch_ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
+    """The continuous compatible global functions, by forward checking."""
+    top, n = space.topology, space.n
+    if not unary_branch_empty_compatible(space):
+        return []
+    if n == 0:
+        return [()]
+    unary = isinstance(space, UnaryConstrainedSpace)
+    start = [unary_branch_fiber_mask(space, x) for x in range(n)]
+    order = sorted(range(n), key=lambda x: (start[x].bit_count(), x))
+    components = top.components()
+    values: list[int | None] = [None] * n
+    out = []
+    tried = 0
+
+    def supports(idx, p):
+        """(S, values on S) for every sorted S holding p and at most k-2
+        points assigned before it."""
+        found = []
+        for size in range(min(space.k - 2, idx) + 1):
+            for rest in itertools.combinations(order[:idx], size):
+                S = tuple(sorted(rest + (p,)))
+                found.append((S, tuple(values[s] for s in S)))
+        return found
+
+    def extend(idx, domains):
+        nonlocal tried
+        if idx == n:
+            out.append(tuple(values))
+            return
+        p = order[idx]
+        for v in bits_of(domains[p]):
+            tried += 1
+            if tried > budget:
+                raise BudgetExceeded("ccomp search exceeds budget")
+            values[p] = v
+            held = () if unary else supports(idx, p)
+            narrowed = list(domains)
+            for q in order[idx + 1:]:
+                mask = narrowed[q]
+                if components[q] == components[p] or (unary and space.related(p, q)):
+                    mask &= 1 << v
+                for S, key in held:
+                    mask &= _table(space, S, q).get(key, 0)
+                if not mask:
+                    break
+                narrowed[q] = mask
+            else:
+                extend(idx + 1, narrowed)
+        values[p] = None
+
+    extend(0, start)
+    return sorted(out)
+
+
+def two_loop_validate_constrained(space: ConstrainedSpace) -> ConstrainedReport:
+    """Exact flags for subdirectness, continuity, separation, Scott continuity."""
+    L, n, k = space.dualizer, space.n, space.k
+    m = min(k, n)
+    subdirect = True
+    for key, funs in space.constraints.items():
+        if unclosed_operation(L, len(key), funs) is not None:
+            raise InvalidInput("constraint for %r is not a subuniverse" % sorted(key))
+    stored_m = [key for key in space.constraints if len(key) == m]
+    for key in stored_m:
+        I_sorted = tuple(sorted(key))
+        for size in range(m):
+            for J in itertools.combinations(I_sorted, size):
+                projected = frozenset(restrict_local(f, I_sorted, J) for f in space.constraints[key])
+                if projected != space.constraint(J):
+                    subdirect = False
+    for k1, k2 in itertools.combinations(stored_m, 2):
+        common = k1 & k2
+        for size in range(len(common) + 1):
+            for J in itertools.combinations(sorted(common), size):
+                p1 = frozenset(restrict_local(f, tuple(sorted(k1)), J) for f in space.constraints[k1])
+                p2 = frozenset(restrict_local(f, tuple(sorted(k2)), J) for f in space.constraints[k2])
+                if p1 != p2:
+                    subdirect = False
+
+    continuous = _family_is_continuous(space)
+
+    separated = True
+    for x in range(n):
+        for y in range(x + 1, n):
+            pairs = space.constraint_tuple((x, y))
+            if not any(a != b for a, b in pairs):
+                separated = False
+    return ConstrainedReport(subdirect, continuous, separated, continuous)
+
+
+def pull_back_is_constrained_map(values, X, Y, check_continuity: bool = True) -> bool:
+    """Constraint reflection (plus continuity, plus the unary equivalence)."""
+    values = tuple(values)
+    if len(values) != X.n or any(not 0 <= v < Y.n for v in values):
+        raise InvalidInput("point map does not match the spaces")
+    if check_continuity and not X.topology.is_continuous_map(Y.topology, values):
+        return False
+    if isinstance(X, UnaryConstrainedSpace) != isinstance(Y, UnaryConstrainedSpace):
+        raise InvalidInput("spaces must be of the same kind")
+    if isinstance(X, UnaryConstrainedSpace):
+        if Y.a_empty and not X.a_empty:
+            return False
+        for x in range(X.n):
+            if not Y.fibers[values[x]] <= X.fibers[x]:
+                return False
+        for x in range(X.n):
+            for y in range(X.n):
+                if X.related(x, y) and not Y.related(values[x], values[y]):
+                    return False
+        return True
+    if X.k != Y.k:
+        raise InvalidInput("spaces must share the constraint arity")
+    for size in range(min(X.k, X.n) + 1):
+        for I in itertools.combinations(range(X.n), size):
+            image_sorted = tuple(sorted({values[p] for p in I}))
+            for g in Y.constraint(image_sorted):
+                pulled = tuple(g[image_sorted.index(values[p])] for p in I)
+                if pulled not in X.constraint(I):
+                    return False
+    return True
+
+
+DL_LEQ_FORBIDDEN = (1, 0)      # x <= y  iff  (1,0) is not a constraint pair
+
+
+def forbidden_pair_priestley_to_order(space: ConstrainedSpace):
+    """Extract x <= y  iff  (1,0) not in A_{x,y} from a binary 2_DL space."""
+    if space.dualizer.size != 2:
+        raise InvalidInput("the Priestley bridge needs the two-element lattice")
+    n = space.n
+    leq = [[False] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            leq[x][y] = DL_LEQ_FORBIDDEN not in space.constraint_tuple((x, y))
+    return leq
+
+
+def reflexive_relation_spaces(max_points=4):
+    """The Priestley space of every reflexive relation over dl2 on up to
+    max_points points (discrete, so every relation is closed)."""
+    for n in range(max_points + 1):
+        off = [(x, y) for x in range(n) for y in range(n) if x != y]
+        for chosen in itertools.product((False, True), repeat=len(off)):
+            leq = [[x == y for y in range(n)] for x in range(n)]
+            for (x, y), on in zip(off, chosen):
+                leq[x][y] = on
+            yield priestley_from_order(discrete_topology(n), leq, DL)
+
+
+def same_projections(space):
+    """Validation and the order reading against their oracles; returns the
+    validation outcome."""
+    report = _outcome(validate_constrained, space)
+    assert report == _outcome(two_loop_validate_constrained, space)
+    assert (_outcome(priestley_to_order, space)
+            == _outcome(forbidden_pair_priestley_to_order, space))
+    return report
+
+
+def same_maps(X, Y, values):
+    """is_constrained_map against the pull-back, with and without the
+    continuity test."""
+    for check in (True, False):
+        assert (_outcome(is_constrained_map, values, X, Y, check)
+                == _outcome(pull_back_is_constrained_map, values, X, Y, check))
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=st.one_of(kary_spaces(), unary_spaces().map(unary_to_binary)))
+def test_validation_and_order_reading_match_their_oracles(space):
+    same_projections(space)
+
+
+@st.composite
+def space_pairs_with_a_map(draw):
+    k = draw(st.sampled_from((2, 3)))
+    if draw(st.booleans()):
+        X, Y = (draw(kary_spaces(arities=(k,))) for _ in range(2))
+    else:
+        X, Y = (unary_to_binary(draw(unary_spaces())) for _ in range(2))
+    if Y.n == 0:
+        return X, Y, (0,) * X.n
+    return X, Y, tuple(draw(st.integers(0, Y.n - 1)) for _ in range(X.n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=space_pairs_with_a_map())
+def test_is_constrained_map_matches_the_pull_back(pair):
+    X, Y, values = pair
+    same_maps(X, Y, values)
+    same_maps(X, X, tuple(range(X.n)))
+
+
+def test_projections_on_every_reflexive_relation_over_dl2(monkeypatch):
+    # the subuniverse test is the same code on both sides, and these spaces
+    # hold six distinct constraint sets, so it is answered once per set
+    answers, check = {}, unclosed_operation
+
+    def closure_check(L, arity, funs):
+        key = (id(L), arity, frozenset(funs))
+        if key not in answers:
+            answers[key] = check(L, arity, funs)
+        return answers[key]
+
+    monkeypatch.setattr("dualkit.constrained.unclosed_operation", closure_check)
+    monkeypatch.setitem(globals(), "unclosed_operation", closure_check)
+    spaces = list(reflexive_relation_spaces())
+    assert len(spaces) == 4166
+    separated = set()
+    for space in spaces:
+        separated.add(same_projections(space).separated)
+        n = space.n
+        # every map for up to 3 points; on 4, the identity and a cycle
+        maps = itertools.product(range(n), repeat=n) if n <= 3 else [(0, 1, 2, 3), (1, 2, 3, 0)]
+        for values in maps:
+            same_maps(space, space, tuple(values))
+    assert separated == {True, False}
+    # maps between spaces of different sizes: into the two-chain and out of it
+    chain = priestley_from_order(discrete_topology(2), [[True, True], [False, True]], DL)
+    for space in spaces[:70]:
+        for values in itertools.product(range(2), repeat=space.n):
+            same_maps(space, chain, values)
+        for values in itertools.product(range(space.n), repeat=2):
+            same_maps(chain, space, values)
+
+
+def budget_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BudgetExceeded as exc:
+        return ("BudgetExceeded", str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=unary_spaces())
+def test_unary_search_counts_the_budget_of_the_unary_branch(space):
+    # the fewest units that let the old unary branch finish
+    low, high = -1, 10**4
+    while high - low > 1:
+        mid = (low + high) // 2
+        if isinstance(budget_outcome(unary_branch_ccomp, space, mid), list):
+            high = mid
+        else:
+            low = mid
+    assert ccomp(space, budget=high) == unary_branch_ccomp(space, budget=high)
+    if high > 0:
+        with pytest.raises(BudgetExceeded):
+            ccomp(space, budget=high - 1)
+    # has_local_extension charges each compatible local function on I and
+    # its n - |I| extension tests; with LEP(n) every one is charged
+    n = space.n
+    for n_arity in range(n + 1):
+        if not has_local_extension(space, n_arity)[0]:
+            continue
+        work = sum(len(old_compatible_local_functions(space, I)) * (1 + n - len(I))
+                   for I in subsets(n) if len(I) <= n_arity)
+        assert has_local_extension(space, n_arity, budget=work)[0]
+        if work:
+            with pytest.raises(BudgetExceeded):
+                has_local_extension(space, n_arity, budget=work - 1)
+
+
+def test_unary_spaces_keep_the_unary_branch_budget_on_wide_fibers():
+    # four equivalent points whose fibers shrink along the order: the unary
+    # branch prunes by the equivalence, the binary presentation by the
+    # diagonals, and both try the same values
+    fibers = [{0, 1, 2}, {0, 2}, {0, 1, 2}, {2}]
+    for equiv in ([0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 2, 3]):
+        space = UnaryConstrainedSpace(discrete_topology(4), L2, fibers, equiv)
+        for budget in range(0, 40):
+            assert (budget_outcome(ccomp, space, budget)
+                    == budget_outcome(unary_branch_ccomp, space, budget))

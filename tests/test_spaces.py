@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -13,9 +14,11 @@ from dualkit.algebras import (
     subalgebra,
 )
 from dualkit.catalog import bool2, dl2, luk
-from dualkit.corpus import dualizer_suite, sample_lspace
+from dualkit.corpus import dualizer_suite, sample_function_algebra, sample_lspace
 from dualkit.spaces import (
     LMap,
+    _comp_triangle,
+    _spectrum_triangle,
     canonical_embedding,
     check_duality_roundtrip_algebra,
     check_duality_roundtrip_space,
@@ -275,6 +278,49 @@ def test_roundtrip_luk2_subalgebras():
     A, _ = subalgebra(P, universe)
     report = check_duality_roundtrip_algebra(A, L2)
     assert report.ok, report.failures
+
+
+def _triangle_identities_hold(A, eta, ev) -> bool:
+    """Both unit/counit triangles, pointwise on the spectrum of A."""
+    # Spec(eta) after ev is the identity on the points of Spec A
+    for i, h in enumerate(eta.spectrum.homs):
+        point = ev.map.values[i]
+        transported = tuple(ev.spectrum.homs[point].values[eta.map.values[a]]
+                            for a in A.elements)
+        if transported != h.values:
+            return False
+    # Comp(ev) after eta is the identity on the compatible functions
+    for i, vec in enumerate(ev.comp_carrier):
+        eta_vec = tuple(h.values[i] for h in ev.spectrum.homs)
+        if tuple(eta_vec[ev.map.values[x]] for x in range(len(vec))) != vec:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("entry", dualizer_suite(), ids=lambda e: e.name + str(e.params))
+def test_triangle_generators_match_the_criterion_check(entry):
+    # the check criterion 1 ran before the two triangles had one generator
+    # each, on its own draws and on evaluation maps with the points permuted
+    L = entry.algebra
+    rng = random.Random("triangles|%s" % entry.name)
+    outcomes = set()
+    for _ in range(25):
+        _, _, A, gens = sample_function_algebra(L, rng)
+        eta = canonical_embedding(A, L, gens=gens)
+        ev = evaluation_map(eta.spectrum.space)
+        values = list(ev.map.values)
+        shuffled = dataclasses.replace(
+            ev, map=dataclasses.replace(ev.map, values=tuple(rng.sample(values, len(values)))))
+        for candidate in (ev, shuffled):
+            triangles = itertools.chain(_spectrum_triangle(eta, candidate),
+                                        _comp_triangle(candidate))
+            held = all(want == got for _, want, got in triangles)
+            assert held == _triangle_identities_hold(A, eta, candidate)
+            outcomes.add(held)
+        report = check_duality_roundtrip_algebra(A, L, gens=gens)
+        points = ["triangle on spectrum point %d" % i for i in range(len(eta.spectrum.homs))]
+        assert [name for name in report.checked if name.startswith("triangle")] == points
+    assert outcomes == {True, False}
 
 
 def test_naturality_square():
