@@ -21,9 +21,9 @@ g(q) when q lies in N(j) or j in N(q).  The tables are built on first use and
 cached on the space, so every search on one space shares them.  Only the
 compatible functions are ever enumerated: those on I extend those on I[:-1]
 by I[-1].  A unary space is searched through its binary presentation
-(``unary_to_binary``): the diagonal of the fiber on equivalent points and the
-product of the fibers elsewhere have the same compatible functions, so the
-masks, the search order and the budget count are those of the unary form.
+(``unary_to_binary``), read off the fibers so that no pair constraint is
+built: the diagonal of the fiber on equivalent points and the product of the
+fibers elsewhere give the same masks, search order and budget count.
 """
 
 from __future__ import annotations
@@ -129,6 +129,15 @@ class ConstrainedSpace:
         xs = tuple(xs)
         key_sorted = tuple(sorted(set(xs)))
         return _reindex(self.constraint(key_sorted), key_sorted, xs)
+
+    def _build_table(self, T, j) -> dict:
+        S = tuple(sorted(T + (j,)))
+        at = S.index(j)
+        table = {}
+        for f in self.constraint(S):
+            key = f[:at] + f[at + 1:]
+            table[key] = table.get(key, 0) | 1 << f[at]
+        return table
 
 
 def _derive_by_projection(stored, key, n, m):
@@ -287,34 +296,71 @@ def validate_unary(space: UnaryConstrainedSpace) -> UnaryReport:
 
 # --- extension masks --------------------------------------------------------------
 
-def _table(space: ConstrainedSpace, T, j) -> dict:
+def _table(space, T, j):
     """Values of a function on the sorted tuple T -> mask of the values at j
     that A_{T+{j}} allows with them (j outside T, |T| <= k-1)."""
     table = space._tables.get((T, j))
     if table is None:
-        S = tuple(sorted(T + (j,)))
-        at = S.index(j)
-        table = {}
-        for f in space.constraint(S):
-            key = f[:at] + f[at + 1:]
-            table[key] = table.get(key, 0) | 1 << f[at]
-        space._tables[T, j] = table
+        table = space._tables[T, j] = space._build_table(T, j)
     return table
 
 
-def _fiber_mask(space: ConstrainedSpace, x: int) -> int:
+def _fiber_mask(space, x: int) -> int:
     return _table(space, (), x).get((), 0)
 
 
-def _empty_compatible(space: ConstrainedSpace) -> bool:
+def _empty_compatible(space) -> bool:
     """Whether the empty local function is compatible."""
     return () in space.constraint(())
 
 
-def _kary(space) -> ConstrainedSpace:
+@dataclass(frozen=True, slots=True)
+class _PairTable:
+    """A pair table of ``_Presentation``: a value a in ``keys`` allows
+    ``values`` at the other point, or a alone when ``values`` is None."""
+    keys: int
+    values: int | None
+
+    def get(self, key, default):
+        (a,) = key
+        if not self.keys >> a & 1:
+            return default
+        return 1 << a if self.values is None else self.values
+
+
+class _Presentation:
+    """``unary_to_binary(space)`` as the search reads it: A_I and the tables
+    come from the fibers, and no pair constraint is built."""
+
+    k = 2
+
+    def __init__(self, space: UnaryConstrainedSpace):
+        self.unary, self.topology, self.n = space, space.topology, space.n
+        self._tables: dict = {}
+
+    def constraint(self, points) -> frozenset:
+        """A_I for at most two points, as ``unary_to_binary`` stores it."""
+        I, space = tuple(sorted(points)), self.unary
+        if not I:
+            return frozenset({()} if space.a_empty else ())
+        if len(I) == 2 and space.related(*I):
+            return frozenset((a, a) for a in space.fibers[I[0]])
+        return frozenset(itertools.product(*(sorted(space.fibers[x]) for x in I)))
+
+    def _build_table(self, T, j):
+        fibers = self.unary.fibers
+        if not T:
+            return {(): mask_of(fibers[j])}
+        (q,) = T
+        if self.unary.related(q, j):
+            return _PairTable(mask_of(fibers[min(q, j)]), None)
+        return _PairTable(mask_of(fibers[q]), mask_of(fibers[j]))
+
+
+def _kary(space):
     """The space a search runs on: a unary space's binary presentation."""
     if isinstance(space, UnaryConstrainedSpace):
-        return unary_to_binary(space)
+        return _Presentation(space)
     return space
 
 
@@ -334,7 +380,7 @@ def _subsets(I: tuple, most: int) -> tuple:
     return tuple(out)
 
 
-def _extensions(space: ConstrainedSpace, I: tuple, g: tuple, j: int) -> int:
+def _extensions(space, I: tuple, g: tuple, j: int) -> int:
     """Bitmask over L of every b such that g, extended by j -> b, is
     compatible on I + {j}; g must be compatible on the sorted tuple I."""
     mask = -1
@@ -408,15 +454,13 @@ def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
     out = []
     tried = 0
 
-    def supports(idx, p):
-        """(S, values on S) for every sorted S holding p and at most k-2
-        points assigned before it."""
-        found = []
-        for size in range(min(space.k - 2, idx) + 1):
-            for rest in itertools.combinations(order[:idx], size):
-                S = tuple(sorted(rest + (p,)))
-                found.append((S, tuple(values[s] for s in S)))
-        return found
+    @functools.cache
+    def supports(idx):
+        """Every sorted S holding order[idx] and at most k-2 points assigned
+        before it."""
+        return [tuple(sorted(rest + (order[idx],)))
+                for size in range(min(space.k - 2, idx) + 1)
+                for rest in itertools.combinations(order[:idx], size)]
 
     def extend(idx, domains):
         nonlocal tried
@@ -429,9 +473,10 @@ def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
             if tried > budget:
                 raise BudgetExceeded("ccomp search exceeds budget")
             values[p] = v
-            held = supports(idx, p)
+            later = order[idx + 1:]
+            held = later and [(S, tuple(map(values.__getitem__, S))) for S in supports(idx)]
             narrowed = list(domains)
-            for q in order[idx + 1:]:
+            for q in later:
                 mask = narrowed[q]
                 if components[q] == components[p]:
                     mask &= 1 << v
@@ -495,11 +540,9 @@ def has_global_extension(space, budget: int = DEFAULT_BUDGET):
             for a in sorted(space.fibers[x]):
                 if not any(f[x] == a for f in functions):
                     return False, ((x,), (a,)), functions
-        for x in range(space.n):
-            for y in range(space.n):
-                if not space.related(x, y):
-                    if not any(f[x] != f[y] for f in functions):
-                        return False, ((x, y), None), functions
+        for x, y in itertools.product(range(space.n), repeat=2):
+            if not space.related(x, y) and all(f[x] == f[y] for f in functions):
+                return False, ((x, y), None), functions
         return True, None, functions
     for key in sorted(space.constraints, key=lambda s: (len(s), sorted(s))):
         order = tuple(sorted(key))
@@ -599,43 +642,31 @@ def binary_to_unary(space: ConstrainedSpace) -> UnaryConstrainedSpace:
         raise InvalidInput("binary_to_unary expects a binary space")
     n = space.n
     fibers = [frozenset(f[0] for f in space.constraint((x,))) for x in range(n)]
-    related = [[False] * n for _ in range(n)]
-    for x in range(n):
-        related[x][x] = True
+    related = [[x == y for y in range(n)] for x in range(n)]
     for x, y in itertools.combinations(range(n), 2):
         pairs = space.constraint_tuple((x, y))
         if all(a == b for a, b in pairs):
             if pairs != frozenset((a, a) for a in fibers[x]):
                 raise InvalidInput("pair %r is a proper subdiagonal" % ((x, y),))
             related[x][y] = related[y][x] = True
-        elif pairs == frozenset(itertools.product(fibers[x], fibers[y])):
-            pass
-        else:
+        elif pairs != frozenset(itertools.product(fibers[x], fibers[y])):
             raise InvalidInput(
                 "pair %r is neither a subdiagonal nor the product of its fibers"
                 % ((x, y),))
     classes = Congruence.from_blocks(min(y for y in range(n) if related[x][y])
                                      for x in range(n)).blocks
-    for x in range(n):
-        for y in range(n):
-            if (classes[x] == classes[y]) != related[x][y]:
-                raise InvalidInput("induced relation is not transitive at %r" % ((x, y),))
+    for x, y in itertools.product(range(n), repeat=2):
+        if (classes[x] == classes[y]) != related[x][y]:
+            raise InvalidInput("induced relation is not transitive at %r" % ((x, y),))
     a_empty = () in space.constraint(())
     return UnaryConstrainedSpace(space.topology, space.dualizer, fibers, classes, a_empty)
 
 
 def unary_to_binary(space: UnaryConstrainedSpace) -> ConstrainedSpace:
     """A_{x,y} := A_x x A_y off the equivalence, the diagonal of A_x on it."""
-    n = space.n
-    family: dict = {frozenset(): {()} if space.a_empty else set()}
-    for x in range(n):
-        family[frozenset((x,))] = {(a,) for a in space.fibers[x]}
-    for x, y in itertools.combinations(range(n), 2):
-        if space.related(x, y):
-            funs = {(a, a) for a in space.fibers[x]}
-        else:
-            funs = set(itertools.product(sorted(space.fibers[x]), sorted(space.fibers[y])))
-        family[frozenset((x, y))] = funs
+    binary = _Presentation(space)
+    family = {frozenset(I): binary.constraint(I)
+              for size in range(3) for I in itertools.combinations(range(space.n), size)}
     return ConstrainedSpace(2, space.topology, space.dualizer, family)
 
 
@@ -696,10 +727,10 @@ def priestley_from_order(top: FiniteTopology, leq, dl: FiniteAlgebra) -> Constra
 
 def priestley_to_order(space: ConstrainedSpace):
     """Extract x <= y  iff  (1,0) not in A_{x,y} from a binary 2_DL space:
-    over {0,1} that is every pair (a, b) having a <= b, as ``_mv_leq`` reads."""
+    over {0,1} that is every pair (a, b) having a <= b, as ``_mv_order`` reads."""
     if space.dualizer.size != 2:
         raise InvalidInput("the Priestley bridge needs the two-element lattice")
-    return [[_mv_leq(space, x, y) for y in range(space.n)] for x in range(space.n)]
+    return _mv_order(space)
 
 
 @dataclass(frozen=True)
@@ -720,8 +751,10 @@ class MVPriestleyReport:
                 and self.pairwise_extension and bool(self.matches_generic))
 
 
-def _mv_leq(space, x, y) -> bool:
-    return all(a <= b for a, b in space.constraint_tuple((x, y)))
+def _mv_order(space) -> list[list[bool]]:
+    """x <= y iff every pair (a, b) of A_{x,y} has a <= b."""
+    return [[all(a <= b for a, b in space.constraint_tuple((x, y))) for y in range(space.n)]
+            for x in range(space.n)]
 
 
 def mv_priestley_validate(space: ConstrainedSpace,
@@ -738,7 +771,7 @@ def mv_priestley_validate(space: ConstrainedSpace,
     if "oplus" not in space.dualizer.signature.names:
         raise InvalidInput("MV-Priestley validation expects a positive MV chain")
     n = space.n
-    leq = [[_mv_leq(space, x, y) for y in range(n)] for x in range(n)]
+    leq = _mv_order(space)
     order_ok = all(leq[x][x] for x in range(n))
     order_ok = order_ok and all(not (leq[x][y] and leq[y][x]) or x == y
                                 for x in range(n) for y in range(n))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .algebras import FiniteAlgebra, InvalidInput, Signature, power_tuple
 from .catalog import build
-from .constrained import ConstrainedSpace, UnaryConstrainedSpace, _mv_leq
+from .constrained import ConstrainedSpace, UnaryConstrainedSpace, _mv_order
 from .spaces import LSpace, lspace
 from .topology import bits_of, discrete_topology, mask_of, topology_from_subbasis
 
@@ -405,10 +405,8 @@ def export_dot(doc: SpaceDocument) -> str:
             lines.append("  }")
     elif doc.kind.startswith("constrained-"):
         space = doc.space
-        leq = [[_mv_leq(space, x, y) for y in range(space.n)]
-               for x in range(space.n)]
         labels = doc.dualizer.labels
-        for x, y in _hasse_edges(leq, space.n):
+        for x, y in _hasse_edges(_mv_order(space), space.n):
             lines.append('  "%s" -> "%s";' % (points[x], points[y]))
         for p in range(space.n):
             fiber = ",".join(labels[f[0]] for f in sorted(space.constraint((p,))))

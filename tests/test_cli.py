@@ -2,6 +2,7 @@ import argparse
 import itertools
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -96,6 +97,17 @@ comp: [["0", "0", "0"], ["0", "0", "1"], ["0", "0", "1/2"], ["1", "1", "0"], \
 ["1", "1", "1"], ["1", "1", "1/2"]]
 """),
 }
+
+
+# twenty points, each alone in its class, whose fibers are all of luk(999):
+# the searches stop at their budget, and no pair constraint (10^6 pairs for
+# each of the 190 pairs of points) is built before the budget is charged
+WIDE_UNARY = "".join([
+    "kind: constrained-unary\ndualizer: builtin:luk(999)\n",
+    "points: %s\n" % json.dumps(["p%d" % i for i in range(20)]),
+    "fibers: %s\n" % json.dumps([[str(Fraction(i, 999)) for i in range(1000)]] * 20),
+    "equiv: %s\n" % json.dumps([["p%d" % i] for i in range(20)]),
+])
 
 
 @pytest.fixture
@@ -298,6 +310,15 @@ def test_unary_documents_print_what_the_unary_branch_printed(capsys, tmp_path,
     path = tmp_path / "unary.dk"
     path.write_text(UNARY_OK if document == "ok" else UNARY_BROKEN)
     assert run(capsys, command, str(path))[:2] == UNARY_OUTPUTS[document, command]
+
+
+@pytest.mark.parametrize("command, search", [("comp", "ccomp"), ("func", "ccomp"),
+                                             ("gep", "ccomp"), ("lep", "local extension")])
+def test_wide_unary_document_exits_two_at_the_budget(capsys, tmp_path, command, search):
+    path = tmp_path / "wide.dk"
+    path.write_text(WIDE_UNARY)
+    assert run(capsys, command, str(path), "--budget", "20000") == (
+        2, "", "error: %s search exceeds budget\n" % search)
 
 
 @pytest.mark.parametrize("command", ["props", "comp"])

@@ -15,9 +15,11 @@ A second set of oracles covers the code that one re-indexing helper and the
 binary presentation of unary spaces replaced: ``ccomp`` with its unary
 branch (its budget count included), ``validate_constrained`` with its
 pairwise subdirectness loop, ``is_constrained_map`` pulling constraints back
-one tuple at a time, and ``priestley_to_order`` reading the forbidden pair
-(1, 0); they run on the random spaces and on every reflexive relation over
-dl2 on up to four points.
+one tuple at a time, ``priestley_to_order`` reading the forbidden pair
+(1, 0), and ``unary_to_binary`` building its family pair by pair; they run
+on the random spaces and on every reflexive relation over dl2 on up to four
+points.  The tables a unary search reads off the fibers are compared with
+those of ``unary_to_binary`` on every value of L.
 """
 
 import itertools
@@ -43,6 +45,7 @@ from dualkit.constrained import (
     LocalToGlobalVerdict,
     UnaryConstrainedSpace,
     _family_is_continuous,
+    _kary,
     _table,
     ccomp,
     compatible_local_functions,
@@ -463,7 +466,8 @@ def test_scott_continuity_on_cons_of_random_lspaces(seed, k):
 # ``ccomp`` as it was with its unary branch (and the two helpers that branched
 # with it), ``validate_constrained`` with its second, pairwise subdirectness
 # loop, ``is_constrained_map`` pulling constraints back one tuple at a time,
-# and ``priestley_to_order`` reading the forbidden pair (1, 0).
+# ``priestley_to_order`` reading the forbidden pair (1, 0), and
+# ``unary_to_binary`` building its family pair by pair.
 
 def unary_branch_fiber_mask(space, x: int) -> int:
     if isinstance(space, UnaryConstrainedSpace):
@@ -739,6 +743,41 @@ def test_unary_search_counts_the_budget_of_the_unary_branch(space):
         if work:
             with pytest.raises(BudgetExceeded):
                 has_local_extension(space, n_arity, budget=work - 1)
+
+
+def family_unary_to_binary(space: UnaryConstrainedSpace) -> ConstrainedSpace:
+    """A_{x,y} := A_x x A_y off the equivalence, the diagonal of A_x on it."""
+    n = space.n
+    family: dict = {frozenset(): {()} if space.a_empty else set()}
+    for x in range(n):
+        family[frozenset((x,))] = {(a,) for a in space.fibers[x]}
+    for x, y in itertools.combinations(range(n), 2):
+        if space.related(x, y):
+            funs = {(a, a) for a in space.fibers[x]}
+        else:
+            funs = set(itertools.product(sorted(space.fibers[x]), sorted(space.fibers[y])))
+        family[frozenset((x, y))] = funs
+    return ConstrainedSpace(2, space.topology, space.dualizer, family)
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=unary_spaces())
+def test_unary_search_reads_the_binary_presentation(space):
+    # unary_to_binary stores what the loop over pairs stored, and the search
+    # reads a unary space through A_I and tables computed from its fibers; on
+    # every value of L they agree with those of unary_to_binary
+    binary, presented = unary_to_binary(space), _kary(space)
+    assert binary.constraints == family_unary_to_binary(space).constraints
+    n, size = space.n, space.dualizer.size
+    for I in subsets(n):
+        if len(I) <= 2:
+            assert presented.constraint(I) == binary.constraint(I)
+    for j in range(n):
+        assert _table(presented, (), j).get((), 0) == _table(binary, (), j).get((), 0)
+        for q in range(n):
+            if q != j:
+                assert ([_table(presented, (q,), j).get((a,), 0) for a in range(size)]
+                        == [_table(binary, (q,), j).get((a,), 0) for a in range(size)])
 
 
 def test_unary_spaces_keep_the_unary_branch_budget_on_wide_fibers():
