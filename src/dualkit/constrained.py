@@ -5,29 +5,39 @@ family of constraints A_I <= L^I for |I| <= k; the unary form replaces the
 family by one subuniverse of L per point and a closed equivalence relation.
 Constraints are stored for |I| = min(k, n) and |I| <= 1 only (a key of any
 other size is rejected); intermediate sizes are derived by projection, which
-subdirectness makes unambiguous (validation checks exactly that).  Local
-functions on I are tuples aligned with sorted(I), and ``_reindex`` is the one
-place that reads them at other points of I.
+subdirectness makes unambiguous (validation checks exactly that).
 
-Every search over local functions (the compatible functions on a set of
-points, the local extension property, ccomp, the possible-extension sets)
-goes through one lookup, the extension mask ``_extensions(space, I, g, j)``:
-for g compatible on the sorted tuple I and a point j outside it, the bitmask
-over L of every b such that g extended by j -> b is compatible on I + {j}.
-It ANDs one table per subset T of I with |T| <= k-1; the table for (T, j)
-maps the values of a function on T to the values at j that A_{T+{j}} allows
-(T empty gives j's fiber).  Local constancy narrows it further: b must equal
-g(q) when q lies in N(j) or j in N(q).  The tables are built on first use and
-cached on the space, so every search on one space shares them.  Only the
-compatible functions are ever enumerated: those on I extend those on I[:-1]
-by I[-1].  A unary space is searched through its binary presentation
+The store is coded.  A local function f on the sorted tuple I is the integer
+whose digits in base |L| are f(I[0]), f(I[1]), ..., most significant first.
+Codes of one length compare as their digit strings do, so code order is
+the lexicographic order of the local functions, and sorting codes sorts
+functions.  Each A_I is a frozenset of codes, held once, so the store grows
+with the sum of |A_I| and never with |L|^|I|.  ``constraints``,
+``constraint()`` and ``constraint_tuple()`` decode on first use and present
+A_I as frozensets of tuples aligned with sorted(I); ``_reindex`` reads those
+at other points of I.
+
+Every search over local and global functions keeps one value mask per point
+(bit b of the mask of q: q may still take b) and changes it by one narrowing
+step, ``_narrow``.  Assigning p := v ANDs in, for each S of at most k-2
+points assigned earlier, the extension row of T = S + {p} at the code of the
+values on T: its entry at q is the mask of the values A_{T+{q}} allows at q
+with them.  Local constancy then pins to v the points it ties to p.  The
+rows of one T are built from the codes on first use and cached on the space,
+so every search on one space shares them.  ``ccomp`` backtracks as soon as
+a point it has not assigned is left without values (forward checking).  The compatible local functions on I (for
+``compatible_local_functions``, the local extension property and
+``local_to_global_verify``) each carry their row, extended point by point in
+ascending order, so g on I extends by j exactly when row[j] is not zero.  A
+unary space is searched through its binary presentation
 (``unary_to_binary``), read off the fibers so that no pair constraint is
 built: the diagonal of the fiber on equivalent points and the product of the
-fibers elsewhere give the same masks, search order and budget count.
+fibers elsewhere give the same rows, search order and budget count.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -54,55 +64,111 @@ def _reindex(funs, I_sorted, xs) -> frozenset:
     return frozenset(tuple(f[i] for i in at) for f in funs)
 
 
-class ConstrainedSpace:
-    """A k-ary constrained space for k >= 2 (immutable after construction)."""
+def _encode(values, size: int) -> int:
+    """The code of a local function given by its values in point order."""
+    code = 0
+    for v in values:
+        code = code * size + v
+    return code
 
-    __slots__ = ("k", "topology", "dualizer", "constraints", "_derived", "_tables")
+
+def _decode(code: int, length: int, size: int) -> tuple[int, ...]:
+    values = [0] * length
+    for i in range(length - 1, -1, -1):
+        code, values[i] = divmod(code, size)
+    return tuple(values)
+
+
+def _project(codes, I: tuple, J: tuple, size: int) -> frozenset:
+    """The codes of local functions on the sorted tuple I, read at the sorted
+    points J of I."""
+    at = [I.index(x) for x in J]
+    return frozenset(_encode([values[i] for i in at], size)
+                     for values in (_decode(c, len(I), size) for c in codes))
+
+
+def _encode_functions(funs, I: tuple, size: int) -> frozenset:
+    """Codes of local functions given as tuples aligned with I."""
+    codes = set()
+    for f in funs:
+        if len(f) != len(I):
+            raise InvalidInput("local function of wrong length for %r" % (I,))
+        if any(not 0 <= v < size for v in f):
+            raise InvalidInput("local function value outside the carrier")
+        codes.add(_encode(f, size))
+    return frozenset(codes)
+
+
+def _given_codes(codes, I: tuple, size: int) -> frozenset:
+    return frozenset(codes)
+
+
+class ConstrainedSpace:
+    """A k-ary constrained space for k >= 2 (immutable after construction).
+
+    ``constraints`` maps each point set I to its local functions, tuples
+    aligned with sorted(I).
+    """
+
+    __slots__ = ("k", "topology", "dualizer", "_codes", "_derived", "_decoded", "_tables",
+                 "_constraints")
 
     def __init__(self, k: int, topology: FiniteTopology, dualizer: FiniteAlgebra,
                  constraints: dict):
+        self._store(k, topology, dualizer, constraints, _encode_functions)
+
+    @classmethod
+    def _from_codes(cls, k: int, topology: FiniteTopology, dualizer: FiniteAlgebra,
+                    codes: dict) -> "ConstrainedSpace":
+        """The space whose constraint on each key I holds the given codes."""
+        space = object.__new__(cls)
+        space._store(k, topology, dualizer, codes, _given_codes)
+        return space
+
+    def _store(self, k, topology, dualizer, given, convert):
         if k < 2:
             raise InvalidInput("k-ary constrained spaces require k >= 2; use the unary form")
         n = topology.n
         m = min(k, n)
-        required = {frozenset(c) for c in itertools.combinations(range(n), m)}
-        required |= {frozenset((x,)) for x in range(n)}
-        required.add(frozenset())
-        normalized = {}
-        given = {frozenset(key): frozenset(tuple(f) for f in funs)
-                 for key, funs in constraints.items()}
-        for key in given:
-            if not key <= set(range(n)):
+        points = frozenset(range(n))
+        keyed = {}
+        for key, funs in given.items():
+            key = frozenset(key)
+            if not key <= points:
                 raise InvalidInput("constraint key outside the point set")
             if len(key) > k:
                 raise InvalidInput("constraint key larger than k")
             if 1 < len(key) < m:
                 raise InvalidInput("constraint key %r has %d points; stored keys have %d "
                                    "or at most one" % (sorted(key), len(key), m))
-        # larger keys first so smaller ones can be derived by projection
-        for key in sorted(required, key=lambda s: (-len(s), sorted(s))):
-            if key in given:
-                normalized[key] = given[key]
-            elif len(key) < m:
-                normalized[key] = _derive_by_projection(normalized, key, n, m)
-            elif len(key) == 0 and dualizer.signature.constants:
-                normalized[key] = frozenset(((),))
+            keyed[tuple(sorted(key))] = funs
+        # the stored keys, larger first so smaller ones can be derived by
+        # projection, and lexicographically within one size
+        order = list(itertools.combinations(range(n), m))
+        order += [(x,) for x in range(n)] if m > 1 else []
+        order += [()] if m > 0 else []
+        constant = dualizer.signature.constants
+        for I in order:
+            if I not in keyed and len(I) >= m and not (len(I) == 0 and constant):
+                raise InvalidInput("missing constraint for %r" % list(I))
+        size = dualizer.size
+        codes = {}
+        for I in order:
+            if I in keyed:
+                codes[I] = convert(keyed[I], I, size)
+            elif len(I) < m:
+                codes[I] = _derive_by_projection(codes, I, n, m, size)
             else:
-                raise InvalidInput("missing constraint for %r" % sorted(key))
-        for key, funs in normalized.items():
-            order = tuple(sorted(key))
-            for f in funs:
-                if len(f) != len(order):
-                    raise InvalidInput("local function of wrong length for %r" % (order,))
-                if any(not 0 <= v < dualizer.size for v in f):
-                    raise InvalidInput("local function value outside the carrier")
+                codes[I] = frozenset((0,))          # the empty function
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "topology", topology)
         object.__setattr__(self, "dualizer", dualizer)
-        object.__setattr__(self, "constraints", normalized)
+        object.__setattr__(self, "_codes", codes)
         object.__setattr__(self, "_derived", {})
-        # extension-mask tables keyed by (T, j), built on first use
+        object.__setattr__(self, "_decoded", {})
+        # extension rows by point set T, built on first use
         object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_constraints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ConstrainedSpace is immutable")
@@ -111,18 +177,26 @@ class ConstrainedSpace:
     def n(self) -> int:
         return self.topology.n
 
+    @property
+    def constraints(self) -> dict:
+        """The stored constraints, keyed by frozenset(I), larger keys first."""
+        if self._constraints is None:
+            object.__setattr__(self, "_constraints",
+                               {frozenset(I): self.constraint(I) for I in self._codes})
+        return self._constraints
+
     def constraint(self, points) -> frozenset:
         """A_I for any I with |I| <= k, derived by projection if not stored."""
         key = frozenset(points)
         if len(key) > self.k:
             raise InvalidInput("constraint arity exceeds k")
-        if key in self.constraints:
-            return self.constraints[key]
-        if key not in self._derived:
-            m = min(self.k, self.n)
-            self._derived[key] = _derive_by_projection(
-                self.constraints, key, self.n, m)
-        return self._derived[key]
+        I = tuple(sorted(key))
+        funs = self._decoded.get(I)
+        if funs is None:
+            size = self.dualizer.size
+            funs = self._decoded[I] = frozenset(
+                _decode(c, len(I), size) for c in self._codes_of(I))
+        return funs
 
     def constraint_tuple(self, xs) -> frozenset:
         """A_{<x1..xl>} in the tuple presentation (repeats allowed)."""
@@ -130,25 +204,62 @@ class ConstrainedSpace:
         key_sorted = tuple(sorted(set(xs)))
         return _reindex(self.constraint(key_sorted), key_sorted, xs)
 
-    def _build_table(self, T, j) -> dict:
-        S = tuple(sorted(T + (j,)))
-        at = S.index(j)
-        table = {}
-        for f in self.constraint(S):
-            key = f[:at] + f[at + 1:]
-            table[key] = table.get(key, 0) | 1 << f[at]
+    def _codes_of(self, I: tuple) -> frozenset:
+        """A_I as codes, for a sorted tuple I of at most k points."""
+        codes = self._codes.get(I)
+        if codes is None:
+            codes = self._derived.get(I)
+            if codes is None:
+                codes = self._derived[I] = _derive_by_projection(
+                    self._codes, I, self.n, min(self.k, self.n), self.dualizer.size)
+        return codes
+
+    def _build_table(self, T: tuple) -> "_Rows":
+        """The extension rows of the sorted tuple T: for each code of values
+        on T, the mask at every point j outside T of the values that
+        A_{T+{j}} allows with them (-1 on T itself)."""
+        n, size = self.n, self.dualizer.size
+        blank = [0] * n
+        for q in T:
+            blank[q] = -1
+        table = _Rows(blank)
+        for j in range(n):
+            if j in T:
+                continue
+            at = bisect.bisect(T, j)
+            S = T[:at] + (j,) + T[at:]
+            # the code on T drops j's digit, of weight ``below``
+            below = size ** (len(T) - at)
+            above = below * size
+            for c in self._codes_of(S):
+                key = c // above * below + c % below
+                row = table.get(key)
+                if row is None:
+                    row = table[key] = blank.copy()
+                row[j] |= 1 << (c // below % size)
         return table
 
 
-def _derive_by_projection(stored, key, n, m):
-    if len(key) >= m:
-        raise InvalidInput("cannot derive a constraint of size %d" % len(key))
-    rest = [p for p in range(n) if p not in key]
-    superset = frozenset(sorted(key) + rest[: m - len(key)])
+class _Rows(dict):
+    """Extension rows by code; a code no function carries reads ``blank``."""
+
+    def __init__(self, blank):
+        super().__init__()
+        self.blank = blank
+
+    def __missing__(self, code):
+        return self.blank
+
+
+def _derive_by_projection(stored, I, n, m, size):
+    if len(I) >= m:
+        raise InvalidInput("cannot derive a constraint of size %d" % len(I))
+    rest = [p for p in range(n) if p not in I]
+    superset = tuple(sorted(I + tuple(rest[: m - len(I)])))
     base = stored.get(superset)
     if base is None:
-        raise InvalidInput("missing constraint for %r" % sorted(superset))
-    return _reindex(base, tuple(sorted(superset)), sorted(key))
+        raise InvalidInput("missing constraint for %r" % list(superset))
+    return _project(base, superset, I, size)
 
 
 class UnaryConstrainedSpace:
@@ -217,18 +328,22 @@ def validate_constrained(space: ConstrainedSpace) -> ConstrainedReport:
     L, n, k = space.dualizer, space.n, space.k
     m = min(k, n)
     subdirect = True
-    for key, funs in space.constraints.items():
-        if unclosed_operation(L, len(key), funs) is not None:
-            raise InvalidInput("constraint for %r is not a subuniverse" % sorted(key))
+    # many keys hold the same set (a Priestley space has four pair sets at
+    # most), and the answer depends on the set alone
+    closed = set()
+    for I, codes in space._codes.items():
+        if (len(I), codes) not in closed:
+            if unclosed_operation(L, len(I), space.constraint(I)) is not None:
+                raise InvalidInput("constraint for %r is not a subuniverse" % list(I))
+            closed.add((len(I), codes))
     # every projection of every stored A_I equals the A_J that constraint()
     # derives, so any two stored constraints agree on their common points
-    stored_m = [key for key in space.constraints if len(key) == m]
-    for key in stored_m:
-        I_sorted = tuple(sorted(key))
-        for size in range(m):
-            for J in itertools.combinations(I_sorted, size):
-                if _reindex(space.constraints[key], I_sorted, J) != space.constraint(J):
-                    subdirect = False
+    for I, codes in space._codes.items():
+        if len(I) == m:
+            for size in range(m):
+                for J in itertools.combinations(I, size):
+                    if _project(codes, I, J, L.size) != space._codes_of(J):
+                        subdirect = False
 
     continuous = _family_is_continuous(space)
 
@@ -294,19 +409,17 @@ def validate_unary(space: UnaryConstrainedSpace) -> UnaryReport:
     return UnaryReport(subdirect, continuous, separated, equiv_closed, separation_witnessed)
 
 
-# --- extension masks --------------------------------------------------------------
+# --- the narrowing step -----------------------------------------------------------
 
-def _table(space, T, j):
-    """Values of a function on the sorted tuple T -> mask of the values at j
-    that A_{T+{j}} allows with them (j outside T, |T| <= k-1)."""
-    table = space._tables.get((T, j))
+def _table(space, T: tuple):
+    """The extension rows of the sorted tuple T (|T| <= k-1), by the code of
+    the values on T: at each point j outside T, the mask of the values at j
+    that A_{T+{j}} allows with them; -1 on T.  T empty gives the fibers, at
+    code 0."""
+    table = space._tables.get(T)
     if table is None:
-        table = space._tables[T, j] = space._build_table(T, j)
+        table = space._tables[T] = space._build_table(T)
     return table
-
-
-def _fiber_mask(space, x: int) -> int:
-    return _table(space, (), x).get((), 0)
 
 
 def _empty_compatible(space) -> bool:
@@ -314,28 +427,72 @@ def _empty_compatible(space) -> bool:
     return () in space.constraint(())
 
 
-@dataclass(frozen=True, slots=True)
-class _PairTable:
-    """A pair table of ``_Presentation``: a value a in ``keys`` allows
-    ``values`` at the other point, or a alone when ``values`` is None."""
-    keys: int
-    values: int | None
+def _narrow(masks, held, pinned: int, v: int) -> list[int]:
+    """The value masks after p := v.  ``held`` has (table, base, weight) for
+    every T = S + {p}, S of at most k-2 points assigned earlier (S empty
+    among them): T's table, and the code of the values on T less v times
+    the weight of p's digit.  The points in ``pinned`` are those local
+    constancy ties to p, and they must take v."""
+    for table, base, weight in held:
+        masks = list(map(operator.and_, masks, table[base + v * weight]))
+    if pinned:
+        for q in bits_of(pinned):
+            masks[q] &= 1 << v
+    return masks
 
-    def get(self, key, default):
-        (a,) = key
-        if not self.keys >> a & 1:
-            return default
-        return 1 << a if self.values is None else self.values
+
+def _ties(top: FiniteTopology) -> list[int]:
+    """The points local constancy ties to each point p: those in N(p) and
+    those whose neighbourhood holds p, less p."""
+    ties = list(top.nbhds)
+    for q, u in enumerate(top.nbhds):
+        for p in bits_of(u):
+            ties[p] |= 1 << q
+    return [mask & ~(1 << p) for p, mask in enumerate(ties)]
+
+
+def _codes_on(columns, count: int, I: tuple, size: int) -> frozenset:
+    """The codes on I of ``count`` functions given by their values at each
+    point, ``columns[p]``."""
+    if not count:
+        return frozenset()
+    if not I:
+        return frozenset((0,))
+    codes = columns[I[0]]
+    for p in I[1:]:
+        codes = [c * size + v for c, v in zip(codes, columns[p])]
+    return frozenset(codes)
+
+
+class _PresentedRows(dict):
+    """The extension rows of one point q of ``_Presentation``, built for
+    each value a on first use, as ``unary_to_binary``'s pair constraints give
+    them: at an equivalent point, a alone if the fiber of the smaller of the
+    two points holds it; elsewhere that point's fiber if q's fiber holds a."""
+
+    def __init__(self, space: UnaryConstrainedSpace, q: int, fibers: list[int]):
+        super().__init__()
+        self.space, self.q, self.fibers = space, q, fibers
+
+    def __missing__(self, a):
+        space, q, fibers = self.space, self.q, self.fibers
+        free = fibers if fibers[q] >> a & 1 else [0] * len(fibers)
+        row = self[a] = [(fibers[min(q, j)] & 1 << a) if space.related(q, j) else free[j]
+                         for j in range(len(fibers))]
+        row[q] = -1
+        return row
 
 
 class _Presentation:
-    """``unary_to_binary(space)`` as the search reads it: A_I and the tables
+    """``unary_to_binary(space)`` as the search reads it: A_I and the rows
     come from the fibers, and no pair constraint is built."""
 
     k = 2
 
     def __init__(self, space: UnaryConstrainedSpace):
         self.unary, self.topology, self.n = space, space.topology, space.n
+        self.dualizer = space.dualizer
+        self.fibers = [mask_of(f) for f in space.fibers]
         self._tables: dict = {}
 
     def constraint(self, points) -> frozenset:
@@ -347,14 +504,13 @@ class _Presentation:
             return frozenset((a, a) for a in space.fibers[I[0]])
         return frozenset(itertools.product(*(sorted(space.fibers[x]) for x in I)))
 
-    def _build_table(self, T, j):
-        fibers = self.unary.fibers
+    def _build_table(self, T: tuple):
         if not T:
-            return {(): mask_of(fibers[j])}
+            table = _Rows([0] * self.n)
+            table[0] = self.fibers
+            return table
         (q,) = T
-        if self.unary.related(q, j):
-            return _PairTable(mask_of(fibers[min(q, j)]), None)
-        return _PairTable(mask_of(fibers[q]), mask_of(fibers[j]))
+        return _PresentedRows(self.unary, q, self.fibers)
 
 
 def _kary(space):
@@ -365,55 +521,55 @@ def _kary(space):
 
 
 @functools.lru_cache(maxsize=4096)
-def _subsets(I: tuple, most: int) -> tuple:
-    """(T, key) for every T <= I with |T| <= most, where key picks the
-    values on T out of a function on I as a tuple."""
-    out = []
-    for size in range(min(most, len(I)) + 1):
-        for positions in itertools.combinations(range(len(I)), size):
-            if size > 1:
-                key = operator.itemgetter(*positions)
-            else:       # a slice keeps the value a tuple
-                start = positions[0] if positions else 0
-                key = operator.itemgetter(slice(start, start + size))
-            out.append((tuple(I[i] for i in positions), key))
-    return tuple(out)
+def _subsets(length: int, most: int) -> tuple:
+    """The positions of every subset of at most ``most`` of ``length``
+    positions, by size and then lexicographically."""
+    return tuple(positions for size in range(min(most, length) + 1)
+                 for positions in itertools.combinations(range(length), size))
 
 
-def _extensions(space, I: tuple, g: tuple, j: int) -> int:
-    """Bitmask over L of every b such that g, extended by j -> b, is
-    compatible on I + {j}; g must be compatible on the sorted tuple I."""
-    mask = -1
-    for T, key in _subsets(I, space.k - 1):
-        mask &= _table(space, T, j).get(key(g), 0)
-    nbhds = space.topology.nbhds
-    around = nbhds[j]
-    for q, v in zip(I, g):
-        if around >> q & 1 or nbhds[q] >> j & 1:
-            mask &= 1 << v
-    return mask
+def _start(space):
+    """The compatible local functions on no points, with their rows."""
+    if not _empty_compatible(space):
+        return [], []
+    return [()], [_table(space, ())[0]]
 
 
-def _extend_all(space, I, funs, j) -> list[tuple[int, ...]]:
-    """Every compatible extension by j of the functions funs, compatible on
-    the sorted tuple I; with j above I, lexicographic order is kept."""
-    return [g + (b,) for g in funs for b in bits_of(_extensions(space, I, g, j))]
+def _extend_all(space, I, funs, rows, j, pinned):
+    """Every compatible extension by j of the functions funs on the sorted
+    tuple I, with its row; with j above I, lexicographic order is kept, and
+    j's digit is the last of every code, of weight 1."""
+    size = space.dualizer.size
+    tables = [(S, _table(space, tuple([I[i] for i in S]) + (j,)))
+              for S in _subsets(len(I), space.k - 2)]
+    extended, extended_rows = [], []
+    for g, row in zip(funs, rows):
+        held = [(table, _encode([g[i] for i in S], size) * size, 1) for S, table in tables]
+        for b in bits_of(row[j]):
+            extended.append(g + (b,))
+            extended_rows.append(_narrow(row, held, pinned, b))
+    return extended, extended_rows
 
 
 def _local_functions(space, max_size: int):
-    """(I, compatible local functions on I) for every I of at most max_size
-    points, by size and then lexicographically; the functions on I are those
-    on I[:-1] extended by I[-1], so each list is in lexicographic order."""
+    """(I, compatible local functions on I, their rows) for every I of at
+    most max_size points, by size and then lexicographically; the functions
+    on I are those on I[:-1] extended by I[-1], so each list is in
+    lexicographic order."""
     if max_size < 0:
         return
-    level = {(): [()] if _empty_compatible(space) else []}
-    yield (), level[()]
+    ties = _ties(space.topology)
+    level = {(): _start(space)}
+    yield ((), *level[()])
     for size in range(1, max_size + 1):
+        # the last level is not extended, so it is not kept
         previous, level = level, {}
         for I in itertools.combinations(range(space.n), size):
             head, j = I[:-1], I[-1]
-            level[I] = funs = _extend_all(space, head, previous[head], j)
-            yield I, funs
+            funs, rows = _extend_all(space, head, *previous[head], j, ties[j])
+            if size < max_size:
+                level[I] = funs, rows
+            yield I, funs, rows
 
 
 def compatible_local_functions(space, points_sorted) -> list[tuple[int, ...]]:
@@ -421,9 +577,10 @@ def compatible_local_functions(space, points_sorted) -> list[tuple[int, ...]]:
     lexicographic order."""
     space = _kary(space)
     I = tuple(points_sorted)
-    funs = [()] if _empty_compatible(space) else []
+    ties = _ties(space.topology)
+    funs, rows = _start(space)
     for i, j in enumerate(I):
-        funs = _extend_all(space, I[:i], funs, j)
+        funs, rows = _extend_all(space, I[:i], funs, rows, j, ties[j])
     return funs
 
 
@@ -433,34 +590,41 @@ def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
     """The continuous compatible global functions, by forward checking.
 
     Points are assigned in ascending fiber-size order.  Assigning p := v
-    narrows the value mask of every unassigned point q: by each constraint
-    on q, p and at most k-2 further assigned points (for a unary space, the
+    narrows the value masks (``_narrow``) by each constraint on p, at most
+    k-2 further assigned points and one more point (for a unary space, the
     pair constraint of its binary presentation carries the equivalence), and
-    to v on p's topological component (which is exactly the continuity
+    pins p's topological component to v (which is exactly the continuity
     requirement).  A point left without values ends the branch.  Every value
     tried counts one unit of ``budget``; BudgetExceeded once the count
     passes it.
     """
     space = _kary(space)
-    top, n = space.topology, space.n
+    top, n, size = space.topology, space.n, space.dualizer.size
     if not _empty_compatible(space):
         return []
     if n == 0:
         return [()]
-    start = [_fiber_mask(space, x) for x in range(n)]
+    start = _table(space, ())[0]
     order = sorted(range(n), key=lambda x: (start[x].bit_count(), x))
     components = top.components()
+    blocks = [0] * n
+    for q, c in enumerate(components):
+        blocks[c] |= 1 << q
+    pinned = [blocks[c] & ~(1 << p) for p, c in enumerate(components)]
     values: list[int | None] = [None] * n
     out = []
     tried = 0
 
     @functools.cache
     def supports(idx):
-        """Every sorted S holding order[idx] and at most k-2 points assigned
-        before it."""
-        return [tuple(sorted(rest + (order[idx],)))
-                for size in range(min(space.k - 2, idx) + 1)
-                for rest in itertools.combinations(order[:idx], size)]
+        """(T, the table of T, the weight of p's digit) for every sorted T
+        holding p = order[idx] and at most k-2 points assigned before it."""
+        p = order[idx]
+        found = []
+        for rest in _subsets(idx, space.k - 2):
+            T = tuple(sorted([order[i] for i in rest] + [p]))
+            found.append((T, _table(space, T), size ** (len(T) - 1 - T.index(p))))
+        return found
 
     def extend(idx, domains):
         nonlocal tried
@@ -468,24 +632,17 @@ def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
             out.append(tuple(values))
             return
         p = order[idx]
+        held = [(table, _encode([0 if q == p else values[q] for q in T], size), weight)
+                for T, table, weight in supports(idx)]
         for v in bits_of(domains[p]):
             tried += 1
             if tried > budget:
                 raise BudgetExceeded("ccomp search exceeds budget")
             values[p] = v
-            later = order[idx + 1:]
-            held = later and [(S, tuple(map(values.__getitem__, S))) for S in supports(idx)]
-            narrowed = list(domains)
-            for q in later:
-                mask = narrowed[q]
-                if components[q] == components[p]:
-                    mask &= 1 << v
-                for S, key in held:
-                    mask &= _table(space, S, q).get(key, 0)
-                if not mask:
-                    break
-                narrowed[q] = mask
-            else:
+            narrowed = _narrow(domains, held, pinned[p], v)
+            # an assigned point keeps the value it took, which every later
+            # assignment allowed, so a zero is a later point without values
+            if 0 not in narrowed:
                 extend(idx + 1, narrowed)
         values[p] = None
 
@@ -515,12 +672,11 @@ def cons(X: LSpace, k: int):
         return UnaryConstrainedSpace(X.topology, X.dualizer, fibers, classes, a_empty)
     if k < 1:
         raise InvalidInput("constraint arity must be >= 1")
-    m = min(k, n)
-    family = {}
-    for size in {m, 0, 1}:
-        for key in itertools.combinations(range(n), size):
-            family[frozenset(key)] = {tuple(f[p] for p in key) for f in functions}
-    return ConstrainedSpace(k, X.topology, X.dualizer, family)
+    m, size = min(k, n), X.dualizer.size
+    columns = list(zip(*functions))
+    family = {I: _codes_on(columns, len(functions), I, size)
+              for points in {m, 0, 1} for I in itertools.combinations(range(n), points)}
+    return ConstrainedSpace._from_codes(k, X.topology, X.dualizer, family)
 
 
 # --- extension properties --------------------------------------------------------
@@ -544,14 +700,18 @@ def has_global_extension(space, budget: int = DEFAULT_BUDGET):
             if not space.related(x, y) and all(f[x] == f[y] for f in functions):
                 return False, ((x, y), None), functions
         return True, None, functions
-    for key in sorted(space.constraints, key=lambda s: (len(s), sorted(s))):
-        order = tuple(sorted(key))
-        covered = {tuple(f[p] for p in order) for f in functions}
-        for g in sorted(space.constraints[key]):
-            if g not in covered:
-                return False, (order, g), functions
-        if not covered <= space.constraints[key]:
-            return False, (order, None), functions
+    size = space.dualizer.size
+    columns = list(zip(*functions))
+    # code order is lexicographic, so the least missing code is the first
+    # missing local function
+    for I in sorted(space._codes, key=lambda I: (len(I), I)):
+        allowed = space._codes[I]
+        covered = _codes_on(columns, len(functions), I, size)
+        missing = allowed - covered
+        if missing:
+            return False, (I, _decode(min(missing), len(I), size)), functions
+        if not covered <= allowed:
+            return False, (I, None), functions
     return True, None, functions
 
 
@@ -563,14 +723,15 @@ def has_local_extension(space, n_arity: int, budget: int = DEFAULT_BUDGET):
     space = _kary(space)
     n = space.n
     work = 0
-    for I, funs in _local_functions(space, min(n_arity, n)):
+    for I, funs, rows in _local_functions(space, min(n_arity, n)):
         work += len(funs)
-        for g in funs:
-            work += n - len(I)          # the extension tests of g
+        outside = [j for j in range(n) if j not in I]
+        for g, row in zip(funs, rows):
+            work += len(outside)        # the extension tests of g
             if work > budget:
                 raise BudgetExceeded("local extension search exceeds budget")
-            for j in range(n):
-                if j not in I and not _extensions(space, I, g, j):
+            for j in outside:
+                if not row[j]:
                     return False, (I, j, g)
     return True, None
 
@@ -584,7 +745,7 @@ def possible_extensions(space: ConstrainedSpace, points_sorted, fun, y: int) -> 
     if y in points_sorted:
         raise InvalidInput("extension point must lie outside I")
     I, f = zip(*sorted(zip(points_sorted, fun))) if points_sorted else ((), ())
-    mask = _table(space, I, y).get(f, 0) & _fiber_mask(space, y)
+    mask = _table(space, I)[_encode(f, space.dualizer.size)][y] & _table(space, ())[0][y]
     return frozenset(bits_of(mask))
 
 
@@ -611,15 +772,17 @@ def local_to_global_verify(space: ConstrainedSpace, m: TermFunction,
         raise InvalidInput("local_to_global_verify needs a near-unanimity function")
     if m.arity != space.k + 1:
         raise InvalidInput("near-unanimity arity must be k+1")
-    k = space.k
-    for I, funs in _local_functions(space, k - 1):
+    k, L = space.k, space.dualizer
+    fibers = _table(space, ())[0]
+    for I, funs, _ in _local_functions(space, k - 1):
         for g in funs:
+            # the possible-extension sets of g, one per point y outside I
+            row = _table(space, I)[_encode(g, L.size)]
             for y in range(space.n):
                 if y in I:
                     continue
-                M = possible_extensions(space, I, g, y)
-                fiber = bits_of(_fiber_mask(space, y))
-                if not _convex_within(space.dualizer, m, M, fiber):
+                M = frozenset(bits_of(row[y] & fibers[y]))
+                if not _convex_within(L, m, M, bits_of(fibers[y])):
                     raise AssertionError(
                         "possible-extension set is not convex: lemma violated")
     lep, lep_wit = has_local_extension(space, k * (k - 1), budget=budget)
@@ -712,17 +875,20 @@ def priestley_from_order(top: FiniteTopology, leq, dl: FiniteAlgebra) -> Constra
     if not top.is_closed_relation([mask_of(y for y in range(n) if leq[x][y])
                                    for x in range(n)]):
         raise InvalidInput("relation is not closed in the product")
-    family: dict = {frozenset(): {()}}
+    family: dict = {(): frozenset((0,))}
     for x in range(n):
-        family[frozenset((x,))] = {(0,), (1,)}
+        family[x,] = frozenset((0, 1))
     for x, y in itertools.combinations(range(n), 2):
-        funs = {(0, 0), (1, 1)}
-        if not leq[y][x]:
-            funs.add((0, 1))
-        if not leq[x][y]:
-            funs.add((1, 0))
-        family[frozenset((x, y))] = funs
-    return ConstrainedSpace(2, top, dl, family)
+        family[x, y] = _PRIESTLEY_PAIRS[bool(leq[y][x]), bool(leq[x][y])]
+    return ConstrainedSpace._from_codes(2, top, dl, family)
+
+
+# A_{x,y} by (y <= x, x <= y), as the codes 2a + b of its pairs (a, b): the
+# diagonal 0 and 3, then (0, 1) unless y <= x and (1, 0) unless x <= y
+_PRIESTLEY_PAIRS = {(False, False): frozenset((0, 1, 2, 3)),
+                    (False, True): frozenset((0, 1, 3)),
+                    (True, False): frozenset((0, 2, 3)),
+                    (True, True): frozenset((0, 3))}
 
 
 def priestley_to_order(space: ConstrainedSpace):

@@ -33,17 +33,33 @@ def mask_of(points) -> int:
     return mask
 
 
+# _BYTE_BITS[k][b]: the set bits of byte b, as positions in byte k of a mask
+_BYTE_BITS = tuple(tuple(tuple(8 * k + i for i in range(8) if b >> i & 1) for b in range(256))
+                   for k in range(3))
+
+
 def bits_of(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of mask, ascending.
+
+    The low 24 bits, which hold every point mask (at most ``MAX_POINTS``
+    bits), are read off three byte tables.  Above them the walk jumps from
+    one lowest set bit to the next, so a wide sparse mask, such as a value
+    mask over a large carrier, costs one step per set bit and not one per
+    bit position.
+    """
     if mask < 0:
         raise InvalidInput("a point set mask cannot be negative")
-    out = []
-    i = 0
+    low, middle, high = _BYTE_BITS
+    out = low[mask & 255] + middle[mask >> 8 & 255] + high[mask >> 16 & 255]
+    mask >>= 24
+    if not mask:
+        return out
+    wide = list(out)
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+        lowest = mask & -mask
+        wide.append(lowest.bit_length() + 23)
+        mask ^= lowest
+    return tuple(wide)
 
 
 @dataclass(frozen=True)

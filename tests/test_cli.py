@@ -331,6 +331,40 @@ def test_intermediate_constraint_key_exits_two(capsys, tmp_path, command):
                    "stored keys have 3 or at most one\n")
 
 
+# the pair set of a and b is the diagonal, the other two swap the values:
+# neither is closed under meet, and a, c is the first of them in key order
+NOT_CLOSED = """\
+kind: constrained-2
+dualizer: builtin:dl2
+points: ["a", "b", "c"]
+constraint ["a", "b"]: [["0", "0"], ["1", "1"]]
+constraint ["a", "c"]: [["0", "1"], ["1", "0"]]
+constraint ["b", "c"]: [["0", "1"], ["1", "0"]]
+"""
+
+SHORT_FUNCTION = """\
+kind: constrained-2
+dualizer: builtin:dl2
+points: ["a", "b"]
+constraint ["a", "b"]: [["0"]]
+"""
+
+
+def test_first_unclosed_constraint_is_named(capsys, tmp_path):
+    path = tmp_path / "unclosed.dk"
+    path.write_text(NOT_CLOSED)
+    assert run(capsys, "props", str(path)) == (
+        2, "", "error: constraint for [0, 2] is not a subuniverse\n")
+
+
+@pytest.mark.parametrize("command", ["props", "comp", "lep"])
+def test_short_local_function_exits_two(capsys, tmp_path, command):
+    path = tmp_path / "short.dk"
+    path.write_text(SHORT_FUNCTION)
+    assert run(capsys, command, str(path)) == (
+        2, "", "error: local function of wrong length for (0, 1)\n")
+
+
 def test_priestley_both_directions(capsys, tmp_path, priestley_file):
     code, out, _ = run(capsys, "priestley", priestley_file)
     assert code == 0

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from dualkit.algebras import BudgetExceeded, InvalidInput, generate_vectors
+from dualkit.algebras import BudgetExceeded, InvalidInput, generate_vectors, unclosed_operation
 from dualkit.catalog import bool2, dl2, luk, posluk
 from dualkit.constrained import (
     ConstrainedSpace,
@@ -534,3 +534,22 @@ def test_unary_separated_finite_spaces_have_gep():
         assert validate_unary(space).valid
         ok, witness, _ = has_global_extension(space)
         assert ok, witness
+
+
+def test_validation_checks_each_distinct_constraint_set_once(monkeypatch):
+    # a seven-point Priestley space stores 29 constraints, but only six
+    # distinct sets: the empty function, the points, and one pair set for
+    # each of comparable, equivalent, reversed and incomparable points
+    calls = []
+
+    def counting(L, arity, funs):
+        calls.append((arity, frozenset(funs)))
+        return unclosed_operation(L, arity, funs)
+
+    monkeypatch.setattr("dualkit.constrained.unclosed_operation", counting)
+    leq = [[x == y or x <= y < 4 for y in range(7)] for x in range(7)]
+    leq[4][5] = leq[5][4] = leq[5][0] = True
+    space = priestley_from_order(discrete_topology(7), leq, DL)
+    assert len(space.constraints) == 29
+    assert validate_constrained(space).valid
+    assert len(calls) == len(set(calls)) == 6

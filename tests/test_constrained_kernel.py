@@ -18,11 +18,26 @@ pairwise subdirectness loop, ``is_constrained_map`` pulling constraints back
 one tuple at a time, ``priestley_to_order`` reading the forbidden pair
 (1, 0), and ``unary_to_binary`` building its family pair by pair; they run
 on the random spaces and on every reflexive relation over dl2 on up to four
-points.  The tables a unary search reads off the fibers are compared with
-those of ``unary_to_binary`` on every value of L.
+points.  The rows a unary search reads off the fibers are compared with
+those of ``unary_to_binary`` on every value of L, and both with the
+tuple-keyed tables that the unary-branch oracles build for themselves from
+``constraint()``.
+
+A third set covers the coded store and its one narrowing step: the
+``ConstrainedSpace`` that stored frozensets of tuples and tables keyed by
+(T, j), with ``_extensions``, ``ccomp``, ``has_local_extension``,
+``has_global_extension`` and ``compatible_local_functions`` on top of it.
+Both stores are built from the same random families (and must reject the
+same malformed ones with the same message), and every search must return
+the same results, witnesses and function lists and charge the same budget,
+on k-ary and unary spaces and on all 4,166 reflexive relations over dl2.
 """
 
+import functools
 import itertools
+import operator
+import tracemalloc
+from dataclasses import dataclass
 from functools import lru_cache
 
 import pytest
@@ -32,7 +47,9 @@ from hypothesis import strategies as st
 from dualkit.algebras import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    FiniteAlgebra,
     InvalidInput,
+    Signature,
     direct_power,
     power_tuple,
     subuniverses,
@@ -62,7 +79,13 @@ from dualkit.constrained import (
 )
 from dualkit.corpus import sample_lspace
 from dualkit.terms import _convex_within, check_near_unanimity, search_nu_function
-from dualkit.topology import bits_of, discrete_topology, mask_of, topology_from_subbasis
+from dualkit.topology import (
+    FiniteTopology,
+    bits_of,
+    discrete_topology,
+    mask_of,
+    topology_from_subbasis,
+)
 
 DL = dl2().algebra
 BARE_DL = reduct(DL, ("meet", "join"))      # constant-free: empty fibers exist
@@ -249,11 +272,17 @@ def topologies(draw, n):
     return topology_from_subbasis(n, masks)
 
 
+def kary_spaces(algebras=ALGEBRAS, arities=(2, 3), max_points=4):
+    return kary_families(algebras, arities, max_points).map(
+        lambda args: ConstrainedSpace(*args))
+
+
 @st.composite
-def kary_spaces(draw, algebras=ALGEBRAS, arities=(2, 3), max_points=4):
-    """A k-ary space whose stored constraints are arbitrary sets of tuples:
-    projections of random global functions, then perturbed, so the family
-    may or may not be subdirect, continuous or closed."""
+def kary_families(draw, algebras=ALGEBRAS, arities=(2, 3), max_points=4):
+    """(k, topology, L, family) of a k-ary space whose stored constraints are
+    arbitrary sets of tuples: projections of random global functions, then
+    perturbed, so the family may or may not be subdirect, continuous or
+    closed."""
     L = draw(st.sampled_from(algebras))
     k = draw(st.sampled_from(arities))
     n = draw(st.integers(0, max_points))
@@ -270,7 +299,7 @@ def kary_spaces(draw, algebras=ALGEBRAS, arities=(2, 3), max_points=4):
         family[frozenset((x,))] = {(a,) for a in draw(st.sets(st.integers(0, L.size - 1)))}
     if draw(st.integers(0, 3)) == 0:
         family[frozenset()] = draw(st.sampled_from([set(), {()}]))
-    return ConstrainedSpace(k, top, L, family)
+    return k, top, L, family
 
 
 @st.composite
@@ -469,10 +498,24 @@ def test_scott_continuity_on_cons_of_random_lspaces(seed, k):
 # ``priestley_to_order`` reading the forbidden pair (1, 0), and
 # ``unary_to_binary`` building its family pair by pair.
 
+def tuple_store_table(space, T, j) -> dict:
+    """The tuple-keyed table the unary branch read, built from
+    ``constraint()`` as ``ConstrainedSpace._build_table`` built it: values
+    of a function on the sorted tuple T -> mask of the values at j that
+    A_{T+{j}} allows with them."""
+    S = tuple(sorted(T + (j,)))
+    at = S.index(j)
+    table = {}
+    for f in space.constraint(S):
+        key = f[:at] + f[at + 1:]
+        table[key] = table.get(key, 0) | 1 << f[at]
+    return table
+
+
 def unary_branch_fiber_mask(space, x: int) -> int:
     if isinstance(space, UnaryConstrainedSpace):
         return mask_of(space.fibers[x])
-    return _table(space, (), x).get((), 0)
+    return tuple_store_table(space, (), x).get((), 0)
 
 
 def unary_branch_empty_compatible(space) -> bool:
@@ -496,6 +539,12 @@ def unary_branch_ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, .
     values: list[int | None] = [None] * n
     out = []
     tried = 0
+    tables = {}
+
+    def table_of(S, q):
+        if (S, q) not in tables:
+            tables[S, q] = tuple_store_table(space, S, q)
+        return tables[S, q]
 
     def supports(idx, p):
         """(S, values on S) for every sorted S holding p and at most k-2
@@ -525,7 +574,7 @@ def unary_branch_ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, .
                 if components[q] == components[p] or (unary and space.related(p, q)):
                     mask &= 1 << v
                 for S, key in held:
-                    mask &= _table(space, S, q).get(key, 0)
+                    mask &= table_of(S, q).get(key, 0)
                 if not mask:
                     break
                 narrowed[q] = mask
@@ -620,16 +669,22 @@ def forbidden_pair_priestley_to_order(space: ConstrainedSpace):
     return leq
 
 
-def reflexive_relation_spaces(max_points=4):
-    """The Priestley space of every reflexive relation over dl2 on up to
-    max_points points (discrete, so every relation is closed)."""
+def reflexive_relations(max_points=4):
+    """Every reflexive relation on up to max_points points, as a matrix."""
     for n in range(max_points + 1):
         off = [(x, y) for x in range(n) for y in range(n) if x != y]
         for chosen in itertools.product((False, True), repeat=len(off)):
             leq = [[x == y for y in range(n)] for x in range(n)]
             for (x, y), on in zip(off, chosen):
                 leq[x][y] = on
-            yield priestley_from_order(discrete_topology(n), leq, DL)
+            yield leq
+
+
+def reflexive_relation_spaces(max_points=4):
+    """The Priestley space of every reflexive relation over dl2 on up to
+    max_points points (discrete, so every relation is closed)."""
+    for leq in reflexive_relations(max_points):
+        yield priestley_from_order(discrete_topology(len(leq)), leq, DL)
 
 
 def same_projections(space):
@@ -764,20 +819,22 @@ def family_unary_to_binary(space: UnaryConstrainedSpace) -> ConstrainedSpace:
 @given(space=unary_spaces())
 def test_unary_search_reads_the_binary_presentation(space):
     # unary_to_binary stores what the loop over pairs stored, and the search
-    # reads a unary space through A_I and tables computed from its fibers; on
-    # every value of L they agree with those of unary_to_binary
+    # reads a unary space through A_I and rows computed from its fibers; on
+    # every value of L they agree with the rows of unary_to_binary, and both
+    # with the tuple-keyed tables read off its constraints
     binary, presented = unary_to_binary(space), _kary(space)
     assert binary.constraints == family_unary_to_binary(space).constraints
     n, size = space.n, space.dualizer.size
     for I in subsets(n):
         if len(I) <= 2:
             assert presented.constraint(I) == binary.constraint(I)
-    for j in range(n):
-        assert _table(presented, (), j).get((), 0) == _table(binary, (), j).get((), 0)
-        for q in range(n):
-            if q != j:
-                assert ([_table(presented, (q,), j).get((a,), 0) for a in range(size)]
-                        == [_table(binary, (q,), j).get((a,), 0) for a in range(size)])
+    assert _table(presented, ())[0] == _table(binary, ())[0] == [
+        tuple_store_table(binary, (), j).get((), 0) for j in range(n)]
+    for q in range(n):
+        for a in range(size):
+            expected = [-1 if j == q else tuple_store_table(binary, (q,), j).get((a,), 0)
+                        for j in range(n)]
+            assert _table(presented, (q,))[a] == _table(binary, (q,))[a] == expected
 
 
 def test_unary_spaces_keep_the_unary_branch_budget_on_wide_fibers():
@@ -790,3 +847,533 @@ def test_unary_spaces_keep_the_unary_branch_budget_on_wide_fibers():
         for budget in range(0, 40):
             assert (budget_outcome(ccomp, space, budget)
                     == budget_outcome(unary_branch_ccomp, space, budget))
+
+
+# --- oracles: the tuple-keyed store and the per-(g, j) extension masks -----------------
+#
+# ``ConstrainedSpace`` as it was, storing each A_I as a frozenset of tuples
+# and its tables keyed by (T, j) and tuples of values, with ``_extensions``
+# (one mask per local function g and point j), the searches built on it
+# (``ccomp``, ``has_local_extension``, ``has_global_extension``,
+# ``compatible_local_functions``) and the binary presentation of unary spaces
+# they read; kept verbatim up to names.
+
+def tuple_reindex(funs, I_sorted, xs) -> frozenset:
+    """The local functions funs on the sorted tuple I_sorted, read at the
+    points xs of I (in any order, repeats allowed)."""
+    position = {p: i for i, p in enumerate(I_sorted)}
+    at = [position[x] for x in xs]
+    return frozenset(tuple(f[i] for i in at) for f in funs)
+
+
+class TupleConstrainedSpace:
+    """A k-ary constrained space for k >= 2 (immutable after construction)."""
+
+    __slots__ = ("k", "topology", "dualizer", "constraints", "_derived", "_tables")
+
+    def __init__(self, k: int, topology: FiniteTopology, dualizer: FiniteAlgebra,
+                 constraints: dict):
+        if k < 2:
+            raise InvalidInput("k-ary constrained spaces require k >= 2; use the unary form")
+        n = topology.n
+        m = min(k, n)
+        required = {frozenset(c) for c in itertools.combinations(range(n), m)}
+        required |= {frozenset((x,)) for x in range(n)}
+        required.add(frozenset())
+        normalized = {}
+        given = {frozenset(key): frozenset(tuple(f) for f in funs)
+                 for key, funs in constraints.items()}
+        for key in given:
+            if not key <= set(range(n)):
+                raise InvalidInput("constraint key outside the point set")
+            if len(key) > k:
+                raise InvalidInput("constraint key larger than k")
+            if 1 < len(key) < m:
+                raise InvalidInput("constraint key %r has %d points; stored keys have %d "
+                                   "or at most one" % (sorted(key), len(key), m))
+        # larger keys first so smaller ones can be derived by projection
+        for key in sorted(required, key=lambda s: (-len(s), sorted(s))):
+            if key in given:
+                normalized[key] = given[key]
+            elif len(key) < m:
+                normalized[key] = tuple_derive_by_projection(normalized, key, n, m)
+            elif len(key) == 0 and dualizer.signature.constants:
+                normalized[key] = frozenset(((),))
+            else:
+                raise InvalidInput("missing constraint for %r" % sorted(key))
+        for key, funs in normalized.items():
+            order = tuple(sorted(key))
+            for f in funs:
+                if len(f) != len(order):
+                    raise InvalidInput("local function of wrong length for %r" % (order,))
+                if any(not 0 <= v < dualizer.size for v in f):
+                    raise InvalidInput("local function value outside the carrier")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "topology", topology)
+        object.__setattr__(self, "dualizer", dualizer)
+        object.__setattr__(self, "constraints", normalized)
+        object.__setattr__(self, "_derived", {})
+        # extension-mask tables keyed by (T, j), built on first use
+        object.__setattr__(self, "_tables", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ConstrainedSpace is immutable")
+
+    @property
+    def n(self) -> int:
+        return self.topology.n
+
+    def constraint(self, points) -> frozenset:
+        """A_I for any I with |I| <= k, derived by projection if not stored."""
+        key = frozenset(points)
+        if len(key) > self.k:
+            raise InvalidInput("constraint arity exceeds k")
+        if key in self.constraints:
+            return self.constraints[key]
+        if key not in self._derived:
+            m = min(self.k, self.n)
+            self._derived[key] = tuple_derive_by_projection(
+                self.constraints, key, self.n, m)
+        return self._derived[key]
+
+    def constraint_tuple(self, xs) -> frozenset:
+        """A_{<x1..xl>} in the tuple presentation (repeats allowed)."""
+        xs = tuple(xs)
+        key_sorted = tuple(sorted(set(xs)))
+        return tuple_reindex(self.constraint(key_sorted), key_sorted, xs)
+
+    def _build_table(self, T, j) -> dict:
+        S = tuple(sorted(T + (j,)))
+        at = S.index(j)
+        table = {}
+        for f in self.constraint(S):
+            key = f[:at] + f[at + 1:]
+            table[key] = table.get(key, 0) | 1 << f[at]
+        return table
+
+
+def tuple_derive_by_projection(stored, key, n, m):
+    if len(key) >= m:
+        raise InvalidInput("cannot derive a constraint of size %d" % len(key))
+    rest = [p for p in range(n) if p not in key]
+    superset = frozenset(sorted(key) + rest[: m - len(key)])
+    base = stored.get(superset)
+    if base is None:
+        raise InvalidInput("missing constraint for %r" % sorted(superset))
+    return tuple_reindex(base, tuple(sorted(superset)), sorted(key))
+
+
+def tuple_table(space, T, j):
+    """Values of a function on the sorted tuple T -> mask of the values at j
+    that A_{T+{j}} allows with them (j outside T, |T| <= k-1)."""
+    table = space._tables.get((T, j))
+    if table is None:
+        table = space._tables[T, j] = space._build_table(T, j)
+    return table
+
+
+def tuple_fiber_mask(space, x: int) -> int:
+    return tuple_table(space, (), x).get((), 0)
+
+
+def tuple_empty_compatible(space) -> bool:
+    """Whether the empty local function is compatible."""
+    return () in space.constraint(())
+
+
+@dataclass(frozen=True, slots=True)
+class TuplePairTable:
+    """A pair table of ``TuplePresentation``: a value a in ``keys`` allows
+    ``values`` at the other point, or a alone when ``values`` is None."""
+    keys: int
+    values: int | None
+
+    def get(self, key, default):
+        (a,) = key
+        if not self.keys >> a & 1:
+            return default
+        return 1 << a if self.values is None else self.values
+
+
+class TuplePresentation:
+    """``unary_to_binary(space)`` as the search reads it: A_I and the tables
+    come from the fibers, and no pair constraint is built."""
+
+    k = 2
+
+    def __init__(self, space: UnaryConstrainedSpace):
+        self.unary, self.topology, self.n = space, space.topology, space.n
+        self._tables: dict = {}
+
+    def constraint(self, points) -> frozenset:
+        """A_I for at most two points, as ``unary_to_binary`` stores it."""
+        I, space = tuple(sorted(points)), self.unary
+        if not I:
+            return frozenset({()} if space.a_empty else ())
+        if len(I) == 2 and space.related(*I):
+            return frozenset((a, a) for a in space.fibers[I[0]])
+        return frozenset(itertools.product(*(sorted(space.fibers[x]) for x in I)))
+
+    def _build_table(self, T, j):
+        fibers = self.unary.fibers
+        if not T:
+            return {(): mask_of(fibers[j])}
+        (q,) = T
+        if self.unary.related(q, j):
+            return TuplePairTable(mask_of(fibers[min(q, j)]), None)
+        return TuplePairTable(mask_of(fibers[q]), mask_of(fibers[j]))
+
+
+def tuple_kary(space):
+    """The space a search runs on: a unary space's binary presentation."""
+    if isinstance(space, UnaryConstrainedSpace):
+        return TuplePresentation(space)
+    return space
+
+
+@functools.lru_cache(maxsize=4096)
+def tuple_subsets(I: tuple, most: int) -> tuple:
+    """(T, key) for every T <= I with |T| <= most, where key picks the
+    values on T out of a function on I as a tuple."""
+    out = []
+    for size in range(min(most, len(I)) + 1):
+        for positions in itertools.combinations(range(len(I)), size):
+            if size > 1:
+                key = operator.itemgetter(*positions)
+            else:       # a slice keeps the value a tuple
+                start = positions[0] if positions else 0
+                key = operator.itemgetter(slice(start, start + size))
+            out.append((tuple(I[i] for i in positions), key))
+    return tuple(out)
+
+
+def tuple_extensions(space, I: tuple, g: tuple, j: int) -> int:
+    """Bitmask over L of every b such that g, extended by j -> b, is
+    compatible on I + {j}; g must be compatible on the sorted tuple I."""
+    mask = -1
+    for T, key in tuple_subsets(I, space.k - 1):
+        mask &= tuple_table(space, T, j).get(key(g), 0)
+    nbhds = space.topology.nbhds
+    around = nbhds[j]
+    for q, v in zip(I, g):
+        if around >> q & 1 or nbhds[q] >> j & 1:
+            mask &= 1 << v
+    return mask
+
+
+def tuple_extend_all(space, I, funs, j) -> list[tuple[int, ...]]:
+    """Every compatible extension by j of the functions funs, compatible on
+    the sorted tuple I; with j above I, lexicographic order is kept."""
+    return [g + (b,) for g in funs for b in bits_of(tuple_extensions(space, I, g, j))]
+
+
+def tuple_local_functions(space, max_size: int):
+    """(I, compatible local functions on I) for every I of at most max_size
+    points, by size and then lexicographically; the functions on I are those
+    on I[:-1] extended by I[-1], so each list is in lexicographic order."""
+    if max_size < 0:
+        return
+    level = {(): [()] if tuple_empty_compatible(space) else []}
+    yield (), level[()]
+    for size in range(1, max_size + 1):
+        previous, level = level, {}
+        for I in itertools.combinations(range(space.n), size):
+            head, j = I[:-1], I[-1]
+            level[I] = funs = tuple_extend_all(space, head, previous[head], j)
+            yield I, funs
+
+
+def tuple_compatible_local_functions(space, points_sorted) -> list[tuple[int, ...]]:
+    """The compatible local functions on a sorted tuple of points, in
+    lexicographic order."""
+    space = tuple_kary(space)
+    I = tuple(points_sorted)
+    funs = [()] if tuple_empty_compatible(space) else []
+    for i, j in enumerate(I):
+        funs = tuple_extend_all(space, I[:i], funs, j)
+    return funs
+
+
+def tuple_ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
+    """The continuous compatible global functions, by forward checking.
+
+    Points are assigned in ascending fiber-size order.  Assigning p := v
+    narrows the value mask of every unassigned point q: by each constraint
+    on q, p and at most k-2 further assigned points (for a unary space, the
+    pair constraint of its binary presentation carries the equivalence), and
+    to v on p's topological component (which is exactly the continuity
+    requirement).  A point left without values ends the branch.  Every value
+    tried counts one unit of ``budget``; BudgetExceeded once the count
+    passes it.
+    """
+    space = tuple_kary(space)
+    top, n = space.topology, space.n
+    if not tuple_empty_compatible(space):
+        return []
+    if n == 0:
+        return [()]
+    start = [tuple_fiber_mask(space, x) for x in range(n)]
+    order = sorted(range(n), key=lambda x: (start[x].bit_count(), x))
+    components = top.components()
+    values: list[int | None] = [None] * n
+    out = []
+    tried = 0
+
+    @functools.cache
+    def supports(idx):
+        """Every sorted S holding order[idx] and at most k-2 points assigned
+        before it."""
+        return [tuple(sorted(rest + (order[idx],)))
+                for size in range(min(space.k - 2, idx) + 1)
+                for rest in itertools.combinations(order[:idx], size)]
+
+    def extend(idx, domains):
+        nonlocal tried
+        if idx == n:
+            out.append(tuple(values))
+            return
+        p = order[idx]
+        for v in bits_of(domains[p]):
+            tried += 1
+            if tried > budget:
+                raise BudgetExceeded("ccomp search exceeds budget")
+            values[p] = v
+            later = order[idx + 1:]
+            held = later and [(S, tuple(map(values.__getitem__, S))) for S in supports(idx)]
+            narrowed = list(domains)
+            for q in later:
+                mask = narrowed[q]
+                if components[q] == components[p]:
+                    mask &= 1 << v
+                for S, key in held:
+                    mask &= tuple_table(space, S, q).get(key, 0)
+                if not mask:
+                    break
+                narrowed[q] = mask
+            else:
+                extend(idx + 1, narrowed)
+        values[p] = None
+
+    extend(0, start)
+    return sorted(out)
+
+
+def tuple_has_global_extension(space, budget: int = DEFAULT_BUDGET):
+    """Whether every local constraint member extends to a global function.
+
+    Returns (flag, witness, functions); a witness is an unextendable pair
+    (points, local function), or a pair of points for the unary separation
+    clause.
+    """
+    functions = tuple_ccomp(space, budget=budget)
+    if isinstance(space, UnaryConstrainedSpace):
+        if space.a_empty and not functions:
+            return False, ((), ()), functions
+        for x in range(space.n):
+            for a in sorted(space.fibers[x]):
+                if not any(f[x] == a for f in functions):
+                    return False, ((x,), (a,)), functions
+        for x, y in itertools.product(range(space.n), repeat=2):
+            if not space.related(x, y) and all(f[x] == f[y] for f in functions):
+                return False, ((x, y), None), functions
+        return True, None, functions
+    for key in sorted(space.constraints, key=lambda s: (len(s), sorted(s))):
+        order = tuple(sorted(key))
+        covered = {tuple(f[p] for p in order) for f in functions}
+        for g in sorted(space.constraints[key]):
+            if g not in covered:
+                return False, (order, g), functions
+        if not covered <= space.constraints[key]:
+            return False, (order, None), functions
+    return True, None, functions
+
+
+def tuple_has_local_extension(space, n_arity: int, budget: int = DEFAULT_BUDGET):
+    """n-ary local extension property: every compatible local function on at
+    most n points extends by any one further point.  Returns (flag, witness)
+    with witness = (points, new point, local function).  The enumerated local
+    functions plus the extension tests may number at most ``budget``."""
+    space = tuple_kary(space)
+    n = space.n
+    work = 0
+    for I, funs in tuple_local_functions(space, min(n_arity, n)):
+        work += len(funs)
+        for g in funs:
+            work += n - len(I)          # the extension tests of g
+            if work > budget:
+                raise BudgetExceeded("local extension search exceeds budget")
+            for j in range(n):
+                if j not in I and not tuple_extensions(space, I, g, j):
+                    return False, (I, j, g)
+    return True, None
+
+def tuple_priestley_family(leq) -> dict:
+    """The tuple family ``priestley_from_order`` built for a relation."""
+    n = len(leq)
+    family: dict = {frozenset(): {()}}
+    for x in range(n):
+        family[frozenset((x,))] = {(0,), (1,)}
+    for x, y in itertools.combinations(range(n), 2):
+        funs = {(0, 0), (1, 1)}
+        if not leq[y][x]:
+            funs.add((0, 1))
+        if not leq[x][y]:
+            funs.add((1, 0))
+        family[frozenset((x, y))] = funs
+    return family
+
+
+# --- the coded store and the narrowing step against the tuple-keyed store --------------
+
+def finishes(run, budget) -> bool:
+    try:
+        run(budget)
+    except BudgetExceeded:
+        return False
+    return True
+
+
+def least_budget(run) -> int:
+    """The fewest budget units under which run(budget) finishes."""
+    high = 1
+    while not finishes(run, high):
+        high *= 2
+    low = high // 2 - 1 if high > 1 else -1
+    while high - low > 1:
+        mid = (low + high) // 2
+        if finishes(run, mid):
+            high = mid
+        else:
+            low = mid
+    return high
+
+
+def same_budget(new, old):
+    """new charges exactly the budget units old charges."""
+    units = least_budget(old)
+    assert finishes(new, units)
+    if units > 0:
+        assert not finishes(new, units - 1)
+
+
+def same_store(new, old):
+    assert new.constraints == old.constraints
+    assert list(new.constraints) == list(old.constraints)
+    for size in range(new.k + 1):
+        for J in itertools.combinations(range(new.n), size):
+            assert _outcome(new.constraint, J) == _outcome(old.constraint, J)
+    for xs in itertools.product(range(new.n), repeat=min(new.k, 2)):
+        assert new.constraint_tuple(xs) == old.constraint_tuple(xs)
+
+
+def same_searches(new, old, budgets=True):
+    """The searches on the coded store (or a unary space) against the old
+    ones on the tuple-keyed store (or the same unary space): results,
+    witnesses, function lists and budget counts."""
+    n = new.n
+    assert ccomp(new) == tuple_ccomp(old)
+    assert has_global_extension(new) == tuple_has_global_extension(old)
+    for n_arity in range(-1, n + 2):
+        assert has_local_extension(new, n_arity) == tuple_has_local_extension(old, n_arity)
+    for I in subsets(n):
+        assert compatible_local_functions(new, I) == tuple_compatible_local_functions(old, I)
+    if budgets:
+        same_budget(lambda b: ccomp(new, budget=b), lambda b: tuple_ccomp(old, budget=b))
+        for n_arity in range(n + 1):
+            same_budget(lambda b: has_local_extension(new, n_arity, budget=b),
+                        lambda b: tuple_has_local_extension(old, n_arity, budget=b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=kary_families())
+def test_the_coded_store_matches_the_tuple_store(family):
+    new, old = ConstrainedSpace(*family), TupleConstrainedSpace(*family)
+    same_store(new, old)
+    same_searches(new, old)
+
+
+@settings(max_examples=150, deadline=None)
+@given(space=unary_spaces())
+def test_unary_searches_match_the_tuple_store(space):
+    same_searches(space, space)
+
+
+def test_the_coded_store_rejects_what_the_tuple_store_rejected():
+    top2, top3, top4 = (discrete_topology(n) for n in (2, 3, 4))
+    pair = {frozenset((0, 1)): {(0, 1)}}
+    cases = [
+        (1, top2, DL, pair),
+        (2, top2, DL, {frozenset((0, 2)): {(0, 1)}}),
+        (2, top2, DL, {**pair, frozenset(("a",)): {(0,)}}),
+        (2, top3, DL, {frozenset((0, 1, 2)): {(0, 0, 0)}}),
+        (3, top4, DL, {frozenset((0, 1)): {(0, 0)}}),
+        (2, top3, DL, pair),
+        (2, top2, DL, {frozenset((0, 1)): {(0, 1, 1)}}),
+        (2, top2, DL, {frozenset((0, 1)): {(0, 2)}}),
+        (2, top2, DL, {frozenset((0, 1)): {(0, -1)}}),
+        (2, top2, DL, {frozenset((0,)): {(0,)}, frozenset((0, 1)): [(0, 1), (1, 1)]}),
+        (2, topology_from_subbasis(0, []), BARE_DL, {}),
+        (2, topology_from_subbasis(0, []), DL, {}),
+        (2, top2, BARE_DL, {**pair, frozenset(): set()}),
+    ]
+    outcomes = set()
+    for case in cases:
+        new = _outcome(ConstrainedSpace, *case)
+        old = _outcome(TupleConstrainedSpace, *case)
+        if isinstance(old, tuple):
+            assert new == old
+            outcomes.add(old[1])
+        else:
+            same_store(new, old)
+    assert len(outcomes) == 8
+
+
+def test_a_short_local_function_is_rejected_by_name():
+    # the tuple store indexed past the end of (0,) while projecting it onto
+    # the second point; the coded store checks lengths before projecting
+    case = (2, discrete_topology(2), DL, {frozenset((0, 1)): {(0,)}})
+    with pytest.raises(IndexError):
+        TupleConstrainedSpace(*case)
+    assert _outcome(ConstrainedSpace, *case) == (
+        "InvalidInput", "local function of wrong length for (0, 1)")
+
+
+def test_searches_match_the_tuple_store_on_every_reflexive_relation_over_dl2():
+    # results, witnesses and function lists on all 4,166 relations; the
+    # budget counts, by bisection, on every seventh
+    for count, leq in enumerate(reflexive_relations()):
+        top = discrete_topology(len(leq))
+        new = priestley_from_order(top, leq, DL)
+        old = TupleConstrainedSpace(2, top, DL, tuple_priestley_family(leq))
+        assert new.constraints == old.constraints
+        assert has_local_extension(new, 2) == tuple_has_local_extension(old, 2)
+        assert has_global_extension(new) == tuple_has_global_extension(old)
+        if count % 7 == 0:
+            same_budget(lambda b: ccomp(new, budget=b), lambda b: tuple_ccomp(old, budget=b))
+            same_budget(lambda b: has_local_extension(new, 2, budget=b),
+                        lambda b: tuple_has_local_extension(old, 2, budget=b))
+    assert count + 1 == 4166
+
+
+def test_the_store_stays_sparse_over_a_thousand_elements():
+    # k = 3 over a constant-free carrier of 1000 elements, a handful of
+    # triples per key: a store or a table dense in |L|^|I| would hold 10^6
+    # entries per pair and 10^9 per triple
+    big = FiniteAlgebra(Signature((("s", 1),)), 1000, {"s": tuple(range(1000))})
+    n = 6
+    globals_ = [tuple((37 * i + 101 * x) % 1000 for x in range(n)) for i in range(4)]
+    family = {frozenset(I): {tuple(f[p] for p in I) for f in globals_}
+              for I in itertools.combinations(range(n), 3)}
+    family[frozenset((2, 4, 5))].add((1, 2, 3))
+    tracemalloc.start()
+    try:
+        space = ConstrainedSpace(3, discrete_topology(n), big, family)
+        functions = ccomp(space)
+        lep = has_local_extension(space, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert functions == sorted(globals_)
+    old = TupleConstrainedSpace(3, discrete_topology(n), big, family)
+    assert lep == tuple_has_local_extension(old, n)
+    assert peak < 2 * 2**20

@@ -286,3 +286,33 @@ def test_twenty_points_build_quickly(build):
     half = top.subspace(range(0, MAX_POINTS, 2))
     assert top.n == MAX_POINTS and half.n == MAX_POINTS // 2
     assert time.perf_counter() - start < 0.5
+
+
+def old_bits_of(mask: int) -> tuple[int, ...]:
+    """``bits_of`` as it was: one step per bit position up to the highest."""
+    if mask < 0:
+        raise InvalidInput("a point set mask cannot be negative")
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
+
+
+def test_bits_of_matches_the_bit_by_bit_walk():
+    rng = random.Random(11)
+    masks = [0, 1, 255, 256, (1 << 20) - 1, (1 << 24) - 1, 1 << 24, 1 << 999,
+             (1 << 3) | (1 << 57) | (1 << 99), ((1 << 1000) - 1) ^ (1 << 500)]
+    masks += [rng.getrandbits(20) for _ in range(300)]
+    masks += [rng.getrandbits(rng.randrange(1, 1100)) for _ in range(300)]
+    masks += [mask_of(rng.sample(range(1100), rng.randrange(6))) for _ in range(300)]
+    for mask in masks:
+        assert bits_of(mask) == old_bits_of(mask)
+        assert type(bits_of(mask)) is tuple
+    for mask in (-1, -(1 << 999), -256):
+        for fn in (bits_of, old_bits_of):
+            with pytest.raises(InvalidInput, match="cannot be negative"):
+                fn(mask)
