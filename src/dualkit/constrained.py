@@ -130,26 +130,30 @@ class ConstrainedSpace:
             raise InvalidInput("k-ary constrained spaces require k >= 2; use the unary form")
         n = topology.n
         m = min(k, n)
-        points = frozenset(range(n))
-        keyed = {}
-        for key, funs in given.items():
-            key = frozenset(key)
-            if not key <= points:
-                raise InvalidInput("constraint key outside the point set")
-            if len(key) > k:
-                raise InvalidInput("constraint key larger than k")
-            if 1 < len(key) < m:
-                raise InvalidInput("constraint key %r has %d points; stored keys have %d "
-                                   "or at most one" % (sorted(key), len(key), m))
-            keyed[tuple(sorted(key))] = funs
         # the stored keys, larger first so smaller ones can be derived by
         # projection, and lexicographically within one size
         order = list(itertools.combinations(range(n), m))
         order += [(x,) for x in range(n)] if m > 1 else []
         order += [()] if m > 0 else []
-        constant = dualizer.signature.constants
-        for I in order:
-            if I not in keyed and len(I) >= m and not (len(I) == 0 and constant):
+        stored = set(order)
+        keyed = {}
+        for key, funs in given.items():
+            if key not in stored:           # else a stored key as a sorted tuple
+                key = frozenset(key)
+                if not key <= set(range(n)):
+                    raise InvalidInput("constraint key outside the point set")
+                if len(key) > k:
+                    raise InvalidInput("constraint key larger than k")
+                if 1 < len(key) < m:
+                    raise InvalidInput("constraint key %r has %d points; stored keys have %d "
+                                       "or at most one" % (sorted(key), len(key), m))
+                key = tuple(sorted(key))
+            keyed[key] = funs
+        # only the largest keys must be given: smaller ones are derived, and
+        # with no points A_empty holds the empty function when L has a constant
+        constant = m == 0 and dualizer.signature.constants
+        for I in itertools.combinations(range(n), m):
+            if I not in keyed and not constant:
                 raise InvalidInput("missing constraint for %r" % list(I))
         size = dualizer.size
         codes = {}
@@ -427,12 +431,14 @@ def _empty_compatible(space) -> bool:
     return () in space.constraint(())
 
 
-def _narrow(masks, held, pinned: int, v: int) -> list[int]:
-    """The value masks after p := v.  ``held`` has (table, base, weight) for
-    every T = S + {p}, S of at most k-2 points assigned earlier (S empty
-    among them): T's table, and the code of the values on T less v times
-    the weight of p's digit.  The points in ``pinned`` are those local
-    constancy ties to p, and they must take v."""
+def _narrow(masks, own, held, pinned: int, v: int) -> list[int]:
+    """The value masks after p := v: ANDed with the table of p alone at v,
+    and with the table of T = S + {p} for every nonempty S of at most k-2
+    points assigned earlier, listed in ``held`` as (T's table, the code of
+    the values on T less v times the weight of p's digit, that weight).
+    The points in ``pinned`` are those local constancy ties to p, and they
+    must take v."""
+    masks = list(map(operator.and_, masks, own[v]))
     for table, base, weight in held:
         masks = list(map(operator.and_, masks, table[base + v * weight]))
     if pinned:
@@ -522,9 +528,9 @@ def _kary(space):
 
 @functools.lru_cache(maxsize=4096)
 def _subsets(length: int, most: int) -> tuple:
-    """The positions of every subset of at most ``most`` of ``length``
-    positions, by size and then lexicographically."""
-    return tuple(positions for size in range(min(most, length) + 1)
+    """The positions of every nonempty subset of at most ``most`` of
+    ``length`` positions, by size and then lexicographically."""
+    return tuple(positions for size in range(1, min(most, length) + 1)
                  for positions in itertools.combinations(range(length), size))
 
 
@@ -540,6 +546,7 @@ def _extend_all(space, I, funs, rows, j, pinned):
     tuple I, with its row; with j above I, lexicographic order is kept, and
     j's digit is the last of every code, of weight 1."""
     size = space.dualizer.size
+    own = _table(space, (j,))
     tables = [(S, _table(space, tuple([I[i] for i in S]) + (j,)))
               for S in _subsets(len(I), space.k - 2)]
     extended, extended_rows = [], []
@@ -547,7 +554,7 @@ def _extend_all(space, I, funs, rows, j, pinned):
         held = [(table, _encode([g[i] for i in S], size) * size, 1) for S, table in tables]
         for b in bits_of(row[j]):
             extended.append(g + (b,))
-            extended_rows.append(_narrow(row, held, pinned, b))
+            extended_rows.append(_narrow(row, own, held, pinned, b))
     return extended, extended_rows
 
 
@@ -618,7 +625,7 @@ def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
     @functools.cache
     def supports(idx):
         """(T, the table of T, the weight of p's digit) for every sorted T
-        holding p = order[idx] and at most k-2 points assigned before it."""
+        holding p = order[idx] and one to k-2 points assigned before it."""
         p = order[idx]
         found = []
         for rest in _subsets(idx, space.k - 2):
@@ -632,6 +639,7 @@ def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
             out.append(tuple(values))
             return
         p = order[idx]
+        own = _table(space, (p,))
         held = [(table, _encode([0 if q == p else values[q] for q in T], size), weight)
                 for T, table, weight in supports(idx)]
         for v in bits_of(domains[p]):
@@ -639,7 +647,7 @@ def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
             if tried > budget:
                 raise BudgetExceeded("ccomp search exceeds budget")
             values[p] = v
-            narrowed = _narrow(domains, held, pinned[p], v)
+            narrowed = _narrow(domains, own, held, pinned[p], v)
             # an assigned point keeps the value it took, which every later
             # assignment allowed, so a zero is a later point without values
             if 0 not in narrowed:
@@ -725,14 +733,13 @@ def has_local_extension(space, n_arity: int, budget: int = DEFAULT_BUDGET):
     work = 0
     for I, funs, rows in _local_functions(space, min(n_arity, n)):
         work += len(funs)
-        outside = [j for j in range(n) if j not in I]
         for g, row in zip(funs, rows):
-            work += len(outside)        # the extension tests of g
+            work += n - len(I)          # the extension tests of g
             if work > budget:
                 raise BudgetExceeded("local extension search exceeds budget")
-            for j in outside:
-                if not row[j]:
-                    return False, (I, j, g)
+            # g's own values stay in the masks of I, so a zero lies outside I
+            if 0 in row:
+                return False, (I, row.index(0), g)
     return True, None
 
 

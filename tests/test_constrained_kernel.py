@@ -498,7 +498,7 @@ def test_scott_continuity_on_cons_of_random_lspaces(seed, k):
 # ``priestley_to_order`` reading the forbidden pair (1, 0), and
 # ``unary_to_binary`` building its family pair by pair.
 
-def tuple_store_table(space, T, j) -> dict:
+def table_from_constraints(space, T, j) -> dict:
     """The tuple-keyed table the unary branch read, built from
     ``constraint()`` as ``ConstrainedSpace._build_table`` built it: values
     of a function on the sorted tuple T -> mask of the values at j that
@@ -515,7 +515,7 @@ def tuple_store_table(space, T, j) -> dict:
 def unary_branch_fiber_mask(space, x: int) -> int:
     if isinstance(space, UnaryConstrainedSpace):
         return mask_of(space.fibers[x])
-    return tuple_store_table(space, (), x).get((), 0)
+    return table_from_constraints(space, (), x).get((), 0)
 
 
 def unary_branch_empty_compatible(space) -> bool:
@@ -543,7 +543,7 @@ def unary_branch_ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, .
 
     def table_of(S, q):
         if (S, q) not in tables:
-            tables[S, q] = tuple_store_table(space, S, q)
+            tables[S, q] = table_from_constraints(space, S, q)
         return tables[S, q]
 
     def supports(idx, p):
@@ -829,10 +829,10 @@ def test_unary_search_reads_the_binary_presentation(space):
         if len(I) <= 2:
             assert presented.constraint(I) == binary.constraint(I)
     assert _table(presented, ())[0] == _table(binary, ())[0] == [
-        tuple_store_table(binary, (), j).get((), 0) for j in range(n)]
+        table_from_constraints(binary, (), j).get((), 0) for j in range(n)]
     for q in range(n):
         for a in range(size):
-            expected = [-1 if j == q else tuple_store_table(binary, (q,), j).get((a,), 0)
+            expected = [-1 if j == q else table_from_constraints(binary, (q,), j).get((a,), 0)
                         for j in range(n)]
             assert _table(presented, (q,))[a] == _table(binary, (q,))[a] == expected
 
