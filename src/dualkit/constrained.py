@@ -40,6 +40,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -541,40 +542,65 @@ def _start(space):
     return [()], [_table(space, ())[0]]
 
 
-def _extend_all(space, I, funs, rows, j, pinned):
+def _extend_all(space, I, funs, rows, j, pinned, most=math.inf):
     """Every compatible extension by j of the functions funs on the sorted
-    tuple I, with its row; with j above I, lexicographic order is kept, and
-    j's digit is the last of every code, of weight 1."""
+    tuple I (or the first ones past ``most`` of them), and an iterator over
+    their rows, each narrowed when it is read; with j above I, lexicographic
+    order is kept, and j's digit is the last of every code, of weight 1."""
     size = space.dualizer.size
     own = _table(space, (j,))
     tables = [(S, _table(space, tuple([I[i] for i in S]) + (j,)))
               for S in _subsets(len(I), space.k - 2)]
-    extended, extended_rows = [], []
+    extended, steps = [], []
     for g, row in zip(funs, rows):
-        held = [(table, _encode([g[i] for i in S], size) * size, 1) for S, table in tables]
-        for b in bits_of(row[j]):
-            extended.append(g + (b,))
-            extended_rows.append(_narrow(row, own, held, pinned, b))
-    return extended, extended_rows
+        values = bits_of(row[j])
+        extended += [g + (b,) for b in values]
+        steps.append((g, row, values))
+        if len(extended) > most:
+            break
+
+    def narrowed():
+        for g, row, values in steps:
+            held = [(table, _encode([g[i] for i in S], size) * size, 1) for S, table in tables]
+            for b in values:
+                yield _narrow(row, own, held, pinned, b)
+
+    return extended, narrowed()
 
 
-def _local_functions(space, max_size: int):
+def _local_functions(space, max_size: int, budget=math.inf):
     """(I, compatible local functions on I, their rows) for every I of at
     most max_size points, by size and then lexicographically; the functions
     on I are those on I[:-1] extended by I[-1], so each list is in
-    lexicographic order."""
+    lexicographic order.  The rows of the last size come as an iterator that
+    narrows each row when it is read.
+
+    ``budget`` is the local extension property's.  That charges each
+    function on I and its n - |I| extension tests and checks the count at
+    every function, so it raises at the first function on I whenever the
+    functions on I take the count past the budget.  BudgetExceeded is
+    raised here as soon as that is certain, before the functions on I and
+    their rows are all built."""
     if max_size < 0:
         return
+    n = space.n
     ties = _ties(space.topology)
     level = {(): _start(space)}
+    spent = len(level[()][0]) * (1 + n)
     yield ((), *level[()])
     for size in range(1, max_size + 1):
         # the last level is not extended, so it is not kept
         previous, level = level, {}
-        for I in itertools.combinations(range(space.n), size):
+        for I in itertools.combinations(range(n), size):
             head, j = I[:-1], I[-1]
-            funs, rows = _extend_all(space, head, *previous[head], j, ties[j])
+            most = max(budget - spent - (n - size), 0)
+            funs, rows = _extend_all(space, head, *previous[head], j, ties[j], most)
+            if len(funs) > most:
+                raise BudgetExceeded("local extension search exceeds budget")
+            spent += len(funs) * (1 + n - size)
+            # the rows of the last level are narrowed only as they are read
             if size < max_size:
+                rows = list(rows)
                 level[I] = funs, rows
             yield I, funs, rows
 
@@ -731,7 +757,7 @@ def has_local_extension(space, n_arity: int, budget: int = DEFAULT_BUDGET):
     space = _kary(space)
     n = space.n
     work = 0
-    for I, funs, rows in _local_functions(space, min(n_arity, n)):
+    for I, funs, rows in _local_functions(space, min(n_arity, n), budget):
         work += len(funs)
         for g, row in zip(funs, rows):
             work += n - len(I)          # the extension tests of g

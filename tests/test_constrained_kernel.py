@@ -77,6 +77,7 @@ from dualkit.constrained import (
     unary_to_binary,
     validate_constrained,
 )
+from dualkit import constrained
 from dualkit.corpus import sample_lspace
 from dualkit.terms import _convex_within, check_near_unanimity, search_nu_function
 from dualkit.topology import (
@@ -1377,3 +1378,36 @@ def test_the_store_stays_sparse_over_a_thousand_elements():
     old = TupleConstrainedSpace(3, discrete_topology(n), big, family)
     assert lep == tuple_has_local_extension(old, n)
     assert peak < 2 * 2**20
+
+
+def test_local_extension_stops_building_a_level_at_the_budget(monkeypatch):
+    # five points over a constant-free carrier of 300 elements, every fiber
+    # full: the first pair of points has 90,000 local functions, each with a
+    # row of five masks; the budget is spent on the points alone, so the
+    # search must stop a few thousand functions into that pair
+    big = FiniteAlgebra(Signature((("s", 1),)), 300, {"s": tuple(range(300))})
+    space = UnaryConstrainedSpace(discrete_topology(5), big, [range(300)] * 5, range(5))
+    built, extend_all = [], constrained._extend_all
+
+    def counting(*args):
+        funs, rows = extend_all(*args)
+        built.append(len(funs))
+        return funs, rows
+
+    monkeypatch.setattr(constrained, "_extend_all", counting)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="local extension search exceeds budget"):
+            has_local_extension(space, 2, budget=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    # the empty function and the 1,500 functions on one point take 7,506
+    # units, so 2,491 functions on the first pair would still fit; the
+    # extensions of one function on a point (300) may overshoot that
+    assert built[:5] == [300] * 5 and len(built) == 6
+    assert 2_491 < built[5] <= 2_491 + 300
+    work = 1 * (1 + 5) + 5 * 300 * (1 + 4)
+    assert has_local_extension(space, 1, budget=work) == (True, None)
+    assert not finishes(lambda b: has_local_extension(space, 1, budget=b), work - 1)
