@@ -554,18 +554,14 @@ def _extend_all(space, I, funs, rows, j, pinned, most=math.inf):
     extended, steps = [], []
     for g, row in zip(funs, rows):
         values = bits_of(row[j])
-        extended += [g + (b,) for b in values]
-        steps.append((g, row, values))
+        for b in values:
+            extended.append(g + (b,))
+        steps.append((row, [(table, _encode([g[i] for i in S], size) * size, 1)
+                            for S, table in tables], values))
         if len(extended) > most:
             break
-
-    def narrowed():
-        for g, row, values in steps:
-            held = [(table, _encode([g[i] for i in S], size) * size, 1) for S, table in tables]
-            for b in values:
-                yield _narrow(row, own, held, pinned, b)
-
-    return extended, narrowed()
+    return extended, (_narrow(row, own, held, pinned, b)
+                      for row, held, values in steps for b in values)
 
 
 def _local_functions(space, max_size: int, budget=math.inf):
