@@ -544,9 +544,10 @@ def _start(space):
 
 def _extend_all(space, I, funs, rows, j, pinned, most=math.inf):
     """Every compatible extension by j of the functions funs on the sorted
-    tuple I (or the first ones past ``most`` of them), and an iterator over
-    their rows, each narrowed when it is read; with j above I, lexicographic
-    order is kept, and j's digit is the last of every code, of weight 1."""
+    tuple I (stopping once more than ``most`` are found), and an iterator
+    over their rows, each narrowed when it is read; with j above I,
+    lexicographic order is kept, and j's digit is the last of every code, of
+    weight 1."""
     size = space.dualizer.size
     own = _table(space, (j,))
     tables = [(S, _table(space, tuple([I[i] for i in S]) + (j,)))
@@ -585,7 +586,6 @@ def _local_functions(space, max_size: int, budget=math.inf):
     spent = len(level[()][0]) * (1 + n)
     yield ((), *level[()])
     for size in range(1, max_size + 1):
-        # the last level is not extended, so it is not kept
         previous, level = level, {}
         for I in itertools.combinations(range(n), size):
             head, j = I[:-1], I[-1]
@@ -594,7 +594,8 @@ def _local_functions(space, max_size: int, budget=math.inf):
             if len(funs) > most:
                 raise BudgetExceeded("local extension search exceeds budget")
             spent += len(funs) * (1 + n - size)
-            # the rows of the last level are narrowed only as they are read
+            # the last level is not extended: it is not kept, and its rows
+            # are narrowed only as they are read
             if size < max_size:
                 rows = list(rows)
                 level[I] = funs, rows
