@@ -13,18 +13,22 @@ There are two closures, each with its own job.  Vectors over an algebra
 close in ``_close``: semi-naive rounds over int64 row arrays, with each
 operation applied by indexing its table.  It serves ``generate_vectors`` at
 every length.  Its lookup half, ``_images``, serves the closedness test
-``unclosed_operation`` (L-space and constrained-space validation) and,
-through ``_tables_on``, the table building in ``algebra_from_vectors`` and
-``subalgebra``.  Elements of one algebra close in ``_rounds``, a boolean
-mask over the carrier grown one round at a time.  It serves
-``generate_subalgebra`` (hence ``subuniverses``) and ``_HomPlan``, whose
-rounds are the stages ``enumerate_homs`` replays and whose generators are
+``unclosed_operation`` (constrained-space validation) and, through
+``_tables_on``, the table building in L-space validation (which keeps the
+tables as Comp X), ``algebra_from_vectors`` and ``subalgebra``.  Elements
+of one algebra close in ``_rounds``, a boolean mask over the carrier grown
+one round at a time.  It serves ``generate_subalgebra`` (hence
+``subuniverses``) and ``_HomPlan``, whose rounds are the stages
+``enumerate_homs`` replays and whose generators are
 ``minimal_generating_set``.
 
-Evaluating an operation on all argument tuples reads the cached table views
-``_op_columns`` (argument columns and flat results) and ``_op_stacks``
-(tables stacked by arity).  That one gather serves the homomorphism test,
-quotient tables, congruence generation and product tables.
+Evaluating an operation on all argument tuples reads one cached table view,
+``_op_stacks``: the tables of each arity stacked into one array of shape
+(operations,) + (n,)*arity.  Argument tuples are never materialized; an
+algebra's own tables are indexed by broadcasting (``np.ix_`` for a map's
+values, outer products for masks and stages).  That one view serves both
+closures, the homomorphism test, hom enumeration, quotient tables and
+congruence generation.
 """
 
 from __future__ import annotations
@@ -92,7 +96,7 @@ class FiniteAlgebra:
     the signature has no constants.
     """
 
-    __slots__ = ("signature", "size", "tables", "_key", "_arity", "_columns", "_stacks")
+    __slots__ = ("signature", "size", "tables", "_key", "_arity", "_stacks")
 
     def __init__(self, signature: Signature, size: int, tables: dict):
         if size < 0:
@@ -122,8 +126,7 @@ class FiniteAlgebra:
         key = (signature, size, tuple(frozen[name] for name in signature.names))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_arity", dict(signature.ops))
-        # numpy views of the tables, built on first use (_op_columns, _op_stacks)
-        object.__setattr__(self, "_columns", None)
+        # the numpy view of the tables, built on first use (_op_stacks)
         object.__setattr__(self, "_stacks", None)
 
     def __setattr__(self, name, value):
@@ -179,12 +182,9 @@ class ElementMap:
         for name in A.signature.constants:
             if h[A.apply(name)] != B.apply(name):
                 return False
-        b_columns = _op_columns(B)
-        for name, (cols, res) in _op_columns(A).items():
-            index = np.zeros(len(res), dtype=np.int64)
-            for c in cols:
-                index = index * B.size + h[c]
-            if not np.array_equal(h[res], b_columns[name][1][index]):
+        for (_, tables), (_, b_tables) in zip(_op_stacks(A), _op_stacks(B)):
+            args = np.ix_(*(h,) * (tables.ndim - 1))
+            if not np.array_equal(h[tables], b_tables[(slice(None),) + args]):
                 return False
         return True
 
@@ -271,26 +271,6 @@ def identity_congruence(A: FiniteAlgebra) -> Congruence:
 
 def total_congruence(A: FiniteAlgebra) -> Congruence:
     return Congruence(tuple(0 for _ in A.elements))
-
-
-def _op_columns(A):
-    """Per operation: argument index columns and the flat result array.
-
-    The flat table is already in lexicographic argument order, so the result
-    array is the table itself; the argument columns are its mixed-radix
-    decode.  Built once per algebra.
-    """
-    if A._columns is None:
-        n = A.size
-        out = {}
-        for name, arity in A.signature.ops:
-            if arity == 0:
-                continue
-            idx = np.arange(n**arity)
-            cols = [(idx // n ** (arity - 1 - i)) % n for i in range(arity)]
-            out[name] = (cols, np.array(A.tables[name], dtype=np.int64))
-        object.__setattr__(A, "_columns", out)
-    return A._columns
 
 
 # --- the vector-closure kernel ------------------------------------------------
@@ -520,14 +500,12 @@ def _rounds(A: FiniteAlgebra, known: np.ndarray):
     when it starts (a pass over each whole table) and yields the elements it
     adds, ascending; the rounds end with the first one that adds nothing.
     """
-    columns = _op_columns(A).values()
+    stacks = _op_stacks(A)
     while True:
         reached = np.zeros(A.size, dtype=bool)
-        for cols, res in columns:
-            mask = known[cols[0]]
-            for c in cols[1:]:
-                mask &= known[c]
-            reached[res[mask]] = True
+        for _, tables in stacks:
+            mask = functools.reduce(np.logical_and.outer, [known] * (tables.ndim - 1))
+            reached[tables[:, mask]] = True
         fresh = np.flatnonzero(reached & ~known)
         if not len(fresh):
             return
@@ -729,15 +707,13 @@ class _HomPlan:
             raise InvalidInput("given generators do not generate the algebra")
         self.gens = tuple(picked)
         self.stages: list[list] = [[] for _ in range(top)]
-        for name, (cols, res) in _op_columns(A).items():
-            at = stage[cols[0]]
-            for c in cols[1:]:
-                at = np.maximum(at, stage[c])
-            for t in np.flatnonzero(np.bincount(at)).tolist():
-                mask = at == t
-                out = res[mask]
-                self.stages[t].append((name, tuple(c[mask] for c in cols), out,
-                                       np.flatnonzero(stage[out] == t + 1)))
+        for names, tables in _op_stacks(A):
+            at = functools.reduce(np.maximum.outer, [stage] * (tables.ndim - 1))
+            for t in np.flatnonzero(np.bincount(at.ravel())).tolist():
+                args = np.nonzero(at == t)
+                for name, table in zip(names, tables):
+                    out = table[args]
+                    self.stages[t].append((name, args, out, np.flatnonzero(stage[out] == t + 1)))
 
 
 def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra, gens=None) -> list[ElementMap]:
@@ -761,8 +737,8 @@ def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra, gens=None) -> list[Elemen
                 raise InvalidInput("generator %r outside carrier" % (g,))
     plan = _HomPlan(A, gens)  # raises if the given generators do not generate
     gens = plan.gens
-    b_tables = {name: res.reshape((B.size,) * len(cols))
-                for name, (cols, res) in _op_columns(B).items()}
+    b_tables = {name: table for names, tables in _op_stacks(B)
+                for name, table in zip(names, tables)}
     const_images = np.array([B.apply(name) for name in B.signature.constants], dtype=np.int64)
     image = np.full(A.size, -1, dtype=np.int64)
     results: list[ElementMap] = []
@@ -808,20 +784,18 @@ def kernel(h: ElementMap) -> Congruence:
 
 def _induced_tables(A: FiniteAlgebra, blocks, num_blocks):
     """Quotient tables for blocks numbered 0..num_blocks-1, or None if the
-    partition is not compatible.  At the mixed-radix code of each argument
-    tuple's blocks a table holds its result's block; compatible means that
-    every tuple reads its own result's block back."""
+    partition is not compatible.  At the blocks of each argument tuple a
+    table holds its result's block; compatible means that every tuple reads
+    its own result's block back."""
     b = np.array(blocks, dtype=np.int64)
     tables = {name: (blocks[A.apply(name)],) for name in A.signature.constants}
-    for name, (cols, res) in _op_columns(A).items():
-        key = np.zeros(len(res), dtype=np.int64)
-        for c in cols:
-            key = key * num_blocks + b[c]
-        table = np.zeros(num_blocks ** len(cols), dtype=np.int64)
-        table[key] = b[res]
-        if not np.array_equal(table[key], b[res]):
+    for names, stack in _op_stacks(A):
+        key = (slice(None),) + np.ix_(*(b,) * (stack.ndim - 1))
+        table = np.zeros((len(names),) + (num_blocks,) * (stack.ndim - 1), dtype=np.int64)
+        table[key] = b[stack]
+        if not np.array_equal(table[key], b[stack]):
             return None
-        tables[name] = tuple(table.tolist())
+        tables.update(zip(names, (tuple(t.ravel().tolist()) for t in table)))
     return tables
 
 

@@ -123,24 +123,32 @@ def sample_lspace(L, rng, max_points=3):
     return lspace(top, L, generate_vectors(L, n, seeds))
 
 
-def sample_binary_constrained(L, rng, n_points, square_subs=None):
+def binary_pools(L):
+    """What ``sample_binary_constrained`` draws from, derived once per L: the
+    nonempty subuniverses of L, and the subalgebras of L**2 grouped by their
+    (left, right) projections, each group in classification order."""
+    fiber_pool = [tuple(sorted(u)) for u in subuniverses(L) if u]
+    by_projections = {}
+    for c in classify_square_subalgebras(L).classes:
+        key = (tuple(sorted({a for a, _ in c.pairs})), tuple(sorted({b for _, b in c.pairs})))
+        by_projections.setdefault(key, []).append(c.pairs)
+    return fiber_pool, by_projections
+
+
+def sample_binary_constrained(L, rng, n_points, pools=None):
     """A random subdirect binary constrained family on a discrete space.
 
     Per-point fibers come from Sub(L); every pair constraint is drawn from
     the subalgebras of the square that project onto the chosen fibers.
+    ``pools`` is ``binary_pools(L)``, derived here when not given.
     """
-    if square_subs is None:
-        square_subs = [c.pairs for c in classify_square_subalgebras(L).classes]
-    fiber_pool = [tuple(sorted(u)) for u in subuniverses(L) if u]
+    fiber_pool, by_projections = pools or binary_pools(L)
     fibers = [rng.choice(fiber_pool) for _ in range(n_points)]
     family = {frozenset((x,)): {(a,) for a in fibers[x]} for x in range(n_points)}
     family[frozenset()] = {()}
     for x, y in itertools.combinations(range(n_points), 2):
-        options = [s for s in square_subs
-                   if tuple(sorted({a for a, _ in s})) == fibers[x]
-                   and tuple(sorted({b for _, b in s})) == fibers[y]]
-        if not options:
-            options = [tuple(itertools.product(fibers[x], fibers[y]))]
+        options = (by_projections.get((fibers[x], fibers[y]))
+                   or [tuple(itertools.product(fibers[x], fibers[y]))])
         family[frozenset((x, y))] = set(rng.choice(options))
     return ConstrainedSpace(2, discrete_topology(n_points), L, family)
 
@@ -310,10 +318,10 @@ def criterion_local_to_global(seed=0, max_points=4, random_instances=300) -> Cri
         L = entry.algebra
         median = term_function(L, MEDIAN_TERM, 3)
         rng = random.Random("%s|local2global|%s" % (seed, entry_label(entry)))
-        square_subs = [c.pairs for c in classify_square_subalgebras(L).classes]
+        pools = binary_pools(L)
         verified = 0
         for _ in range(random_instances):
-            space = sample_binary_constrained(L, rng, rng.randint(2, 4), square_subs)
+            space = sample_binary_constrained(L, rng, rng.randint(2, 4), pools)
             lep, _ = has_local_extension(space, 2)
             if not lep:
                 continue

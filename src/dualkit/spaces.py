@@ -21,10 +21,10 @@ from .algebras import (
     ElementMap,
     FiniteAlgebra,
     InvalidInput,
-    algebra_from_vectors,
+    _rows,
+    _tables_on,
     enumerate_homs,
     in_prevariety,
-    unclosed_operation,
 )
 from .topology import (
     FiniteTopology,
@@ -58,11 +58,17 @@ def continuous_functions(top: FiniteTopology, L: FiniteAlgebra,
 
 @dataclass(frozen=True)
 class LSpace:
-    """A finite topology plus a subalgebra of continuous L-valued functions."""
+    """A finite topology plus a subalgebra of continuous L-valued functions.
+
+    Validation tabulates the dualizer's operations on the sorted functions
+    once; the same pass that finds them closed gives Comp X, the algebra
+    ``comp_algebra`` returns.
+    """
 
     topology: FiniteTopology
     dualizer: FiniteAlgebra
     functions: frozenset
+    _comp: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for f in self.functions:
@@ -72,11 +78,14 @@ class LSpace:
                 raise InvalidInput("compatible function outside the carrier")
             if not is_continuous_vector(self.topology, f):
                 raise InvalidInput("compatible function is not continuous")
-        name = unclosed_operation(self.dualizer, self.topology.n, self.functions)
+        carrier = tuple(sorted(self.functions))
+        tables, name = _tables_on(self.dualizer, _rows(carrier, self.topology.n))
         if name in self.dualizer.signature.constants:
             raise InvalidInput("compatible functions miss the constant %r" % name)
         if name is not None:
             raise InvalidInput("compatible functions not closed under %r" % name)
+        comp = FiniteAlgebra(self.dualizer.signature, len(carrier), tables)
+        object.__setattr__(self, "_comp", (comp, carrier))
 
     @property
     def n(self) -> int:
@@ -85,9 +94,10 @@ class LSpace:
     def comp_algebra(self):
         """The compatible functions as an abstract algebra (pointwise tables).
 
-        Returns (algebra, carrier) with carrier[i] the vector of element i.
+        Returns (algebra, carrier) with carrier[i] the vector of element i,
+        in lexicographic order.
         """
-        return algebra_from_vectors(self.dualizer, self.n, self.functions)
+        return self._comp
 
 
 def lspace(top: FiniteTopology, L: FiniteAlgebra, functions) -> LSpace:
@@ -192,7 +202,7 @@ def canonical_embedding(A: FiniteAlgebra, L: FiniteAlgebra, gens=None) -> Canoni
     comp_alg, carrier = spec.space.comp_algebra()
     lookup = {v: i for i, v in enumerate(carrier)}
     values = tuple(lookup[tuple(h.values[a] for h in spec.homs)] for a in A.elements)
-    return CanonicalEmbedding(spec, comp_alg, tuple(carrier), ElementMap(A, comp_alg, values))
+    return CanonicalEmbedding(spec, comp_alg, carrier, ElementMap(A, comp_alg, values))
 
 
 @dataclass(frozen=True)
@@ -225,7 +235,7 @@ def evaluation_map(X: LSpace) -> EvaluationMap:
             raise AssertionError("point evaluation is not a homomorphism")
         values.append(hom_index[pi_x])
     ev = LMap(X, spec.space, tuple(values))
-    return EvaluationMap(X, comp_alg, tuple(carrier), spec, ev)
+    return EvaluationMap(X, comp_alg, carrier, spec, ev)
 
 
 @dataclass(frozen=True)

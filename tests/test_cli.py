@@ -3,6 +3,7 @@ import itertools
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -420,7 +421,7 @@ def test_parse_error_exits_two(capsys, tmp_path):
     ('constraint ["x"]: [["0"], ["1"]]', 'constraint ["x"]: 5'),
 ], ids=["comp", "constraint"])
 def test_malformed_nested_value_exits_two(capsys, tmp_path, lspace_file, old, new):
-    text = open(lspace_file).read() if old.startswith("comp") else PRIESTLEY_DOC
+    text = Path(lspace_file).read_text() if old.startswith("comp") else PRIESTLEY_DOC
     assert old in text
     path = tmp_path / "bad.dk"
     path.write_text(text.replace(old, new))

@@ -5,10 +5,12 @@ The oracles below are the pure-Python closure loops that ``generate_vectors``,
 constrained-space validation (``_subuniverse_of_tuples``) and
 ``generate_subalgebra`` (``_closure_mask``) used before the kernel, and the
 per-argument ``ElementMap.is_homomorphism`` loop, kept verbatim up to
-imports.
+imports.  ``_closure_mask`` reads the argument-column view ``_op_columns``
+that ``FiniteAlgebra`` no longer caches, so a copy of it lives here too.
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from dualkit.algebras import (
     FiniteAlgebra,
     InvalidInput,
     Signature,
-    _op_columns,
     algebra_from_vectors,
     direct_power,
     enumerate_homs,
@@ -31,7 +32,7 @@ from dualkit.algebras import (
     product_index,
     unclosed_operation,
 )
-from dualkit.catalog import luk, reduct
+from dualkit.catalog import bool2, dl2, luk, posluk, reduct
 from dualkit.corpus import dualizer_suite
 from dualkit.spaces import lspace
 from dualkit.topology import discrete_topology
@@ -123,6 +124,24 @@ def old_subuniverse_of_tuples(L, width, funs) -> bool:
             if tuple(L.apply(name, *pw) for pw in zip(*args)) not in funs:
                 return False
     return True
+
+
+def _op_columns(A):
+    """Per operation: argument index columns and the flat result array.
+
+    The flat table is already in lexicographic argument order, so the result
+    array is the table itself; the argument columns are its mixed-radix
+    decode.  Rebuilt on every call: the algebra no longer caches it.
+    """
+    n = A.size
+    out = {}
+    for name, arity in A.signature.ops:
+        if arity == 0:
+            continue
+        idx = np.arange(n**arity)
+        cols = [(idx // n ** (arity - 1 - i)) % n for i in range(arity)]
+        out[name] = (cols, np.array(A.tables[name], dtype=np.int64))
+    return out
 
 
 def old_closure_mask(A, seed):
@@ -380,3 +399,66 @@ def test_is_homomorphism_matches_oracle(L, data):
     else:
         h = ElementMap(A, L, data.draw(st.tuples(*[st.integers(0, L.size - 1)] * A.size)))
     assert h.is_homomorphism() == old_is_homomorphism(h)
+
+
+def broken_operations(h):
+    """The operations h fails to preserve, found by the per-argument loop of
+    ``old_is_homomorphism``."""
+    A, B, values = h.domain, h.codomain, h.values
+    return {name for name, arity in A.signature.ops
+            for args in itertools.product(A.elements, repeat=arity)
+            if values[A.apply(name, *args)] != B.apply(name, *(values[a] for a in args))}
+
+
+def _random_ternary(size, seed):
+    """Random tables for a ternary and a unary operation, as in test_hom_plan."""
+    rng = random.Random(seed)
+    tables = {"t": tuple(rng.randrange(size) for _ in range(size**3)),
+              "s": tuple(rng.randrange(size) for _ in range(size))}
+    return FiniteAlgebra(Signature((("t", 3), ("s", 1))), size, tables)
+
+
+def _hom_groups():
+    """Algebras of at most four elements, grouped by signature; every map
+    between two algebras of a group is checked."""
+    groups = {
+        "bool2": [bool2().algebra, direct_power(bool2().algebra, 2)],
+        "dl2": [dl2().algebra, direct_power(dl2().algebra, 2)],
+        "luk": [direct_power(luk(2).algebra, 0)] + [luk(n).algebra for n in (1, 2, 3)],
+        "posluk": [posluk(n).algebra for n in (1, 2, 3)],
+        "median3": [_median3()],
+        "affine3": [_affine3()],
+        "late-pair": [_late_pair()],
+        "ternary": [_random_ternary(size, seed) for size, seed in ((2, 0), (3, 1), (3, 2))],
+    }
+    free = reduct(luk(3).algebra, ["oplus", "neg"])
+    empty = FiniteAlgebra(free.signature, 0, {name: () for name in free.signature.names})
+    groups["luk-oplus-neg"] = [empty, reduct(luk(2).algebra, ["oplus", "neg"]), free]
+    return groups
+
+
+HOM_GROUPS = _hom_groups()
+
+
+@pytest.mark.parametrize("group", list(HOM_GROUPS.values()), ids=list(HOM_GROUPS))
+def test_is_homomorphism_on_every_map(group):
+    for A, B in itertools.product(group, repeat=2):
+        for values in itertools.product(B.elements, repeat=A.size):
+            h = ElementMap(A, B, values)
+            assert h.is_homomorphism() == (not broken_operations(h)), (A, B, values)
+
+
+def test_is_homomorphism_sees_one_broken_constant_or_operation():
+    """Maps that preserve everything but one constant, or but one of the two
+    operations in DL's binary stack (meet and join)."""
+    DL = dl2().algebra
+    square = direct_power(DL, 2)            # elements 00, 01, 10, 11
+    cases = [
+        (ElementMap(DL, DL, (1, 1)), {"zero"}),
+        (ElementMap(square, DL, (0, 1, 1, 1)), {"meet"}),    # the join of the coordinates
+        (ElementMap(square, DL, (0, 0, 0, 1)), {"join"}),    # their meet
+        (ElementMap(square, DL, (0, 0, 1, 1)), set()),       # the first projection
+    ]
+    for h, broken in cases:
+        assert broken_operations(h) == broken
+        assert h.is_homomorphism() == (not broken)

@@ -7,7 +7,9 @@ operation.  The oracles below are the versions they replaced, kept verbatim
 up to names: ``generate_subalgebra`` on the vector kernel ``_close``, the
 greedy ``minimal_generating_set`` that closed again after every generator,
 ``subuniverses`` on those, and ``_HomPlan`` with its provenance closure and
-the per-element ``B.apply`` replay of ``enumerate_homs``.
+the per-element ``B.apply`` replay of ``enumerate_homs``.  Both read the
+argument-column view ``_op_columns`` that ``FiniteAlgebra`` no longer
+caches, so a copy of it lives here too.
 """
 
 import itertools
@@ -25,7 +27,6 @@ from dualkit.algebras import (
     Signature,
     _close,
     _HomPlan,
-    _op_columns,
     _rows,
     direct_power,
     enumerate_homs,
@@ -38,6 +39,24 @@ from dualkit.corpus import dualizer_suite, entry_label, sample_function_algebra
 
 
 # --- oracles: the versions before the staged closure ----------------------------
+
+def _op_columns(A):
+    """Per operation: argument index columns and the flat result array.
+
+    The flat table is already in lexicographic argument order, so the result
+    array is the table itself; the argument columns are its mixed-radix
+    decode.  Rebuilt on every call: the algebra no longer caches it.
+    """
+    n = A.size
+    out = {}
+    for name, arity in A.signature.ops:
+        if arity == 0:
+            continue
+        idx = np.arange(n**arity)
+        cols = [(idx // n ** (arity - 1 - i)) % n for i in range(arity)]
+        out[name] = (cols, np.array(A.tables[name], dtype=np.int64))
+    return out
+
 
 def old_generate_subalgebra(A: FiniteAlgebra, seed) -> frozenset:
     """Least subuniverse of A containing ``seed`` and all constants."""

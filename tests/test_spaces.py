@@ -1,12 +1,16 @@
 import dataclasses
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+from dualkit import algebras
 from dualkit.algebras import (
     FiniteAlgebra,
     InvalidInput,
+    algebra_from_vectors,
     direct_power,
     enumerate_homs,
     generate_vectors,
@@ -14,7 +18,9 @@ from dualkit.algebras import (
     subalgebra,
 )
 from dualkit.catalog import bool2, dl2, luk
+from dualkit.constrained import cons, func
 from dualkit.corpus import dualizer_suite, sample_function_algebra, sample_lspace
+from dualkit.fileformat import parse_algebra, parse_document, parse_space, resolve_algebra
 from dualkit.spaces import (
     LMap,
     _comp_triangle,
@@ -365,3 +371,77 @@ def test_lspace_rejects_discontinuous_functions():
 def test_lspace_rejects_non_subuniverse():
     with pytest.raises(InvalidInput):
         lspace(discrete_topology(2), DL, [(0, 1)])
+
+
+# --- Comp X, tabulated by validation ------------------------------------------------
+
+def _assert_comp_is_tabulated(X):
+    comp, carrier = X.comp_algebra()
+    expected, expected_carrier = algebra_from_vectors(X.dualizer, X.n, X.functions)
+    assert comp == expected
+    assert isinstance(carrier, tuple) and carrier == tuple(expected_carrier)
+
+
+@pytest.mark.parametrize("entry", dualizer_suite(), ids=lambda e: e.name + str(e.params))
+def test_comp_algebra_is_the_tabulation_validation_built(entry):
+    L = entry.algebra
+    rng = random.Random("comp-from-validation|%r" % (entry,))
+    for _ in range(15):
+        _, _, A, gens = sample_function_algebra(L, rng)
+        for X in (sample_lspace(L, rng), spectrum(A, L, gens=gens).space):
+            for Y in (X, regularize(X), discretize(X), separated_quotient(X)[0],
+                      func(cons(X, 2))):
+                _assert_comp_is_tabulated(Y)
+
+
+def _docgen():
+    path = Path(__file__).resolve().parents[1] / "bench" / "docgen.py"
+    spec = importlib.util.spec_from_file_location("docgen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_comp_algebra_on_the_benchmark_documents(tmp_path, seed):
+    """Every L-space the ``documents`` workload reads, builds with ``func``
+    or gets as a spectrum."""
+    commands = _docgen().generate(seed, str(tmp_path))
+    dualizers = {argv[1]: argv[argv.index("--dualizer") + 1]
+                 for _, argv in commands if "--dualizer" in argv[2:]}
+    checked = 0
+    for path in sorted(tmp_path.iterdir()):
+        text = path.read_text()
+        kind = parse_document(text).get("kind")
+        if kind == "lspace":
+            space = parse_space(text).space
+        elif kind.startswith("constrained"):
+            space = func(parse_space(text).space)
+        elif kind == "algebra":
+            L = resolve_algebra(dualizers[str(path)]).algebra
+            space = spectrum(parse_algebra(text).algebra, L).space
+        else:
+            continue
+        _assert_comp_is_tabulated(space)
+        checked += 1
+    assert checked == 94
+
+
+def test_unit_and_counit_run_the_closure_lookup_once_per_space(monkeypatch):
+    """canonical_embedding validates Spec A and evaluation_map validates
+    Spec Comp Spec A, one lookup each; reading Comp X runs none."""
+    calls = []
+    images = algebras._images
+
+    def counting(A, rows):
+        calls.append(len(rows))
+        return images(A, rows)
+
+    monkeypatch.setattr(algebras, "_images", counting)
+    eta = canonical_embedding(direct_power(DL, 2), DL)
+    evaluation_map(eta.spectrum.space)
+    assert len(calls) == 2
+    for _ in range(3):
+        eta.spectrum.space.comp_algebra()
+    assert len(calls) == 2
+

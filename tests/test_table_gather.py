@@ -1,11 +1,12 @@
 """Differential tests of the table-gather congruence and product code.
 
-Quotient tables, congruence generation and product tables are read off the
-cached table views ``_op_columns`` and ``_op_stacks``.  The oracles below
-are the versions they replaced, kept verbatim up to imports and names: the
-``A.apply`` loops of ``_induced_tables``, ``generate_congruence`` and
-``direct_product``, the pairwise loop of ``in_prevariety``, and
-``relative_congruences`` with its runtime meet-closure assertion.
+Quotient tables and congruence generation are read off the cached table
+view ``_op_stacks``, and product tables are built by broadcasting each
+factor's table.  The oracles below are the versions they replaced, kept
+verbatim up to imports and names: the ``A.apply`` loops of
+``_induced_tables``, ``generate_congruence`` and ``direct_product``, the
+pairwise loop of ``in_prevariety``, and ``relative_congruences`` with its
+runtime meet-closure assertion.
 """
 
 import itertools
