@@ -178,6 +178,8 @@ class ElementMap:
 
     def is_homomorphism(self) -> bool:
         A, B = self.domain, self.codomain
+        if A.signature != B.signature:
+            raise InvalidInput("algebras must share a signature")
         h = np.array(self.values, dtype=np.int64)
         for name in A.signature.constants:
             if h[A.apply(name)] != B.apply(name):
@@ -795,7 +797,8 @@ def _induced_tables(A: FiniteAlgebra, blocks, num_blocks):
         table[key] = b[stack]
         if not np.array_equal(table[key], b[stack]):
             return None
-        tables.update(zip(names, (tuple(t.ravel().tolist()) for t in table)))
+        for name, t in zip(names, table):
+            tables[name] = tuple(t.ravel().tolist())
     return tables
 
 

@@ -60,9 +60,8 @@ def continuous_functions(top: FiniteTopology, L: FiniteAlgebra,
 class LSpace:
     """A finite topology plus a subalgebra of continuous L-valued functions.
 
-    Validation tabulates the dualizer's operations on the sorted functions
-    once; the same pass that finds them closed gives Comp X, the algebra
-    ``comp_algebra`` returns.
+    The validation pass that finds the functions closed tabulates the
+    operations on them, and keeps the result as Comp X (``comp_algebra``).
     """
 
     topology: FiniteTopology

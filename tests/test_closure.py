@@ -131,7 +131,7 @@ def _op_columns(A):
 
     The flat table is already in lexicographic argument order, so the result
     array is the table itself; the argument columns are its mixed-radix
-    decode.  Rebuilt on every call: the algebra no longer caches it.
+    decode.  Built on every call; the algebra holds no cache for it.
     """
     n = A.size
     out = {}
@@ -462,3 +462,11 @@ def test_is_homomorphism_sees_one_broken_constant_or_operation():
     for h, broken in cases:
         assert broken_operations(h) == broken
         assert h.is_homomorphism() == (not broken)
+
+
+def test_is_homomorphism_needs_one_signature():
+    """The stacks of two signatures do not line up; the old per-operation
+    lookup failed on them too, with a KeyError."""
+    h = ElementMap(bool2().algebra, dl2().algebra, (0, 1))
+    assert _error(h.is_homomorphism) == (InvalidInput, "algebras must share a signature")
+

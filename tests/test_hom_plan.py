@@ -45,7 +45,7 @@ def _op_columns(A):
 
     The flat table is already in lexicographic argument order, so the result
     array is the table itself; the argument columns are its mixed-radix
-    decode.  Rebuilt on every call: the algebra no longer caches it.
+    decode.  Built on every call; the algebra holds no cache for it.
     """
     n = A.size
     out = {}
