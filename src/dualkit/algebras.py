@@ -675,9 +675,10 @@ class _HomPlan:
     or else the least element not yet reached, and closes with ``_rounds``.
     Each round is a stage: constants are stage 0 and a generator no earlier
     level reached gets one of its own.  ``levels[i]`` is level i's range of
-    stages.  ``stages[t]`` groups, per operation, the applications whose
-    latest argument is at stage t: (name, argument columns, results,
-    positions whose result is first reached at stage t + 1).
+    stages.  ``stages[t]`` groups, per stack of ``_op_stacks`` (operations
+    of one arity), the argument tuples whose latest argument is at stage t:
+    (stack index, argument columns, results as operations x tuples, and the
+    positions there whose result is first reached at stage t + 1).
     """
 
     def __init__(self, A: FiniteAlgebra, gens=None):
@@ -709,22 +710,21 @@ class _HomPlan:
             raise InvalidInput("given generators do not generate the algebra")
         self.gens = tuple(picked)
         self.stages: list[list] = [[] for _ in range(top)]
-        for names, tables in _op_stacks(A):
+        for s, (_, tables) in enumerate(_op_stacks(A)):
             at = functools.reduce(np.maximum.outer, [stage] * (tables.ndim - 1))
             for t in np.flatnonzero(np.bincount(at.ravel())).tolist():
                 args = np.nonzero(at == t)
-                for name, table in zip(names, tables):
-                    out = table[args]
-                    self.stages[t].append((name, args, out, np.flatnonzero(stage[out] == t + 1)))
+                out = tables[(slice(None),) + args]
+                self.stages[t].append((s, args, out, np.nonzero(stage[out] == t + 1)))
 
 
 def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra, gens=None) -> list[ElementMap]:
     """All homomorphisms A -> B, in lexicographic order of generator images.
 
-    Backtracks over images of a generating set.  Each stage gathers B's
-    tables once, writes the images it derives, and only then compares every
-    application with its result's image, so that two derivations of one
-    element that disagree in B cannot both pass.
+    Backtracks over images of a generating set.  Each stage gathers each of
+    B's table stacks once, writes the images it derives, and only then
+    compares every application with its result's image, so that two
+    derivations of one element that disagree in B cannot both pass.
     """
     if A.signature != B.signature:
         raise InvalidInput("algebras must share a signature")
@@ -739,8 +739,7 @@ def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra, gens=None) -> list[Elemen
                 raise InvalidInput("generator %r outside carrier" % (g,))
     plan = _HomPlan(A, gens)  # raises if the given generators do not generate
     gens = plan.gens
-    b_tables = {name: table for names, tables in _op_stacks(B)
-                for name, table in zip(names, tables)}
+    b_stacks = [tables for _, tables in _op_stacks(B)]
     const_images = np.array([B.apply(name) for name in B.signature.constants], dtype=np.int64)
     image = np.full(A.size, -1, dtype=np.int64)
     results: list[ElementMap] = []
@@ -757,12 +756,12 @@ def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra, gens=None) -> list[Elemen
             # the generator was derived earlier; its image is already forced
             return False
         for t in plan.levels[level]:
-            values = [b_tables[name][tuple(image[c] for c in cols)]
-                      for name, cols, _, _ in plan.stages[t]]
+            values = [b_stacks[s][(slice(None),) + tuple(image[c] for c in cols)]
+                      for s, cols, _, _ in plan.stages[t]]
             for (_, _, res, derive), got in zip(plan.stages[t], values):
                 image[res[derive]] = got[derive]
             for (_, _, res, _), got in zip(plan.stages[t], values):
-                if not np.array_equal(got, image[res]):
+                if not (got == image[res]).all():
                     return False
         return True
 

@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .algebras import DEFAULT_BUDGET, BudgetExceeded, FiniteAlgebra, InvalidInput, Signature
 
 BOOL_SIGNATURE = Signature((("meet", 2), ("join", 2), ("neg", 1), ("zero", 0), ("one", 0)))
@@ -41,43 +43,32 @@ class CatalogEntry:
             raise InvalidInput("unknown element label %r for %s" % (label, self.name))
 
 
-def _binary_table(n, fn):
-    return tuple(fn(a, b) for a in range(n) for b in range(n))
+def _luk_tables(n, signature):
+    """The tables of the symbols in ``signature`` on the Lukasiewicz chain
+    0..n, element i standing for the rational i/n.  At n = 1 the lattice
+    operations, negation and bounds are those of the Boolean algebra 2."""
+    a = np.arange(n + 1)
+    total = np.add.outer(a, a)
+    arrays = {
+        "oplus": np.minimum(total, n),
+        "odot": np.maximum(total - n, 0),
+        "neg": n - a,
+        "join": np.maximum.outer(a, a),
+        "meet": np.minimum.outer(a, a),
+        "zero": np.array([0]),
+        "one": np.array([n]),
+    }
+    return {name: tuple(arrays[name].ravel().tolist()) for name in signature.names}
 
 
 def bool2() -> CatalogEntry:
-    tables = {
-        "meet": _binary_table(2, min),
-        "join": _binary_table(2, max),
-        "neg": (1, 0),
-        "zero": (0,),
-        "one": (1,),
-    }
-    return CatalogEntry("bool2", (), ("0", "1"), FiniteAlgebra(BOOL_SIGNATURE, 2, tables))
+    algebra = FiniteAlgebra(BOOL_SIGNATURE, 2, _luk_tables(1, BOOL_SIGNATURE))
+    return CatalogEntry("bool2", (), ("0", "1"), algebra)
 
 
 def dl2() -> CatalogEntry:
-    tables = {
-        "meet": _binary_table(2, min),
-        "join": _binary_table(2, max),
-        "zero": (0,),
-        "one": (1,),
-    }
-    return CatalogEntry("dl2", (), ("0", "1"), FiniteAlgebra(DL_SIGNATURE, 2, tables))
-
-
-def _luk_tables(n):
-    # element i stands for the rational i/n
-    size = n + 1
-    return {
-        "oplus": _binary_table(size, lambda a, b: min(a + b, n)),
-        "odot": _binary_table(size, lambda a, b: max(a + b - n, 0)),
-        "neg": tuple(n - a for a in range(size)),
-        "join": _binary_table(size, max),
-        "meet": _binary_table(size, min),
-        "zero": (0,),
-        "one": (n,),
-    }
+    algebra = FiniteAlgebra(DL_SIGNATURE, 2, _luk_tables(1, DL_SIGNATURE))
+    return CatalogEntry("dl2", (), ("0", "1"), algebra)
 
 
 def _chain_labels(n):
@@ -87,15 +78,14 @@ def _chain_labels(n):
 def luk(n: int) -> CatalogEntry:
     if n < 1:
         raise InvalidInput("luk(n) requires n >= 1")
-    algebra = FiniteAlgebra(MV_SIGNATURE, n + 1, _luk_tables(n))
+    algebra = FiniteAlgebra(MV_SIGNATURE, n + 1, _luk_tables(n, MV_SIGNATURE))
     return CatalogEntry("luk", (n,), _chain_labels(n), algebra)
 
 
 def posluk(n: int) -> CatalogEntry:
     if n < 1:
         raise InvalidInput("posluk(n) requires n >= 1")
-    tables = {k: v for k, v in _luk_tables(n).items() if k != "neg"}
-    algebra = FiniteAlgebra(POSMV_SIGNATURE, n + 1, tables)
+    algebra = FiniteAlgebra(POSMV_SIGNATURE, n + 1, _luk_tables(n, POSMV_SIGNATURE))
     return CatalogEntry("posluk", (n,), _chain_labels(n), algebra)
 
 

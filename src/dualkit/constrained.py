@@ -52,7 +52,7 @@ from .algebras import (
     InvalidInput,
     unclosed_operation,
 )
-from .spaces import LSpace, lspace
+from .spaces import LSpace
 from .terms import TermFunction, _convex_within, check_near_unanimity
 from .topology import FiniteTopology, bits_of, mask_of
 
@@ -682,8 +682,12 @@ def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
 
 
 def func(space, budget: int = DEFAULT_BUDGET) -> LSpace:
-    """Wrap the space's topology with its continuous compatible functions."""
-    return lspace(space.topology, space.dualizer, ccomp(space, budget=budget))
+    """Wrap the space's topology with its continuous compatible functions.
+
+    They are closed when every constraint is a subuniverse; reading Comp X
+    tabulates it, and raises InvalidInput if they are not."""
+    functions = frozenset(ccomp(space, budget=budget))
+    return LSpace._from_trusted(space.topology, space.dualizer, functions, None)
 
 
 def cons(X: LSpace, k: int):

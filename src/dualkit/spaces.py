@@ -21,6 +21,7 @@ from .algebras import (
     ElementMap,
     FiniteAlgebra,
     InvalidInput,
+    _induced_tables,
     _rows,
     _tables_on,
     enumerate_homs,
@@ -60,14 +61,19 @@ def continuous_functions(top: FiniteTopology, L: FiniteAlgebra,
 class LSpace:
     """A finite topology plus a subalgebra of continuous L-valued functions.
 
-    The validation pass that finds the functions closed tabulates the
-    operations on them, and keeps the result as Comp X (``comp_algebra``).
+    Validation (``lspace``, for every space from outside) tabulates the
+    operations on the functions, which tests that they are closed, and
+    keeps the result as Comp X.  ``_from_trusted`` skips it where the
+    construction guarantees it: the image of eta_A is A/ker(eta_A), which
+    ``spectrum`` reads off A's tables, and ``func`` of a constrained space
+    with subuniverse constraints is closed and continuous (its Comp X is
+    tabulated on first read).
     """
 
     topology: FiniteTopology
     dualizer: FiniteAlgebra
     functions: frozenset
-    _comp: tuple = field(init=False, compare=False, repr=False)
+    _comp: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for f in self.functions:
@@ -77,14 +83,15 @@ class LSpace:
                 raise InvalidInput("compatible function outside the carrier")
             if not is_continuous_vector(self.topology, f):
                 raise InvalidInput("compatible function is not continuous")
-        carrier = tuple(sorted(self.functions))
-        tables, name = _tables_on(self.dualizer, _rows(carrier, self.topology.n))
-        if name in self.dualizer.signature.constants:
-            raise InvalidInput("compatible functions miss the constant %r" % name)
-        if name is not None:
-            raise InvalidInput("compatible functions not closed under %r" % name)
-        comp = FiniteAlgebra(self.dualizer.signature, len(carrier), tables)
-        object.__setattr__(self, "_comp", (comp, carrier))
+        self.comp_algebra()
+
+    @classmethod
+    def _from_trusted(cls, topology, dualizer, functions: frozenset, comp) -> "LSpace":
+        """The L-space on functions known to be continuous and closed; comp is
+        Comp X as (algebra, carrier), or None to tabulate it on first use."""
+        space = object.__new__(cls)
+        vars(space).update(topology=topology, dualizer=dualizer, functions=functions, _comp=comp)
+        return space
 
     @property
     def n(self) -> int:
@@ -96,6 +103,15 @@ class LSpace:
         Returns (algebra, carrier) with carrier[i] the vector of element i,
         in lexicographic order.
         """
+        if self._comp is None:
+            carrier = tuple(sorted(self.functions))
+            tables, name = _tables_on(self.dualizer, _rows(carrier, self.n))
+            if name in self.dualizer.signature.constants:
+                raise InvalidInput("compatible functions miss the constant %r" % name)
+            if name is not None:
+                raise InvalidInput("compatible functions not closed under %r" % name)
+            comp = FiniteAlgebra(self.dualizer.signature, len(carrier), tables)
+            object.__setattr__(self, "_comp", (comp, carrier))
         return self._comp
 
 
@@ -166,14 +182,16 @@ def spectrum(A: FiniteAlgebra, L: FiniteAlgebra, gens=None) -> Spectrum:
     lexicographic order of the homomorphisms' value vectors.
     """
     homs = sorted(enumerate_homs(A, L, gens=gens), key=lambda h: h.values)
-    n = len(homs)
-    subbasis = []
-    for a in A.elements:
-        for w in L.elements:
-            subbasis.append(mask_of(i for i, h in enumerate(homs) if h.values[a] == w))
-    top = topology_from_subbasis(n, subbasis)
-    comp = frozenset(tuple(h.values[a] for h in homs) for a in A.elements)
-    return Spectrum(A, L, tuple(homs), lspace(top, L, comp))
+    vectors = [tuple(h.values[a] for h in homs) for a in A.elements]    # eta_A
+    subbasis = [mask_of(i for i, v in enumerate(vec) if v == w)
+                for vec in vectors for w in L.elements]
+    top = topology_from_subbasis(len(homs), subbasis)
+    # Comp Spec A is A/ker(eta_A), its blocks numbered in the carrier's order
+    carrier = tuple(sorted(set(vectors)))
+    position = {v: i for i, v in enumerate(carrier)}
+    tables = _induced_tables(A, [position[v] for v in vectors], len(carrier))
+    comp = (FiniteAlgebra(A.signature, len(carrier), tables), carrier)
+    return Spectrum(A, L, tuple(homs), LSpace._from_trusted(top, L, frozenset(carrier), comp))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 ``generate_subalgebra`` and ``_HomPlan`` close a mask over the carrier with
 ``_rounds``, ``minimal_generating_set`` is the generators ``_HomPlan`` picks
 itself, and ``enumerate_homs`` replays each stage with one table gather per
-operation.  The oracles below are the versions they replaced, kept verbatim
+stack of operations of one arity.  The oracles below are the versions they replaced, kept verbatim
 up to names: ``generate_subalgebra`` on the vector kernel ``_close``, the
 greedy ``minimal_generating_set`` that closed again after every generator,
 ``subuniverses`` on those, and ``_HomPlan`` with its provenance closure and
@@ -345,6 +345,25 @@ def test_ternary_operation_matches_oracle(seed):
         assert new == old
         new, old = _homs(X, Y, tuple(X.elements))
         assert new == old
+
+
+def test_two_operations_of_one_arity_derive_one_element():
+    """In A, f and g both send (0, 0) to 1 and every other pair to 0, so the
+    stage after the generator 0 derives 1 twice.  B's f and g differ at
+    (0, 0) only: sending 0 to 0 derives 1 -> 1 and 1 -> 2, and every later
+    application agrees with either image, so only the stage that derives 1
+    can reject it, however its two writes are ordered."""
+    signature = Signature((("f", 2), ("g", 2)))
+    A = FiniteAlgebra(signature, 2, {"f": (1, 0, 0, 0), "g": (1, 0, 0, 0)})
+    B = FiniteAlgebra(signature, 3, {"f": (1,) + (0,) * 8, "g": (2,) + (0,) * 8})
+    stage = next(entries for entries in _HomPlan(A).stages if entries)
+    ((_, _, res, derive),) = stage
+    assert res[derive].tolist() == [1, 1]
+    for X, Y in ((A, A), (A, B), (B, A), (B, B)):
+        for gens in (None, tuple(X.elements)):
+            new, old = _homs(X, Y, gens)
+            assert new == old
+    assert _homs(A, B) == ([], [])
 
 
 def test_trivial_algebra_into_dl2_has_no_homomorphism():

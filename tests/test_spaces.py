@@ -17,9 +17,9 @@ from dualkit.algebras import (
     power_index,
     subalgebra,
 )
-from dualkit.catalog import bool2, dl2, luk
+from dualkit.catalog import bool2, dl2, luk, reduct
 from dualkit.constrained import cons, func
-from dualkit.corpus import dualizer_suite, sample_function_algebra, sample_lspace
+from dualkit.corpus import dualizer_suite, entry_label, sample_function_algebra, sample_lspace
 from dualkit.fileformat import parse_algebra, parse_document, parse_space, resolve_algebra
 from dualkit.spaces import (
     LMap,
@@ -196,7 +196,6 @@ def test_spectra_are_full_separated_regular():
 def test_fullness_can_fail_without_constants():
     # over the constant-free lattice reduct the diagonal's constant
     # homomorphisms are not point evaluations
-    from dualkit.catalog import reduct
     bare = reduct(DL, ("meet", "join"))
     X = lspace(discrete_topology(2), bare, [(0, 0), (1, 1)])
     props = space_properties(X)
@@ -373,13 +372,18 @@ def test_lspace_rejects_non_subuniverse():
         lspace(discrete_topology(2), DL, [(0, 1)])
 
 
-# --- Comp X, tabulated by validation ------------------------------------------------
+# --- Comp X, tabulated by validation or read off a trusted construction ---------------
 
 def _assert_comp_is_tabulated(X):
+    """Comp X is the tabulation of X's functions, and full validation
+    accepts X (which spectrum and func skip) and tabulates the same Comp X."""
     comp, carrier = X.comp_algebra()
     expected, expected_carrier = algebra_from_vectors(X.dualizer, X.n, X.functions)
     assert comp == expected
     assert isinstance(carrier, tuple) and carrier == tuple(expected_carrier)
+    validated = lspace(X.topology, X.dualizer, X.functions)
+    assert validated == X
+    assert validated.comp_algebra() == (comp, carrier)
 
 
 @pytest.mark.parametrize("entry", dualizer_suite(), ids=lambda e: e.name + str(e.params))
@@ -392,6 +396,28 @@ def test_comp_algebra_is_the_tabulation_validation_built(entry):
             for Y in (X, regularize(X), discretize(X), separated_quotient(X)[0],
                       func(cons(X, 2))):
                 _assert_comp_is_tabulated(Y)
+
+
+@pytest.mark.parametrize("entry", dualizer_suite(), ids=lambda e: e.name + str(e.params))
+def test_criterion_one_spectra_pass_validation(entry):
+    """Spec A and Spec Comp Spec A on all of criterion 1's draws at seed 0."""
+    L = entry.algebra
+    rng = random.Random("0|roundtrip|%s" % entry_label(entry))
+    for _ in range(200):
+        _, _, A, gens = sample_function_algebra(L, rng)
+        X = spectrum(A, L, gens=gens).space
+        _assert_comp_is_tabulated(X)
+        _assert_comp_is_tabulated(spectrum(X.comp_algebra()[0], L).space)
+
+
+def test_spectrum_of_the_empty_algebra():
+    names = [n for n in L2.signature.names if n not in ("zero", "one")]
+    bare = reduct(L2, names)
+    empty = FiniteAlgebra(bare.signature, 0, {n: () for n in names})
+    X = spectrum(empty, bare).space
+    assert X.n == 1 and X.functions == frozenset()
+    assert X.comp_algebra() == (empty, ())
+    _assert_comp_is_tabulated(X)
 
 
 def _docgen():
@@ -427,9 +453,7 @@ def test_comp_algebra_on_the_benchmark_documents(tmp_path, seed):
     assert checked == 94
 
 
-def test_unit_and_counit_run_the_closure_lookup_once_per_space(monkeypatch):
-    """canonical_embedding validates Spec A and evaluation_map validates
-    Spec Comp Spec A, one lookup each; reading Comp X runs none."""
+def _count_images(monkeypatch):
     calls = []
     images = algebras._images
 
@@ -438,10 +462,26 @@ def test_unit_and_counit_run_the_closure_lookup_once_per_space(monkeypatch):
         return images(A, rows)
 
     monkeypatch.setattr(algebras, "_images", counting)
+    return calls
+
+
+def test_unit_and_counit_run_no_closure_lookup(monkeypatch):
+    """canonical_embedding reads Comp Spec A off A's tables, and
+    evaluation_map reads Comp Spec Comp Spec A off Comp Spec A's."""
+    calls = _count_images(monkeypatch)
     eta = canonical_embedding(direct_power(DL, 2), DL)
     evaluation_map(eta.spectrum.space)
-    assert len(calls) == 2
     for _ in range(3):
         eta.spectrum.space.comp_algebra()
-    assert len(calls) == 2
+    assert calls == []
 
+
+def test_func_tabulates_comp_on_first_read(monkeypatch):
+    X = full_function_space(discrete_topology(2), DL)
+    constrained = cons(X, 2)
+    calls = _count_images(monkeypatch)
+    Y = func(constrained)
+    assert calls == []
+    for _ in range(3):
+        assert Y.comp_algebra() == X.comp_algebra()
+    assert calls == [len(X.functions)]
