@@ -58,7 +58,10 @@ def _luk_tables(n, signature):
         "zero": np.array([0]),
         "one": np.array([n]),
     }
-    return {name: tuple(arrays[name].ravel().tolist()) for name in signature.names}
+    # gathered from one int object per element, so that tables hold pointers
+    # to shared ints and not a fresh int per entry
+    ints = np.array(range(n + 1), dtype=object)
+    return {name: tuple(ints[arrays[name]].ravel().tolist()) for name in signature.names}
 
 
 def bool2() -> CatalogEntry:

@@ -93,3 +93,44 @@ def test_hyperarchimedean_needs_mv_operation():
 def test_zero_is_idempotent_immediately():
     L = luk(3).algebra
     assert L.apply("odot", 0, 0) == 0
+
+
+# --- the ufunc tables against the per-entry tables they replaced ------------------
+
+def _binary_table(n, fn):
+    return tuple(fn(a, b) for a in range(n) for b in range(n))
+
+
+def old_luk_tables(n):
+    # element i stands for the rational i/n
+    size = n + 1
+    return {
+        "oplus": _binary_table(size, lambda a, b: min(a + b, n)),
+        "odot": _binary_table(size, lambda a, b: max(a + b - n, 0)),
+        "neg": tuple(n - a for a in range(size)),
+        "join": _binary_table(size, max),
+        "meet": _binary_table(size, min),
+        "zero": (0,),
+        "one": (n,),
+    }
+
+
+def _assert_tables(algebra, expected):
+    assert set(algebra.tables) == set(algebra.signature.names)
+    for name, table in algebra.tables.items():
+        assert type(table) is tuple and table == expected[name]
+        assert all(type(v) is int for v in table)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 30, 99])
+def test_luk_tables_match_the_per_entry_tables(n):
+    _assert_tables(luk(n).algebra, old_luk_tables(n))
+    _assert_tables(posluk(n).algebra, old_luk_tables(n))
+
+
+def test_two_element_tables_match_the_per_entry_tables():
+    # bool2 and dl2 as they were written out before they shared luk(1)'s tables
+    meet, join = _binary_table(2, min), _binary_table(2, max)
+    _assert_tables(bool2().algebra,
+                   {"meet": meet, "join": join, "neg": (1, 0), "zero": (0,), "one": (1,)})
+    _assert_tables(dl2().algebra, {"meet": meet, "join": join, "zero": (0,), "one": (1,)})

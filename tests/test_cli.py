@@ -358,6 +358,14 @@ def test_first_unclosed_constraint_is_named(capsys, tmp_path):
         2, "", "error: constraint for [0, 2] is not a subuniverse\n")
 
 
+def test_func_of_unclosed_constraints_exits_two(capsys, tmp_path):
+    # its two compatible functions, (0, 0, 1) and (1, 1, 0), miss their meet
+    path = tmp_path / "unclosed.dk"
+    path.write_text(NOT_CLOSED)
+    assert run(capsys, "func", str(path)) == (
+        2, "", "error: compatible functions not closed under 'meet'\n")
+
+
 @pytest.mark.parametrize("command", ["props", "comp", "lep"])
 def test_short_local_function_exits_two(capsys, tmp_path, command):
     path = tmp_path / "short.dk"
