@@ -283,7 +283,8 @@ def cmd_func(args):
     if isinstance(doc.space, LSpace):
         raise ValidationError("func expects a constrained document")
     space = func(doc.space, budget=args.budget)
-    space.comp_algebra()    # raises unless the document's functions are closed
+    # a document's constraints need not be subuniverses; reading Comp X tests closure
+    space.comp_algebra()
     print(serialize_space(SpaceDocument("lspace", doc.points, doc.dualizer_ref,
                                         doc.dualizer, space)), end="")
     return 0
