@@ -11,16 +11,22 @@ construction and all operations are pure.
 
 There are two closures, each with its own job.  Vectors over an algebra
 close in ``_close``: semi-naive rounds over int64 row arrays, with each
-operation applied by indexing its table.  It serves ``generate_vectors`` at
-every length.  Its lookup half, ``_images``, serves the closedness test
-``unclosed_operation`` (constrained-space validation) and, through
-``_tables_on``, the table building in L-space validation (which keeps the
-tables as Comp X), ``algebra_from_vectors`` and ``subalgebra``.  Elements
-of one algebra close in ``_rounds``, a boolean mask over the carrier grown
-one round at a time.  It serves ``generate_subalgebra`` (hence
-``subuniverses``) and ``_HomPlan``, whose rounds are the stages
-``enumerate_homs`` replays and whose generators are
+operation applied by indexing its table.  Its lookup half, ``_images``,
+serves the closedness test ``unclosed_operation`` (constrained-space
+validation) and, through ``_tables_on``, the table building in L-space
+validation (which keeps the tables as Comp X), ``algebra_from_vectors`` and
+``subalgebra``.  Elements of one algebra close in ``_rounds``, a boolean
+mask over the carrier grown one round at a time.  It serves
+``generate_subalgebra`` (hence ``subuniverses``) and ``_HomPlan``, whose
+rounds are the stages ``enumerate_homs`` replays and whose generators are
 ``minimal_generating_set``.
+
+Short vectors are elements of a small power.  When the tables of
+L**length fit the block cap, ``_power_stacks`` builds them once per
+algebra and length, a vector standing for its code in base |L|.  Then
+``generate_vectors`` closes the codes with ``_rounds``, and ``_images``
+looks the codes up with one gather per stack.  Longer vectors take the row
+kernels, ``_close`` and ``_row_images``.
 
 Evaluating an operation on all argument tuples reads one cached table view,
 ``_op_stacks``: the tables of each arity stacked into one array of shape
@@ -96,7 +102,7 @@ class FiniteAlgebra:
     the signature has no constants.
     """
 
-    __slots__ = ("signature", "size", "tables", "_key", "_arity", "_stacks")
+    __slots__ = ("signature", "size", "tables", "_key", "_arity", "_stacks", "_powers")
 
     def __init__(self, signature: Signature, size: int, tables: dict):
         if size < 0:
@@ -126,8 +132,10 @@ class FiniteAlgebra:
         key = (signature, size, tuple(frozen[name] for name in signature.names))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_arity", dict(signature.ops))
-        # the numpy view of the tables, built on first use (_op_stacks)
+        # the numpy view of the tables, and of small powers' tables by
+        # length, built on first use (_op_stacks, _power_stacks)
         object.__setattr__(self, "_stacks", None)
+        object.__setattr__(self, "_powers", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteAlgebra is immutable")
@@ -289,7 +297,8 @@ def total_congruence(A: FiniteAlgebra) -> Congruence:
 _INT64_MAX = 2**63 - 1
 
 #: Cap on the cells (rows x operations x length) of one candidate block, so
-#: memory stays bounded however large |known|**arity grows.
+#: memory stays bounded however large |known|**arity grows; also the most
+#: cells (carrier and tables) of a power that ``_power_stacks`` builds.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -304,9 +313,61 @@ def _op_stacks(A):
         stacks = []
         for arity, names in sorted(groups.items()):
             tables = np.array([A.tables[name] for name in names], dtype=np.int64)
+            # read-only: every caller, and every user of a catalog entry, shares it
+            tables.flags.writeable = False
             stacks.append((names, tables.reshape((len(names),) + (A.size,) * arity)))
         object.__setattr__(A, "_stacks", stacks)
     return A._stacks
+
+
+def _product_stack(stacks, sizes, ops: int, arity: int) -> np.ndarray:
+    """The tables of ``ops`` operations of one arity on a product, from each
+    factor's: ``stacks[i]`` holds factor i's, (sizes[i],)*arity entries per
+    operation.  The result has shape (ops,) + (prod(sizes),)*arity, a product
+    element numbered by its coordinates in mixed radix, the first most
+    significant."""
+    k = len(sizes)
+    # argument j's coordinate i is axis 1 + j*k + i, so each factor's table,
+    # weighted by its place value, varies along its own axes only
+    total = np.zeros((ops,) + (1,) * (arity * k), dtype=np.int64)
+    for i, (stack, size) in enumerate(zip(stacks, sizes)):
+        shape = [ops] + [1] * (arity * k)
+        shape[1 + i::k] = [size] * arity
+        total = total + math.prod(sizes[i + 1:]) * np.asarray(stack, dtype=np.int64).reshape(shape)
+    return total.reshape((ops,) + (math.prod(sizes),) * arity)
+
+
+def _power_stacks(L: FiniteAlgebra, length: int):
+    """The ``_op_stacks`` of L**length, or None when its carrier and tables
+    would hold more than ``_BLOCK_CELLS`` cells.  A vector is the element
+    numbered by its code (``_codes``), so codes ascend as vectors do
+    lexicographically.  Built once per algebra and length."""
+    stacks = _op_stacks(L)
+    size = L.size ** length
+    cells = size + sum(len(names) * size ** (tables.ndim - 1) for names, tables in stacks)
+    if cells > _BLOCK_CELLS:
+        return None
+    if L._powers is None:
+        object.__setattr__(L, "_powers", {})
+    if length not in L._powers:
+        view = []
+        for names, tables in stacks:
+            power = _product_stack([tables] * length, [L.size] * length, len(names), tables.ndim - 1)
+            power.flags.writeable = False
+            view.append((names, power))
+        L._powers[length] = view
+    return L._powers[length]
+
+
+def _codes(rows: np.ndarray, n: int) -> np.ndarray:
+    """Each row's code in base n, first column most significant; rows must
+    lie in a power ``_power_stacks`` holds, so that one limb is enough."""
+    return (rows @ _radix(n, rows.shape[1]))[:, 0]
+
+
+def _decode(codes: np.ndarray, n: int, length: int) -> np.ndarray:
+    """The rows of the given codes; the inverse of ``_codes``."""
+    return codes[:, None] // _radix(n, length)[:, 0] % n
 
 
 def _rows(vectors: list, length: int) -> np.ndarray:
@@ -441,8 +502,29 @@ def _images(A: FiniteAlgebra, rows: np.ndarray):
 
     Yields (name, positions) pieces: one operation's pieces come in
     row-major argument order, but operations interleave.  A position is -1
-    where the value is not a row.
+    where the value is not a row.  Rows over a power that ``_power_stacks``
+    holds are looked up by their codes, one gather per stack; longer rows
+    by ``_row_images``.
     """
+    view = _power_stacks(A, rows.shape[1])
+    if view is None or (rows.size and not 0 <= rows.min() <= rows.max() < A.size):
+        yield from _row_images(A, rows)
+        return
+    codes = _codes(rows, A.size)
+    position = np.full(A.size ** rows.shape[1], -1, dtype=np.int64)
+    position[codes] = np.arange(len(codes))
+    constants = A.signature.constants
+    if constants:
+        values = np.array([A.tables[name] for name in constants], dtype=np.int64)
+        found = position[_codes(np.repeat(values, rows.shape[1], axis=1), A.size)]
+        yield from zip(constants, found.reshape(-1, 1))
+    for names, tables in view:
+        found = position[tables[(slice(None),) + np.ix_(*(codes,) * (tables.ndim - 1))]]
+        yield from zip(names, found.reshape(len(names), -1))
+
+
+def _row_images(A: FiniteAlgebra, rows: np.ndarray):
+    """``_images`` on rows of any length, through rank and ``searchsorted``."""
     length = rows.shape[1]
     weights = _radix(A.size, length)
     # a sentinel row of -1 codes, which no vector has, keeps the lookup nonempty
@@ -494,17 +576,16 @@ def _tables_on(A: FiniteAlgebra, rows: np.ndarray):
     return tables, _first_in_signature(A, unclosed)
 
 
-def _rounds(A: FiniteAlgebra, known: np.ndarray):
-    """Close the boolean mask ``known`` over A's carrier under A's
-    non-constant operations, in place, one round at a time.
+def _rounds(stacks, known: np.ndarray):
+    """Close the boolean mask ``known`` over a carrier under the operations
+    of ``stacks`` (an ``_op_stacks`` view on it), in place, one round at a time.
 
     A round applies every operation to all argument tuples of elements known
     when it starts (a pass over each whole table) and yields the elements it
     adds, ascending; the rounds end with the first one that adds nothing.
     """
-    stacks = _op_stacks(A)
     while True:
-        reached = np.zeros(A.size, dtype=bool)
+        reached = np.zeros(len(known), dtype=bool)
         for _, tables in stacks:
             mask = functools.reduce(np.logical_and.outer, [known] * (tables.ndim - 1))
             reached[tables[:, mask]] = True
@@ -524,7 +605,7 @@ def generate_subalgebra(A: FiniteAlgebra, seed) -> frozenset:
     known = np.zeros(A.size, dtype=bool)
     known[np.array(seed + [A.apply(name) for name in A.signature.constants],
                    dtype=np.int64)] = True
-    for _ in _rounds(A, known):
+    for _ in _rounds(_op_stacks(A), known):
         pass
     return frozenset(np.flatnonzero(known).tolist())
 
@@ -587,18 +668,11 @@ def direct_product(factors, budget: int = DEFAULT_BUDGET) -> FiniteAlgebra:
     size = math.prod(f.size for f in factors)
     if size > budget:
         raise BudgetExceeded("product carrier %d exceeds budget %d" % (size, budget))
-    # argument j's coordinate i is axis j*k + i, so each factor's table,
-    # weighted by its place value, varies along its own axes only
-    k = len(factors)
+    sizes = [f.size for f in factors]
     tables = {}
     for name, arity in signature.ops:
-        total = 0
-        for i, f in enumerate(factors):
-            shape = [1] * (arity * k)
-            shape[i::k] = [f.size] * arity
-            weight = math.prod(g.size for g in factors[i + 1:])
-            total = total + weight * np.array(f.tables[name], dtype=np.int64).reshape(shape)
-        tables[name] = tuple(np.ravel(total).tolist())
+        total = _product_stack([f.tables[name] for f in factors], sizes, 1, arity)
+        tables[name] = tuple(total.ravel().tolist())
     return FiniteAlgebra(signature, size, tables)
 
 
@@ -639,9 +713,10 @@ def generate_vectors(L: FiniteAlgebra, length: int, seeds,
                      budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
     """Closure of vectors in L**length under pointwise operations.
 
-    Works directly on vectors (``_close``) so large powers never have to be
-    tabulated.  Returns the closed set sorted; it is empty only for
-    constant-free signatures with no seeds.
+    A power small enough for ``_power_stacks`` closes the vectors' codes
+    with ``_rounds``; larger ones close the vectors themselves (``_close``),
+    so they never have to be tabulated.  Returns the closed set sorted; it
+    is empty only for constant-free signatures with no seeds.
     """
     seeds = [tuple(s) for s in seeds]
     for s in seeds:
@@ -650,8 +725,19 @@ def generate_vectors(L: FiniteAlgebra, length: int, seeds,
         if any(not 0 <= v < L.size for v in s):
             raise InvalidInput("seed vector outside carrier")
     start = set(seeds).union((L.apply(name),) * length for name in L.signature.constants)
-    closed = _close(L, _rows(list(start), length), budget)
-    return list(map(tuple, closed.tolist()))
+    view = _power_stacks(L, length)
+    if view is None:
+        closed = _close(L, _rows(list(start), length), budget)
+        return list(map(tuple, closed.tolist()))
+    known = np.zeros(L.size ** length, dtype=bool)
+    known[_codes(_rows(list(start), length), L.size)] = True
+    count = len(start)
+    for fresh in _rounds(view, known):
+        # as in _close: past the budget only once the closure adds a vector
+        count += len(fresh)
+        if count > budget:
+            raise BudgetExceeded("vector closure exceeds budget %d" % budget)
+    return list(map(tuple, _decode(np.flatnonzero(known), L.size, length).tolist()))
 
 
 def algebra_from_vectors(L: FiniteAlgebra, length: int, vectors):
@@ -690,7 +776,7 @@ class _HomPlan:
         self.levels: list[range] = []
         start, top = 0, 1
         while True:
-            for fresh in _rounds(A, known):
+            for fresh in _rounds(_op_stacks(A), known):
                 stage[fresh] = top
                 top += 1
             self.levels.append(range(start, top))

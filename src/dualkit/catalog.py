@@ -9,6 +9,7 @@ used anywhere.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,19 +97,28 @@ _NAME_RE = re.compile(r"^(bool2|dl2)$|^(luk|posluk)\((\d+)\)$")
 
 
 def build(name: str) -> CatalogEntry:
-    """Resolve a catalog name such as ``dl2`` or ``luk(2)``."""
+    """Resolve a catalog name such as ``dl2`` or ``luk(2)``.
+
+    Entries are immutable, so a process builds each one once (``_entry``)
+    and every resolution of its name shares it, table views included.
+    """
     m = _NAME_RE.match(name.strip())
     if not m:
         raise InvalidInput("unknown catalog name %r" % name)
-    if m.group(1) == "bool2":
-        return bool2()
-    if m.group(1) == "dl2":
-        return dl2()
+    if m.group(1):
+        return _entry(m.group(1), None)
     n = int(m.group(3))
     if (n + 1) ** 2 > DEFAULT_BUDGET:
         raise BudgetExceeded("%s(%d) has too many table entries" % (m.group(2), n))
-    ctor = luk if m.group(2) == "luk" else posluk
-    return ctor(n)
+    return _entry(m.group(2), n)
+
+
+@functools.lru_cache(maxsize=16)
+def _entry(family: str, n: int | None) -> CatalogEntry:
+    """The entry of a normalized catalog name: a family and its parameter."""
+    if n is None:
+        return bool2() if family == "bool2" else dl2()
+    return (luk if family == "luk" else posluk)(n)
 
 
 def reduct(A: FiniteAlgebra, op_subset) -> FiniteAlgebra:

@@ -11,7 +11,7 @@ validation errors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebras import FiniteAlgebra, InvalidInput, Signature, power_tuple
 from .catalog import build
@@ -95,15 +95,25 @@ class AlgebraDocument:
     name: str
     algebra: FiniteAlgebra
     labels: tuple[str, ...]
+    # label -> element, the first element of a repeated label
+    _index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index = {}
+        for element, label in enumerate(self.labels):
+            index.setdefault(label, element)
+        object.__setattr__(self, "_index", index)
 
     def label_index(self, value) -> int:
         if isinstance(value, int):
             if not 0 <= value < self.algebra.size:
                 raise ValidationError("element index %r out of range" % value)
             return value
-        if value in self.labels:
-            return self.labels.index(value)
-        raise ValidationError("unknown element label %r" % (value,))
+        try:
+            return self._index[value]
+        except (KeyError, TypeError):
+            # TypeError: an unhashable value, such as a list, is no label
+            raise ValidationError("unknown element label %r" % (value,))
 
 
 def parse_algebra(text: str) -> AlgebraDocument:

@@ -1,6 +1,6 @@
 import pytest
 
-from dualkit.algebras import InvalidInput
+from dualkit.algebras import BudgetExceeded, InvalidInput
 from dualkit.catalog import (
     bool2,
     build,
@@ -46,6 +46,28 @@ def test_build_resolves_names():
         build("post(3)")
     with pytest.raises(InvalidInput):
         build("luk(0)")
+
+
+def test_build_shares_one_entry_per_name():
+    for name, spelling in (("dl2", " dl2 "), ("bool2", "bool2"), ("luk(2)", "luk(02)"),
+                           ("posluk(3)", " posluk(3)")):
+        entry = build(name)
+        assert build(spelling) is entry
+        assert build(name) is entry
+    assert build("luk(2)") is not build("posluk(2)")
+    assert build("luk(2)") is not build("luk(3)")
+
+
+def test_build_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(InvalidInput, match=r"unknown catalog name 'post\(3\)'"):
+            build("post(3)")
+        with pytest.raises(InvalidInput, match=r"luk\(n\) requires n >= 1"):
+            build("luk(0)")
+        with pytest.raises(BudgetExceeded, match=r"luk\(1000\) has too many table entries"):
+            build("luk(1000)")
+        with pytest.raises(BudgetExceeded, match=r"posluk\(1000\) has too many table entries"):
+            build("posluk(1000)")
 
 
 def test_reduct_keeps_tables():

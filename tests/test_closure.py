@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from dualkit import algebras
 from dualkit.algebras import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     ElementMap,
     FiniteAlgebra,
@@ -470,3 +471,208 @@ def test_is_homomorphism_needs_one_signature():
     h = ElementMap(bool2().algebra, dl2().algebra, (0, 1))
     assert _error(h.is_homomorphism) == (InvalidInput, "algebras must share a signature")
 
+
+# --- the power view: short vectors as elements of a small power ---------------------------
+#
+# Below the cap, ``generate_vectors`` and ``_images`` read the tables of
+# L**length (``_power_stacks``) with each vector as its code.  They are
+# checked against the row kernels ``_close`` and ``_row_images``, called
+# directly on the same input, and against the oracles above.
+
+def _free_dl2():
+    return reduct(dl2().algebra, ["meet", "join"])
+
+
+VIEW_ALGEBRAS = [bool2().algebra, dl2().algebra] + [luk(n).algebra for n in (1, 2, 3, 4)] + [
+    posluk(2).algebra, reduct(luk(2).algebra, ["oplus", "neg"]),
+    reduct(luk(3).algebra, ["odot", "join"]), _free_dl2(), _median3()]
+VIEW_IDS = ["bool2", "dl2", "luk1", "luk2", "luk3", "luk4", "posluk2", "luk2-oplus-neg",
+            "luk3-odot-join", "dl2-meet-join", "median3"]
+
+
+def _cells(L, length):
+    """The cells of L**length's carrier and tables, as ``_power_stacks`` counts them."""
+    size = L.size ** length
+    return size + sum(size**arity for _, arity in L.signature.ops if arity)
+
+
+def _view_lengths(L):
+    """Every length whose power fits the cap: 0 up to the last one."""
+    length = 0
+    while _cells(L, length + 1) <= algebras._BLOCK_CELLS:
+        length += 1
+    return list(range(length + 1))
+
+
+def _pieces(images):
+    """Each operation's positions, its pieces joined in the order they come
+    (an empty piece adds nothing: on no rows the row lookup yields none)."""
+    out = {}
+    for name, positions in images:
+        if len(positions):
+            out.setdefault(name, []).extend(positions.tolist())
+    return out
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    kernel = getattr(algebras, name)
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(algebras, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("L", VIEW_ALGEBRAS, ids=VIEW_IDS)
+def test_power_view_is_the_stacks_of_the_power(L):
+    lengths = _view_lengths(L)
+    assert len(lengths) > 1
+    for length in lengths:
+        view = algebras._power_stacks(L, length)
+        expected = algebras._op_stacks(direct_power(L, length))
+        assert [names for names, _ in view] == [names for names, _ in expected]
+        for (_, tables), (_, power_tables) in zip(view, expected):
+            assert tables.shape == power_tables.shape
+            assert np.array_equal(tables, power_tables)
+        assert algebras._power_stacks(L, length) is view
+    # the first length past the cap has no view
+    assert _cells(L, lengths[-1] + 1) > algebras._BLOCK_CELLS
+    assert algebras._power_stacks(L, lengths[-1] + 1) is None
+
+
+@pytest.mark.parametrize("L", VIEW_ALGEBRAS, ids=VIEW_IDS)
+def test_codes_order_vectors_lexicographically(L):
+    for length in _view_lengths(L):
+        vectors = list(itertools.product(range(L.size), repeat=length))
+        codes = algebras._codes(algebras._rows(vectors, length), L.size)
+        assert codes.tolist() == list(range(L.size**length))
+        assert list(map(tuple, algebras._decode(codes, L.size, length).tolist())) == vectors
+
+
+def _seeds(L, length, rng, count):
+    return [tuple(rng.randrange(L.size) for _ in range(length)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("L", VIEW_ALGEBRAS, ids=VIEW_IDS)
+def test_power_closure_matches_the_row_kernel(L, monkeypatch):
+    rng = random.Random(L.size * 31 + len(L.signature.ops))
+    rows = _count_calls(monkeypatch, "_close")
+    for length in _view_lengths(L):
+        for count in (0, 1, 2, 3):
+            seeds = _seeds(L, length, rng, count)
+            start = set(seeds) | {(L.apply(c),) * length for c in L.signature.constants}
+            expected = algebras._close(L, algebras._rows(list(start), length), DEFAULT_BUDGET)
+            got = generate_vectors(L, length, seeds)
+            assert got == list(map(tuple, expected.tolist()))
+            if L.size**length <= 81:
+                assert got == old_generate_vectors(L, length, seeds)
+    # every closure above went through the view; only the direct calls ran _close
+    assert len(rows) == 4 * len(_view_lengths(L))
+
+
+@pytest.mark.parametrize("L", VIEW_ALGEBRAS, ids=VIEW_IDS)
+def test_power_lookup_matches_the_row_lookup(L, monkeypatch):
+    rng = random.Random(L.size * 17 + len(L.signature.ops))
+    row_calls = _count_calls(monkeypatch, "_row_images")
+    for length in _view_lengths(L):
+        closed = generate_vectors(L, length, _seeds(L, length, rng, 2))
+        arbitrary = sorted(set(_seeds(L, length, rng, 6)))
+        broken = [v for v in closed if rng.random() < 0.8]
+        for vectors in (closed, broken, arbitrary, []):
+            vectors = rng.sample(vectors, len(vectors))     # in no particular order
+            rows = algebras._rows(vectors, length)
+            before = len(row_calls)
+            got = _pieces(algebras._images(L, rows))
+            assert len(row_calls) == before                  # the view served it
+            expected = _pieces(algebras._row_images(L, rows))
+            assert got == expected
+            unclosed = algebras._first_in_signature(
+                L, {name for name, positions in expected.items() if min(positions, default=0) < 0})
+            assert unclosed_operation(L, length, vectors) == unclosed
+            tables, name = algebras._tables_on(L, rows)
+            assert name == unclosed
+            assert tables == {name: expected.get(name, []) for name in L.signature.names}
+
+
+@pytest.mark.parametrize("L", [dl2().algebra, luk(3).algebra, _median3()],
+                         ids=["dl2", "luk3", "median3"])
+def test_cap_boundary_on_both_sides(L, monkeypatch):
+    """At a cap of exactly the power's cells the view serves a length; one
+    cell less and the row kernels do, with the same results."""
+    closes = _count_calls(monkeypatch, "_close")
+    lookups = _count_calls(monkeypatch, "_row_images")
+    rng = random.Random(5)
+    for length in (1, 2, 3):
+        seeds = _seeds(L, length, rng, 2)
+        results = []
+        for cap, path in ((_cells(L, length), 0), (_cells(L, length) - 1, 1)):
+            monkeypatch.setattr(algebras, "_BLOCK_CELLS", cap)
+            before = (len(closes), len(lookups))
+            assert (algebras._power_stacks(L, length) is None) == bool(path)
+            closed = generate_vectors(L, length, seeds)
+            A, carrier = algebra_from_vectors(L, length, closed)
+            missing = unclosed_operation(L, length, closed[1:])
+            assert (len(closes) - before[0], len(lookups) - before[1]) == (path, 2 * path)
+            results.append((closed, A, carrier, missing))
+        assert results[0] == results[1]
+        assert results[0][0] == old_generate_vectors(L, length, seeds)
+
+
+def test_length_zero_and_empty_seeds():
+    free, empty = _free_dl2(), FiniteAlgebra(_free_dl2().signature, 0, {"meet": (), "join": ()})
+    L = luk(2).algebra
+    for A, length, seeds in ((L, 0, []), (L, 0, [()]), (L, 3, []), (free, 0, []), (free, 0, [()]),
+                             (free, 2, []), (empty, 0, []), (empty, 0, [()]), (empty, 2, [])):
+        assert algebras._power_stacks(A, length) is not None
+        got = generate_vectors(A, length, seeds)
+        assert got == old_generate_vectors(A, length, seeds)
+        rows = algebras._rows(got, length)
+        assert _pieces(algebras._images(A, rows)) == _pieces(algebras._row_images(A, rows))
+        assert algebra_from_vectors(A, length, got) == old_algebra_from_vectors(A, length, got)
+    assert generate_vectors(L, 3, []) == [(0, 0, 0), (2, 2, 2)]
+    assert generate_vectors(free, 2, []) == []
+    assert generate_vectors(empty, 0, [()]) == [()]
+
+
+def _least_budget(call):
+    """The least budget at which ``call(budget)`` does not raise, found by
+    bisection, and the error one below it."""
+    lo, hi = 0, DEFAULT_BUDGET
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _error(call, mid) is None:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, (_error(call, lo - 1) if lo else None)
+
+
+@pytest.mark.parametrize("L", VIEW_ALGEBRAS, ids=VIEW_IDS)
+def test_budget_parity_by_bisection(L):
+    rng = random.Random(L.size)
+    for length in _view_lengths(L):
+        for count in (0, 1, 3):
+            seeds = _seeds(L, length, rng, count)
+            start = set(seeds) | {(L.apply(c),) * length for c in L.signature.constants}
+            rows = algebras._rows(list(start), length)
+            dense = _least_budget(lambda b: generate_vectors(L, length, seeds, budget=b))
+            row = _least_budget(lambda b: algebras._close(L, rows, b))
+            assert dense == row
+            closure = len(generate_vectors(L, length, seeds))
+            # past the budget only once the closure adds a vector to the start
+            assert dense[0] == (closure if closure > len(start) else 0)
+
+
+def test_out_of_range_rows_take_the_row_lookup():
+    """The codes of rows outside the carrier would name other vectors, so
+    such rows go to the row lookup, whatever it makes of them."""
+    L = dl2().algebra
+    rows = algebras._rows([(0, -1), (1, 1)], 2)
+    assert _pieces(algebras._images(L, rows)) == _pieces(algebras._row_images(L, rows))
+    rows = algebras._rows([(0, 2), (1, 1)], 2)
+    for images in (algebras._images, algebras._row_images):
+        with pytest.raises(IndexError):
+            _pieces(images(L, rows))

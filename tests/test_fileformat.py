@@ -3,6 +3,7 @@ import pytest
 from dualkit.catalog import dl2, luk
 from dualkit.constrained import ConstrainedSpace, UnaryConstrainedSpace
 from dualkit.fileformat import (
+    AlgebraDocument,
     ParseError,
     ValidationError,
     export_dot,
@@ -228,3 +229,31 @@ def test_dot_for_unary_boxes_classes():
     dot = export_dot(doc)
     assert dot.count("subgraph cluster_") == 2
     assert "1/2" in dot
+
+
+def old_label_index(doc, value):
+    """``AlgebraDocument.label_index`` before its label dict: two scans of
+    the labels."""
+    if isinstance(value, int):
+        if not 0 <= value < doc.algebra.size:
+            raise ValidationError("element index %r out of range" % value)
+        return value
+    if value in doc.labels:
+        return doc.labels.index(value)
+    raise ValidationError("unknown element label %r" % (value,))
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("labels", [("0", "1/2", "1"), ("a", "b", "a")], ids=["luk2", "repeated"])
+def test_label_index_matches_two_scans(labels):
+    doc = AlgebraDocument("luk2", luk(2).algebra, labels)
+    values = list(labels) + [0, 2, 3, -1, True, "2/3", "", ["0"], ("0",), {"0": 1}, None, 1.0]
+    for value in values:
+        assert _outcome(doc.label_index, value) == _outcome(old_label_index, doc, value)
+    assert _outcome(doc.label_index, ["0"]) == "unknown element label ['0']"
