@@ -37,12 +37,6 @@ class CatalogEntry:
         if len(self.labels) != self.algebra.size:
             raise InvalidInput("labels must be bijective with the carrier")
 
-    def label_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise InvalidInput("unknown element label %r for %s" % (label, self.name))
-
 
 def _luk_tables(n, signature):
     """The tables of the symbols in ``signature`` on the Lukasiewicz chain

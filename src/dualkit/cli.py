@@ -44,10 +44,10 @@ from .fileformat import (
     serialize_space,
 )
 from .properties import (
+    _spectrum_report,
     check_finite_bp,
     chinese_remainder_sweep,
     classify_square_subalgebras,
-    congruence_spectrum_antiisomorphism,
     jonsson_finite_cover_check,
     partial_endomorphisms,
 )
@@ -248,14 +248,14 @@ def cmd_jonsson_check(args):
 def cmd_congruences(args):
     doc = _load_algebra(args.input)
     dualizer = _load_algebra(args.dualizer)
-    thetas = relative_congruences(doc.algebra, dualizer.algebra)
+    thetas = relative_congruences(doc.algebra, dualizer.algebra, budget=args.budget)
     partitions = []
     for theta in thetas:
         blocks: dict[int, list] = {}
         for element, block in enumerate(theta.blocks):
             blocks.setdefault(block, []).append(doc.labels[element])
         partitions.append(sorted(blocks.values()))
-    report = congruence_spectrum_antiisomorphism(doc.algebra, dualizer.algebra)
+    report = _spectrum_report(doc.algebra, dualizer.algebra, thetas, args.budget)
     fields = [("relative_congruences", len(thetas)),
               ("partitions", partitions),
               ("hypotheses_ok", not report.hypothesis_failures),

@@ -808,6 +808,7 @@ def local_to_global_verify(space: ConstrainedSpace, m: TermFunction,
         raise InvalidInput("near-unanimity arity must be k+1")
     k, L = space.k, space.dualizer
     fibers = _table(space, ())[0]
+    convex: dict[tuple[int, int], bool] = {}    # (M mask, fiber mask) -> verdict
     for I, funs, _ in _local_functions(space, k - 1):
         for g in funs:
             # the possible-extension sets of g, one per point y outside I
@@ -815,8 +816,10 @@ def local_to_global_verify(space: ConstrainedSpace, m: TermFunction,
             for y in range(space.n):
                 if y in I:
                     continue
-                M = frozenset(bits_of(row[y] & fibers[y]))
-                if not _convex_within(L, m, M, bits_of(fibers[y])):
+                key = (row[y] & fibers[y], fibers[y])
+                if key not in convex:
+                    convex[key] = _convex_within(L, m, bits_of(key[0]), bits_of(key[1]))
+                if not convex[key]:
                     raise AssertionError(
                         "possible-extension set is not convex: lemma violated")
     lep, lep_wit = has_local_extension(space, k * (k - 1), budget=budget)

@@ -10,12 +10,16 @@ falsification attempts, not proofs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebras import (
     DEFAULT_BUDGET,
+    BudgetExceeded,
     Congruence,
     FiniteAlgebra,
     InvalidInput,
@@ -246,17 +250,18 @@ def chinese_remainder_check(A: FiniteAlgebra, k: int, system) -> CRPVerdict:
             raise InvalidInput("system element outside carrier")
         if not is_congruence(A, theta):
             raise InvalidInput("system entry is not a congruence")
-    return _crp_verdict(A, k, system)
+    return _crp_verdict(k, system, functools.partial(_solve_system, A))
 
 
-def _crp_verdict(A: FiniteAlgebra, k: int, system) -> CRPVerdict:
-    """``chinese_remainder_check`` on a system already known to be valid."""
+def _crp_verdict(k: int, system, solve) -> CRPVerdict:
+    """``chinese_remainder_check`` on a system already known to be valid,
+    with ``solve`` returning a solution of a sub-system or None."""
     k_wise = True
     for size in range(1, min(k, len(system)) + 1):
         for sub in itertools.combinations(system, size):
-            if _solve_system(A, sub) is None:
+            if solve(sub) is None:
                 k_wise = False
-    solution = _solve_system(A, system)
+    solution = solve(system)
     return CRPVerdict(k_wise, solution is not None, solution)
 
 
@@ -267,17 +272,26 @@ def chinese_remainder_sweep(A: FiniteAlgebra, L: FiniteAlgebra, k: int,
 
     Returns (number of systems checked, first failing system or None); a
     failing system is k-wise solvable but globally unsolvable.  Every entry
-    comes from ``relative_congruences``, so no system is re-validated.
+    comes from ``relative_congruences``, so no system is re-validated.  A
+    system is a sorted tuple of positions in the pool of equations, so its
+    sub-systems are too, and each is solved once for the whole sweep.
     """
     thetas = relative_congruences(A, L, budget=budget)
     pool = [(a, theta) for theta in thetas for a in A.elements]
+    solutions: dict[tuple[int, ...], int | None] = {}
+
+    def solve(positions):
+        if positions not in solutions:
+            solutions[positions] = _solve_system(A, [pool[p] for p in positions])
+        return solutions[positions]
+
     checked = 0
     for size in range(1, max_equations + 1):
-        for system in itertools.combinations_with_replacement(pool, size):
-            verdict = _crp_verdict(A, k, system)
+        for system in itertools.combinations_with_replacement(range(len(pool)), size):
+            verdict = _crp_verdict(k, system, solve)
             checked += 1
             if not verdict.passed:
-                return checked, list(system)
+                return checked, [pool[p] for p in system]
     return checked, None
 
 
@@ -305,35 +319,97 @@ def all_covers(x_size: int, max_parts: int):
     return covers
 
 
+def _set_partitions(x_size: int, max_blocks: int):
+    """Every partition of range(x_size) into 1..max_blocks blocks, each block
+    an ascending tuple, as restricted growth strings: point i joins one of
+    the blocks opened so far or opens the next."""
+    blocks: list[list[int]] = []
+
+    def extend(i):
+        if i == x_size:
+            yield tuple(map(tuple, blocks))
+            return
+        for block in blocks:
+            block.append(i)
+            yield from extend(i + 1)
+            block.pop()
+        if len(blocks) < max_blocks:
+            blocks.append([i])
+            yield from extend(i + 1)
+            blocks.pop()
+
+    if x_size:
+        yield from extend(0)
+
+
 def jonsson_finite_cover_check(L: FiniteAlgebra, x_size: int, functions,
                                covers=None) -> JonssonVerdict:
     """Each homomorphism Comp -> L factors through a projection of each cover.
 
     ``functions`` is a subuniverse of L^X given as vectors.  Factoring
     through pi_Y means ker pi_Y <= ker h, i.e. h is constant on each class
-    of agreement-on-Y.
+    of agreement-on-Y.  Whether h factors through a part is decided once
+    per part for all homomorphisms, as a bitmask over them.
+
+    Without ``covers``, every cover of X by at most 3 parts is checked
+    through the partitions of X into at most 3 blocks: a homomorphism that
+    factors through Y factors through every superset of Y, and every cover
+    refines to such a partition, so both families fail the same
+    homomorphisms.  The witness is the first failing homomorphism with the
+    first cover it fails in ``all_covers`` order.
     """
-    if covers is None:
-        covers = all_covers(x_size, max_parts=min(3, max(x_size, 1)))
     comp, carrier = algebra_from_vectors(L, x_size, functions)
     homs = sorted(enumerate_homs(comp, L), key=lambda h: h.values)
-    for h in homs:
-        for cover in covers:
-            factored = False
-            for part in cover:
-                groups: dict[tuple, int] = {}
-                ok = True
-                for i, vec in enumerate(carrier):
-                    key = tuple(vec[p] for p in sorted(part))
-                    if groups.setdefault(key, h.values[i]) != h.values[i]:
-                        ok = False
-                        break
-                if ok:
-                    factored = True
-                    break
-            if not factored:
-                return JonssonVerdict(False, (h.values, cover))
-    return JonssonVerdict(True, None)
+    rows = np.array(carrier, dtype=np.int64).reshape(len(carrier), x_size)
+    values = np.array([h.values for h in homs], dtype=np.int64).reshape(len(homs), len(carrier))
+    factoring: dict[tuple[int, ...], int] = {}
+
+    def factors(part: tuple[int, ...]) -> int:
+        """The homomorphisms constant on each class of agreement on the
+        ascending positions ``part``, as a bitmask over ``homs``: sorted by
+        their values on the part, the vectors of one class are adjacent."""
+        mask = factoring.get(part)
+        if mask is None:
+            keys = rows[:, list(part)]
+            order = np.lexsort(keys.T[::-1]) if part else np.arange(len(keys))
+            keys = keys[order]
+            same = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1))
+            ordered = values[:, order]
+            ok = (ordered[:, same] == ordered[:, same + 1]).all(axis=1)
+            mask = factoring[part] = sum(1 << i for i in np.flatnonzero(ok).tolist())
+        return mask
+
+    if covers is not None:
+        for i, h in enumerate(homs):
+            for cover in covers:
+                if not any(factors(tuple(sorted(part))) >> i & 1 for part in cover):
+                    return JonssonVerdict(False, (h.values, cover))
+        return JonssonVerdict(True, None)
+    if x_size == 0:
+        # the one cover is the empty family, and nothing factors through it
+        return JonssonVerdict(not homs, (homs[0].values, ()) if homs else None)
+
+    max_parts = min(3, x_size)
+    everyone, failing = (1 << len(homs)) - 1, 0
+    for partition in _set_partitions(x_size, max_parts):
+        passing = 0
+        for block in partition:
+            passing |= factors(block)
+        failing |= everyone & ~passing
+    if not failing:
+        return JonssonVerdict(True, None)
+    i = (failing & -failing).bit_length() - 1
+    # the covers homs[i] fails are the families of parts it fails; listing
+    # those parts in all_covers order keeps the order of the families
+    failing_parts = [frozenset(s) for r in range(1, x_size + 1)
+                     for s in itertools.combinations(range(x_size), r)
+                     if not factors(s) >> i & 1]
+    full = frozenset(range(x_size))
+    for parts in range(1, max_parts + 1):
+        for family in itertools.combinations(failing_parts, parts):
+            if frozenset().union(*family) == full:
+                return JonssonVerdict(False, (homs[i].values, family))
+    raise AssertionError("a failing partition is a failing cover")
 
 
 # --- representation of relative congruences ------------------------------------
@@ -355,8 +431,63 @@ def congruence_spectrum_antiisomorphism(A: FiniteAlgebra, L: FiniteAlgebra,
     Finite spectra are discrete, so closed subsets are all subsets.  The
     hypotheses of the representation theorem (nontrivial L, trivial partial
     endomorphisms, membership of A in the prevariety, distributivity of the
-    relative congruence lattice) are checked, not assumed.
+    relative congruence lattice) are checked, not assumed.  More than
+    ``budget`` subsets of Spec A raise BudgetExceeded before any kernel is
+    built.
     """
+    return _spectrum_report(A, L, relative_congruences(A, L, budget=budget), budget)
+
+
+def _is_distributive(thetas) -> bool:
+    """x meet (y join z) == (x meet y) join (x meet z) for all x, y, z in
+    ``thetas``, joins and meets taken in Con A.
+
+    Every congruence met is numbered once, joins may leave ``thetas``, and
+    each join and each meet of a pair of numbers is computed once; the two
+    sides are then compared as arrays of numbers, one x at a time.
+    """
+    number: dict[Congruence, int] = {}
+    congruences: list[Congruence] = []
+    joins: dict[tuple[int, int], int] = {}
+    meets: dict[tuple[int, int], int] = {}
+
+    def numbered(theta):
+        if theta not in number:
+            number[theta] = len(congruences)
+            congruences.append(theta)
+        return number[theta]
+
+    def table(memo, combine, xs, ys):
+        out = np.empty((len(xs), len(ys)), dtype=np.int64)
+        for i, a in enumerate(xs):
+            for j, b in enumerate(ys):
+                key = (a, b) if a <= b else (b, a)
+                if key not in memo:
+                    memo[key] = numbered(combine(congruences[a], congruences[b]))
+                out[i, j] = memo[key]
+        return out
+
+    ids = [numbered(theta) for theta in thetas]
+    join = table(joins, Congruence.join, ids, ids)           # y join z
+    meet = table(meets, Congruence.meet, ids, ids)           # x meet y
+    # x meet w for each distinct join w, and the joins of the meets
+    ws = sorted(set(join.ravel().tolist()))
+    meet_w = np.full((len(ids), len(congruences)), -1, dtype=np.int64)
+    meet_w[:, ws] = table(meets, Congruence.meet, ids, ws)
+    vs = sorted(set(meet.ravel().tolist()))
+    join_v = np.full((len(congruences),) * 2, -1, dtype=np.int64)
+    join_v[np.ix_(vs, vs)] = table(joins, Congruence.join, vs, vs)
+    for x in range(len(ids)):
+        row = meet[x]
+        if not np.array_equal(meet_w[x][join], join_v[np.ix_(row, row)]):
+            return False
+    return True
+
+
+def _spectrum_report(A: FiniteAlgebra, L: FiniteAlgebra, thetas,
+                     budget: int) -> CongruenceSpectrumReport:
+    """``congruence_spectrum_antiisomorphism`` with the relative congruences
+    ``thetas`` already found."""
     failures = []
     if L.size < 2:
         failures.append("dualizer is trivial")
@@ -364,30 +495,26 @@ def congruence_spectrum_antiisomorphism(A: FiniteAlgebra, L: FiniteAlgebra,
         failures.append("dualizer has nontrivial partial endomorphisms")
     if not in_prevariety(A, L):
         failures.append("algebra is not in the prevariety")
-    thetas = relative_congruences(A, L, budget=budget)
-    distributive = True
-    for x in thetas:
-        for y in thetas:
-            for z in thetas:
-                if x.meet(y.join(z)) != x.meet(y).join(x.meet(z)):
-                    distributive = False
-    if not distributive:
+    if not _is_distributive(thetas):
         failures.append("relative congruence lattice is not distributive")
     if failures:
         return CongruenceSpectrumReport(False, tuple(failures), 0, len(thetas), False, False)
 
     homs = sorted(enumerate_homs(A, L), key=lambda h: h.values)
-    kernels = {}
+    if 1 << len(homs) > budget:
+        raise BudgetExceeded("congruence spectrum search over the 2^%d subsets of "
+                             "Spec A exceeds budget %d" % (len(homs), budget))
+    kernels = []
     for mask in range(1 << len(homs)):
         chosen = [homs[i] for i in range(len(homs)) if mask & (1 << i)]
         profile = [tuple(h.values[a] for h in chosen) for a in A.elements]
-        kernels[mask] = Congruence.from_blocks(profile)
-    bijective = (len(set(kernels.values())) == len(kernels)
-                 and set(kernels.values()) == set(thetas))
+        kernels.append(Congruence.from_blocks(profile))
+    bijective = (len(set(kernels)) == len(kernels) and set(kernels) == set(thetas))
+    # refinement is transitive, so pairs Y, Y + {h} suffice for all Y <= Z
     order_reversing = all(
-        kernels[big].leq(kernels[small])
-        for small in kernels for big in kernels
-        if small & big == small
+        kernels[small | 1 << i].leq(kernels[small])
+        for small in range(len(kernels)) for i in range(len(homs))
+        if not small >> i & 1
     )
     ok = bijective and order_reversing
     return CongruenceSpectrumReport(ok, (), len(homs), len(thetas), bijective, order_reversing)

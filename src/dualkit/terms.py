@@ -9,8 +9,9 @@ enumeration is never needed and absence at a given arity is decidable.
 The near-unanimity cells of a carrier size and arity (``_nu_cells``) are
 listed once here and serve both ``check_near_unanimity`` and the predicate
 and priority of ``search_nu_function``.  The convexity loop,
-``_convex_within``, also lives here: ``is_convex`` runs it against all of L,
-and the local-to-global check in ``constrained`` against a fiber.
+``_convex_within``, also lives here, one table gather per position:
+``is_convex`` runs it against all of L, and the local-to-global check in
+``constrained`` against a fiber.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .algebras import (
     DEFAULT_BUDGET,
@@ -356,12 +359,16 @@ def is_convex(L: FiniteAlgebra, m: TermFunction, M) -> bool:
 
 def _convex_within(L: FiniteAlgebra, m: TermFunction, subset, ambient) -> bool:
     """Convexity of subset relative to ambient: the odd entry ranges over
-    ambient rather than all of L (the form the extension lemma provides)."""
+    ambient rather than all of L (the form the extension lemma provides).
+    One gather of m's table per position of the odd entry, read through a
+    membership mask of subset."""
     subset, ambient = sorted(subset), sorted(ambient)
+    inside = np.zeros(L.size, dtype=bool)
+    inside[subset] = True
+    table = np.asarray(m.table, dtype=np.int64).reshape((L.size,) * m.arity)
     for pos in range(m.arity):
-        for inside in itertools.product(subset, repeat=m.arity - 1):
-            for odd in ambient:
-                args = inside[:pos] + (odd,) + inside[pos:]
-                if m.table[power_index(L.size, args)] not in subset:
-                    return False
+        axes = [subset] * m.arity
+        axes[pos] = ambient
+        if not inside[table[np.ix_(*axes)]].all():
+            return False
     return True

@@ -284,6 +284,53 @@ def test_congruences(capsys, tmp_path):
     assert "anti_isomorphism: True" in out
 
 
+# what congruences printed on the dl2 square before it found the relative
+# congruences once and read its budget
+SQUARE_CONGRUENCES = {
+    "text": 'relative_congruences: 4\npartitions: [[["00"], ["01"], ["10"], ["11"]], '
+            '[["00", "10"], ["01", "11"]], [["00", "01"], ["10", "11"]], '
+            '[["00", "01", "10", "11"]]]\nhypotheses_ok: True\nanti_isomorphism: True\n',
+    "json": '{"relative_congruences": 4, "partitions": [[["00"], ["01"], ["10"], ["11"]], '
+            '[["00", "10"], ["01", "11"]], [["00", "01"], ["10", "11"]], '
+            '[["00", "01", "10", "11"]]], "hypotheses_ok": true, "anti_isomorphism": true}\n',
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SQUARE_CONGRUENCES))
+@pytest.mark.parametrize("budget", [[], ["--budget", "4"]])
+def test_congruences_prints_what_it_printed(capsys, tmp_path, fmt, budget, monkeypatch):
+    from dualkit.algebras import direct_power
+    calls = []
+    relative = cli.relative_congruences
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return relative(*args, **kwargs)
+
+    # the spectrum check takes the command's relative congruences, and the
+    # search for them the command's budget
+    monkeypatch.setattr(cli, "relative_congruences", counting)
+    monkeypatch.setattr("dualkit.properties.relative_congruences", None)
+    path = tmp_path / "square.dk"
+    path.write_text(serialize_algebra(AlgebraDocument("dlsq", direct_power(dl2().algebra, 2),
+                                                      ("00", "01", "10", "11"))))
+    assert run(capsys, "congruences", str(path), "--dualizer", "builtin:dl2",
+               "--format", fmt, *budget) == (0, SQUARE_CONGRUENCES[fmt], "")
+    assert calls == [{"budget": int(budget[1]) if budget else 10**6}]
+
+
+def test_congruences_exits_two_past_its_budget(capsys, tmp_path):
+    """The dl2 square has 2 homomorphisms to dl2, so 4 subsets of Spec A."""
+    from dualkit.algebras import direct_power
+    path = tmp_path / "square.dk"
+    path.write_text(serialize_algebra(AlgebraDocument("dlsq", direct_power(dl2().algebra, 2),
+                                                      ("00", "01", "10", "11"))))
+    assert run(capsys, "congruences", str(path), "--dualizer", "builtin:dl2",
+               "--budget", "3") == (
+        2, "", "error: congruence spectrum search over the 2^2 subsets of Spec A "
+               "exceeds budget 3\n")
+
+
 def test_cons_then_func_round_trip(capsys, lspace_file, tmp_path):
     code, out, _ = run(capsys, "cons", lspace_file, "--k", "2")
     assert code == 0
