@@ -9,24 +9,19 @@ Elements are dense indices ``0..n-1``; human-readable labels live in the
 catalog and in file formats, never here.  All values are immutable after
 construction and all operations are pure.
 
-There are two closures, each with its own job.  Vectors over an algebra
-close in ``_close``: semi-naive rounds over int64 row arrays, with each
-operation applied by indexing its table.  Its lookup half, ``_images``,
-serves the closedness test ``unclosed_operation`` (constrained-space
-validation) and, through ``_tables_on``, the table building in L-space
-validation (which keeps the tables as Comp X), ``algebra_from_vectors`` and
-``subalgebra``.  Elements of one algebra close in ``_rounds``, a boolean
-mask over the carrier grown one round at a time.  It serves
-``generate_subalgebra`` (hence ``subuniverses``) and ``_HomPlan``, whose
-rounds are the stages ``enumerate_homs`` replays and whose generators are
-``minimal_generating_set``.
-
-Short vectors are elements of a small power.  When the tables of
-L**length fit the block cap, ``_power_stacks`` builds them once per
-algebra and length, a vector standing for its code in base |L|.  Then
-``generate_vectors`` closes the codes with ``_rounds``, and ``_images``
-looks the codes up with one gather per stack.  Longer vectors take the row
-kernels, ``_close`` and ``_row_images``.
+A vector of length l over L is the element of the power L**l numbered by
+its code, the vector's digits in base |L|.  While the power's carrier and
+tables fit the block cap, ``_power`` builds it once per algebra and length,
+and short vectors are handled as its elements.  They close with the element
+closure of ``generate_subalgebra`` (``_closure``: a mask over the carrier
+grown by ``_rounds``, whose rounds are also ``_HomPlan``'s stages), and
+``_images`` looks them up with one gather per stack of the power's tables.
+``_images`` serves the closedness test ``unclosed_operation``
+(constrained-space validation) and, through ``_tables_on``, the table
+building in L-space validation (which keeps the tables as Comp X),
+``algebra_from_vectors`` and ``subalgebra``.  Longer vectors take the row
+kernels: ``_close`` closes int64 rows in semi-naive rounds, and
+``_row_images`` looks them up by rank and ``searchsorted``.
 
 Evaluating an operation on all argument tuples reads one cached table view,
 ``_op_stacks``: the tables of each arity stacked into one array of shape
@@ -132,8 +127,8 @@ class FiniteAlgebra:
         key = (signature, size, tuple(frozen[name] for name in signature.names))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_arity", dict(signature.ops))
-        # the numpy view of the tables, and of small powers' tables by
-        # length, built on first use (_op_stacks, _power_stacks)
+        # the numpy view of the tables, and the small powers by exponent,
+        # built on first use (_op_stacks, _power)
         object.__setattr__(self, "_stacks", None)
         object.__setattr__(self, "_powers", None)
 
@@ -298,7 +293,7 @@ _INT64_MAX = 2**63 - 1
 
 #: Cap on the cells (rows x operations x length) of one candidate block, so
 #: memory stays bounded however large |known|**arity grows; also the most
-#: cells (carrier and tables) of a power that ``_power_stacks`` builds.
+#: cells (carrier and non-constant tables) of a power that ``_power`` caches.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -320,48 +315,43 @@ def _op_stacks(A):
     return A._stacks
 
 
-def _product_stack(stacks, sizes, ops: int, arity: int) -> np.ndarray:
-    """The tables of ``ops`` operations of one arity on a product, from each
-    factor's: ``stacks[i]`` holds factor i's, (sizes[i],)*arity entries per
-    operation.  The result has shape (ops,) + (prod(sizes),)*arity, a product
-    element numbered by its coordinates in mixed radix, the first most
-    significant."""
+def _product_stack(tables, sizes, arity: int) -> np.ndarray:
+    """The table of one operation of the given arity on a product, from each
+    factor's: ``tables[i]`` holds factor i's, (sizes[i],)*arity entries.  The
+    result has shape (prod(sizes),)*arity, a product element numbered by its
+    coordinates in mixed radix, the first most significant."""
     k = len(sizes)
-    # argument j's coordinate i is axis 1 + j*k + i, so each factor's table,
+    # argument j's coordinate i is axis j*k + i, so each factor's table,
     # weighted by its place value, varies along its own axes only
-    total = np.zeros((ops,) + (1,) * (arity * k), dtype=np.int64)
-    for i, (stack, size) in enumerate(zip(stacks, sizes)):
-        shape = [ops] + [1] * (arity * k)
-        shape[1 + i::k] = [size] * arity
-        total = total + math.prod(sizes[i + 1:]) * np.asarray(stack, dtype=np.int64).reshape(shape)
-    return total.reshape((ops,) + (math.prod(sizes),) * arity)
+    total = np.zeros((1,) * (arity * k), dtype=np.int64)
+    for i, (table, size) in enumerate(zip(tables, sizes)):
+        shape = [1] * (arity * k)
+        shape[i::k] = [size] * arity
+        total = total + math.prod(sizes[i + 1:]) * np.asarray(table, dtype=np.int64).reshape(shape)
+    return total.reshape((math.prod(sizes),) * arity)
 
 
-def _power_stacks(L: FiniteAlgebra, length: int):
-    """The ``_op_stacks`` of L**length, or None when its carrier and tables
-    would hold more than ``_BLOCK_CELLS`` cells.  A vector is the element
-    numbered by its code (``_codes``), so codes ascend as vectors do
-    lexicographically.  Built once per algebra and length."""
-    stacks = _op_stacks(L)
-    size = L.size ** length
-    cells = size + sum(len(names) * size ** (tables.ndim - 1) for names, tables in stacks)
-    if cells > _BLOCK_CELLS:
+def _power(A: FiniteAlgebra, exponent: int):
+    """A**exponent, or None when its carrier and tables would hold more than
+    ``_BLOCK_CELLS`` cells.  Built once per algebra and exponent and shared;
+    A**1 is A.  A vector over A is the element numbered by its code
+    (``_codes``), so codes ascend as vectors do lexicographically."""
+    size = A.size ** exponent
+    if size + sum(size**arity for _, arity in A.signature.ops if arity) > _BLOCK_CELLS:
         return None
-    if L._powers is None:
-        object.__setattr__(L, "_powers", {})
-    if length not in L._powers:
-        view = []
-        for names, tables in stacks:
-            power = _product_stack([tables] * length, [L.size] * length, len(names), tables.ndim - 1)
-            power.flags.writeable = False
-            view.append((names, power))
-        L._powers[length] = view
-    return L._powers[length]
+    if exponent == 1:
+        return A
+    if A._powers is None:
+        object.__setattr__(A, "_powers", {})
+    if exponent not in A._powers:
+        A._powers[exponent] = (direct_product([A] * exponent) if exponent else
+                               FiniteAlgebra(A.signature, 1, dict.fromkeys(A.signature.names, (0,))))
+    return A._powers[exponent]
 
 
 def _codes(rows: np.ndarray, n: int) -> np.ndarray:
     """Each row's code in base n, first column most significant; rows must
-    lie in a power ``_power_stacks`` holds, so that one limb is enough."""
+    lie in a power ``_power`` caches, so that one limb is enough."""
     return (rows @ _radix(n, rows.shape[1]))[:, 0]
 
 
@@ -502,23 +492,22 @@ def _images(A: FiniteAlgebra, rows: np.ndarray):
 
     Yields (name, positions) pieces: one operation's pieces come in
     row-major argument order, but operations interleave.  A position is -1
-    where the value is not a row.  Rows over a power that ``_power_stacks``
-    holds are looked up by their codes, one gather per stack; longer rows
-    by ``_row_images``.
+    where the value is not a row.  Rows that are elements of a power
+    ``_power`` caches are looked up by their codes, one gather per stack of
+    the power's tables; longer rows by ``_row_images``.
     """
-    view = _power_stacks(A, rows.shape[1])
-    if view is None or (rows.size and not 0 <= rows.min() <= rows.max() < A.size):
+    power = _power(A, rows.shape[1])
+    if power is None or (rows.size and not 0 <= rows.min() <= rows.max() < A.size):
         yield from _row_images(A, rows)
         return
     codes = _codes(rows, A.size)
-    position = np.full(A.size ** rows.shape[1], -1, dtype=np.int64)
+    position = np.full(power.size, -1, dtype=np.int64)
     position[codes] = np.arange(len(codes))
     constants = A.signature.constants
     if constants:
-        values = np.array([A.tables[name] for name in constants], dtype=np.int64)
-        found = position[_codes(np.repeat(values, rows.shape[1], axis=1), A.size)]
+        found = position[[power.apply(name) for name in constants]]
         yield from zip(constants, found.reshape(-1, 1))
-    for names, tables in view:
+    for names, tables in _op_stacks(power):
         found = position[tables[(slice(None),) + np.ix_(*(codes,) * (tables.ndim - 1))]]
         yield from zip(names, found.reshape(len(names), -1))
 
@@ -596,18 +585,29 @@ def _rounds(stacks, known: np.ndarray):
         yield fresh
 
 
+def _closure(A: FiniteAlgebra, seed: list, budget: int | None = None) -> np.ndarray:
+    """The least subuniverse of A holding the elements ``seed`` and all
+    constants, as a mask over the carrier.  BudgetExceeded once a round
+    takes it past ``budget`` elements, so only a closure that adds elements
+    to the seed can exceed it."""
+    known = np.zeros(A.size, dtype=bool)
+    known[np.array(seed + [A.apply(name) for name in A.signature.constants],
+                   dtype=np.int64)] = True
+    count = np.count_nonzero(known)
+    for fresh in _rounds(_op_stacks(A), known):
+        count += len(fresh)
+        if budget is not None and count > budget:
+            raise BudgetExceeded("vector closure exceeds budget %d" % budget)
+    return known
+
+
 def generate_subalgebra(A: FiniteAlgebra, seed) -> frozenset:
     """Least subuniverse of A containing ``seed`` and all constants."""
     seed = list(seed)
     for s in seed:
         if not 0 <= s < A.size:
             raise InvalidInput("seed element %r outside carrier" % (s,))
-    known = np.zeros(A.size, dtype=bool)
-    known[np.array(seed + [A.apply(name) for name in A.signature.constants],
-                   dtype=np.int64)] = True
-    for _ in _rounds(_op_stacks(A), known):
-        pass
-    return frozenset(np.flatnonzero(known).tolist())
+    return frozenset(np.flatnonzero(_closure(A, seed)).tolist())
 
 
 def minimal_generating_set(A: FiniteAlgebra) -> tuple[int, ...]:
@@ -671,19 +671,20 @@ def direct_product(factors, budget: int = DEFAULT_BUDGET) -> FiniteAlgebra:
     sizes = [f.size for f in factors]
     tables = {}
     for name, arity in signature.ops:
-        total = _product_stack([f.tables[name] for f in factors], sizes, 1, arity)
-        tables[name] = tuple(total.ravel().tolist())
+        table = _product_stack([f.tables[name] for f in factors], sizes, arity)
+        tables[name] = tuple(table.ravel().tolist())
     return FiniteAlgebra(signature, size, tables)
 
 
 def direct_power(A: FiniteAlgebra, exponent: int, budget: int = DEFAULT_BUDGET) -> FiniteAlgebra:
-    """A**exponent; the empty power is the singleton algebra."""
+    """A**exponent; the empty power is the singleton algebra, and A**1 is A.
+    A power within the block cap is built once and shared (``_power``)."""
     if exponent < 0:
         raise InvalidInput("negative exponent")
-    if exponent == 0:
-        tables = {name: (0,) for name in A.signature.names}
-        return FiniteAlgebra(A.signature, 1, tables)
-    return direct_product([A] * exponent, budget=budget)
+    if exponent and A.size ** exponent > budget:
+        raise BudgetExceeded("product carrier %d exceeds budget %d" % (A.size ** exponent, budget))
+    power = A if exponent == 1 else _power(A, exponent)
+    return direct_product([A] * exponent, budget=budget) if power is None else power
 
 
 def product_tuple(sizes, index: int) -> tuple[int, ...]:
@@ -702,21 +703,29 @@ def product_index(sizes, coords) -> int:
 
 
 def power_tuple(n: int, length: int, index: int) -> tuple[int, ...]:
-    return product_tuple([n] * length, index)
+    """Element ``index`` of a power of an n-element algebra as its digits."""
+    values = [0] * length
+    for i in range(length - 1, -1, -1):
+        index, values[i] = divmod(index, n)
+    return tuple(values)
 
 
 def power_index(n: int, coords) -> int:
-    return product_index([n] * len(tuple(coords)), tuple(coords))
+    """The element with these coordinates; the inverse of ``power_tuple``."""
+    index = 0
+    for c in coords:
+        index = index * n + c
+    return index
 
 
 def generate_vectors(L: FiniteAlgebra, length: int, seeds,
                      budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
     """Closure of vectors in L**length under pointwise operations.
 
-    A power small enough for ``_power_stacks`` closes the vectors' codes
-    with ``_rounds``; larger ones close the vectors themselves (``_close``),
-    so they never have to be tabulated.  Returns the closed set sorted; it
-    is empty only for constant-free signatures with no seeds.
+    In a power that ``_power`` caches, vectors close as the elements with
+    their codes do (``_closure``); longer ones close themselves (``_close``),
+    so their power is never tabulated.  Returns the closed set sorted; it is
+    empty only for constant-free signatures with no seeds.
     """
     seeds = [tuple(s) for s in seeds]
     for s in seeds:
@@ -724,19 +733,12 @@ def generate_vectors(L: FiniteAlgebra, length: int, seeds,
             raise InvalidInput("seed vector of wrong length")
         if any(not 0 <= v < L.size for v in s):
             raise InvalidInput("seed vector outside carrier")
-    start = set(seeds).union((L.apply(name),) * length for name in L.signature.constants)
-    view = _power_stacks(L, length)
-    if view is None:
+    power = _power(L, length)
+    if power is None:
+        start = set(seeds).union((L.apply(name),) * length for name in L.signature.constants)
         closed = _close(L, _rows(list(start), length), budget)
         return list(map(tuple, closed.tolist()))
-    known = np.zeros(L.size ** length, dtype=bool)
-    known[_codes(_rows(list(start), length), L.size)] = True
-    count = len(start)
-    for fresh in _rounds(view, known):
-        # as in _close: past the budget only once the closure adds a vector
-        count += len(fresh)
-        if count > budget:
-            raise BudgetExceeded("vector closure exceeds budget %d" % budget)
+    known = _closure(power, _codes(_rows(seeds, length), L.size).tolist(), budget)
     return list(map(tuple, _decode(np.flatnonzero(known), L.size, length).tolist()))
 
 

@@ -169,7 +169,7 @@ def cmd_props(args):
 
 def cmd_endos(args):
     doc = _load_algebra(args.dualizer)
-    report = partial_endomorphisms(doc.algebra)
+    report = partial_endomorphisms(doc.algebra, budget=args.budget)
     entries = [[_labelled(e.domain, doc.labels), _labelled(e.values, doc.labels)]
                for e in report.endomorphisms]
     _emit([("all_trivial", report.all_trivial),
@@ -180,7 +180,7 @@ def cmd_endos(args):
 
 def cmd_classify_sq(args):
     doc = _load_algebra(args.dualizer)
-    classification = classify_square_subalgebras(doc.algebra)
+    classification = classify_square_subalgebras(doc.algebra, budget=args.budget)
     classes = [[c.tag, [[doc.labels[a], doc.labels[b]] for a, b in c.pairs]]
                for c in classification.classes]
     _emit([("only_subdiagonal_or_product", classification.only_subdiagonal_or_product),
@@ -224,7 +224,7 @@ def cmd_crp_check(args):
     doc = _load_algebra(args.input)
     dualizer = _load_algebra(args.dualizer)
     checked, failure = chinese_remainder_sweep(doc.algebra, dualizer.algebra,
-                                               args.k, args.bound)
+                                               args.k, args.bound, budget=args.budget)
     fields = [("k", args.k), ("systems", checked), ("passed", failure is None)]
     if failure is not None:
         fields.append(("witness", repr(failure)))

@@ -50,6 +50,8 @@ from .algebras import (
     Congruence,
     FiniteAlgebra,
     InvalidInput,
+    power_index,
+    power_tuple,
     unclosed_operation,
 )
 from .spaces import LSpace
@@ -65,27 +67,12 @@ def _reindex(funs, I_sorted, xs) -> frozenset:
     return frozenset(tuple(f[i] for i in at) for f in funs)
 
 
-def _encode(values, size: int) -> int:
-    """The code of a local function given by its values in point order."""
-    code = 0
-    for v in values:
-        code = code * size + v
-    return code
-
-
-def _decode(code: int, length: int, size: int) -> tuple[int, ...]:
-    values = [0] * length
-    for i in range(length - 1, -1, -1):
-        code, values[i] = divmod(code, size)
-    return tuple(values)
-
-
 def _project(codes, I: tuple, J: tuple, size: int) -> frozenset:
     """The codes of local functions on the sorted tuple I, read at the sorted
     points J of I."""
     at = [I.index(x) for x in J]
-    return frozenset(_encode([values[i] for i in at], size)
-                     for values in (_decode(c, len(I), size) for c in codes))
+    return frozenset(power_index(size, [values[i] for i in at])
+                     for values in (power_tuple(size, len(I), c) for c in codes))
 
 
 def _encode_functions(funs, I: tuple, size: int) -> frozenset:
@@ -96,7 +83,7 @@ def _encode_functions(funs, I: tuple, size: int) -> frozenset:
             raise InvalidInput("local function of wrong length for %r" % (I,))
         if any(not 0 <= v < size for v in f):
             raise InvalidInput("local function value outside the carrier")
-        codes.add(_encode(f, size))
+        codes.add(power_index(size, f))
     return frozenset(codes)
 
 
@@ -200,7 +187,7 @@ class ConstrainedSpace:
         if funs is None:
             size = self.dualizer.size
             funs = self._decoded[I] = frozenset(
-                _decode(c, len(I), size) for c in self._codes_of(I))
+                power_tuple(size, len(I), c) for c in self._codes_of(I))
         return funs
 
     def constraint_tuple(self, xs) -> frozenset:
@@ -557,7 +544,7 @@ def _extend_all(space, I, funs, rows, j, pinned, most=math.inf):
         values = bits_of(row[j])
         for b in values:
             extended.append(g + (b,))
-        steps.append((row, [(table, _encode([g[i] for i in S], size) * size, 1)
+        steps.append((row, [(table, power_index(size, [g[i] for i in S]) * size, 1)
                             for S, table in tables], values))
         if len(extended) > most:
             break
@@ -663,7 +650,7 @@ def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
             return
         p = order[idx]
         own = _table(space, (p,))
-        held = [(table, _encode([0 if q == p else values[q] for q in T], size), weight)
+        held = [(table, power_index(size, [0 if q == p else values[q] for q in T]), weight)
                 for T, table, weight in supports(idx)]
         for v in bits_of(domains[p]):
             tried += 1
@@ -744,7 +731,7 @@ def has_global_extension(space, budget: int = DEFAULT_BUDGET):
         covered = _codes_on(columns, len(functions), I, size)
         missing = allowed - covered
         if missing:
-            return False, (I, _decode(min(missing), len(I), size)), functions
+            return False, (I, power_tuple(size, len(I), min(missing))), functions
         if not covered <= allowed:
             return False, (I, None), functions
     return True, None, functions
@@ -779,7 +766,7 @@ def possible_extensions(space: ConstrainedSpace, points_sorted, fun, y: int) -> 
     if y in points_sorted:
         raise InvalidInput("extension point must lie outside I")
     I, f = zip(*sorted(zip(points_sorted, fun))) if points_sorted else ((), ())
-    mask = _table(space, I)[_encode(f, space.dualizer.size)][y] & _table(space, ())[0][y]
+    mask = _table(space, I)[power_index(space.dualizer.size, f)][y] & _table(space, ())[0][y]
     return frozenset(bits_of(mask))
 
 
@@ -812,7 +799,7 @@ def local_to_global_verify(space: ConstrainedSpace, m: TermFunction,
     for I, funs, _ in _local_functions(space, k - 1):
         for g in funs:
             # the possible-extension sets of g, one per point y outside I
-            row = _table(space, I)[_encode(g, L.size)]
+            row = _table(space, I)[power_index(L.size, g)]
             for y in range(space.n):
                 if y in I:
                     continue

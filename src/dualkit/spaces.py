@@ -178,14 +178,14 @@ class Spectrum:
 def spectrum(A: FiniteAlgebra, L: FiniteAlgebra, gens=None) -> Spectrum:
     """The dual space of A: Hom(A, L) under the clopen subbasis U_{a -> W}.
 
-    Compatible functions are the images of eta_A; point order is the
-    lexicographic order of the homomorphisms' value vectors.
+    Distinct homomorphisms differ at some a, so U_{a -> h(a)} isolates each
+    point h and the topology is discrete.  Compatible functions are the
+    images of eta_A; point order is the lexicographic order of the
+    homomorphisms' value vectors.
     """
     homs = sorted(enumerate_homs(A, L, gens=gens), key=lambda h: h.values)
     vectors = [tuple(h.values[a] for h in homs) for a in A.elements]    # eta_A
-    subbasis = [mask_of(i for i, v in enumerate(vec) if v == w)
-                for vec in vectors for w in L.elements]
-    top = topology_from_subbasis(len(homs), subbasis)
+    top = discrete_topology(len(homs))
     # Comp Spec A is A/ker(eta_A), its blocks numbered in the carrier's order
     carrier = tuple(sorted(set(vectors)))
     position = {v: i for i, v in enumerate(carrier)}

@@ -267,6 +267,29 @@ def test_crp_check(capsys, tmp_path):
     assert "passed: True" in out
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["classify-sq", "--dualizer", "builtin:dl2", "--budget", "1"],
+     "product carrier 4 exceeds budget 1"),
+    (["endos", "--dualizer", "builtin:dl2", "--budget", "0"], "more than 0 subuniverses"),
+])
+def test_square_and_endomorphism_searches_stop_at_the_budget(capsys, argv, error):
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % error)
+
+
+def test_crp_check_stops_at_the_budget(capsys, tmp_path):
+    """The 4-element chain has 8 congruences, the partitions into intervals.
+    Seven are the identity and principal ones; the eighth, {a, b} {c, d}, is
+    a join of two principal ones, found past a budget of 7."""
+    from dualkit.algebras import algebra_from_vectors
+    steps = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
+    chain = algebra_from_vectors(dl2().algebra, 3, steps)[0]
+    path = tmp_path / "chain.dk"
+    path.write_text(serialize_algebra(AlgebraDocument("chain4", chain, ("a", "b", "c", "d"))))
+    argv = ["crp-check", str(path), "--dualizer", "builtin:dl2", "--budget"]
+    assert run(capsys, *argv, "7") == (2, "", "error: congruence lattice exceeds budget\n")
+    assert run(capsys, *argv, "8")[:2] == (0, "k: 2\nsystems: 6544\npassed: True\n")
+
+
 def test_jonsson_check(capsys, lspace_file):
     code, out, _ = run(capsys, "jonsson-check", lspace_file)
     assert code == 0

@@ -7,9 +7,17 @@ constrained-space validation (``_subuniverse_of_tuples``) and
 per-argument ``ElementMap.is_homomorphism`` loop, kept verbatim up to
 imports.  ``_closure_mask`` reads the argument-column view ``_op_columns``
 that ``FiniteAlgebra`` no longer caches, so a copy of it lives here too.
+
+Short vectors are elements of a cached power (``algebras._power``).  The
+builder of that power's tables (``_power_stacks``), the mask loop that
+closed their codes in ``generate_vectors``, and the codes of
+``constrained`` (``_encode``/``_decode``) that ``power_index`` and
+``power_tuple`` replaced are kept at the end, verbatim up to names; the
+builder caches its views in a dict of its own.
 """
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -30,11 +38,16 @@ from dualkit.algebras import (
     enumerate_homs,
     generate_subalgebra,
     generate_vectors,
+    power_index,
+    power_tuple,
     product_index,
+    product_tuple,
+    subuniverses,
     unclosed_operation,
 )
 from dualkit.catalog import bool2, dl2, luk, posluk, reduct
 from dualkit.corpus import dualizer_suite
+from dualkit.properties import classify_square_subalgebras
 from dualkit.spaces import lspace
 from dualkit.topology import discrete_topology
 
@@ -475,7 +488,7 @@ def test_is_homomorphism_needs_one_signature():
 # --- the power view: short vectors as elements of a small power ---------------------------
 #
 # Below the cap, ``generate_vectors`` and ``_images`` read the tables of
-# L**length (``_power_stacks``) with each vector as its code.  They are
+# L**length (``_power``) with each vector as its code.  They are
 # checked against the row kernels ``_close`` and ``_row_images``, called
 # directly on the same input, and against the oracles above.
 
@@ -491,7 +504,7 @@ VIEW_IDS = ["bool2", "dl2", "luk1", "luk2", "luk3", "luk4", "posluk2", "luk2-opl
 
 
 def _cells(L, length):
-    """The cells of L**length's carrier and tables, as ``_power_stacks`` counts them."""
+    """The cells of L**length's carrier and tables, as ``_power`` counts them."""
     size = L.size ** length
     return size + sum(size**arity for _, arity in L.signature.ops if arity)
 
@@ -531,16 +544,16 @@ def test_power_view_is_the_stacks_of_the_power(L):
     lengths = _view_lengths(L)
     assert len(lengths) > 1
     for length in lengths:
-        view = algebras._power_stacks(L, length)
+        view = old_power_stacks(L, length)
         expected = algebras._op_stacks(direct_power(L, length))
         assert [names for names, _ in view] == [names for names, _ in expected]
         for (_, tables), (_, power_tables) in zip(view, expected):
             assert tables.shape == power_tables.shape
             assert np.array_equal(tables, power_tables)
-        assert algebras._power_stacks(L, length) is view
+        assert old_power_stacks(L, length) is view
     # the first length past the cap has no view
     assert _cells(L, lengths[-1] + 1) > algebras._BLOCK_CELLS
-    assert algebras._power_stacks(L, lengths[-1] + 1) is None
+    assert old_power_stacks(L, lengths[-1] + 1) is None
 
 
 @pytest.mark.parametrize("L", VIEW_ALGEBRAS, ids=VIEW_IDS)
@@ -611,7 +624,7 @@ def test_cap_boundary_on_both_sides(L, monkeypatch):
         for cap, path in ((_cells(L, length), 0), (_cells(L, length) - 1, 1)):
             monkeypatch.setattr(algebras, "_BLOCK_CELLS", cap)
             before = (len(closes), len(lookups))
-            assert (algebras._power_stacks(L, length) is None) == bool(path)
+            assert (algebras._power(L, length) is None) == bool(path)
             closed = generate_vectors(L, length, seeds)
             A, carrier = algebra_from_vectors(L, length, closed)
             missing = unclosed_operation(L, length, closed[1:])
@@ -626,7 +639,7 @@ def test_length_zero_and_empty_seeds():
     L = luk(2).algebra
     for A, length, seeds in ((L, 0, []), (L, 0, [()]), (L, 3, []), (free, 0, []), (free, 0, [()]),
                              (free, 2, []), (empty, 0, []), (empty, 0, [()]), (empty, 2, [])):
-        assert algebras._power_stacks(A, length) is not None
+        assert algebras._power(A, length) is not None
         got = generate_vectors(A, length, seeds)
         assert got == old_generate_vectors(A, length, seeds)
         rows = algebras._rows(got, length)
@@ -676,3 +689,162 @@ def test_out_of_range_rows_take_the_row_lookup():
     for images in (algebras._images, algebras._row_images):
         with pytest.raises(IndexError):
             _pieces(images(L, rows))
+
+
+# --- oracles: the power view before the cached power ------------------------------
+
+def old_product_stack(stacks, sizes, ops: int, arity: int) -> np.ndarray:
+    k = len(sizes)
+    total = np.zeros((ops,) + (1,) * (arity * k), dtype=np.int64)
+    for i, (stack, size) in enumerate(zip(stacks, sizes)):
+        shape = [ops] + [1] * (arity * k)
+        shape[1 + i::k] = [size] * arity
+        total = total + math.prod(sizes[i + 1:]) * np.asarray(stack, dtype=np.int64).reshape(shape)
+    return total.reshape((ops,) + (math.prod(sizes),) * arity)
+
+
+_OLD_POWERS = {}
+
+
+def old_power_stacks(L, length):
+    stacks = algebras._op_stacks(L)
+    size = L.size ** length
+    cells = size + sum(len(names) * size ** (tables.ndim - 1) for names, tables in stacks)
+    if cells > algebras._BLOCK_CELLS:
+        return None
+    powers = _OLD_POWERS.setdefault(L, {})
+    if length not in powers:
+        view = []
+        for names, tables in stacks:
+            power = old_product_stack([tables] * length, [L.size] * length, len(names), tables.ndim - 1)
+            power.flags.writeable = False
+            view.append((names, power))
+        powers[length] = view
+    return powers[length]
+
+
+def old_mask_generate_vectors(L, length, seeds, budget=DEFAULT_BUDGET):
+    seeds = [tuple(s) for s in seeds]
+    for s in seeds:
+        if len(s) != length:
+            raise InvalidInput("seed vector of wrong length")
+        if any(not 0 <= v < L.size for v in s):
+            raise InvalidInput("seed vector outside carrier")
+    start = set(seeds).union((L.apply(name),) * length for name in L.signature.constants)
+    view = old_power_stacks(L, length)
+    if view is None:
+        closed = algebras._close(L, algebras._rows(list(start), length), budget)
+        return list(map(tuple, closed.tolist()))
+    known = np.zeros(L.size ** length, dtype=bool)
+    known[algebras._codes(algebras._rows(list(start), length), L.size)] = True
+    count = len(start)
+    for fresh in algebras._rounds(view, known):
+        count += len(fresh)
+        if count > budget:
+            raise BudgetExceeded("vector closure exceeds budget %d" % budget)
+    return list(map(tuple, algebras._decode(np.flatnonzero(known), L.size, length).tolist()))
+
+
+def old_encode(values, size: int) -> int:
+    code = 0
+    for v in values:
+        code = code * size + v
+    return code
+
+
+def old_decode(code: int, length: int, size: int) -> tuple[int, ...]:
+    values = [0] * length
+    for i in range(length - 1, -1, -1):
+        code, values[i] = divmod(code, size)
+    return tuple(values)
+
+
+# --- the cached power and the one element closure ----------------------------------
+
+@pytest.mark.parametrize("L", VIEW_ALGEBRAS, ids=VIEW_IDS)
+def test_mask_loop_and_element_closure_agree_by_bisection(L):
+    """Short vectors close as elements of the cached power; results and the
+    least budget each closure passes match the mask loop's."""
+    rng = random.Random(L.size * 7 + 3)
+    for length in _view_lengths(L):
+        for count in (0, 1, 3):
+            seeds = _seeds(L, length, rng, count)
+            assert generate_vectors(L, length, seeds) == old_mask_generate_vectors(L, length, seeds)
+            new = _least_budget(lambda b: generate_vectors(L, length, seeds, budget=b))
+            old = _least_budget(lambda b: old_mask_generate_vectors(L, length, seeds, budget=b))
+            assert new == old
+
+
+@pytest.mark.parametrize("L", VIEW_ALGEBRAS, ids=VIEW_IDS)
+def test_small_powers_are_shared_and_read_only(L):
+    assert direct_power(L, 1) is L
+    assert _error(direct_power, L, 1, L.size - 1) == (
+        BudgetExceeded, "product carrier %d exceeds budget %d" % (L.size, L.size - 1))
+    lengths = _view_lengths(L)
+    for length in lengths:
+        power = direct_power(L, length)
+        assert direct_power(L, length) is power
+        assert algebras._power(L, length) is power
+        for _, tables in algebras._op_stacks(power):
+            assert not tables.flags.writeable
+        with pytest.raises(AttributeError):
+            power.size = 0
+    assert algebras._power(L, lengths[-1] + 1) is None
+    singleton = direct_power(L, 0, budget=0)
+    assert (singleton.size, singleton.tables) == (1, {name: (0,) for name in L.signature.names})
+
+
+def test_powers_past_the_cap_are_built_afresh():
+    L = dl2().algebra
+    length = _view_lengths(L)[-1] + 1
+    power = direct_power(L, length)
+    assert algebras._power(L, length) is None
+    assert direct_power(L, length) is not power
+    assert direct_power(L, length) == power
+    for (_, tables), (names, factor) in zip(algebras._op_stacks(power), algebras._op_stacks(L)):
+        arity = factor.ndim - 1
+        expected = old_product_stack([factor] * length, [L.size] * length, len(names), arity)
+        assert np.array_equal(tables, expected)
+
+
+def test_power_codes_match_the_constrained_codes():
+    rng = random.Random(2)
+    for _ in range(3000):
+        size, length = rng.randint(1, 1000), rng.randint(0, 20)
+        values = tuple(rng.randrange(size) for _ in range(length))
+        code = old_encode(values, size)
+        assert power_index(size, values) == power_index(size, iter(values)) == code
+        assert power_tuple(size, length, code) == old_decode(code, length, size) == values
+        code = rng.randrange(size ** length)
+        assert power_tuple(size, length, code) == old_decode(code, length, size)
+        assert power_tuple(size, length, code) == product_tuple([size] * length, code)
+        assert power_index(size, old_decode(code, length, size)) == code
+
+
+def _counter(n):
+    """n elements and one unary operation, the cycle x -> x + 1 mod n."""
+    return FiniteAlgebra(Signature((("s", 1),)), n, {"s": tuple(range(1, n)) + (0,)})
+
+
+def test_budget_messages_at_the_default_budget():
+    L = dl2().algebra
+    assert _error(direct_power, L, 20) == (
+        BudgetExceeded, "product carrier 1048576 exceeds budget 1000000")
+    assert _error(direct_power, L, 3, 7) == (BudgetExceeded, "product carrier 8 exceeds budget 7")
+    assert direct_power(L, 3, budget=8).size == 8
+    assert direct_power(_counter(1001), 2, budget=1002001).size == 1002001
+    assert _error(subuniverses, _counter(65)) == (
+        BudgetExceeded, "subuniverse enumeration capped at carrier 64")
+    free = _free_dl2()                      # subuniverses {}, {0}, {1}, {0, 1}
+    assert _error(subuniverses, free, 3) == (BudgetExceeded, "more than 3 subuniverses")
+    assert len(subuniverses(free, 4)) == 4
+    assert _error(classify_square_subalgebras, _counter(1001)) == (
+        BudgetExceeded, "product carrier 1002001 exceeds budget 1000000")
+    assert _error(classify_square_subalgebras, _counter(9)) == (
+        BudgetExceeded, "subuniverse enumeration capped at carrier 64")
+    # 011 and 110 with the constants 000 and 111, and their meet 010
+    seeds = [(0, 1, 1), (1, 1, 0)]
+    assert _error(generate_vectors, L, 3, seeds, 4) == (
+        BudgetExceeded, "vector closure exceeds budget 4")
+    assert len(generate_vectors(L, 3, seeds, 5)) == len(generate_vectors(L, 3, seeds)) == 5
+    assert generate_subalgebra(_counter(64), [5]) == frozenset(range(64))

@@ -33,6 +33,7 @@ from dualkit.algebras import (
     relative_congruences,
 )
 from dualkit.catalog import bool2, dl2, luk, posluk, reduct
+from dualkit.corpus import dualizer_suite, entry_label, sample_function_algebra
 from dualkit.constrained import ConstrainedSpace, bits_of, local_to_global_verify
 from dualkit.fileformat import parse_algebra, parse_document, parse_space, resolve_algebra
 from dualkit.properties import (
@@ -42,6 +43,7 @@ from dualkit.properties import (
     partial_endomorphisms,
 )
 from dualkit.spaces import spectrum
+from dualkit.topology import mask_of, topology_from_subbasis
 from dualkit.terms import TermFunction, pad_nu_function, search_nu_function
 
 DL = dl2().algebra
@@ -380,6 +382,59 @@ def test_spectrum_budget_counts_subsets_of_the_spectrum():
         congruence_spectrum_antiisomorphism(square, DL, budget=3)
 
 
+# --- Spec A is discrete ---------------------------------------------------------
+
+def old_spectrum_topology(A, L, gens=None):
+    """The topology of Spec A as ``spectrum`` built it, from the subbasis
+    U_{a -> w}."""
+    homs = sorted(enumerate_homs(A, L, gens=gens), key=lambda h: h.values)
+    vectors = [tuple(h.values[a] for h in homs) for a in A.elements]
+    subbasis = [mask_of(i for i, v in enumerate(vec) if v == w)
+                for vec in vectors for w in L.elements]
+    return topology_from_subbasis(len(homs), subbasis)
+
+
+def _spectrum_inputs():
+    """(A, L, gens) for the algebras criteria 1, 6 and 9 take spectra of at
+    seed 0, drawn as they draw them, and the benchmark's algebra documents
+    at seeds 0 and 7."""
+    for entry in dualizer_suite():
+        rng = random.Random("0|roundtrip|%s" % entry_label(entry))
+        for _ in range(200):
+            _, _, A, gens = sample_function_algebra(entry.algebra, rng)
+            yield A, entry.algebra, gens
+    for entry in (dl2(), luk(2)):
+        rng = random.Random("0|congruences|%s" % entry_label(entry))
+        for _ in range(25):
+            _, _, A, _ = sample_function_algebra(entry.algebra, rng, 3 if entry.algebra.size == 2 else 2)
+            yield A, entry.algebra, None
+    yield direct_power(DL, 2), DL, None
+    g1, g2 = (0, 0, 1, 1), (0, 1, 0, 1)
+    free, carrier = algebra_from_vectors(DL, 4, generate_vectors(DL, 4, [g1, g2]))
+    yield free, DL, (carrier.index(g1), carrier.index(g2))
+    for seed in (0, 7):
+        for kind, doc, dualizer in _documents(seed):
+            if kind == "algebra":
+                yield doc.algebra, resolve_algebra(dualizer).algebra, None
+
+
+def test_spectrum_topology_is_the_subbasis_topology():
+    count = 0
+    for A, L, gens in _spectrum_inputs():
+        top = spectrum(A, L, gens=gens).space.topology
+        old = old_spectrum_topology(A, L, gens)
+        assert (top.n, top.nbhds) == (old.n, old.nbhds)
+        count += 1
+    assert count == 1000 + 50 + 1 + 1 + 40
+    # past MAX_POINTS both raise alike: the 21-element chain has 22
+    # homomorphisms to the two-element lattice
+    lattice = reduct(DL, ("meet", "join"))
+    A = algebra_from_vectors(lattice, 20, [(0,) * (20 - i) + (1,) * i for i in range(21)])[0]
+    for build in (lambda: spectrum(A, lattice), lambda: old_spectrum_topology(A, lattice)):
+        with pytest.raises(properties.BudgetExceeded, match="too many points for an explicit topology"):
+            build()
+
+
 # --- convexity -------------------------------------------------------------------
 
 def old_convex_within(L, m, subset, ambient):
@@ -433,7 +488,7 @@ def _mask_pairs(space):
     pairs = []
     for I, funs, _ in constrained._local_functions(space, space.k - 1):
         for g in funs:
-            row = constrained._table(space, I)[constrained._encode(g, space.dualizer.size)]
+            row = constrained._table(space, I)[constrained.power_index(space.dualizer.size, g)]
             pairs.extend((row[y] & fibers[y], fibers[y]) for y in range(space.n) if y not in I)
     return pairs
 
