@@ -366,6 +366,18 @@ def _rows(vectors: list, length: int) -> np.ndarray:
     return np.array(vectors, dtype=np.int64).reshape(len(vectors), length)
 
 
+def _checked(L: FiniteAlgebra, length: int, vectors, what: str) -> list[tuple[int, ...]]:
+    """The vectors as tuples; InvalidInput, naming them ``what``, at the
+    first one of another length or with an entry outside L."""
+    vectors = [tuple(v) for v in vectors]
+    for v in vectors:
+        if len(v) != length:
+            raise InvalidInput("%s of wrong length" % what)
+        if any(not 0 <= x < L.size for x in v):
+            raise InvalidInput("%s outside carrier" % what)
+    return vectors
+
+
 @functools.lru_cache(maxsize=256)
 def _radix(n: int, length: int) -> np.ndarray:
     """Weights (length, limbs): ``rows @ weights`` gives each row's limb codes.
@@ -492,12 +504,12 @@ def _images(A: FiniteAlgebra, rows: np.ndarray):
 
     Yields (name, positions) pieces: one operation's pieces come in
     row-major argument order, but operations interleave.  A position is -1
-    where the value is not a row.  Rows that are elements of a power
-    ``_power`` caches are looked up by their codes, one gather per stack of
-    the power's tables; longer rows by ``_row_images``.
+    where the value is not a row.  Rows are vectors over A; those that are
+    elements of a power ``_power`` caches are looked up by their codes, one
+    gather per stack of the power's tables, longer ones by ``_row_images``.
     """
     power = _power(A, rows.shape[1])
-    if power is None or (rows.size and not 0 <= rows.min() <= rows.max() < A.size):
+    if power is None:
         yield from _row_images(A, rows)
         return
     codes = _codes(rows, A.size)
@@ -548,7 +560,7 @@ def unclosed_operation(L: FiniteAlgebra, length: int, vectors) -> str | None:
     """The first operation, in signature order, under which the vectors over
     L are not closed (a constant when its constant vector is missing), or
     None for a subuniverse of L**length."""
-    rows = _rows(list(vectors), length)
+    rows = _rows(_checked(L, length, vectors, "vector"), length)
     return _first_in_signature(L, {name for name, positions in _images(L, rows)
                                    if (positions < 0).any()})
 
@@ -627,28 +639,36 @@ def subalgebra(A: FiniteAlgebra, universe) -> tuple[FiniteAlgebra, tuple[int, ..
     return FiniteAlgebra(A.signature, len(old), tables), old
 
 
-def subuniverses(A: FiniteAlgebra, budget: int = DEFAULT_BUDGET) -> list[frozenset]:
-    """All subuniverses of A, by closing generated subalgebras upward.
+def _join_closure(bottom, atoms, join, budget: int, message: str) -> list:
+    """Every join of a subset of ``atoms``, ``bottom`` being the empty join.
 
-    Every subuniverse is reached by adding one element at a time to a
-    smaller one, so a breadth-first sweep over ``Sg(U + {x})`` is complete.
+    The joins of the first i atoms are those of the first i-1 atoms plus
+    each of them joined with atom i.  Found elements keep insertion order,
+    so the work does not depend on hashing; BudgetExceeded(message) as soon
+    as more than ``budget`` are found, the bottom included.
     """
+    if budget < 1:
+        raise BudgetExceeded(message)
+    found = {bottom: None}
+    for atom in atoms:
+        for x in list(found):
+            found.setdefault(join(x, atom))
+            if len(found) > budget:
+                raise BudgetExceeded(message)
+    return list(found)
+
+
+def subuniverses(A: FiniteAlgebra, budget: int = DEFAULT_BUDGET) -> list[frozenset]:
+    """All subuniverses of A: the joins of its 1-generated subuniverses."""
     if A.size > 64:
         raise BudgetExceeded("subuniverse enumeration capped at carrier 64")
-    base = generate_subalgebra(A, ())
-    found = {base}
-    queue = [base]
-    while queue:
-        u = queue.pop()
-        for x in A.elements:
-            if x in u:
-                continue
-            bigger = generate_subalgebra(A, tuple(u) + (x,))
-            if bigger not in found:
-                found.add(bigger)
-                queue.append(bigger)
-        if len(found) > budget:
-            raise BudgetExceeded("more than %d subuniverses" % budget)
+
+    def join(u, v):
+        return u if v <= u else v if u <= v else generate_subalgebra(A, u | v)
+
+    bottom = generate_subalgebra(A, ())
+    atoms = dict.fromkeys(generate_subalgebra(A, (x,)) for x in A.elements if x not in bottom)
+    found = _join_closure(bottom, atoms, join, budget, "more than %d subuniverses" % budget)
     return sorted(found, key=lambda u: (len(u), sorted(u)))
 
 
@@ -727,12 +747,7 @@ def generate_vectors(L: FiniteAlgebra, length: int, seeds,
     so their power is never tabulated.  Returns the closed set sorted; it is
     empty only for constant-free signatures with no seeds.
     """
-    seeds = [tuple(s) for s in seeds]
-    for s in seeds:
-        if len(s) != length:
-            raise InvalidInput("seed vector of wrong length")
-        if any(not 0 <= v < L.size for v in s):
-            raise InvalidInput("seed vector outside carrier")
+    seeds = _checked(L, length, seeds, "seed vector")
     power = _power(L, length)
     if power is None:
         start = set(seeds).union((L.apply(name),) * length for name in L.signature.constants)
@@ -747,7 +762,7 @@ def algebra_from_vectors(L: FiniteAlgebra, length: int, vectors):
 
     Returns (algebra, carrier) where carrier[i] is the vector of element i.
     """
-    carrier = sorted(set(tuple(v) for v in vectors))
+    carrier = sorted(set(_checked(L, length, vectors, "vector")))
     tables, unclosed = _tables_on(L, _rows(carrier, length))
     if unclosed is not None:
         raise InvalidInput("vector set is not closed under %r" % unclosed)
@@ -941,23 +956,11 @@ def generate_congruence(A: FiniteAlgebra, pairs) -> Congruence:
 
 
 def all_congruences(A: FiniteAlgebra, budget: int = DEFAULT_BUDGET) -> list[Congruence]:
-    """Every congruence of A: join-closure of the principal congruences."""
-    delta = identity_congruence(A)
-    principals = set()
-    for a in A.elements:
-        for b in range(a + 1, A.size):
-            principals.add(generate_congruence(A, [(a, b)]))
-    found = {delta} | principals
-    queue = list(found)
-    while queue:
-        theta = queue.pop()
-        for p in principals:
-            j = theta.join(p)
-            if j not in found:
-                found.add(j)
-                queue.append(j)
-                if len(found) > budget:
-                    raise BudgetExceeded("congruence lattice exceeds budget")
+    """Every congruence of A: the joins of its principal congruences."""
+    principals = dict.fromkeys(generate_congruence(A, [(a, b)])
+                               for a in A.elements for b in range(a + 1, A.size))
+    found = _join_closure(identity_congruence(A), principals, Congruence.join,
+                          budget, "congruence lattice exceeds budget")
     return sorted(found, key=lambda t: (t.num_blocks, t.blocks), reverse=True)
 
 

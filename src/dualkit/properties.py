@@ -34,6 +34,7 @@ from .algebras import (
     relative_congruences,
     subalgebra,
     subuniverses,
+    total_congruence,
 )
 from .spaces import _separates_points
 from .terms import TermFunction, check_near_unanimity, is_convex, search_nu_function
@@ -504,11 +505,9 @@ def _spectrum_report(A: FiniteAlgebra, L: FiniteAlgebra, thetas,
     if 1 << len(homs) > budget:
         raise BudgetExceeded("congruence spectrum search over the 2^%d subsets of "
                              "Spec A exceeds budget %d" % (len(homs), budget))
-    kernels = []
-    for mask in range(1 << len(homs)):
-        chosen = [homs[i] for i in range(len(homs)) if mask & (1 << i)]
-        profile = [tuple(h.values[a] for h in chosen) for a in A.elements]
-        kernels.append(Congruence.from_blocks(profile))
+    kernels = [total_congruence(A)]     # at a subset's mask, the meet of its homs' kernels
+    for kernel_h in (Congruence.from_blocks(h.values) for h in homs):
+        kernels += [theta.meet(kernel_h) for theta in kernels]
     bijective = (len(set(kernels)) == len(kernels) and set(kernels) == set(thetas))
     # refinement is transitive, so pairs Y, Y + {h} suffice for all Y <= Z
     order_reversing = all(

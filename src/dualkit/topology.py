@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebras import DEFAULT_BUDGET, BudgetExceeded, Congruence, InvalidInput, _find
+from .algebras import DEFAULT_BUDGET, BudgetExceeded, Congruence, InvalidInput, _find, _join_closure
 
 MAX_POINTS = 20
 
@@ -93,13 +93,8 @@ class FiniteTopology:
     @cached_property
     def opens(self) -> frozenset[int]:
         """Every open set as a bitmask: the unions of minimal neighbourhoods."""
-        opens = {0}
-        for u in set(self.nbhds):
-            for v in list(opens):
-                opens.add(u | v)
-                if len(opens) > DEFAULT_BUDGET:
-                    raise BudgetExceeded("open-set family exceeds budget")
-        return frozenset(opens)
+        return frozenset(_join_closure(0, dict.fromkeys(self.nbhds), int.__or__,
+                                       DEFAULT_BUDGET, "open-set family exceeds budget"))
 
     def is_open(self, mask: int) -> bool:
         if mask & ~self.full_mask:

@@ -290,6 +290,21 @@ def test_crp_check_stops_at_the_budget(capsys, tmp_path):
     assert run(capsys, *argv, "8")[:2] == (0, "k: 2\nsystems: 6544\npassed: True\n")
 
 
+def test_crp_check_on_the_square_stops_at_its_congruence_count(capsys, tmp_path):
+    """The dl2 square has 4 congruences, all of them the identity or principal;
+    ``all_congruences`` counts every congruence it finds, so budgets 1 to 3
+    stop it."""
+    from dualkit.algebras import direct_power
+    path = tmp_path / "square.dk"
+    path.write_text(serialize_algebra(AlgebraDocument("dlsq", direct_power(dl2().algebra, 2),
+                                                      ("00", "01", "10", "11"))))
+    argv = ["crp-check", str(path), "--dualizer", "builtin:dl2", "--budget"]
+    for budget in ("1", "3"):
+        assert run(capsys, *argv, budget) == (2, "", "error: congruence lattice exceeds budget\n")
+    code, out, _ = run(capsys, *argv, "4")
+    assert code == 0 and "passed: True" in out
+
+
 def test_jonsson_check(capsys, lspace_file):
     code, out, _ = run(capsys, "jonsson-check", lspace_file)
     assert code == 0
@@ -343,15 +358,14 @@ def test_congruences_prints_what_it_printed(capsys, tmp_path, fmt, budget, monke
 
 
 def test_congruences_exits_two_past_its_budget(capsys, tmp_path):
-    """The dl2 square has 2 homomorphisms to dl2, so 4 subsets of Spec A."""
+    """The dl2 square has 4 congruences, and 2 homomorphisms to dl2, so 4
+    subsets of Spec A; at budget 3 the congruence sweep stops first."""
     from dualkit.algebras import direct_power
     path = tmp_path / "square.dk"
     path.write_text(serialize_algebra(AlgebraDocument("dlsq", direct_power(dl2().algebra, 2),
                                                       ("00", "01", "10", "11"))))
     assert run(capsys, "congruences", str(path), "--dualizer", "builtin:dl2",
-               "--budget", "3") == (
-        2, "", "error: congruence spectrum search over the 2^2 subsets of Spec A "
-               "exceeds budget 3\n")
+               "--budget", "3") == (2, "", "error: congruence lattice exceeds budget\n")
 
 
 def test_cons_then_func_round_trip(capsys, lspace_file, tmp_path):

@@ -679,16 +679,22 @@ def test_budget_parity_by_bisection(L):
             assert dense[0] == (closure if closure > len(start) else 0)
 
 
-def test_out_of_range_rows_take_the_row_lookup():
-    """The codes of rows outside the carrier would name other vectors, so
-    such rows go to the row lookup, whatever it makes of them."""
+@pytest.mark.parametrize("length, vectors, error", [
+    # -1 would index a table from its end, and 2 past it
+    (2, [(0, -1), (0, 0), (0, 1), (1, 1)], "vector outside carrier"),
+    (2, [(0, 0), (0, 2), (1, 1)], "vector outside carrier"),
+    (2, [(0, 1, 1), (0, 0)], "vector of wrong length"),
+    (2, [(0, 0), (1,)], "vector of wrong length"),
+    # past the cap, where the row kernels would read them
+    (12, [(0,) * 12, (1,) * 11 + (-1,)], "vector outside carrier"),
+    (12, [(0,) * 12, (1,) * 11], "vector of wrong length"),
+])
+def test_vectors_off_the_power_are_rejected(length, vectors, error):
     L = dl2().algebra
-    rows = algebras._rows([(0, -1), (1, 1)], 2)
-    assert _pieces(algebras._images(L, rows)) == _pieces(algebras._row_images(L, rows))
-    rows = algebras._rows([(0, 2), (1, 1)], 2)
-    for images in (algebras._images, algebras._row_images):
-        with pytest.raises(IndexError):
-            _pieces(images(L, rows))
+    for call in (algebra_from_vectors, unclosed_operation):
+        assert _error(call, L, length, vectors) == (InvalidInput, error)
+    # generate_vectors words its check of seeds the same way
+    assert _error(generate_vectors, L, length, vectors) == (InvalidInput, "seed " + error)
 
 
 # --- oracles: the power view before the cached power ------------------------------

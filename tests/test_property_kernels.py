@@ -1,13 +1,14 @@
 """The property checks against the loops they replaced.
 
 ``properties.jonsson_finite_cover_check`` tests partitions, not covers;
-``properties._is_distributive`` compares numbered congruences, and the
-order check of ``congruence_spectrum_antiisomorphism`` reads covering pairs
-of subsets only; ``terms._convex_within`` gathers one table slice per
-position, and ``constrained.local_to_global_verify`` asks it once per
-distinct pair of masks; ``properties.chinese_remainder_sweep`` solves each
-sub-system once.  The old loops stay here as oracles, and the work each new
-check does is counted, not timed.
+``properties._is_distributive`` compares numbered congruences, the order
+check of ``congruence_spectrum_antiisomorphism`` reads covering pairs of
+subsets only, and the kernels it compares are meets of one-hom kernels;
+``terms._convex_within`` gathers one table slice per position, and
+``constrained.local_to_global_verify`` asks it once per distinct pair of
+masks; ``properties.chinese_remainder_sweep`` solves each sub-system once.
+The old loops stay here as oracles, and the work each new check does is
+counted, not timed.
 """
 
 import functools
@@ -16,6 +17,7 @@ import itertools
 import random
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,6 +33,7 @@ from dualkit.algebras import (
     generate_vectors,
     in_prevariety,
     relative_congruences,
+    total_congruence,
 )
 from dualkit.catalog import bool2, dl2, luk, posluk, reduct
 from dualkit.corpus import dualizer_suite, entry_label, sample_function_algebra
@@ -375,11 +378,71 @@ def test_order_check_reads_covering_pairs_only(monkeypatch):
     assert len(calls) <= 6 * 2 ** 5
 
 
+def old_subset_kernels(A, homs):
+    """The kernel of each subset of ``homs``, at its mask, from the subset's
+    value profile, as the spectrum check built them."""
+    kernels = []
+    for mask in range(1 << len(homs)):
+        chosen = [homs[i] for i in range(len(homs)) if mask & (1 << i)]
+        profile = [tuple(h.values[a] for h in chosen) for a in A.elements]
+        kernels.append(Congruence.from_blocks(profile))
+    return kernels
+
+
+def _report_kernels(monkeypatch, A, L):
+    """The kernels ``_spectrum_report`` compares, read off the meets it
+    makes; the checks before them are passed, so that every algebra, of any
+    size, reaches them."""
+    monkeypatch.setattr(properties, "partial_endomorphisms",
+                        lambda L, budget: SimpleNamespace(all_trivial=True))
+    monkeypatch.setattr(properties, "in_prevariety", lambda A, L: True)
+    monkeypatch.setattr(properties, "_is_distributive", lambda thetas: True)
+    meets = []
+    meet = Congruence.meet
+
+    def recording(self, other):
+        meets.append(meet(self, other))
+        return meets[-1]
+
+    monkeypatch.setattr(Congruence, "meet", recording)
+    properties._spectrum_report(A, L, [], properties.DEFAULT_BUDGET)
+    monkeypatch.undo()
+    return [total_congruence(A)] + meets
+
+
+@pytest.mark.parametrize("seed", [None, 0, 7], ids=["lattices", "documents-0", "documents-7"])
+def test_subset_kernels_are_the_per_subset_profiles(monkeypatch, seed):
+    """Chains of 1 to 12 elements and Boolean lattices 2^0 to 2^3 over dl2,
+    or the algebra documents of the benchmark at a seed."""
+    if seed is None:
+        cases = ([(chain(n), DL) for n in range(1, 13)]
+                 + [(direct_power(DL, k), DL) for k in range(4)])
+    else:
+        cases = [(doc.algebra, resolve_algebra(dualizer).algebra)
+                 for kind, doc, dualizer in _documents(seed) if kind == "algebra"]
+        assert len(cases) == 20
+    for A, L in cases:
+        homs = sorted(enumerate_homs(A, L), key=lambda h: h.values)
+        assert _report_kernels(monkeypatch, A, L) == old_subset_kernels(A, homs)
+
+
 def test_spectrum_budget_counts_subsets_of_the_spectrum():
+    """The dl2 square has 4 congruences and 4 subsets of Spec A; at budget 3
+    the congruence sweep stops before the spectrum search starts."""
     square = direct_power(DL, 2)
     assert congruence_spectrum_antiisomorphism(square, DL, budget=4).ok
-    with pytest.raises(properties.BudgetExceeded, match="congruence spectrum search"):
+    with pytest.raises(properties.BudgetExceeded, match="congruence lattice exceeds budget"):
         congruence_spectrum_antiisomorphism(square, DL, budget=3)
+
+
+def test_spectrum_search_stops_past_its_own_budget():
+    square = direct_power(DL, 2)
+    thetas = relative_congruences(square, DL)
+    assert properties._spectrum_report(square, DL, thetas, 4).ok
+    with pytest.raises(properties.BudgetExceeded) as raised:
+        properties._spectrum_report(square, DL, thetas, 3)
+    assert str(raised.value) == ("congruence spectrum search over the 2^2 subsets of Spec A "
+                                 "exceeds budget 3")
 
 
 # --- Spec A is discrete ---------------------------------------------------------
