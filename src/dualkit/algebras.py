@@ -20,8 +20,8 @@ grown by ``_rounds``, whose rounds are also ``_HomPlan``'s stages), and
 (constrained-space validation) and, through ``_tables_on``, the table
 building in L-space validation (which keeps the tables as Comp X),
 ``algebra_from_vectors`` and ``subalgebra``.  Longer vectors take the row
-kernels: ``_close`` closes int64 rows in semi-naive rounds, and
-``_row_images`` looks them up by rank and ``searchsorted``.
+kernels on sorted codes: ``_close`` closes them in semi-naive rounds, and
+``_row_images`` looks them up with ``searchsorted``.
 
 Evaluating an operation on all argument tuples reads one cached table view,
 ``_op_stacks``: the tables of each arity stacked into one array of shape
@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,13 +284,8 @@ def total_congruence(A: FiniteAlgebra) -> Congruence:
 # Vectors over an algebra A are the rows of an int64 array.  An operation of
 # arity r is applied to a whole block of argument tuples at once by indexing
 # its table, reshaped to (n,)*r, with r row arrays broadcast against each
-# other.  Rows are compared through exact codes: a row is cut into limbs of
-# at most ``per`` columns with n**per < 2**63, each limb is read as one
-# mixed-radix int64, and the limbs of a batch are folded into one dense
-# lexicographic rank (``_ranks``).  Short rows have one limb and no folding;
-# long rows take the same path with more limbs.
-
-_INT64_MAX = 2**63 - 1
+# other.  Rows are compared through their codes (``_codes``), one exact
+# integer per row that orders rows lexicographically.
 
 #: Cap on the cells (rows x operations x length) of one candidate block, so
 #: memory stays bounded however large |known|**arity grows; also the most
@@ -350,14 +346,13 @@ def _power(A: FiniteAlgebra, exponent: int):
 
 
 def _codes(rows: np.ndarray, n: int) -> np.ndarray:
-    """Each row's code in base n, first column most significant; rows must
-    lie in a power ``_power`` caches, so that one limb is enough."""
-    return (rows @ _radix(n, rows.shape[1]))[:, 0]
+    """Each row's code in base n, first column most significant (dtype of ``_radix``)."""
+    return rows @ _radix(n, rows.shape[1])
 
 
 def _decode(codes: np.ndarray, n: int, length: int) -> np.ndarray:
-    """The rows of the given codes; the inverse of ``_codes``."""
-    return codes[:, None] // _radix(n, length)[:, 0] % n
+    """The int64 rows of the given codes; the inverse of ``_codes``."""
+    return (codes[:, None] // _radix(n, length) % n).astype(np.int64, copy=False)
 
 
 def _rows(vectors: list, length: int) -> np.ndarray:
@@ -366,46 +361,41 @@ def _rows(vectors: list, length: int) -> np.ndarray:
     return np.array(vectors, dtype=np.int64).reshape(len(vectors), length)
 
 
+def _is_element(x, size: int) -> bool:
+    """Whether x is an integer (one ``operator.index`` takes) in 0..size-1."""
+    try:
+        return 0 <= operator.index(x) < size
+    except TypeError:
+        return False
+
+
 def _checked(L: FiniteAlgebra, length: int, vectors, what: str) -> list[tuple[int, ...]]:
     """The vectors as tuples; InvalidInput, naming them ``what``, at the
-    first one of another length or with an entry outside L."""
+    first one of another length or with an entry that is not an element of L."""
     vectors = [tuple(v) for v in vectors]
     for v in vectors:
         if len(v) != length:
             raise InvalidInput("%s of wrong length" % what)
-        if any(not 0 <= x < L.size for x in v):
+        if not all(_is_element(x, L.size) for x in v):
             raise InvalidInput("%s outside carrier" % what)
     return vectors
 
 
 @functools.lru_cache(maxsize=256)
 def _radix(n: int, length: int) -> np.ndarray:
-    """Weights (length, limbs): ``rows @ weights`` gives each row's limb codes.
-
-    Column c goes to limb c // per with weight n**(per - 1 - c % per), so
-    comparing limb codes in order compares rows lexicographically.
-    """
-    per = 1
-    while per < length and n ** (per + 1) <= _INT64_MAX:
-        per += 1
-    limbs = max(1, -(-length // per))
-    per = max(1, -(-length // limbs))
-    weights = np.zeros((length, limbs), dtype=np.int64)
-    for c in range(length):
-        weights[c, c // per] = n ** (per - 1 - c % per)
+    """Place values n**(length-1-c), one per column c.  int64 while every
+    code (below n**length) fits one, else object (exact Python ints)."""
+    dtype = np.int64 if n**length <= 2**63 else object
+    weights = np.array([n ** (length - 1 - c) for c in range(length)], dtype=dtype)
     weights.flags.writeable = False
     return weights
 
 
-def _ranks(codes: np.ndarray) -> np.ndarray:
-    """One int64 per row of limb codes, ordered as the rows are; equal
-    exactly when the rows are.  Meaningful only within one batch."""
-    key = codes[:, 0]
-    for j in range(1, codes.shape[1]):
-        _, hi = np.unique(key, return_inverse=True)
-        values, lo = np.unique(codes[:, j], return_inverse=True)
-        key = hi.reshape(-1) * len(values) + lo.reshape(-1)
-    return key
+def _search(ordered: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Each code's index in the ascending array ``ordered``, or -1 if absent."""
+    spot = np.searchsorted(ordered, codes)
+    found = ordered.take(spot, mode="clip") == codes if len(ordered) else False
+    return np.where(found, spot, -1)
 
 
 def _grid_chunks(dims, limit):
@@ -448,55 +438,31 @@ def _close(A: FiniteAlgebra, rows: np.ndarray, budget: int) -> np.ndarray:
     """The closure of ``rows`` (distinct vectors over A) under A's
     non-constant operations, sorted lexicographically.
 
-    Semi-naive rounds: with old the rows known before the last round and
-    delta the rows it added, position p of an r-ary operation draws from
-    old^p x delta x known^(r-1-p), so each argument tuple is tried once.
-    Candidates are deduplicated against the known rows one flush at a time,
-    a flush holding at least as many cells as the known rows (so sorting the
-    known codes again costs no more than the candidates themselves);
-    BudgetExceeded as soon as more than ``budget`` rows are known.
+    Semi-naive rounds on sorted codes: with old the codes known before the
+    last round and delta the codes it added, position p of an r-ary
+    operation draws from old^p x delta x known^(r-1-p), so each argument
+    tuple is tried once.  Each block's codes not yet known are merged as it
+    arrives; BudgetExceeded as soon as more than ``budget`` are known.
     """
-    weights = _radix(A.size, rows.shape[1])
-    known, codes = rows, rows @ weights
-    pending: list[np.ndarray] = []
-
-    def flush():
-        nonlocal known, codes
-        cand = np.concatenate(pending)
-        pending.clear()
-        cand_codes = cand @ weights
-        keys = _ranks(np.concatenate((codes, cand_codes)))
-        order = np.argsort(keys, kind="stable")
-        ordered = keys[order]
-        # first occurrences of each key, and of those the ones not yet known
-        first = np.empty(len(keys), dtype=bool)
-        first[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        fresh = order[first & (order >= len(codes))] - len(codes)
-        if len(fresh):
-            known = np.concatenate((known, cand[fresh]))
-            codes = np.concatenate((codes, cand_codes[fresh]))
-            if len(known) > budget:
-                raise BudgetExceeded("vector closure exceeds budget %d" % budget)
-
-    start, end = 0, len(known)
-    while start < end:
-        old, delta, current = known[:start], known[start:end], known[:end]
-        size = 0
+    n, length = A.size, rows.shape[1]
+    known = np.unique(_codes(rows, n))
+    old, delta = known[:0], known
+    while len(delta):
+        old_rows, delta_rows, known_rows = (_decode(c, n, length) for c in (old, delta, known))
+        fresh = known[:0]
         for _, tables in _op_stacks(A):
             r = tables.ndim - 1
             for p in range(r):
-                parts = [old] * p + [delta] + [current] * (r - 1 - p)
+                parts = [old_rows] * p + [delta_rows] + [known_rows] * (r - 1 - p)
                 for block in _pointwise(tables, parts, _BLOCK_CELLS):
-                    pending.append(block)
-                    size += block.size
-                    if size >= max(_BLOCK_CELLS, known.size):
-                        flush()
-                        size = 0
-        if pending:
-            flush()
-        start, end = end, len(known)
-    return known[np.argsort(_ranks(codes))]
+                    codes = _codes(block, n)
+                    codes = codes[_search(known, codes) < 0]
+                    if len(codes):
+                        fresh = np.union1d(fresh, codes)
+                        if len(known) + len(fresh) > budget:
+                            raise BudgetExceeded("vector closure exceeds budget %d" % budget)
+        old, delta, known = known, fresh, np.union1d(known, fresh)
+    return _decode(known, n, length)
 
 
 def _images(A: FiniteAlgebra, rows: np.ndarray):
@@ -525,11 +491,13 @@ def _images(A: FiniteAlgebra, rows: np.ndarray):
 
 
 def _row_images(A: FiniteAlgebra, rows: np.ndarray):
-    """``_images`` on rows of any length, through rank and ``searchsorted``."""
+    """``_images`` on rows of any length, through codes and ``searchsorted``.
+    A repeated row is found at its first position."""
     length = rows.shape[1]
-    weights = _radix(A.size, length)
-    # a sentinel row of -1 codes, which no vector has, keeps the lookup nonempty
-    codes = np.concatenate((rows @ weights, np.full((1, weights.shape[1]), -1, dtype=np.int64)))
+    codes = _codes(rows, A.size)
+    # a code that is absent, at index -1, reads the -1 appended to the order
+    order = np.append(np.argsort(codes, kind="stable"), -1)
+    ordered = codes[order[:-1]]
     cells = max(_BLOCK_CELLS, rows.size)
 
     def blocks():
@@ -542,11 +510,7 @@ def _row_images(A: FiniteAlgebra, rows: np.ndarray):
                 yield names, block
 
     for names, block in blocks():
-        keys = _ranks(np.concatenate((codes, block @ weights)))
-        known, wanted = keys[:len(codes)], keys[len(codes):]
-        order = np.argsort(known)
-        spot = order[np.minimum(np.searchsorted(known, wanted, sorter=order), len(rows))]
-        positions = np.where(known[spot] == wanted, spot, -1)
+        positions = order[_search(ordered, _codes(block, A.size))]
         share = len(positions) // len(names)
         for i, name in enumerate(names):
             yield name, positions[i * share:(i + 1) * share]
@@ -617,7 +581,7 @@ def generate_subalgebra(A: FiniteAlgebra, seed) -> frozenset:
     """Least subuniverse of A containing ``seed`` and all constants."""
     seed = list(seed)
     for s in seed:
-        if not 0 <= s < A.size:
+        if not _is_element(s, A.size):
             raise InvalidInput("seed element %r outside carrier" % (s,))
     return frozenset(np.flatnonzero(_closure(A, seed)).tolist())
 
@@ -629,10 +593,11 @@ def minimal_generating_set(A: FiniteAlgebra) -> tuple[int, ...]:
 
 def subalgebra(A: FiniteAlgebra, universe) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     """Restrict A to a subuniverse.  Returns (algebra, old indices in order)."""
-    old = tuple(sorted(set(universe)))
-    for x in old:
-        if not 0 <= x < A.size:
+    universe = list(universe)
+    for x in universe:
+        if not _is_element(x, A.size):
             raise InvalidInput("subset element %r outside carrier" % (x,))
+    old = tuple(sorted(set(universe)))
     tables, unclosed = _tables_on(A, _rows(list(old), 1))
     if unclosed is not None:
         raise InvalidInput("set is not closed under %r" % unclosed)
@@ -838,7 +803,7 @@ def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra, gens=None) -> list[Elemen
     if gens is not None:
         gens = tuple(gens)
         for g in gens:
-            if not 0 <= g < A.size:
+            if not _is_element(g, A.size):
                 raise InvalidInput("generator %r outside carrier" % (g,))
     plan = _HomPlan(A, gens)  # raises if the given generators do not generate
     gens = plan.gens
@@ -957,10 +922,14 @@ def generate_congruence(A: FiniteAlgebra, pairs) -> Congruence:
 
 def all_congruences(A: FiniteAlgebra, budget: int = DEFAULT_BUDGET) -> list[Congruence]:
     """Every congruence of A: the joins of its principal congruences."""
-    principals = dict.fromkeys(generate_congruence(A, [(a, b)])
-                               for a in A.elements for b in range(a + 1, A.size))
-    found = _join_closure(identity_congruence(A), principals, Congruence.join,
-                          budget, "congruence lattice exceeds budget")
+    message = "congruence lattice exceeds budget"
+    principals: dict[Congruence, None] = {}
+    for pair in itertools.combinations(A.elements, 2):
+        principals.setdefault(generate_congruence(A, [pair]))
+        # the identity and the distinct principal congruences are distinct
+        if 1 + len(principals) > budget:
+            raise BudgetExceeded(message)
+    found = _join_closure(identity_congruence(A), principals, Congruence.join, budget, message)
     return sorted(found, key=lambda t: (t.num_blocks, t.blocks), reverse=True)
 
 

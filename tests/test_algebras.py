@@ -227,6 +227,8 @@ def test_hom_enumeration_when_two_operations_derive_one_element():
 def test_hom_rejects_non_generating_set():
     with pytest.raises(InvalidInput):
         enumerate_homs(L2, L2, gens=())
+    with pytest.raises(InvalidInput, match="generator 1.5 outside carrier"):
+        enumerate_homs(L2, L2, gens=[1.5])
 
 
 def test_hom_composition_is_homomorphism():

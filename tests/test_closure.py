@@ -14,8 +14,15 @@ closed their codes in ``generate_vectors``, and the codes of
 ``constrained`` (``_encode``/``_decode``) that ``power_index`` and
 ``power_tuple`` replaced are kept at the end, verbatim up to names; the
 builder caches its views in a dict of its own.
+
+Long vectors were once rows cut into int64 limbs, folded into dense ranks
+per batch; now every vector is one code, an exact integer past 2**63.  The
+row kernels on limbs and ranks (``_radix``, ``_ranks``, ``_close`` and
+``_row_images``) are kept last, verbatim up to names, as oracles of the
+kernels on codes.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -327,7 +334,8 @@ def test_budget_boundary(L, data):
 
 def test_seed_errors_match_oracle():
     L = luk(2).algebra
-    for seeds in ([(0, 1), (1,)], [(0, 3)], [(-1, 0)]):
+    # numpy integers and bools are integers, and are accepted
+    for seeds in ([(0, 1), (1,)], [(0, 3)], [(-1, 0)], [(np.int64(2), True)]):
         assert _error(generate_vectors, L, 2, seeds) == _error(old_generate_vectors, L, 2, seeds)
 
 
@@ -373,14 +381,15 @@ def test_wide_vectors_past_int64_codes():
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(*[st.integers(0, 8)] * 20), min_size=1, max_size=30),
        st.integers(0, 19))
-def test_wide_ranks_order_rows_as_tuples(rows, column):
-    # rows that agree on every column but one, so later limbs decide
+def test_wide_codes_order_rows_as_tuples(rows, column):
+    # rows that agree on every column but one, so any column can decide
     rows = rows + [r[:column] + (8 - r[column],) + r[column + 1:] for r in rows]
-    array = np.array(rows, dtype=np.int64)
-    keys = algebras._ranks(array @ algebras._radix(9, 20))
-    assert [rows[i] for i in np.argsort(keys, kind="stable")] == sorted(rows)
+    codes = algebras._codes(np.array(rows, dtype=np.int64), 9)
+    assert codes.dtype == object                    # 9**20 > 2**63: exact ints
+    assert [rows[i] for i in np.argsort(codes, kind="stable")] == sorted(rows)
     for i, j in itertools.combinations(range(len(rows)), 2):
-        assert (keys[i] == keys[j]) == (rows[i] == rows[j])
+        assert (codes[i] == codes[j]) == (rows[i] == rows[j])
+    assert list(map(tuple, algebras._decode(codes, 9, 20).tolist())) == rows
 
 
 # --- subalgebras of one algebra (length 1) ----------------------------------------------
@@ -400,6 +409,9 @@ def test_generate_subalgebra_matches_closure_mask(A, data):
 def test_generate_subalgebra_rejects_outside_seed():
     A = luk(2).algebra
     assert _error(generate_subalgebra, A, [1, 3]) == _error(old_closure_mask, A, [1, 3])
+    # the mask loop read 0.5 as index 0; an element is an integer
+    assert _error(generate_subalgebra, A, [0.5]) == (
+        InvalidInput, "seed element 0.5 outside carrier")
 
 
 @pytest.mark.parametrize("L", SUITE + [_median3()], ids=IDS[:len(SUITE)] + ["median3"])
@@ -650,10 +662,10 @@ def test_length_zero_and_empty_seeds():
     assert generate_vectors(empty, 0, [()]) == [()]
 
 
-def _least_budget(call):
-    """The least budget at which ``call(budget)`` does not raise, found by
-    bisection, and the error one below it."""
-    lo, hi = 0, DEFAULT_BUDGET
+def _least_budget(call, hi=DEFAULT_BUDGET):
+    """The least budget below ``hi`` at which ``call(budget)`` does not
+    raise, found by bisection, and the error one below it."""
+    lo = 0
     while lo < hi:
         mid = (lo + hi) // 2
         if _error(call, mid) is None:
@@ -688,6 +700,12 @@ def test_budget_parity_by_bisection(L):
     # past the cap, where the row kernels would read them
     (12, [(0,) * 12, (1,) * 11 + (-1,)], "vector outside carrier"),
     (12, [(0,) * 12, (1,) * 11], "vector of wrong length"),
+    # entries that are not integers: once truncated, kept, or a bare TypeError
+    (2, [(0.5, 1)], "vector outside carrier"),
+    (1, [(0,), (1.0,)], "vector outside carrier"),
+    (2, [("a", 1)], "vector outside carrier"),
+    (2, [(None, 1)], "vector outside carrier"),
+    (12, [(0,) * 12, (1.0,) * 12], "vector outside carrier"),
 ])
 def test_vectors_off_the_power_are_rejected(length, vectors, error):
     L = dl2().algebra
@@ -854,3 +872,197 @@ def test_budget_messages_at_the_default_budget():
         BudgetExceeded, "vector closure exceeds budget 4")
     assert len(generate_vectors(L, 3, seeds, 5)) == len(generate_vectors(L, 3, seeds)) == 5
     assert generate_subalgebra(_counter(64), [5]) == frozenset(range(64))
+
+
+# --- oracles: the row kernels on limbs and ranks ------------------------------------
+
+_INT64_MAX = 2**63 - 1
+
+
+@functools.lru_cache(maxsize=256)
+def old_radix(n: int, length: int) -> np.ndarray:
+    """Weights (length, limbs): ``rows @ weights`` gives each row's limb codes.
+
+    Column c goes to limb c // per with weight n**(per - 1 - c % per), so
+    comparing limb codes in order compares rows lexicographically.
+    """
+    per = 1
+    while per < length and n ** (per + 1) <= _INT64_MAX:
+        per += 1
+    limbs = max(1, -(-length // per))
+    per = max(1, -(-length // limbs))
+    weights = np.zeros((length, limbs), dtype=np.int64)
+    for c in range(length):
+        weights[c, c // per] = n ** (per - 1 - c % per)
+    weights.flags.writeable = False
+    return weights
+
+
+def old_ranks(codes: np.ndarray) -> np.ndarray:
+    """One int64 per row of limb codes, ordered as the rows are; equal
+    exactly when the rows are.  Meaningful only within one batch."""
+    key = codes[:, 0]
+    for j in range(1, codes.shape[1]):
+        _, hi = np.unique(key, return_inverse=True)
+        values, lo = np.unique(codes[:, j], return_inverse=True)
+        key = hi.reshape(-1) * len(values) + lo.reshape(-1)
+    return key
+
+
+def old_close(A: FiniteAlgebra, rows: np.ndarray, budget: int) -> np.ndarray:
+    """The closure of ``rows`` (distinct vectors over A) under A's
+    non-constant operations, sorted lexicographically.
+
+    Semi-naive rounds: with old the rows known before the last round and
+    delta the rows it added, position p of an r-ary operation draws from
+    old^p x delta x known^(r-1-p), so each argument tuple is tried once.
+    Candidates are deduplicated against the known rows one flush at a time,
+    a flush holding at least as many cells as the known rows (so sorting the
+    known codes again costs no more than the candidates themselves);
+    BudgetExceeded as soon as more than ``budget`` rows are known.
+    """
+    weights = old_radix(A.size, rows.shape[1])
+    known, codes = rows, rows @ weights
+    pending: list[np.ndarray] = []
+
+    def flush():
+        nonlocal known, codes
+        cand = np.concatenate(pending)
+        pending.clear()
+        cand_codes = cand @ weights
+        keys = old_ranks(np.concatenate((codes, cand_codes)))
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        # first occurrences of each key, and of those the ones not yet known
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        fresh = order[first & (order >= len(codes))] - len(codes)
+        if len(fresh):
+            known = np.concatenate((known, cand[fresh]))
+            codes = np.concatenate((codes, cand_codes[fresh]))
+            if len(known) > budget:
+                raise BudgetExceeded("vector closure exceeds budget %d" % budget)
+
+    start, end = 0, len(known)
+    while start < end:
+        old, delta, current = known[:start], known[start:end], known[:end]
+        size = 0
+        for _, tables in algebras._op_stacks(A):
+            r = tables.ndim - 1
+            for p in range(r):
+                parts = [old] * p + [delta] + [current] * (r - 1 - p)
+                for block in algebras._pointwise(tables, parts, algebras._BLOCK_CELLS):
+                    pending.append(block)
+                    size += block.size
+                    if size >= max(algebras._BLOCK_CELLS, known.size):
+                        flush()
+                        size = 0
+        if pending:
+            flush()
+        start, end = end, len(known)
+    return known[np.argsort(old_ranks(codes))]
+
+
+def old_row_images(A: FiniteAlgebra, rows: np.ndarray):
+    """``_images`` on rows of any length, through rank and ``searchsorted``."""
+    length = rows.shape[1]
+    weights = old_radix(A.size, length)
+    # a sentinel row of -1 codes, which no vector has, keeps the lookup nonempty
+    codes = np.concatenate((rows @ weights, np.full((1, weights.shape[1]), -1, dtype=np.int64)))
+    cells = max(algebras._BLOCK_CELLS, rows.size)
+
+    def blocks():
+        constants = A.signature.constants
+        if constants:
+            values = np.array([A.tables[name] for name in constants], dtype=np.int64)
+            yield constants, np.repeat(values, length, axis=1)
+        for names, tables in algebras._op_stacks(A):
+            for block in algebras._pointwise(tables, [rows] * (tables.ndim - 1), cells):
+                yield names, block
+
+    for names, block in blocks():
+        keys = old_ranks(np.concatenate((codes, block @ weights)))
+        known, wanted = keys[:len(codes)], keys[len(codes):]
+        order = np.argsort(known)
+        spot = order[np.minimum(np.searchsorted(known, wanted, sorter=order), len(rows))]
+        positions = np.where(known[spot] == wanted, spot, -1)
+        share = len(positions) // len(names)
+        for i, name in enumerate(names):
+            yield name, positions[i * share:(i + 1) * share]
+
+
+# --- one code per vector: the row kernels against limbs and ranks -----------------------
+
+def _misses(images):
+    """Each operation's -1 mask: where a repeated row stands is not fixed."""
+    return {name: [p < 0 for p in positions] for name, positions in _pieces(images).items()}
+
+
+def _row_kernels_agree(L, length, seeds, rng, bisect=True):
+    """``_close`` and ``_row_images`` equal the oracles on the closure of the
+    seeds, on every other vector of it and on the start rows (in no
+    particular order); the -1 masks agree on rows repeated and shuffled.
+    With ``bisect``, so does the least budget the closure passes."""
+    start = set(seeds) | {(L.apply(c),) * length for c in L.signature.constants}
+    rows = algebras._rows(list(start), length)
+    closed = algebras._close(L, rows, DEFAULT_BUDGET)
+    expected = old_close(L, rows, DEFAULT_BUDGET)
+    assert closed.dtype == np.int64 and np.array_equal(closed, expected)
+    for sample in (closed, closed[::2], rows):
+        assert _pieces(algebras._row_images(L, sample)) == _pieces(old_row_images(L, sample))
+    repeated = closed[rng.choices(range(len(closed)), k=2 * len(closed))]
+    assert _misses(algebras._row_images(L, repeated)) == _misses(old_row_images(L, repeated))
+    if bisect:
+        hi = len(closed) + 1
+        assert (_least_budget(lambda b: algebras._close(L, rows, b), hi)
+                == _least_budget(lambda b: old_close(L, rows, b), hi))
+    return closed
+
+
+@pytest.mark.parametrize("L", VIEW_ALGEBRAS, ids=VIEW_IDS)
+def test_row_kernels_match_limbs_and_ranks_past_the_cap(L):
+    rng = random.Random(L.size * 13 + len(L.signature.ops))
+    first = _view_lengths(L)[-1] + 1
+    for length in (first, first + 1):
+        assert algebras._power(L, length) is None
+        for count in (0, 1, 2):
+            _row_kernels_agree(L, length, _seeds(L, length, rng, count), rng)
+
+
+def test_row_kernels_match_across_the_int64_boundary():
+    """dl2 at 62-65 coordinates: one limb, then two; int64 codes up to
+    2**63, then exact ints.  Bisection on two seeds, the rest on four."""
+    L, rng = dl2().algebra, random.Random(62)
+    for length, dtype, limbs in ((62, np.int64, 1), (63, np.int64, 2), (64, object, 2),
+                                 (65, object, 2)):
+        assert algebras._radix(2, length).dtype == dtype
+        assert old_radix(2, length).shape == (length, limbs)
+        _row_kernels_agree(L, length, _seeds(L, length, rng, 2), rng)
+        _row_kernels_agree(L, length, _seeds(L, length, rng, 4), rng, bisect=False)
+
+
+def test_row_kernels_match_on_wide_lukasiewicz_rows():
+    """luk(8) on 20 points, 9**20 > 2**63: the seeds of
+    ``test_wide_vectors_past_int64_codes``, and seeded ones with few values
+    (two free seeds already close to more than 3,000 vectors)."""
+    L, rng = luk(8).algebra, random.Random(8)
+    assert algebras._radix(9, 20).dtype == object
+    u = (0, 4, 8, 4, 0, 8, 8, 4, 0, 0, 4, 4, 8, 0, 8, 4, 0, 8, 4, 4)
+    assert len(_row_kernels_agree(L, 20, [u, tuple(8 if x == 0 else 0 for x in u)], rng)) == 12
+    for values, count in (((0, 8), 3), ((0, 4, 8), 1)):
+        _row_kernels_agree(L, 20, [tuple(rng.choice(values) for _ in range(20))
+                                   for _ in range(count)], rng)
+
+
+@pytest.mark.parametrize("L", VIEW_ALGEBRAS, ids=VIEW_IDS)
+def test_row_kernels_match_on_empty_inputs(L):
+    """Length 0, and no rows at length 0 and past the cap."""
+    rng = random.Random(0)
+    past = _view_lengths(L)[-1] + 1
+    for length, vectors in ((0, []), (0, [()]), (past, [])):
+        rows = algebras._rows(vectors, length)
+        for budget in (0, 1, DEFAULT_BUDGET):
+            assert _error(algebras._close, L, rows, budget) == _error(old_close, L, rows, budget)
+        assert _pieces(algebras._row_images(L, rows)) == _pieces(old_row_images(L, rows))
+        _row_kernels_agree(L, length, vectors, rng)

@@ -309,6 +309,19 @@ def test_congruence_budget_is_the_lattice_size(name, A):
         size, (BudgetExceeded, "congruence lattice exceeds budget"))
 
 
+def test_congruence_budget_stops_the_principal_congruences(monkeypatch):
+    """The identity and the distinct principal congruences are distinct, so
+    the budget is passed once there are more of them than it allows.  luk(40)
+    is simple: its first principal congruence, the total one, is the second
+    congruence, so budget 1 stops after one of the 820 pairs."""
+    A = luk(40).algebra
+    calls = []
+    monkeypatch.setattr(algebras, "generate_congruence",
+                        lambda *args: calls.append(args) or generate_congruence(*args))
+    assert _error(all_congruences, A, 1) == (BudgetExceeded, "congruence lattice exceeds budget")
+    assert len(calls) == 1
+
+
 def test_open_set_budget_boundary_is_unchanged(monkeypatch):
     def opens(top, module_budget, oracle):
         monkeypatch.setattr(topology, "DEFAULT_BUDGET", module_budget)
