@@ -23,13 +23,17 @@ building in L-space validation (which keeps the tables as Comp X),
 kernels on sorted codes: ``_close`` closes them in semi-naive rounds, and
 ``_row_images`` looks them up with ``searchsorted``.
 
-Evaluating an operation on all argument tuples reads one cached table view,
-``_op_stacks``: the tables of each arity stacked into one array of shape
-(operations,) + (n,)*arity.  Argument tuples are never materialized; an
-algebra's own tables are indexed by broadcasting (``np.ix_`` for a map's
-values, outer products for masks and stages).  That one view serves both
-closures, the homomorphism test, hom enumeration, quotient tables and
-congruence generation.
+An algebra stores its tables in one form, built and validated once by the
+constructor: read-only int64 arity stacks (``_stacks``), the tables of each
+arity stacked into one array of shape (operations,) + (n,)*arity, all of
+them views of one byte string that also serves as the equality and hash
+key.  Producers hand their int64 arrays straight to the constructor, and
+``tables``, the tuples of the public API, is derived on first read.
+Evaluating an operation on all argument tuples reads the stacks.  Argument
+tuples are never materialized; an algebra's own tables are indexed by
+broadcasting (``np.ix_`` for a map's values, outer products for masks and
+stages).  The stacks serve both closures, the homomorphism test, hom
+enumeration, quotient tables and congruence generation.
 """
 
 from __future__ import annotations
@@ -95,10 +99,12 @@ class FiniteAlgebra:
 
     Tables are row-major in the argument tuple (mixed-radix with the first
     argument most significant).  A size-0 algebra is permitted exactly when
-    the signature has no constants.
+    the signature has no constants.  Any sequence or array of elements is
+    accepted as a table; the algebra stores them as int64 arity stacks
+    (``_stacks``) and derives ``tables`` from them on first read.
     """
 
-    __slots__ = ("signature", "size", "tables", "_key", "_arity", "_stacks", "_powers")
+    __slots__ = ("signature", "size", "_key", "_arity", "_flat", "_stacks", "_tables", "_powers")
 
     def __init__(self, signature: Signature, size: int, tables: dict):
         if size < 0:
@@ -107,30 +113,31 @@ class FiniteAlgebra:
             raise InvalidInput("empty algebra requires a constant-free signature")
         if set(tables) != set(signature.names):
             raise InvalidInput("tables do not match signature symbols")
-        frozen = {}
-        carrier = frozenset(range(size))
-        for name, arity in signature.ops:
-            table = tuple(tables[name])
-            if len(table) != size**arity:
-                raise InvalidInput(
-                    "table for %r has %d entries, expected %d"
-                    % (name, len(table), size**arity)
-                )
-            # one set test for the common case; the loop names the first bad entry
-            if not carrier.issuperset(table):
-                for value in table:
-                    if not 0 <= value < size:
-                        raise InvalidInput("table entry %r out of range for %r" % (value, name))
-            frozen[name] = table
+        # the tables' one stored form: an int64 array over these bytes, which
+        # also key equality and hashing, since equal signatures lay it out alike
+        groups = _groups(signature)
+        data = _table_bytes(signature, groups, size, tables)
+        flat, start, stacks, flats = np.frombuffer(data, dtype=np.int64), 0, [], {}
+        for arity, names in groups:
+            cells = size**arity
+            for name in names:
+                flats[name] = flat[start:start + cells]
+                start += cells
+            if arity:
+                stack = flat[start - len(names) * cells:start]
+                stacks.append((names, stack.reshape((len(names),) + (size,) * arity)))
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "tables", frozen)
-        key = (signature, size, tuple(frozen[name] for name in signature.names))
-        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_key", (signature, size, data))
         object.__setattr__(self, "_arity", dict(signature.ops))
-        # the numpy view of the tables, and the small powers by exponent,
-        # built on first use (_op_stacks, _power)
-        object.__setattr__(self, "_stacks", None)
+        # each symbol's table as a flat view
+        object.__setattr__(self, "_flat", flats)
+        # the non-constant operations grouped by arity, ascending: (names,
+        # tables) pairs where tables has shape (len(names),) + (size,)*arity
+        object.__setattr__(self, "_stacks", stacks)
+        # the tuple tables and the small powers by exponent, built on first
+        # use (tables, _power)
+        object.__setattr__(self, "_tables", None)
         object.__setattr__(self, "_powers", None)
 
     def __setattr__(self, name, value):
@@ -145,6 +152,14 @@ class FiniteAlgebra:
     def __repr__(self):
         return "FiniteAlgebra(size=%d, ops=%r)" % (self.size, list(self.signature.names))
 
+    @property
+    def tables(self) -> dict:
+        """Each symbol's table as a tuple of ints, in signature order."""
+        if self._tables is None:
+            object.__setattr__(self, "_tables", {name: tuple(self._flat[name].tolist())
+                                                 for name in self.signature.names})
+        return self._tables
+
     def apply(self, name: str, *args: int) -> int:
         """Apply a basic operation to element indices."""
         arity = self._arity.get(name)
@@ -155,11 +170,59 @@ class FiniteAlgebra:
         index = 0
         for a in args:
             index = index * self.size + a
-        return self.tables[name][index]
+        return self._flat[name].item(index)
 
     @property
     def elements(self) -> range:
         return range(self.size)
+
+
+@functools.lru_cache(maxsize=256)
+def _groups(signature: Signature) -> tuple:
+    """The symbols grouped by arity, ascending, as (arity, names) pairs with
+    names in signature order: the order of the tables in an algebra's bytes."""
+    groups: dict[int, list[str]] = {}
+    for name, arity in signature.ops:
+        groups.setdefault(arity, []).append(name)
+    return tuple((arity, tuple(names)) for arity, names in sorted(groups.items()))
+
+
+def _table_bytes(signature: Signature, groups: tuple, size: int, tables: dict) -> bytes:
+    """The bytes of one int64 array holding the tables in ``groups`` order.
+    InvalidInput at the first table of the wrong length or entry that is not
+    an element (``_is_element``), in signature order."""
+    arrays = []
+    try:
+        for arity, names in groups:
+            for name in names:
+                table = np.asarray(tables[name])
+                if table.dtype.kind != "i" or table.shape != (size**arity,):
+                    raise ValueError
+                arrays.append(table)
+        data = np.concatenate(arrays, dtype=np.int64) if arrays else np.zeros(0, dtype=np.int64)
+        # one range check for all: a negative entry read unsigned is huge
+        if not len(data) or data.view(np.uint64).max() < size:
+            return data.tobytes()
+    except (ValueError, OverflowError):     # not integers, or ragged rows
+        pass
+    # some table is not of integers in range: check each entry, as given
+    checked = {}
+    for name, arity in signature.ops:
+        table = tables[name]
+        if not isinstance(table, (np.ndarray, list, tuple)):
+            table = list(table)
+        if len(table) != size**arity:
+            raise InvalidInput("table for %r has %d entries, expected %d"
+                               % (name, len(table), size**arity))
+        entries = table.tolist() if isinstance(table, np.ndarray) else table
+        for value in entries:
+            if not _is_element(value, size):
+                if isinstance(value, np.generic):
+                    value = value.item()
+                raise InvalidInput("table entry %r out of range for %r" % (value, name))
+        checked[name] = [operator.index(value) for value in entries]
+    return np.array([v for _, names in groups for name in names for v in checked[name]],
+                    dtype=np.int64).tobytes()
 
 
 @dataclass(frozen=True)
@@ -174,7 +237,7 @@ class ElementMap:
         if len(self.values) != self.domain.size:
             raise InvalidInput("map length does not match domain size")
         for value in self.values:
-            if not 0 <= value < self.codomain.size:
+            if not _is_element(value, self.codomain.size):
                 raise InvalidInput("map value %r outside codomain" % (value,))
 
     def __call__(self, element: int) -> int:
@@ -188,7 +251,7 @@ class ElementMap:
         for name in A.signature.constants:
             if h[A.apply(name)] != B.apply(name):
                 return False
-        for (_, tables), (_, b_tables) in zip(_op_stacks(A), _op_stacks(B)):
+        for (_, tables), (_, b_tables) in zip(A._stacks, B._stacks):
             args = np.ix_(*(h,) * (tables.ndim - 1))
             if not np.array_equal(h[tables], b_tables[(slice(None),) + args]):
                 return False
@@ -293,24 +356,6 @@ def total_congruence(A: FiniteAlgebra) -> Congruence:
 _BLOCK_CELLS = 1 << 16
 
 
-def _op_stacks(A):
-    """Non-constant operations grouped by arity: (names, tables) pairs where
-    tables has shape (len(names),) + (n,)*arity.  Built once per algebra."""
-    if A._stacks is None:
-        groups: dict[int, list[str]] = {}
-        for name, arity in A.signature.ops:
-            if arity > 0:
-                groups.setdefault(arity, []).append(name)
-        stacks = []
-        for arity, names in sorted(groups.items()):
-            tables = np.array([A.tables[name] for name in names], dtype=np.int64)
-            # read-only: every caller, and every user of a catalog entry, shares it
-            tables.flags.writeable = False
-            stacks.append((names, tables.reshape((len(names),) + (A.size,) * arity)))
-        object.__setattr__(A, "_stacks", stacks)
-    return A._stacks
-
-
 def _product_stack(tables, sizes, arity: int) -> np.ndarray:
     """The table of one operation of the given arity on a product, from each
     factor's: ``tables[i]`` holds factor i's, (sizes[i],)*arity entries.  The
@@ -341,7 +386,8 @@ def _power(A: FiniteAlgebra, exponent: int):
         object.__setattr__(A, "_powers", {})
     if exponent not in A._powers:
         A._powers[exponent] = (direct_product([A] * exponent) if exponent else
-                               FiniteAlgebra(A.signature, 1, dict.fromkeys(A.signature.names, (0,))))
+                               FiniteAlgebra(A.signature, 1, dict.fromkeys(A.signature.names,
+                                                                           np.zeros(1, dtype=np.int64))))
     return A._powers[exponent]
 
 
@@ -450,7 +496,7 @@ def _close(A: FiniteAlgebra, rows: np.ndarray, budget: int) -> np.ndarray:
     while len(delta):
         old_rows, delta_rows, known_rows = (_decode(c, n, length) for c in (old, delta, known))
         fresh = known[:0]
-        for _, tables in _op_stacks(A):
+        for _, tables in A._stacks:
             r = tables.ndim - 1
             for p in range(r):
                 parts = [old_rows] * p + [delta_rows] + [known_rows] * (r - 1 - p)
@@ -485,7 +531,7 @@ def _images(A: FiniteAlgebra, rows: np.ndarray):
     if constants:
         found = position[[power.apply(name) for name in constants]]
         yield from zip(constants, found.reshape(-1, 1))
-    for names, tables in _op_stacks(power):
+    for names, tables in power._stacks:
         found = position[tables[(slice(None),) + np.ix_(*(codes,) * (tables.ndim - 1))]]
         yield from zip(names, found.reshape(len(names), -1))
 
@@ -503,9 +549,9 @@ def _row_images(A: FiniteAlgebra, rows: np.ndarray):
     def blocks():
         constants = A.signature.constants
         if constants:
-            values = np.array([A.tables[name] for name in constants], dtype=np.int64)
+            values = np.array([[A.apply(name)] for name in constants], dtype=np.int64)
             yield constants, np.repeat(values, length, axis=1)
-        for names, tables in _op_stacks(A):
+        for names, tables in A._stacks:
             for block in _pointwise(tables, [rows] * (tables.ndim - 1), cells):
                 yield names, block
 
@@ -530,20 +576,21 @@ def unclosed_operation(L: FiniteAlgebra, length: int, vectors) -> str | None:
 
 
 def _tables_on(A: FiniteAlgebra, rows: np.ndarray):
-    """Each operation's table on the rows, as positions in ``rows``, and the
-    first operation in signature order whose values leave them (else None)."""
-    tables: dict[str, list[int]] = {name: [] for name in A.signature.names}
-    unclosed = set()
+    """Each operation's table on the rows, as an array of positions in
+    ``rows``, and the first operation in signature order whose values leave
+    them (else None)."""
+    pieces: dict[str, list[np.ndarray]] = {name: [] for name in A.signature.names}
     for name, positions in _images(A, rows):
-        if (positions < 0).any():
-            unclosed.add(name)
-        tables[name].extend(positions.tolist())
-    return tables, _first_in_signature(A, unclosed)
+        pieces[name].append(positions)
+    tables = {name: np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+              for name, parts in pieces.items()}
+    return tables, _first_in_signature(A, {name for name, table in tables.items()
+                                           if (table < 0).any()})
 
 
 def _rounds(stacks, known: np.ndarray):
     """Close the boolean mask ``known`` over a carrier under the operations
-    of ``stacks`` (an ``_op_stacks`` view on it), in place, one round at a time.
+    of ``stacks`` (its algebra's ``_stacks``), in place, one round at a time.
 
     A round applies every operation to all argument tuples of elements known
     when it starts (a pass over each whole table) and yields the elements it
@@ -570,7 +617,7 @@ def _closure(A: FiniteAlgebra, seed: list, budget: int | None = None) -> np.ndar
     known[np.array(seed + [A.apply(name) for name in A.signature.constants],
                    dtype=np.int64)] = True
     count = np.count_nonzero(known)
-    for fresh in _rounds(_op_stacks(A), known):
+    for fresh in _rounds(A._stacks, known):
         count += len(fresh)
         if budget is not None and count > budget:
             raise BudgetExceeded("vector closure exceeds budget %d" % budget)
@@ -654,10 +701,8 @@ def direct_product(factors, budget: int = DEFAULT_BUDGET) -> FiniteAlgebra:
     if size > budget:
         raise BudgetExceeded("product carrier %d exceeds budget %d" % (size, budget))
     sizes = [f.size for f in factors]
-    tables = {}
-    for name, arity in signature.ops:
-        table = _product_stack([f.tables[name] for f in factors], sizes, arity)
-        tables[name] = tuple(table.ravel().tolist())
+    tables = {name: _product_stack([f._flat[name] for f in factors], sizes, arity).ravel()
+              for name, arity in signature.ops}
     return FiniteAlgebra(signature, size, tables)
 
 
@@ -743,7 +788,7 @@ class _HomPlan:
     or else the least element not yet reached, and closes with ``_rounds``.
     Each round is a stage: constants are stage 0 and a generator no earlier
     level reached gets one of its own.  ``levels[i]`` is level i's range of
-    stages.  ``stages[t]`` groups, per stack of ``_op_stacks`` (operations
+    stages.  ``stages[t]`` groups, per stack of ``_stacks`` (operations
     of one arity), the argument tuples whose latest argument is at stage t:
     (stack index, argument columns, results as operations x tuples, and the
     positions there whose result is first reached at stage t + 1).
@@ -758,7 +803,7 @@ class _HomPlan:
         self.levels: list[range] = []
         start, top = 0, 1
         while True:
-            for fresh in _rounds(_op_stacks(A), known):
+            for fresh in _rounds(A._stacks, known):
                 stage[fresh] = top
                 top += 1
             self.levels.append(range(start, top))
@@ -778,7 +823,7 @@ class _HomPlan:
             raise InvalidInput("given generators do not generate the algebra")
         self.gens = tuple(picked)
         self.stages: list[list] = [[] for _ in range(top)]
-        for s, (_, tables) in enumerate(_op_stacks(A)):
+        for s, (_, tables) in enumerate(A._stacks):
             at = functools.reduce(np.maximum.outer, [stage] * (tables.ndim - 1))
             for t in np.flatnonzero(np.bincount(at.ravel())).tolist():
                 args = np.nonzero(at == t)
@@ -807,7 +852,7 @@ def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra, gens=None) -> list[Elemen
                 raise InvalidInput("generator %r outside carrier" % (g,))
     plan = _HomPlan(A, gens)  # raises if the given generators do not generate
     gens = plan.gens
-    b_stacks = [tables for _, tables in _op_stacks(B)]
+    b_stacks = [tables for _, tables in B._stacks]
     const_images = np.array([B.apply(name) for name in B.signature.constants], dtype=np.int64)
     image = np.full(A.size, -1, dtype=np.int64)
     results: list[ElementMap] = []
@@ -857,15 +902,14 @@ def _induced_tables(A: FiniteAlgebra, blocks, num_blocks):
     table holds its result's block; compatible means that every tuple reads
     its own result's block back."""
     b = np.array(blocks, dtype=np.int64)
-    tables = {name: (blocks[A.apply(name)],) for name in A.signature.constants}
-    for names, stack in _op_stacks(A):
+    tables = {name: b[A._flat[name]] for name in A.signature.constants}
+    for names, stack in A._stacks:
         key = (slice(None),) + np.ix_(*(b,) * (stack.ndim - 1))
         table = np.zeros((len(names),) + (num_blocks,) * (stack.ndim - 1), dtype=np.int64)
         table[key] = b[stack]
         if not np.array_equal(table[key], b[stack]):
             return None
-        for name, t in zip(names, table):
-            tables[name] = tuple(t.ravel().tolist())
+        tables.update(zip(names, table.reshape(len(names), -1)))
     return tables
 
 
@@ -905,13 +949,13 @@ def generate_congruence(A: FiniteAlgebra, pairs) -> Congruence:
             queue.append((a, b))
 
     for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n):
+        if not (_is_element(a, n) and _is_element(b, n)):
             raise InvalidInput("pair outside carrier")
         union(a, b)
     # a merged pair's images under every basic translation are merged too
     while queue:
         a, b = queue.pop()
-        for _, tables in _op_stacks(A):
+        for _, tables in A._stacks:
             for p in range(1, tables.ndim):
                 images = zip(np.take(tables, a, axis=p).ravel().tolist(),
                              np.take(tables, b, axis=p).ravel().tolist())

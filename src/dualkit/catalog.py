@@ -53,10 +53,7 @@ def _luk_tables(n, signature):
         "zero": np.array([0]),
         "one": np.array([n]),
     }
-    # gathered from one int object per element, so that tables hold pointers
-    # to shared ints and not a fresh int per entry
-    ints = np.array(range(n + 1), dtype=object)
-    return {name: tuple(ints[arrays[name]].ravel().tolist()) for name in signature.names}
+    return {name: arrays[name].ravel() for name in signature.names}
 
 
 def bool2() -> CatalogEntry:
@@ -118,7 +115,7 @@ def _entry(family: str, n: int | None) -> CatalogEntry:
 def reduct(A: FiniteAlgebra, op_subset) -> FiniteAlgebra:
     """Same carrier, tables restricted to the named symbols."""
     signature = A.signature.restrict(op_subset)
-    tables = {name: A.tables[name] for name in signature.names}
+    tables = {name: A._flat[name] for name in signature.names}
     return FiniteAlgebra(signature, A.size, tables)
 
 

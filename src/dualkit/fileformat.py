@@ -78,16 +78,17 @@ def _nest_table(table, size, arity):
 
 
 def _flatten_table(nested, size, arity, name):
+    """The entries of a nested table as one list, row-major."""
     if arity == 0:
         if not isinstance(nested, int):
             raise ValidationError("table for %r must be a single index" % name)
-        return (nested,)
+        return [nested]
     if not isinstance(nested, list) or len(nested) != size:
         raise ValidationError("table for %r must have %d rows" % (name, size))
     out = []
     for row in nested:
         out.extend(_flatten_table(row, size, arity - 1, name))
-    return tuple(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ def _algebra_from_document(doc: dict) -> AlgebraDocument:
             raise ValidationError("missing %r" % key)
         flat = _flatten_table(doc[key], size, arity, name)
         for position, entry in enumerate(flat):
-            if not isinstance(entry, int) or not 0 <= entry < size:
+            if not 0 <= entry < size:
                 args = power_tuple(size, arity, position)
                 raise ValidationError(
                     "table entry %r out of range in %r at %r" % (entry, name, args))

@@ -258,7 +258,7 @@ def clone_search(L: FiniteAlgebra, arity: int, predicate,
 
     # unary, then binary, then wider operations, each group in signature
     # order: the order in which tables are found fixes the witness terms
-    ops = sorted(((name, r, L.tables[name]) for name, r in L.signature.ops if r > 0),
+    ops = sorted(((name, r, L._flat[name].tolist()) for name, r in L.signature.ops if r > 0),
                  key=lambda op: min(op[1], 3))
     done: list[int] = []
     while heap:

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,6 +130,57 @@ def test_out_of_range_table_entry_is_named():
     with pytest.raises(InvalidInput, match="table entry nan out of range for 'meet'"):
         FiniteAlgebra(sig, 2, {"meet": (0, 0, 0, float("nan"))})
     assert FiniteAlgebra(sig, 2, {"meet": (0, 0, 0, 1)}).apply("meet", 1, 1) == 1
+
+
+UNARY = Signature((("f", 1),))
+
+
+@pytest.mark.parametrize("entry", [1.5, 1.0])
+def test_float_table_entry_is_rejected(entry):
+    with pytest.raises(InvalidInput, match=r"^table entry %r out of range for 'f'$" % entry):
+        FiniteAlgebra(UNARY, 2, {"f": (0, entry)})
+
+
+def test_string_table_entry_is_invalid_input():
+    with pytest.raises(InvalidInput, match=r"^table entry '1' out of range for 'f'$"):
+        FiniteAlgebra(UNARY, 2, {"f": (0, "1")})
+
+
+def test_huge_table_entry_is_out_of_range():
+    with pytest.raises(InvalidInput, match=r"^table entry %d out of range for 'f'$" % 2**70):
+        FiniteAlgebra(UNARY, 2, {"f": (0, 2**70)})
+
+
+@pytest.mark.parametrize("table", [(np.int64(0), np.int64(5)),
+                                   np.array([0, np.int64(5)], dtype=object)])
+def test_numpy_scalar_entry_is_named_as_an_int(table):
+    with pytest.raises(InvalidInput, match=r"^table entry 5 out of range for 'f'$"):
+        FiniteAlgebra(UNARY, 2, {"f": table})
+
+
+def test_true_table_entry_is_stored_as_an_int():
+    A = FiniteAlgebra(UNARY, 2, {"f": (0, True)})
+    assert type(A.apply("f", 1)) is int and A.apply("f", 1) == 1
+    assert [type(v) for v in A.tables["f"]] == [int, int]
+
+
+def test_first_bad_entry_in_signature_order_is_named():
+    sig = Signature((("g", 2), ("f", 1)))
+    # f's bad entry would come first in arity order, g's in signature order
+    with pytest.raises(InvalidInput, match=r"^table entry 'x' out of range for 'g'$"):
+        FiniteAlgebra(sig, 2, {"g": (0, 1, "x", 5), "f": (1.5, 0)})
+
+
+@pytest.mark.parametrize("value", [1.5, "1"])
+def test_element_map_rejects_non_integer_values(value):
+    with pytest.raises(InvalidInput, match=r"^map value %r outside codomain$" % (value,)):
+        ElementMap(DL, DL, (0, value))
+
+
+def test_generate_congruence_rejects_non_integer_pairs():
+    for pair in [(0, 1.0), ("0", 1), (0, 1.5)]:
+        with pytest.raises(InvalidInput, match="^pair outside carrier$"):
+            generate_congruence(DL, [pair])
 
 
 # --- subalgebra generation ----------------------------------------------------

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import time
@@ -6,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dualkit.cli as cli
 from dualkit.catalog import dl2
@@ -660,3 +664,94 @@ def test_malformed_algebra_document_exits_two(capsys, tmp_path, command, case):
     path = tmp_path / "bad.dk"
     path.write_text(text)
     assert run(capsys, command, str(path), "--dualizer", "builtin:dl2") == (2, "", message)
+
+
+# --- mutated algebra documents --------------------------------------------------------
+
+#: the 3-element chain in the signature of dl2, as (key, value) lines
+CHAIN3 = [("kind", "algebra"), ("signature", [["meet", 2], ["join", 2], ["zero", 0], ["one", 0]]),
+          ("size", 3), ("labels", ["0", "a", "1"]),
+          ("table meet", [[min(a, b) for b in range(3)] for a in range(3)]),
+          ("table join", [[max(a, b) for b in range(3)] for a in range(3)]),
+          ("table zero", 0), ("table one", 2)]
+TABLE_LINES = [i for i, (key, _) in enumerate(CHAIN3) if key.startswith("table ")]
+
+BAD_ENTRIES = st.one_of(
+    st.floats(), st.text(max_size=3), st.none(), st.booleans(),
+    st.sampled_from([2**70, -2**70, 2**63, -1, 3]), st.integers(min_value=3),
+    st.lists(st.integers(0, 2), max_size=3))
+
+
+def _reshaped(table, draw):
+    """The table with one level of its nesting broken."""
+    if not isinstance(table, list):
+        return draw(st.sampled_from([[table], [], str(table), {"0": table}]))
+    row = draw(st.integers(0, len(table) - 1))
+    kind = draw(st.sampled_from(["drop row", "extra row", "short row", "long row",
+                                 "flat row", "deep entry", "not a list"]))
+    rows = [list(r) for r in table]
+    if kind == "drop row":
+        del rows[row]
+    elif kind == "extra row":
+        rows.append(rows[row])
+    elif kind == "short row":
+        rows[row] = rows[row][1:]
+    elif kind == "long row":
+        rows[row] = rows[row] + [0]
+    elif kind == "flat row":
+        rows[row] = rows[row][0]
+    elif kind == "deep entry":
+        rows[row][0] = [rows[row][0]]
+    else:
+        return draw(st.sampled_from([0, "meet", None, {}]))
+    return rows
+
+
+@st.composite
+def mutated_documents(draw):
+    """(document text, the symbol whose table was mutated)."""
+    lines = list(CHAIN3)
+    at = draw(st.sampled_from(TABLE_LINES))
+    key, table = lines[at]
+    kind = draw(st.sampled_from(["entry", "shape", "missing", "repeated"]))
+    if kind == "entry":
+        if isinstance(table, list):
+            table = [list(r) for r in table]
+            table[draw(st.integers(0, 2))][draw(st.integers(0, 2))] = draw(BAD_ENTRIES)
+        else:
+            table = draw(BAD_ENTRIES)
+        lines[at] = (key, table)
+    elif kind == "shape":
+        lines[at] = (key, _reshaped(table, draw))
+    elif kind == "missing":
+        del lines[at]
+    else:
+        lines.insert(draw(st.integers(at + 1, len(lines))), (key, table))
+    text = "".join("%s: %s\n" % (k, json.dumps(v)) for k, v in lines)
+    return text, key[len("table "):]
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.dk"
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=mutated_documents())
+def test_mutated_algebra_documents_exit_cleanly(fuzz_path, case):
+    """A mutated table exits 0 (when what is left is still an algebra) or 2
+    with one error line naming the table or the entry, never a traceback."""
+    text, name = case
+    fuzz_path.write_text(text)
+    path = fuzz_path
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["spectrum", str(path), "--dualizer", "builtin:dl2"])
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        line = err.getvalue()
+        assert line.startswith("error: ") and line.count("\n") == 1
+        assert "'%s'" % name in line or "'table %s'" % name in line
+    else:
+        assert err.getvalue() == ""

@@ -1,7 +1,7 @@
 """Differential tests of the table-gather congruence and product code.
 
-Quotient tables and congruence generation are read off the cached table
-view ``_op_stacks``, and product tables are built by broadcasting each
+Quotient tables and congruence generation are read off the table stacks
+``_stacks``, and product tables are built by broadcasting each
 factor's table.  The oracles below are the versions they replaced, kept
 verbatim up to imports and names: the ``A.apply`` loops of
 ``_induced_tables``, ``generate_congruence`` and ``direct_product``, the
