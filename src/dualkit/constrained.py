@@ -17,22 +17,26 @@ with the sum of |A_I| and never with |L|^|I|.  ``constraints``,
 A_I as frozensets of tuples aligned with sorted(I); ``_reindex`` reads those
 at other points of I.
 
-Every search over local and global functions keeps one value mask per point
-(bit b of the mask of q: q may still take b) and changes it by one narrowing
-step, ``_narrow``.  Assigning p := v ANDs in, for each S of at most k-2
-points assigned earlier, the extension row of T = S + {p} at the code of the
-values on T: its entry at q is the mask of the values A_{T+{q}} allows at q
-with them.  Local constancy then pins to v the points it ties to p.  The
-rows of one T are built from the codes on first use and cached on the space,
-so every search on one space shares them.  ``ccomp`` backtracks as soon as
-a point it has not assigned is left without values (forward checking).  The compatible local functions on I (for
+Every search over local and global functions assigns points in ascending
+order, keeps one value mask per point (bit b of the mask of q: q may still
+take b) and changes it by one narrowing step, ``_narrow``.  Assigning p := v
+ANDs in, for each S of at most k-2 points assigned earlier, the extension
+row of T = S + {p} at the code of the values on T: its entry at q is the
+mask of the values A_{T+{q}} allows at q with them.  p is the last point of
+T, so its digit is the last of that code.  Local constancy then pins to v
+the points it ties to p.  The rows of one T are built from the codes on
+first use and cached on the space, so every search on one space shares
+them.  The compatible local functions on I (for
 ``compatible_local_functions``, the local extension property and
-``local_to_global_verify``) each carry their row, extended point by point in
-ascending order, so g on I extends by j exactly when row[j] is not zero.  A
-unary space is searched through its binary presentation
-(``unary_to_binary``), read off the fibers so that no pair constraint is
-built: the diagonal of the fiber on equivalent points and the product of the
-fibers elsewhere give the same rows, search order and budget count.
+``local_to_global_verify``) each carry their row, extended level by level,
+so g on I extends by j exactly when row[j] is not zero.  ``ccomp`` takes the
+same step depth first over all points, where local constancy is
+continuity, and backtracks as soon as a later point is left without values
+(forward checking).  A unary space is searched through its binary
+presentation (``unary_to_binary``), read off the fibers so that no pair
+constraint is built: the diagonal of the fiber on equivalent points and the
+product of the fibers elsewhere give the same rows, search order and budget
+count.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .algebras import (
     Congruence,
     FiniteAlgebra,
     InvalidInput,
+    _is_element,
     power_index,
     power_tuple,
     unclosed_operation,
@@ -414,21 +419,16 @@ def _table(space, T: tuple):
     return table
 
 
-def _empty_compatible(space) -> bool:
-    """Whether the empty local function is compatible."""
-    return () in space.constraint(())
-
-
 def _narrow(masks, own, held, pinned: int, v: int) -> list[int]:
     """The value masks after p := v: ANDed with the table of p alone at v,
     and with the table of T = S + {p} for every nonempty S of at most k-2
     points assigned earlier, listed in ``held`` as (T's table, the code of
-    the values on T less v times the weight of p's digit, that weight).
-    The points in ``pinned`` are those local constancy ties to p, and they
-    must take v."""
+    the values on S times |L|).  p comes after S, so its digit is the last
+    of T's code.  The points in ``pinned`` are those local constancy ties to
+    p, and they must take v."""
     masks = list(map(operator.and_, masks, own[v]))
-    for table, base, weight in held:
-        masks = list(map(operator.and_, masks, table[base + v * weight]))
+    for table, base in held:
+        masks = list(map(operator.and_, masks, table[base + v]))
     if pinned:
         for q in bits_of(pinned):
             masks[q] &= 1 << v
@@ -524,28 +524,38 @@ def _subsets(length: int, most: int) -> tuple:
 
 def _start(space):
     """The compatible local functions on no points, with their rows."""
-    if not _empty_compatible(space):
+    if () not in space.constraint(()):
         return [], []
     return [()], [_table(space, ())[0]]
+
+
+def _step(space, I, j):
+    """The tables the step by j reads after functions on the sorted tuple I,
+    with j above I: j's own, and (S, the table of the points of I at S plus
+    j) for every nonempty S of at most k-2 positions of I."""
+    return _table(space, (j,)), [(S, _table(space, tuple([I[i] for i in S]) + (j,)))
+                                 for S in _subsets(len(I), space.k - 2)]
+
+
+def _held(tables, g, size: int) -> list:
+    """``_narrow``'s held entries for the function g on I: each table of
+    ``_step`` with the code of g at its positions S, times |L|."""
+    return [(table, power_index(size, [g[i] for i in S]) * size) for S, table in tables]
 
 
 def _extend_all(space, I, funs, rows, j, pinned, most=math.inf):
     """Every compatible extension by j of the functions funs on the sorted
     tuple I (stopping once more than ``most`` are found), and an iterator
     over their rows, each narrowed when it is read; with j above I,
-    lexicographic order is kept, and j's digit is the last of every code, of
-    weight 1."""
+    lexicographic order is kept."""
     size = space.dualizer.size
-    own = _table(space, (j,))
-    tables = [(S, _table(space, tuple([I[i] for i in S]) + (j,)))
-              for S in _subsets(len(I), space.k - 2)]
+    own, tables = _step(space, I, j)
     extended, steps = [], []
     for g, row in zip(funs, rows):
         values = bits_of(row[j])
         for b in values:
             extended.append(g + (b,))
-        steps.append((row, [(table, power_index(size, [g[i] for i in S]) * size, 1)
-                            for S, table in tables], values))
+        steps.append((row, _held(tables, g, size), values))
         if len(extended) > most:
             break
     return extended, (_narrow(row, own, held, pinned, b)
@@ -589,11 +599,25 @@ def _local_functions(space, max_size: int, budget=math.inf):
             yield I, funs, rows
 
 
+def _points(space, points) -> tuple:
+    """The points as a tuple; InvalidInput unless each is a point of the
+    space and none repeats."""
+    points = tuple(points)
+    for i, p in enumerate(points):
+        if not _is_element(p, space.n):
+            raise InvalidInput("point %r outside the space" % (p,))
+        if p in points[:i]:
+            raise InvalidInput("point %r repeated" % (p,))
+    return points
+
+
 def compatible_local_functions(space, points_sorted) -> list[tuple[int, ...]]:
     """The compatible local functions on a sorted tuple of points, in
     lexicographic order."""
     space = _kary(space)
-    I = tuple(points_sorted)
+    I = _points(space, points_sorted)
+    if list(I) != sorted(I):
+        raise InvalidInput("points %r are not in ascending order" % (I,))
     ties = _ties(space.topology)
     funs, rows = _start(space)
     for i, j in enumerate(I):
@@ -604,68 +628,49 @@ def compatible_local_functions(space, points_sorted) -> list[tuple[int, ...]]:
 # --- compatible global functions ---------------------------------------------------
 
 def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
-    """The continuous compatible global functions, by forward checking.
+    """The continuous compatible global functions, in lexicographic order.
 
-    Points are assigned in ascending fiber-size order.  Assigning p := v
-    narrows the value masks (``_narrow``) by each constraint on p, at most
-    k-2 further assigned points and one more point (for a unary space, the
-    pair constraint of its binary presentation carries the equivalence), and
-    pins p's topological component to v (which is exactly the continuity
-    requirement).  A point left without values ends the branch.  Every value
-    tried counts one unit of ``budget``; BudgetExceeded once the count
+    A depth-first search over the points in ascending order, extending a
+    function on the points below j by j with the step ``_extend_all`` takes
+    for local functions (``_step``, ``_held``): assigning j := v narrows the
+    value masks (``_narrow``) by each constraint on j, at most k-2 earlier
+    points and one more point (for a unary space, the pair constraint of its binary
+    presentation carries the equivalence), and pins to v the points local
+    constancy ties to j.  On all points local constancy is continuity.  A
+    point left without values ends the branch (forward checking).  Every
+    value tried counts one unit of ``budget``; BudgetExceeded once the count
     passes it.
     """
     space = _kary(space)
-    top, n, size = space.topology, space.n, space.dualizer.size
-    if not _empty_compatible(space):
-        return []
-    if n == 0:
-        return [()]
-    start = _table(space, ())[0]
-    order = sorted(range(n), key=lambda x: (start[x].bit_count(), x))
-    components = top.components()
-    blocks = [0] * n
-    for q, c in enumerate(components):
-        blocks[c] |= 1 << q
-    pinned = [blocks[c] & ~(1 << p) for p, c in enumerate(components)]
-    values: list[int | None] = [None] * n
+    n, size = space.n, space.dualizer.size
+    ties = _ties(space.topology)
+    steps = []          # the tables of the step by each point, built on first use
     out = []
     tried = 0
 
-    @functools.cache
-    def supports(idx):
-        """(T, the table of T, the weight of p's digit) for every sorted T
-        holding p = order[idx] and one to k-2 points assigned before it."""
-        p = order[idx]
-        found = []
-        for rest in _subsets(idx, space.k - 2):
-            T = tuple(sorted([order[i] for i in rest] + [p]))
-            found.append((T, _table(space, T), size ** (len(T) - 1 - T.index(p))))
-        return found
-
-    def extend(idx, domains):
+    def extend(h, masks):
         nonlocal tried
-        if idx == n:
-            out.append(tuple(values))
+        j = len(h)
+        if j == n:
+            out.append(h)
             return
-        p = order[idx]
-        own = _table(space, (p,))
-        held = [(table, power_index(size, [0 if q == p else values[q] for q in T]), weight)
-                for T, table, weight in supports(idx)]
-        for v in bits_of(domains[p]):
+        if j == len(steps):
+            steps.append(_step(space, range(j), j))
+        own, tables = steps[j]
+        held = _held(tables, h, size)
+        for v in bits_of(masks[j]):
             tried += 1
             if tried > budget:
                 raise BudgetExceeded("ccomp search exceeds budget")
-            values[p] = v
-            narrowed = _narrow(domains, own, held, pinned[p], v)
+            narrowed = _narrow(masks, own, held, ties[j], v)
             # an assigned point keeps the value it took, which every later
             # assignment allowed, so a zero is a later point without values
             if 0 not in narrowed:
-                extend(idx + 1, narrowed)
-        values[p] = None
+                extend(h + (v,), narrowed)
 
-    extend(0, start)
-    return sorted(out)
+    for h, masks in zip(*_start(space)):
+        extend(h, masks)
+    return out
 
 
 def func(space, budget: int = DEFAULT_BUDGET) -> LSpace:
@@ -760,13 +765,20 @@ def has_local_extension(space, n_arity: int, budget: int = DEFAULT_BUDGET):
 def possible_extensions(space: ConstrainedSpace, points_sorted, fun, y: int) -> frozenset:
     """M_{f,y}: the values b in y's fiber with f + (y -> b) in A_{I+{y}},
     for f on I with |I| <= k-1."""
-    points_sorted = tuple(points_sorted)
+    points_sorted, fun, size = _points(space, points_sorted), tuple(fun), space.dualizer.size
     if len(points_sorted) > space.k - 1:
         raise InvalidInput("possible_extensions needs |I| <= k-1")
+    if not _is_element(y, space.n):
+        raise InvalidInput("extension point %r outside the space" % (y,))
     if y in points_sorted:
         raise InvalidInput("extension point must lie outside I")
+    if len(fun) != len(points_sorted):
+        raise InvalidInput("local function of wrong length for %r" % (points_sorted,))
+    for v in fun:
+        if not _is_element(v, size):
+            raise InvalidInput("local function value %r outside the carrier" % (v,))
     I, f = zip(*sorted(zip(points_sorted, fun))) if points_sorted else ((), ())
-    mask = _table(space, I)[power_index(space.dualizer.size, f)][y] & _table(space, ())[0][y]
+    mask = _table(space, I)[power_index(size, f)][y] & _table(space, ())[0][y]
     return frozenset(bits_of(mask))
 
 

@@ -11,6 +11,7 @@ validation errors.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 from .algebras import FiniteAlgebra, InvalidInput, Signature, power_tuple
@@ -66,6 +67,15 @@ def serialize_document(items) -> str:
 
 
 # --- algebras ---------------------------------------------------------------------
+
+def _integer(value, what: str) -> int:
+    """value as an int by the rule ``_is_element`` uses (``operator.index``);
+    a float, a string or anything else is a TypeError naming ``what``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError("%s must be an integer, found %r" % (what, value)) from None
+
 
 def _nest_table(table, size, arity):
     if arity == 0:
@@ -126,13 +136,17 @@ def _algebra_from_document(doc: dict) -> AlgebraDocument:
     if doc.get("kind") != "algebra":
         raise ValidationError("expected kind: algebra")
     try:
-        signature = Signature(tuple((str(n), int(a)) for n, a in doc["signature"]))
-        size = int(doc["size"])
+        signature = Signature(tuple((str(n), _integer(a, "the arity of %r" % str(n)))
+                                    for n, a in doc["signature"]))
+        size = _integer(doc["size"], "size")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("bad signature/size: %s" % exc)
     labels = doc.get("labels")
     if labels is None:
         labels = [str(i) for i in range(size)]
+    if not isinstance(labels, list) or not all(isinstance(label, (str, int, float))
+                                               for label in labels):
+        raise ValidationError("labels must be a list of strings or numbers")
     if len(labels) != size or len(set(labels)) != size:
         raise ValidationError("labels must be bijective with the carrier")
     tables = {}

@@ -727,8 +727,7 @@ def mutated_documents(draw):
         del lines[at]
     else:
         lines.insert(draw(st.integers(at + 1, len(lines))), (key, table))
-    text = "".join("%s: %s\n" % (k, json.dumps(v)) for k, v in lines)
-    return text, key[len("table "):]
+    return _document(lines), key[len("table "):]
 
 
 @pytest.fixture(scope="module")
@@ -742,16 +741,100 @@ def test_mutated_algebra_documents_exit_cleanly(fuzz_path, case):
     """A mutated table exits 0 (when what is left is still an algebra) or 2
     with one error line naming the table or the entry, never a traceback."""
     text, name = case
-    fuzz_path.write_text(text)
-    path = fuzz_path
+    line = _spectrum_error(fuzz_path, text)
+    if line is not None:
+        assert "'%s'" % name in line or "'table %s'" % name in line
+
+
+def _spectrum_error(path, text):
+    """Runs ``spectrum`` on the document text against dl2 and returns its
+    one error line, or None when it exits 0 with nothing on stderr."""
+    path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["spectrum", str(path), "--dualizer", "builtin:dl2"])
     assert code in (0, 2)
-    if code == 2:
-        assert out.getvalue() == ""
-        line = err.getvalue()
-        assert line.startswith("error: ") and line.count("\n") == 1
-        assert "'%s'" % name in line or "'table %s'" % name in line
-    else:
+    if code == 0:
         assert err.getvalue() == ""
+        return None
+    assert out.getvalue() == ""
+    line = err.getvalue()
+    assert line.startswith("error: ") and line.count("\n") == 1
+    return line
+
+
+def _document(lines) -> str:
+    return "".join("%s: %s\n" % (k, json.dumps(v)) for k, v in lines)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("labels", 5, "labels must be a list of strings or numbers"),
+    ("labels", [[1], [2], [3]], "labels must be a list of strings or numbers"),
+    ("labels", "0a1", "labels must be a list of strings or numbers"),
+    ("size", 3.5, "bad signature/size: size must be an integer, found 3.5"),
+    ("size", "3", "bad signature/size: size must be an integer, found '3'"),
+    ("signature", [["meet", 2.7], ["join", 2], ["zero", 0], ["one", 0]],
+     "bad signature/size: the arity of 'meet' must be an integer, found 2.7"),
+])
+def test_top_level_faults_are_named(tmp_path, key, value, message):
+    lines = [(k, value if k == key else v) for k, v in CHAIN3]
+    assert _spectrum_error(tmp_path / "doc.dk", _document(lines)) == "error: %s\n" % message
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=6)
+#: an integer written as an int, a float, a fraction or a string
+NUMBER_LIKE = st.integers(-1, 5).flatmap(
+    lambda i: st.sampled_from([i, float(i), i + 0.5, str(i)]))
+
+
+@st.composite
+def mutated_top_level(draw):
+    """(document text, the top-level key mutated, its new value or None
+    when it was deleted)."""
+    lines = list(CHAIN3) + [("name", "chain3")]
+    at = draw(st.sampled_from([0, 1, 2, 3, len(lines) - 1]))
+    key, value = lines[at]
+    kind = draw(st.sampled_from(["delete", "replace", "entry"]))
+    if kind == "delete":
+        del lines[at]
+        return _document(lines), key, None
+    if kind == "entry" and isinstance(value, list):
+        value = [list(v) if isinstance(v, list) else v for v in value]
+        i = draw(st.integers(0, len(value) - 1))
+        if isinstance(value[i], list):       # a signature pair: name or arity
+            slot = draw(st.integers(0, 1))
+            value[i][slot] = draw(st.one_of(JSON_VALUES, NUMBER_LIKE) if slot else JSON_VALUES)
+        else:
+            value[i] = draw(st.one_of(JSON_VALUES, st.sampled_from(value)))
+    else:
+        value = draw(st.one_of(JSON_VALUES, NUMBER_LIKE))
+    lines[at] = (key, value)
+    return _document(lines), key, value
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=mutated_top_level())
+def test_mutated_top_level_keys_exit_cleanly(fuzz_path, case):
+    """A mutated kind, signature, size, labels or name exits 0 only when the
+    document still reads as an algebra, and otherwise 2 with one error line
+    naming the key (a wrong signature may be named by a table it no longer
+    matches, a wrong integer size by the labels), never a traceback."""
+    text, key, value = case
+    line = _spectrum_error(fuzz_path, text)
+    if line is None:
+        if key == "kind":
+            assert value == "algebra"
+        elif key == "size":
+            assert isinstance(value, int) and value == 3
+        elif key == "labels":
+            assert value is None or len(set(value)) == len(value) == 3
+        elif key == "signature":
+            assert all(isinstance(arity, int) for _, arity in value)
+    else:
+        named = {"kind": ["kind"], "signature": ["signature", "table"], "labels": ["labels"],
+                 "size": ["labels"] if isinstance(value, int) else ["size"], "name": []}
+        assert any(word in line for word in named[key]), line

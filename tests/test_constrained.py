@@ -285,6 +285,34 @@ def test_possible_extensions_are_fiber_convex():
     assert M == frozenset({1})
 
 
+def test_local_function_helpers_reject_malformed_points():
+    chain = priestley_from_order(discrete_topology(3), chain_order(3), DL)
+    monotone = [tuple(int(x >= i) for x in range(4)) for i in range(5)]
+    ternary = cons(lspace(discrete_topology(4), DL, monotone), 3)
+    cases = [
+        (compatible_local_functions, (chain, (0, 0)), "point 0 repeated"),
+        (compatible_local_functions, (chain, (0, 9)), "point 9 outside the space"),
+        (compatible_local_functions, (chain, (0.5,)), "point 0.5 outside the space"),
+        (compatible_local_functions, (ternary, (3, 1, 0)),
+         "points (3, 1, 0) are not in ascending order"),
+        (possible_extensions, (chain, (0,), (5,), 1), "local function value 5 outside the carrier"),
+        (possible_extensions, (chain, (0,), (1, 1), 1), "local function of wrong length for (0,)"),
+        (possible_extensions, (chain, (0,), (1,), 7), "extension point 7 outside the space"),
+        (possible_extensions, (chain, (0,), (1,), -1), "extension point -1 outside the space"),
+        (possible_extensions, (ternary, (1, 1), (0, 0), 2), "point 1 repeated"),
+        (possible_extensions, (ternary, (1, 4), (0, 0), 2), "point 4 outside the space"),
+    ]
+    for fn, args, message in cases:
+        with pytest.raises(InvalidInput) as raised:
+            fn(*args)
+        assert str(raised.value) == message
+    # the well-formed calls next to them
+    assert compatible_local_functions(ternary, (0, 1, 3)) == [
+        (0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
+    assert possible_extensions(chain, (0,), (1,), 2) == frozenset({1})
+    assert possible_extensions(ternary, (3, 1), (1, 0), 2) == frozenset({0, 1})
+
+
 def test_local_to_global_verdicts():
     median = term_function(DL, MEDIAN, 3)
     transitive = priestley_from_order(discrete_topology(3), chain_order(3), DL)

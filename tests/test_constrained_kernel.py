@@ -31,6 +31,10 @@ Both stores are built from the same random families (and must reject the
 same malformed ones with the same message), and every search must return
 the same results, witnesses and function lists and charge the same budget,
 on k-ary and unary spaces and on all 4,166 reflexive relations over dl2.
+``ccomp`` assigns points in ascending order where these oracles took them
+by fiber size, so its budget is compared with ``ascending_budget``, the
+same count made on tuples, and with the oracles' counts only on Priestley
+spaces over discrete topologies, where both orders try as many values.
 """
 
 import functools
@@ -345,6 +349,39 @@ def test_local_extension_matches_with_the_same_witness(space):
 @given(space=any_spaces)
 def test_ccomp_matches_backtracking_with_admissible(space):
     assert ccomp(space) == old_ccomp(space)
+
+
+def product_filter(space) -> list[tuple[int, ...]]:
+    """Every function in L^n, in lexicographic order, whose preimages are
+    open and whose restriction to every set of at most k points is
+    compatible; k = 1 for a unary space, which asks for the fibers, equal
+    values on related points, and a_empty."""
+    L, top, n = space.dualizer, space.topology, space.n
+    if isinstance(space, UnaryConstrainedSpace):
+        def compatible(f):
+            return space.a_empty and all(
+                f[x] in space.fibers[x] and (f[x] == f[y] or not space.related(x, y))
+                for x in range(n) for y in range(n))
+    else:
+        sets = [I for size in range(min(space.k, n) + 1)
+                for I in itertools.combinations(range(n), size)]
+
+        def compatible(f):
+            return all(tuple(f[p] for p in I) in space.constraint(I) for I in sets)
+    return [f for f in itertools.product(range(L.size), repeat=n)
+            if compatible(f)
+            and all(top.is_open(mask_of(x for x in range(n) if f[x] == a)) for a in f)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ccomp_is_the_product_filter_on_coarse_topologies(k, data):
+    # where the topology ties points together, the search pins them through
+    # local constancy one point at a time, not whole components at once
+    spaces = unary_spaces() if k == 1 else kary_spaces(arities=(k,))
+    space = data.draw(spaces.filter(lambda space: not space.topology.is_discrete()))
+    assert ccomp(space) == product_filter(space)
 
 
 @settings(max_examples=150, deadline=None)
@@ -775,18 +812,10 @@ def budget_outcome(fn, *args):
 @settings(max_examples=200, deadline=None)
 @given(space=unary_spaces())
 def test_unary_search_counts_the_budget_of_the_unary_branch(space):
-    # the fewest units that let the old unary branch finish
-    low, high = -1, 10**4
-    while high - low > 1:
-        mid = (low + high) // 2
-        if isinstance(budget_outcome(unary_branch_ccomp, space, mid), list):
-            high = mid
-        else:
-            low = mid
-    assert ccomp(space, budget=high) == unary_branch_ccomp(space, budget=high)
-    if high > 0:
-        with pytest.raises(BudgetExceeded):
-            ccomp(space, budget=high - 1)
+    # the same functions as the old unary branch; the budget is the count of
+    # the ascending search over the binary presentation, on tuples
+    assert ccomp(space) == unary_branch_ccomp(space)
+    assert least_budget(lambda b: ccomp(space, budget=b)) == ascending_budget(space)
     # has_local_extension charges each compatible local function on I and
     # its n - |I| extension tests; with LEP(n) every one is charged
     n = space.n
@@ -841,13 +870,19 @@ def test_unary_search_reads_the_binary_presentation(space):
 def test_unary_spaces_keep_the_unary_branch_budget_on_wide_fibers():
     # four equivalent points whose fibers shrink along the order: the unary
     # branch prunes by the equivalence, the binary presentation by the
-    # diagonals, and both try the same values
+    # diagonals.  The unary branch took the points by fiber size and needed
+    # 4, 8 and 27 units; the ascending search tries the wide fibers first
     fibers = [{0, 1, 2}, {0, 2}, {0, 1, 2}, {2}]
-    for equiv in ([0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 2, 3]):
+    cases = (([0, 0, 0, 0], 4, 6), ([0, 1, 0, 1], 8, 15), ([0, 1, 2, 3], 27, 45))
+    for equiv, branch_units, units in cases:
         space = UnaryConstrainedSpace(discrete_topology(4), L2, fibers, equiv)
-        for budget in range(0, 40):
-            assert (budget_outcome(ccomp, space, budget)
-                    == budget_outcome(unary_branch_ccomp, space, budget))
+        functions = unary_branch_ccomp(space)
+        assert least_budget(lambda b: unary_branch_ccomp(space, budget=b)) == branch_units
+        assert ascending_budget(space) == units
+        for budget in range(0, 50):
+            expected = functions if budget >= units else (
+                "BudgetExceeded", "ccomp search exceeds budget")
+            assert budget_outcome(ccomp, space, budget) == expected
 
 
 # --- oracles: the tuple-keyed store and the per-(g, j) extension masks -----------------
@@ -1249,6 +1284,42 @@ def least_budget(run) -> int:
     return high
 
 
+def ascending_budget(space) -> int:
+    """The budget ``ccomp`` charges, counted on tuples: the values tried at
+    the next point, summed over the prefixes the search extends.
+
+    A function h on the points below j is live when every later point q
+    keeps a value b of its fiber with (h on T, b) in A_{T+{q}} for every T
+    of 1 to k-1 points below j, and with b = h(p) for every p below j that
+    local constancy ties to q (q in N(p) or p in N(q)).  The values tried at
+    j are those that j keeps.  The search extends the empty function when
+    it is compatible, and every live function it reaches.  A unary space is
+    read through the pair family of ``family_unary_to_binary``; ``space``
+    may be a coded or a tuple-keyed store."""
+    if isinstance(space, UnaryConstrainedSpace):
+        space = family_unary_to_binary(space)
+    k, n, nbhds = space.k, space.n, space.topology.nbhds
+    if () not in space.constraint(()):
+        return 0
+
+    def kept(h, q):
+        below = range(len(h))
+        sets = [T for size in range(1, k) for T in itertools.combinations(below, size)]
+        return [b for b in sorted(f[0] for f in space.constraint((q,)))
+                if all(tuple(h[p] for p in T) + (b,) in space.constraint(T + (q,))
+                       for T in sets)
+                and all(b == h[p] for p in below if nbhds[p] >> q & 1 or nbhds[q] >> p & 1)]
+
+    def tried(h):
+        if len(h) == n:
+            return 0
+        values = kept(h, len(h))
+        return len(values) + sum(tried(h + (v,)) for v in values
+                                 if all(kept(h + (v,), q) for q in range(len(h) + 1, n)))
+
+    return tried(())
+
+
 def same_budget(new, old):
     """new charges exactly the budget units old charges."""
     units = least_budget(old)
@@ -1279,7 +1350,7 @@ def same_searches(new, old, budgets=True):
     for I in subsets(n):
         assert compatible_local_functions(new, I) == tuple_compatible_local_functions(old, I)
     if budgets:
-        same_budget(lambda b: ccomp(new, budget=b), lambda b: tuple_ccomp(old, budget=b))
+        assert least_budget(lambda b: ccomp(new, budget=b)) == ascending_budget(old)
         for n_arity in range(n + 1):
             same_budget(lambda b: has_local_extension(new, n_arity, budget=b),
                         lambda b: tuple_has_local_extension(old, n_arity, budget=b))
