@@ -23,16 +23,17 @@ take b) and changes it by one narrowing step, ``_narrow``.  Assigning p := v
 ANDs in, for each S of at most k-2 points assigned earlier, the extension
 row of T = S + {p} at the code of the values on T: its entry at q is the
 mask of the values A_{T+{q}} allows at q with them.  p is the last point of
-T, so its digit is the last of that code.  Local constancy then pins to v
-the points it ties to p.  The rows of one T are built from the codes on
-first use and cached on the space, so every search on one space shares
-them.  The compatible local functions on I (for
-``compatible_local_functions``, the local extension property and
-``local_to_global_verify``) each carry their row, extended level by level,
-so g on I extends by j exactly when row[j] is not zero.  ``ccomp`` takes the
-same step depth first over all points, where local constancy is
-continuity, and backtracks as soon as a later point is left without values
-(forward checking).  A unary space is searched through its binary
+T, so its digit is the last of that code.  The points tied to p are then
+pinned to v.  The rows of one T are built from the codes on first use and
+cached on the space, so every search on one space shares them.  The
+compatible local functions on I (for ``compatible_local_functions``, the
+local extension property and ``local_to_global_verify``) each carry their
+row, extended level by level, so g on I extends by j exactly when row[j] is
+not zero; there local constancy ties p to the points of N(p) and to those
+whose neighbourhood holds p.  ``ccomp`` takes the same step depth first
+over all points, ties p to the later points of its topological component
+(continuity), and backtracks as soon as a later point is left without
+values (forward checking).  A unary space is searched through its binary
 presentation (``unary_to_binary``), read off the fibers so that no pair
 constraint is built: the diagonal of the fiber on equivalent points and the
 product of the fibers elsewhere give the same rows, search order and budget
@@ -424,8 +425,8 @@ def _narrow(masks, own, held, pinned: int, v: int) -> list[int]:
     and with the table of T = S + {p} for every nonempty S of at most k-2
     points assigned earlier, listed in ``held`` as (T's table, the code of
     the values on S times |L|).  p comes after S, so its digit is the last
-    of T's code.  The points in ``pinned`` are those local constancy ties to
-    p, and they must take v."""
+    of T's code.  The points in ``pinned`` must take v: those local constancy
+    ties to p, or in ``ccomp`` the later points of p's component."""
     masks = list(map(operator.and_, masks, own[v]))
     for table, base in held:
         masks = list(map(operator.and_, masks, table[base + v]))
@@ -635,15 +636,21 @@ def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
     for local functions (``_step``, ``_held``): assigning j := v narrows the
     value masks (``_narrow``) by each constraint on j, at most k-2 earlier
     points and one more point (for a unary space, the pair constraint of its binary
-    presentation carries the equivalence), and pins to v the points local
-    constancy ties to j.  On all points local constancy is continuity.  A
-    point left without values ends the branch (forward checking).  Every
-    value tried counts one unit of ``budget``; BudgetExceeded once the count
-    passes it.
+    presentation carries the equivalence), and pins to v the later points of
+    j's topological component, which is the continuity requirement.  Pinning
+    the whole component at its least point, not only the points local
+    constancy ties to j, keeps a point whose links to earlier points run
+    through later ones from being tried at every value.  A point left
+    without values ends the branch (forward checking).  Every value tried
+    counts one unit of ``budget``; BudgetExceeded once the count passes it.
     """
     space = _kary(space)
     n, size = space.n, space.dualizer.size
-    ties = _ties(space.topology)
+    components = space.topology.components()
+    blocks = [0] * n
+    for q, c in enumerate(components):
+        blocks[c] |= 1 << q
+    pinned = [blocks[c] >> (j + 1) << (j + 1) for j, c in enumerate(components)]
     steps = []          # the tables of the step by each point, built on first use
     out = []
     tried = 0
@@ -662,7 +669,7 @@ def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
             tried += 1
             if tried > budget:
                 raise BudgetExceeded("ccomp search exceeds budget")
-            narrowed = _narrow(masks, own, held, ties[j], v)
+            narrowed = _narrow(masks, own, held, pinned[j], v)
             # an assigned point keeps the value it took, which every later
             # assignment allowed, so a zero is a later point without values
             if 0 not in narrowed:

@@ -377,11 +377,34 @@ def product_filter(space) -> list[tuple[int, ...]]:
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_ccomp_is_the_product_filter_on_coarse_topologies(k, data):
-    # where the topology ties points together, the search pins them through
-    # local constancy one point at a time, not whole components at once
+    # where the topology links points, the search pins each component at
+    # its least point; the filter asks only that every preimage be open
     spaces = unary_spaces() if k == 1 else kary_spaces(arities=(k,))
     space = data.draw(spaces.filter(lambda space: not space.topology.is_discrete()))
     assert ccomp(space) == product_filter(space)
+
+
+def zigzag(m: int) -> FiniteTopology:
+    """m points a_i with N(a_i) = {a_i, b_i}, then m points b_i with
+    N(b_i) = {b_i}, then one point c with N(c) = {c} and every b_i: one
+    component, in which each a_i reaches the points before it only through
+    the later b_i and c."""
+    return FiniteTopology(2 * m + 1, tuple(
+        [1 << i | 1 << (m + i) for i in range(m)] + [1 << (m + i) for i in range(m)]
+        + [1 << (2 * m) | mask_of(range(m, 2 * m))]))
+
+
+def test_ccomp_pins_a_component_at_its_least_point():
+    # a_0 pins the whole component, so every later point tries one value.
+    # Pinning only the points local constancy ties to each a_i would try all
+    # 5^9 values of a_0..a_8 before the b_i pin c, past the default budget
+    L, m = luk(4).algebra, 9
+    n = 2 * m + 1
+    space = UnaryConstrainedSpace(zigzag(m), L, [range(L.size)] * n, range(n))
+    assert ccomp(space) == [(v,) * n for v in range(L.size)]
+    assert least_budget(lambda b: ccomp(space, budget=b)) == ascending_budget(space) == L.size * n
+    small = UnaryConstrainedSpace(zigzag(2), L, [range(L.size)] * 5, range(5))
+    assert ccomp(small) == product_filter(small)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1290,8 +1313,9 @@ def ascending_budget(space) -> int:
 
     A function h on the points below j is live when every later point q
     keeps a value b of its fiber with (h on T, b) in A_{T+{q}} for every T
-    of 1 to k-1 points below j, and with b = h(p) for every p below j that
-    local constancy ties to q (q in N(p) or p in N(q)).  The values tried at
+    of 1 to k-1 points below j, and with b = h(p) for every p below j in
+    q's topological component (the classes of the equivalence generated by
+    q in N(p)).  The values tried at
     j are those that j keeps.  The search extends the empty function when
     it is compatible, and every live function it reaches.  A unary space is
     read through the pair family of ``family_unary_to_binary``; ``space``
@@ -1301,6 +1325,12 @@ def ascending_budget(space) -> int:
     k, n, nbhds = space.k, space.n, space.topology.nbhds
     if () not in space.constraint(()):
         return 0
+    component = [{q for q in range(n) if nbhds[p] >> q & 1 or nbhds[q] >> p & 1}
+                 for p in range(n)]
+    for r in range(n):
+        for linked in component:
+            if r in linked:
+                linked |= component[r]
 
     def kept(h, q):
         below = range(len(h))
@@ -1308,7 +1338,7 @@ def ascending_budget(space) -> int:
         return [b for b in sorted(f[0] for f in space.constraint((q,)))
                 if all(tuple(h[p] for p in T) + (b,) in space.constraint(T + (q,))
                        for T in sets)
-                and all(b == h[p] for p in below if nbhds[p] >> q & 1 or nbhds[q] >> p & 1)]
+                and all(b == h[p] for p in below if p in component[q])]
 
     def tried(h):
         if len(h) == n:
