@@ -18,18 +18,26 @@ A_I as frozensets of tuples aligned with sorted(I); ``_reindex`` reads those
 at other points of I.
 
 Every search over local and global functions assigns points in ascending
-order, keeps one value mask per point (bit b of the mask of q: q may still
-take b) and changes it by one narrowing step, ``_narrow``.  Assigning p := v
+order and keeps one packed row: a Python int in which point q owns a field
+of |L| + 1 bits at offset q(|L| + 1).  The low |L| bits of the field are
+q's value mask (bit b: q may still take b), and its top bit is a guard that
+stays 0.  One narrowing step, ``_narrow``, changes the row.  Assigning p := v
 ANDs in, for each S of at most k-2 points assigned earlier, the extension
-row of T = S + {p} at the code of the values on T: its entry at q is the
-mask of the values A_{T+{q}} allows at q with them.  p is the last point of
-T, so its digit is the last of that code.  The points tied to p are then
-pinned to v.  The rows of one T are built from the codes on first use and
-cached on the space, so every search on one space shares them.  The
-compatible local functions on I (for ``compatible_local_functions``, the
-local extension property and ``local_to_global_verify``) each carry their
-row, extended level by level, so g on I extends by j exactly when row[j] is
-not zero; there local constancy ties p to the points of N(p) and to those
+row of T = S + {p} at the code of the values on T: its field at q holds the
+values A_{T+{q}} allows at q with them, and its fields on T hold all of L,
+so the points assigned keep their values.  p is the last point of T, so its
+digit is the last of that code.  The points tied to p are then pinned to v
+with one more AND, by keep | one << v: keep is full on every other field
+and one has bit 0 of every pinned field.  A row has a point without values
+exactly when (row + ADD) & GUARD != GUARD, where ADD holds 2^|L| - 1 in
+every field and GUARD every guard bit: the add carries into a field's guard
+bit exactly when the field is not empty, and never across fields.  The
+rows of one T are built from the codes on first use and cached on the
+space, so every search on one space shares them.  The compatible local
+functions on I (for ``compatible_local_functions``, the local extension
+property and ``local_to_global_verify``) each carry their row, extended
+level by level, so g on I extends by j exactly when j's field of its row is
+not empty; there local constancy ties p to the points of N(p) and to those
 whose neighbourhood holds p.  ``ccomp`` takes the same step depth first
 over all points, ties p to the later points of its topological component
 (continuity), and backtracks as soon as a later point is left without
@@ -42,11 +50,9 @@ count.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 from .algebras import (
@@ -124,12 +130,7 @@ class ConstrainedSpace:
             raise InvalidInput("k-ary constrained spaces require k >= 2; use the unary form")
         n = topology.n
         m = min(k, n)
-        # the stored keys, larger first so smaller ones can be derived by
-        # projection, and lexicographically within one size
-        order = list(itertools.combinations(range(n), m))
-        order += [(x,) for x in range(n)] if m > 1 else []
-        order += [()] if m > 0 else []
-        stored = set(order)
+        order, stored, _ = _key_orders(n, m)
         keyed = {}
         for key, funs in given.items():
             if key not in stored:           # else a stored key as a sorted tuple
@@ -214,36 +215,57 @@ class ConstrainedSpace:
 
     def _build_table(self, T: tuple) -> "_Rows":
         """The extension rows of the sorted tuple T: for each code of values
-        on T, the mask at every point j outside T of the values that
-        A_{T+{j}} allows with them (-1 on T itself)."""
+        on T, the packed row whose field at every point j outside T holds
+        the values that A_{T+{j}} allows with them (all of L on T itself)."""
         n, size = self.n, self.dualizer.size
-        blank = [0] * n
+        w, full = size + 1, (1 << size) - 1
+        blank = 0
         for q in T:
-            blank[q] = -1
-        table = _Rows(blank)
-        for j in range(n):
-            if j in T:
-                continue
-            at = bisect.bisect(T, j)
-            S = T[:at] + (j,) + T[at:]
-            # the code on T drops j's digit, of weight ``below``
-            below = size ** (len(T) - at)
-            above = below * size
-            for c in self._codes_of(S):
-                key = c // above * below + c % below
-                row = table.get(key)
-                if row is None:
-                    row = table[key] = blank.copy()
-                row[j] |= 1 << (c // below % size)
+            blank |= full << q * w
+        table = _Rows()
+        table.blank = blank
+        get = table.get
+        # the points j between T[at - 1] and T[at] come at position ``at`` of
+        # T + {j}, so the code on T drops j's digit, of weight size^(|T| - at)
+        for at in range(len(T) + 1):
+            head, tail, below = T[:at], T[at:], size ** (len(T) - at)
+            for j in range(T[at - 1] + 1 if at else 0, T[at] if tail else n):
+                shift = j * w
+                for key, mask in _split(self._codes_of(head + (j,) + tail), size, below):
+                    table[key] = get(key, blank) | mask << shift
         return table
+
+
+@functools.lru_cache(maxsize=64)
+def _key_orders(n: int, m: int) -> tuple[tuple, frozenset, tuple]:
+    """The stored keys of a space on n points whose largest keys have m
+    points: larger first, so smaller ones can be derived by projection, and
+    lexicographically within one size; the same as a set; and by size, then
+    lexicographically, the order ``has_global_extension`` checks them in."""
+    order = list(itertools.combinations(range(n), m))
+    order += [(x,) for x in range(n)] if m > 1 else []
+    order += [()] if m > 0 else []
+    return tuple(order), frozenset(order), tuple(sorted(order, key=lambda I: (len(I), I)))
+
+
+@functools.lru_cache(maxsize=64)
+def _split(codes: frozenset, size: int, below: int) -> tuple:
+    """The codes split at their digit of weight ``below``: each code with
+    that digit dropped, and the mask of the digits it takes there.  Spaces
+    share constraint sets (a Priestley space has four pair sets), so the
+    split of one set is kept for the next table that reads it."""
+    above = below * size
+    masks: dict = {}
+    for c in codes:
+        key = c // above * below + c % below
+        masks[key] = masks.get(key, 0) | 1 << c // below % size
+    return tuple(masks.items())
 
 
 class _Rows(dict):
     """Extension rows by code; a code no function carries reads ``blank``."""
 
-    def __init__(self, blank):
-        super().__init__()
-        self.blank = blank
+    blank = 0
 
     def __missing__(self, code):
         return self.blank
@@ -411,39 +433,63 @@ def validate_unary(space: UnaryConstrainedSpace) -> UnaryReport:
 
 def _table(space, T: tuple):
     """The extension rows of the sorted tuple T (|T| <= k-1), by the code of
-    the values on T: at each point j outside T, the mask of the values at j
-    that A_{T+{j}} allows with them; -1 on T.  T empty gives the fibers, at
-    code 0."""
+    the values on T: at each point j outside T, the field of the values at
+    j that A_{T+{j}} allows with them; all of L on T.  T empty gives the
+    fibers, at code 0."""
     table = space._tables.get(T)
     if table is None:
         table = space._tables[T] = space._build_table(T)
     return table
 
 
-def _narrow(masks, own, held, pinned: int, v: int) -> list[int]:
-    """The value masks after p := v: ANDed with the table of p alone at v,
+@functools.lru_cache(maxsize=256)
+def _layout(n: int, size: int) -> tuple[int, int, int, int]:
+    """The packed rows of n points over a carrier of ``size``: the field
+    width w = size + 1, the mask of a full field, ADD (2^size - 1 in every
+    field) and GUARD (the top bit of every field)."""
+    w, full = size + 1, (1 << size) - 1
+    ones = 0
+    for q in range(n):
+        ones |= 1 << q * w
+    return w, full, full * ones, ones << size
+
+
+def _pins(masks, n: int, size: int) -> list[tuple[int, int]]:
+    """(keep, one) for each point mask: ANDing a row with keep | one << v
+    pins those points to v and leaves the rest."""
+    w, full, add, _ = _layout(n, size)
+    pins = []
+    for mask in masks:
+        one = 0
+        for q in bits_of(mask):
+            one |= 1 << q * w
+        pins.append((add & ~(full * one), one))
+    return pins
+
+
+def _first_empty(row: int, w: int, add: int, guard: int) -> int:
+    """The first point whose field in the packed row is empty, for a row
+    that has one: adding ADD carries into a field's guard bit exactly when
+    the field is not empty, and never into the next field, so
+    (row + ADD) & GUARD != GUARD tests for an empty field."""
+    empty = ~(row + add) & guard
+    return (empty & -empty).bit_length() // w - 1
+
+
+def _narrow(row: int, own, held, pin, v: int) -> int:
+    """The packed row after p := v: ANDed with the table of p alone at v,
     and with the table of T = S + {p} for every nonempty S of at most k-2
     points assigned earlier, listed in ``held`` as (T's table, the code of
     the values on S times |L|).  p comes after S, so its digit is the last
-    of T's code.  The points in ``pinned`` must take v: those local constancy
-    ties to p, or in ``ccomp`` the later points of p's component."""
-    masks = list(map(operator.and_, masks, own[v]))
+    of T's code.  A table's fields on T are full, so the points assigned
+    keep their values.  ``pin`` = (keep, one) pins the points that must take
+    v: those local constancy ties to p, or in ``ccomp`` the later points of
+    p's component."""
+    row &= own[v]
     for table, base in held:
-        masks = list(map(operator.and_, masks, table[base + v]))
-    if pinned:
-        for q in bits_of(pinned):
-            masks[q] &= 1 << v
-    return masks
-
-
-def _ties(top: FiniteTopology) -> list[int]:
-    """The points local constancy ties to each point p: those in N(p) and
-    those whose neighbourhood holds p, less p."""
-    ties = list(top.nbhds)
-    for q, u in enumerate(top.nbhds):
-        for p in bits_of(u):
-            ties[p] |= 1 << q
-    return [mask & ~(1 << p) for p, mask in enumerate(ties)]
+        row &= table[base + v]
+    keep, one = pin
+    return row & (keep | one << v)
 
 
 def _codes_on(columns, count: int, I: tuple, size: int) -> frozenset:
@@ -471,10 +517,16 @@ class _PresentedRows(dict):
 
     def __missing__(self, a):
         space, q, fibers = self.space, self.q, self.fibers
-        free = fibers if fibers[q] >> a & 1 else [0] * len(fibers)
-        row = self[a] = [(fibers[min(q, j)] & 1 << a) if space.related(q, j) else free[j]
-                         for j in range(len(fibers))]
-        row[q] = -1
+        size, free = space.dualizer.size, fibers[q] >> a & 1
+        w = size + 1
+        row = (1 << size) - 1 << q * w
+        for j, fiber in enumerate(fibers):
+            if j != q:
+                if space.related(q, j):
+                    row |= (fibers[min(q, j)] & 1 << a) << j * w
+                elif free:
+                    row |= fiber << j * w
+        self[a] = row
         return row
 
 
@@ -499,10 +551,17 @@ class _Presentation:
             return frozenset((a, a) for a in space.fibers[I[0]])
         return frozenset(itertools.product(*(sorted(space.fibers[x]) for x in I)))
 
+    def _codes_of(self, I: tuple) -> frozenset:
+        """A_I as codes, for a sorted tuple I of at most two points."""
+        return frozenset(power_index(self.dualizer.size, f) for f in self.constraint(I))
+
     def _build_table(self, T: tuple):
         if not T:
-            table = _Rows([0] * self.n)
-            table[0] = self.fibers
+            w, fibers = self.dualizer.size + 1, 0
+            for j, fiber in enumerate(self.fibers):
+                fibers |= fiber << j * w
+            table = _Rows()
+            table[0] = fibers
             return table
         (q,) = T
         return _PresentedRows(self.unary, q, self.fibers)
@@ -525,7 +584,7 @@ def _subsets(length: int, most: int) -> tuple:
 
 def _start(space):
     """The compatible local functions on no points, with their rows."""
-    if () not in space.constraint(()):
+    if 0 not in space._codes_of(()):
         return [], []
     return [()], [_table(space, ())[0]]
 
@@ -544,31 +603,33 @@ def _held(tables, g, size: int) -> list:
     return [(table, power_index(size, [g[i] for i in S]) * size) for S, table in tables]
 
 
-def _extend_all(space, I, funs, rows, j, pinned, most=math.inf):
+def _extend_all(space, I, funs, rows, j, pin, most=math.inf):
     """Every compatible extension by j of the functions funs on the sorted
-    tuple I (stopping once more than ``most`` are found), and an iterator
-    over their rows, each narrowed when it is read; with j above I,
-    lexicographic order is kept."""
+    tuple I (stopping once more than ``most`` are found), and their packed
+    rows; with j above I, lexicographic order is kept.  The values g may
+    take at j are the set bits of j's field of g's row, and each extension
+    narrows that row at once, since a packed row narrows with one AND per
+    table."""
     size = space.dualizer.size
+    shift, full = j * (size + 1), (1 << size) - 1
     own, tables = _step(space, I, j)
-    extended, steps = [], []
+    extended, narrowed = [], []
     for g, row in zip(funs, rows):
-        values = bits_of(row[j])
-        for b in values:
+        held = _held(tables, g, size) if tables else ()
+        for b in bits_of(row >> shift & full):
             extended.append(g + (b,))
-        steps.append((row, _held(tables, g, size), values))
+            narrowed.append(_narrow(row, own, held, pin, b))
         if len(extended) > most:
             break
-    return extended, (_narrow(row, own, held, pinned, b)
-                      for row, held, values in steps for b in values)
+    return extended, narrowed
 
 
 def _local_functions(space, max_size: int, budget=math.inf):
     """(I, compatible local functions on I, their rows) for every I of at
     most max_size points, by size and then lexicographically; the functions
     on I are those on I[:-1] extended by I[-1], so each list is in
-    lexicographic order.  The rows of the last size come as an iterator that
-    narrows each row when it is read.
+    lexicographic order.  Local constancy pins the points tied to I[-1]
+    (``FiniteTopology.ties``).
 
     ``budget`` is the local extension property's.  That charges each
     function on I and its n - |I| extension tests and checks the count at
@@ -576,26 +637,21 @@ def _local_functions(space, max_size: int, budget=math.inf):
     functions on I take the count past the budget.  BudgetExceeded is
     raised here as soon as that is certain, before the functions on I and
     their rows are all built."""
-    if max_size < 0:
-        return
     n = space.n
-    ties = _ties(space.topology)
+    pins = _pins(space.topology.ties, n, space.dualizer.size)
     level = {(): _start(space)}
     spent = len(level[()][0]) * (1 + n)
     yield ((), *level[()])
-    for size in range(1, max_size + 1):
+    for points in range(1, max_size + 1):
         previous, level = level, {}
-        for I in itertools.combinations(range(n), size):
+        for I in itertools.combinations(range(n), points):
             head, j = I[:-1], I[-1]
-            most = max(budget - spent - (n - size), 0)
-            funs, rows = _extend_all(space, head, *previous[head], j, ties[j], most)
+            most = max(budget - spent - (n - points), 0)
+            funs, rows = _extend_all(space, head, *previous[head], j, pins[j], most)
             if len(funs) > most:
                 raise BudgetExceeded("local extension search exceeds budget")
-            spent += len(funs) * (1 + n - size)
-            # the last level is not extended: it is not kept, and its rows
-            # are narrowed only as they are read
-            if size < max_size:
-                rows = list(rows)
+            spent += len(funs) * (1 + n - points)
+            if points < max_size:           # the last level is not extended
                 level[I] = funs, rows
             yield I, funs, rows
 
@@ -619,10 +675,10 @@ def compatible_local_functions(space, points_sorted) -> list[tuple[int, ...]]:
     I = _points(space, points_sorted)
     if list(I) != sorted(I):
         raise InvalidInput("points %r are not in ascending order" % (I,))
-    ties = _ties(space.topology)
+    pins = _pins(space.topology.ties, space.n, space.dualizer.size)
     funs, rows = _start(space)
     for i, j in enumerate(I):
-        funs, rows = _extend_all(space, I[:i], funs, rows, j, ties[j])
+        funs, rows = _extend_all(space, I[:i], funs, rows, j, pins[j])
     return funs
 
 
@@ -634,28 +690,27 @@ def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
     A depth-first search over the points in ascending order, extending a
     function on the points below j by j with the step ``_extend_all`` takes
     for local functions (``_step``, ``_held``): assigning j := v narrows the
-    value masks (``_narrow``) by each constraint on j, at most k-2 earlier
+    packed row (``_narrow``) by each constraint on j, at most k-2 earlier
     points and one more point (for a unary space, the pair constraint of its binary
     presentation carries the equivalence), and pins to v the later points of
-    j's topological component, which is the continuity requirement.  Pinning
-    the whole component at its least point, not only the points local
-    constancy ties to j, keeps a point whose links to earlier points run
-    through later ones from being tried at every value.  A point left
-    without values ends the branch (forward checking).  Every value tried
+    j's topological component (``FiniteTopology.component_masks``), which is
+    the continuity requirement.  Pinning the whole component at its least
+    point, not only the points local constancy ties to j, keeps a point
+    whose links to earlier points run through later ones from being tried at
+    every value.  A point left without values, found by one add and one AND,
+    ends the branch (forward checking).  Every value tried
     counts one unit of ``budget``; BudgetExceeded once the count passes it.
     """
     space = _kary(space)
     n, size = space.n, space.dualizer.size
-    components = space.topology.components()
-    blocks = [0] * n
-    for q, c in enumerate(components):
-        blocks[c] |= 1 << q
-    pinned = [blocks[c] >> (j + 1) << (j + 1) for j, c in enumerate(components)]
+    w, full, add, guard = _layout(n, size)
+    pins = _pins([component >> j + 1 << j + 1
+                  for j, component in enumerate(space.topology.component_masks)], n, size)
     steps = []          # the tables of the step by each point, built on first use
     out = []
     tried = 0
 
-    def extend(h, masks):
+    def extend(h, row):
         nonlocal tried
         j = len(h)
         if j == n:
@@ -664,19 +719,20 @@ def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
         if j == len(steps):
             steps.append(_step(space, range(j), j))
         own, tables = steps[j]
-        held = _held(tables, h, size)
-        for v in bits_of(masks[j]):
+        held = _held(tables, h, size) if tables else ()
+        for v in bits_of(row >> j * w & full):
             tried += 1
             if tried > budget:
                 raise BudgetExceeded("ccomp search exceeds budget")
-            narrowed = _narrow(masks, own, held, pinned[j], v)
+            narrowed = _narrow(row, own, held, pins[j], v)
             # an assigned point keeps the value it took, which every later
-            # assignment allowed, so a zero is a later point without values
-            if 0 not in narrowed:
+            # assignment allowed, so an empty field is a later point without
+            # values; adding ADD leaves some guard bit clear exactly then
+            if (narrowed + add) & guard == guard:
                 extend(h + (v,), narrowed)
 
-    for h, masks in zip(*_start(space)):
-        extend(h, masks)
+    for h, row in zip(*_start(space)):
+        extend(h, row)
     return out
 
 
@@ -738,7 +794,7 @@ def has_global_extension(space, budget: int = DEFAULT_BUDGET):
     columns = list(zip(*functions))
     # code order is lexicographic, so the least missing code is the first
     # missing local function
-    for I in sorted(space._codes, key=lambda I: (len(I), I)):
+    for I in _key_orders(space.n, min(space.k, space.n))[2]:
         allowed = space._codes[I]
         covered = _codes_on(columns, len(functions), I, size)
         missing = allowed - covered
@@ -753,9 +809,13 @@ def has_local_extension(space, n_arity: int, budget: int = DEFAULT_BUDGET):
     """n-ary local extension property: every compatible local function on at
     most n points extends by any one further point.  Returns (flag, witness)
     with witness = (points, new point, local function).  The enumerated local
-    functions plus the extension tests may number at most ``budget``."""
+    functions plus the extension tests may number at most ``budget``.  The
+    arity must be at least 0; arity 0 checks the empty function."""
+    if n_arity < 0:
+        raise InvalidInput("local extension arity must be >= 0")
     space = _kary(space)
     n = space.n
+    w, _, add, guard = _layout(n, space.dualizer.size)
     work = 0
     for I, funs, rows in _local_functions(space, min(n_arity, n), budget):
         work += len(funs)
@@ -763,15 +823,17 @@ def has_local_extension(space, n_arity: int, budget: int = DEFAULT_BUDGET):
             work += n - len(I)          # the extension tests of g
             if work > budget:
                 raise BudgetExceeded("local extension search exceeds budget")
-            # g's own values stay in the masks of I, so a zero lies outside I
-            if 0 in row:
-                return False, (I, row.index(0), g)
+            # g's own values stay in the fields of I, so an empty field lies
+            # outside I
+            if (row + add) & guard != guard:
+                return False, (I, _first_empty(row, w, add, guard), g)
     return True, None
 
 
-def possible_extensions(space: ConstrainedSpace, points_sorted, fun, y: int) -> frozenset:
+def possible_extensions(space, points_sorted, fun, y: int) -> frozenset:
     """M_{f,y}: the values b in y's fiber with f + (y -> b) in A_{I+{y}},
-    for f on I with |I| <= k-1."""
+    for f on I with |I| <= k-1 (k = 2 for a unary space)."""
+    space = _kary(space)
     points_sorted, fun, size = _points(space, points_sorted), tuple(fun), space.dualizer.size
     if len(points_sorted) > space.k - 1:
         raise InvalidInput("possible_extensions needs |I| <= k-1")
@@ -785,8 +847,8 @@ def possible_extensions(space: ConstrainedSpace, points_sorted, fun, y: int) -> 
         if not _is_element(v, size):
             raise InvalidInput("local function value %r outside the carrier" % (v,))
     I, f = zip(*sorted(zip(points_sorted, fun))) if points_sorted else ((), ())
-    mask = _table(space, I)[power_index(size, f)][y] & _table(space, ())[0][y]
-    return frozenset(bits_of(mask))
+    row = _table(space, I)[power_index(size, f)] & _table(space, ())[0]
+    return frozenset(bits_of(row >> y * (size + 1) & (1 << size) - 1))
 
 
 @dataclass(frozen=True)
@@ -813,16 +875,18 @@ def local_to_global_verify(space: ConstrainedSpace, m: TermFunction,
     if m.arity != space.k + 1:
         raise InvalidInput("near-unanimity arity must be k+1")
     k, L = space.k, space.dualizer
+    w, full = L.size + 1, (1 << L.size) - 1
     fibers = _table(space, ())[0]
     convex: dict[tuple[int, int], bool] = {}    # (M mask, fiber mask) -> verdict
     for I, funs, _ in _local_functions(space, k - 1):
+        table = _table(space, I)
         for g in funs:
             # the possible-extension sets of g, one per point y outside I
-            row = _table(space, I)[power_index(L.size, g)]
+            row = table[power_index(L.size, g)] & fibers
             for y in range(space.n):
                 if y in I:
                     continue
-                key = (row[y] & fibers[y], fibers[y])
+                key = (row >> y * w & full, fibers >> y * w & full)
                 if key not in convex:
                     convex[key] = _convex_within(L, m, bits_of(key[0]), bits_of(key[1]))
                 if not convex[key]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebras import DEFAULT_BUDGET, BudgetExceeded, Congruence, InvalidInput, _find, _join_closure
+from .algebras import DEFAULT_BUDGET, BudgetExceeded, InvalidInput, _join_closure
 
 MAX_POINTS = 20
 
@@ -42,14 +42,17 @@ def bits_of(mask: int) -> tuple[int, ...]:
     """The positions of the set bits of mask, ascending.
 
     The low 24 bits, which hold every point mask (at most ``MAX_POINTS``
-    bits), are read off three byte tables.  Above them the walk jumps from
-    one lowest set bit to the next, so a wide sparse mask, such as a value
-    mask over a large carrier, costs one step per set bit and not one per
-    bit position.
+    bits), are read off three byte tables, and a mask below 256 (such as a
+    value mask over a small carrier) off the first alone.  Above them the
+    walk jumps from one lowest set bit to the next, so a wide sparse mask,
+    such as a value mask over a large carrier, costs one step per set bit
+    and not one per bit position.
     """
+    low, middle, high = _BYTE_BITS
+    if 0 <= mask < 256:
+        return low[mask]
     if mask < 0:
         raise InvalidInput("a point set mask cannot be negative")
-    low, middle, high = _BYTE_BITS
     out = low[mask & 255] + middle[mask >> 8 & 255] + high[mask >> 16 & 255]
     mask >>= 24
     if not mask:
@@ -111,17 +114,44 @@ class FiniteTopology:
         """Smallest open set containing the point."""
         return self.nbhds[point]
 
+    @cached_property
+    def ties(self) -> tuple[int, ...]:
+        """The points local constancy ties to each point p: those in N(p)
+        and those whose neighbourhood holds p, less p."""
+        inside = [u & ~(1 << p) for p, u in enumerate(self.nbhds)]
+        ties = list(inside)
+        for q, u in enumerate(inside):
+            for p in bits_of(u):
+                ties[p] |= 1 << q
+        return tuple(ties)
+
+    @cached_property
+    def component_masks(self) -> tuple[int, ...]:
+        """The mask of each point's component, the closure of its ties."""
+        ties, masks = self.ties, [0] * self.n
+        for p in range(self.n):
+            if not masks[p]:
+                reach, frontier = 1 << p, ties[p]
+                while frontier:
+                    reach |= frontier
+                    grown = 0
+                    for q in bits_of(frontier):
+                        grown |= ties[q]
+                    frontier = grown & ~reach
+                for q in bits_of(reach):
+                    masks[q] = reach
+        return tuple(masks)
+
     def components(self) -> tuple[int, ...]:
-        """Classes of the equivalence generated by y in min_nbhd(x).
+        """Classes of the equivalence generated by y in min_nbhd(x),
+        numbered by their least points in ascending order.
 
         A function into a discrete space is continuous exactly when it is
         constant on these classes.
         """
-        parent = list(range(self.n))
-        for x, u in enumerate(self.nbhds):
-            for y in bits_of(u):
-                parent[_find(parent, x)] = _find(parent, y)
-        return Congruence.from_blocks(_find(parent, x) for x in range(self.n)).blocks
+        number: dict = {}
+        return tuple(number.setdefault(mask & -mask, len(number))
+                     for mask in self.component_masks)
 
     def specialization(self):
         """x <= y iff every open containing y contains x, i.e. x in min_nbhd(y)."""

@@ -186,6 +186,15 @@ def test_lep_budget_exits_two(capsys, priestley_file):
     assert code == 0
 
 
+def test_lep_rejects_a_negative_arity(capsys, priestley_file):
+    # a negative arity used to pass vacuously and print local_extension: True
+    code, out, err = run(capsys, "lep", priestley_file, "--bound", "-1")
+    assert code == 2 and out == ""
+    assert "local extension arity must be >= 0" in err
+    code, out, _ = run(capsys, "lep", priestley_file, "--bound", "0")
+    assert code == 0 and "local_extension: True" in out
+
+
 def test_comp_budget_exits_two(capsys, priestley_file):
     code, _, err = run(capsys, "comp", priestley_file, "--budget", "1")
     assert code == 2

@@ -341,8 +341,10 @@ def test_compatible_local_functions_match_the_product_filter(space):
 @settings(max_examples=200, deadline=None)
 @given(space=any_spaces)
 def test_local_extension_matches_with_the_same_witness(space):
-    for n_arity in range(-1, space.n + 2):
+    for n_arity in range(0, space.n + 2):
         assert has_local_extension(space, n_arity) == old_has_local_extension(space, n_arity)
+    with pytest.raises(InvalidInput, match="local extension arity must be >= 0"):
+        has_local_extension(space, -1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -489,7 +491,7 @@ def test_unary_spaces_on_two_points_exhaustively():
                     for I in subsets(2):
                         assert (compatible_local_functions(space, I)
                                 == old_compatible_local_functions(space, I))
-                    for n_arity in range(-1, 4):
+                    for n_arity in range(0, 4):
                         assert (has_local_extension(space, n_arity)
                                 == old_has_local_extension(space, n_arity))
                     assert ccomp(space) == old_ccomp(space)
@@ -868,26 +870,97 @@ def family_unary_to_binary(space: UnaryConstrainedSpace) -> ConstrainedSpace:
     return ConstrainedSpace(2, space.topology, space.dualizer, family)
 
 
+def row_fields(row: int, n: int, size: int) -> list[int]:
+    """The value masks of a packed row, one field of |L| + 1 bits per point."""
+    return [row >> q * (size + 1) & (1 << size) - 1 for q in range(n)]
+
+
+@st.composite
+def packed_rows(draw):
+    """(|L|, n, the value masks of a packed row, its points T): every field
+    on T is full, and empty fields are common elsewhere."""
+    size = draw(st.sampled_from([1, 2, 3, 5, 41]))
+    n = draw(st.integers(0, 20))
+    full = (1 << size) - 1
+    T = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    fields = [full if q in T else draw(st.one_of(st.just(0), st.integers(0, full)))
+              for q in range(n)]
+    return size, n, fields, T
+
+
+def pack(fields, size) -> int:
+    return sum(f << q * (size + 1) for q, f in enumerate(fields))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=packed_rows(), data=st.data())
+def test_packed_row_primitives_match_a_loop_over_fields(case, data):
+    # the field read, the dead-end test, the first empty field, the pin and
+    # the narrowing step against the same operations on a list of masks
+    size, n, fields, T = case
+    w, full, add, guard = constrained._layout(n, size)
+    row = pack(fields, size)
+    assert row_fields(row, n, size) == fields
+    assert ((row + add) & guard != guard) == (0 in fields)
+    if 0 in fields:
+        assert constrained._first_empty(row, w, add, guard) == fields.index(0)
+    v = data.draw(st.integers(0, size - 1))
+    points = data.draw(st.integers(0, (1 << n) - 1))
+    (keep, one), = constrained._pins([points], n, size)
+    pinned = [f & 1 << v if points >> q & 1 else f for q, f in enumerate(fields)]
+    assert row_fields(row & (keep | one << v), n, size) == pinned
+    # one own table and one held table, each read at its code for v; the
+    # tables' fields on T are full, as a built table's are
+    own_fields, held_fields = (
+        [full if q in T else data.draw(st.integers(0, full)) for q in range(n)]
+        for _ in range(2))
+    base = data.draw(st.integers(0, 3)) * size
+    own, held = {v: pack(own_fields, size)}, [({base + v: pack(held_fields, size)}, base)]
+    narrowed = constrained._narrow(row, own, held, (keep, one), v)
+    expected = [a & b & c for a, b, c in zip(fields, own_fields, held_fields)]
+    expected = [f & 1 << v if points >> q & 1 else f for q, f in enumerate(expected)]
+    assert row_fields(narrowed, n, size) == expected
+    assert all(expected[q] == fields[q] for q in T if not points >> q & 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=unary_spaces())
+def test_possible_extensions_read_the_binary_presentation(space):
+    # on a unary space M_{f,y} is the set of unary_to_binary(space), for f
+    # on no point or on one point, at any values of L
+    binary, n, size = unary_to_binary(space), space.n, space.dualizer.size
+    for I in itertools.chain([()], ((x,) for x in range(n))):
+        for f in itertools.product(range(size), repeat=len(I)):
+            for y in range(n):
+                if y not in I:
+                    assert (possible_extensions(space, I, f, y)
+                            == possible_extensions(binary, I, f, y))
+
+
 @settings(max_examples=200, deadline=None)
 @given(space=unary_spaces())
 def test_unary_search_reads_the_binary_presentation(space):
     # unary_to_binary stores what the loop over pairs stored, and the search
     # reads a unary space through A_I and rows computed from its fibers; on
     # every value of L they agree with the rows of unary_to_binary, and both
-    # with the tuple-keyed tables read off its constraints
+    # with the tuple-keyed tables read off its constraints (a row's field on
+    # T holds all of L)
     binary, presented = unary_to_binary(space), _kary(space)
     assert binary.constraints == family_unary_to_binary(space).constraints
     n, size = space.n, space.dualizer.size
     for I in subsets(n):
         if len(I) <= 2:
             assert presented.constraint(I) == binary.constraint(I)
-    assert _table(presented, ())[0] == _table(binary, ())[0] == [
-        table_from_constraints(binary, (), j).get((), 0) for j in range(n)]
+    assert (row_fields(_table(presented, ())[0], n, size)
+            == row_fields(_table(binary, ())[0], n, size)
+            == [table_from_constraints(binary, (), j).get((), 0) for j in range(n)])
     for q in range(n):
         for a in range(size):
-            expected = [-1 if j == q else table_from_constraints(binary, (q,), j).get((a,), 0)
+            expected = [(1 << size) - 1 if j == q
+                        else table_from_constraints(binary, (q,), j).get((a,), 0)
                         for j in range(n)]
-            assert _table(presented, (q,))[a] == _table(binary, (q,))[a] == expected
+            assert (row_fields(_table(presented, (q,))[a], n, size)
+                    == row_fields(_table(binary, (q,))[a], n, size) == expected)
 
 
 def test_unary_spaces_keep_the_unary_branch_budget_on_wide_fibers():
@@ -1375,7 +1448,7 @@ def same_searches(new, old, budgets=True):
     n = new.n
     assert ccomp(new) == tuple_ccomp(old)
     assert has_global_extension(new) == tuple_has_global_extension(old)
-    for n_arity in range(-1, n + 2):
+    for n_arity in range(0, n + 2):
         assert has_local_extension(new, n_arity) == tuple_has_local_extension(old, n_arity)
     for I in subsets(n):
         assert compatible_local_functions(new, I) == tuple_compatible_local_functions(old, I)

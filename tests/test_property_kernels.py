@@ -547,12 +547,17 @@ def _benchmark_constrained(seed):
 def _mask_pairs(space):
     """The (possible-extension mask, fiber mask) pairs local_to_global_verify
     meets, listed as the old loop visited them."""
-    fibers = constrained._table(space, ())[0]
+    n, size = space.n, space.dualizer.size
+
+    def fields(row):        # the value masks of a packed row, |L| + 1 bits per point
+        return [row >> q * (size + 1) & (1 << size) - 1 for q in range(n)]
+
+    fibers = fields(constrained._table(space, ())[0])
     pairs = []
     for I, funs, _ in constrained._local_functions(space, space.k - 1):
         for g in funs:
-            row = constrained._table(space, I)[constrained.power_index(space.dualizer.size, g)]
-            pairs.extend((row[y] & fibers[y], fibers[y]) for y in range(space.n) if y not in I)
+            row = fields(constrained._table(space, I)[constrained.power_index(size, g)])
+            pairs.extend((row[y] & fibers[y], fibers[y]) for y in range(n) if y not in I)
     return pairs
 
 
