@@ -340,31 +340,26 @@ class ConstrainedReport:
 def validate_constrained(space: ConstrainedSpace) -> ConstrainedReport:
     """Exact flags for subdirectness, continuity, separation, Scott continuity.
 
-    Scott continuity of xbar -> A_xbar into Sub(L^k) is equivalent to the
-    openness of every X_abar that ``_family_is_continuous`` decides, so it is
-    reported as the same flag; the tests check the equivalence against a
-    direct computation over the principal upsets of Sub(L^k).
-    """
-    L, n, k = space.dualizer, space.n, space.k
-    m = min(k, n)
-    subdirect = True
-    # many keys hold the same set (a Priestley space has four pair sets at
-    # most), and the answer depends on the set alone
-    closed = set()
-    for I, codes in space._codes.items():
-        if (len(I), codes) not in closed:
-            if unclosed_operation(L, len(I), space.constraint(I)) is not None:
-                raise InvalidInput("constraint for %r is not a subuniverse" % list(I))
-            closed.add((len(I), codes))
-    # every projection of every stored A_I equals the A_J that constraint()
-    # derives, so any two stored constraints agree on their common points
-    for I, codes in space._codes.items():
-        if len(I) == m:
-            for size in range(m):
-                for J in itertools.combinations(I, size):
-                    if _project(codes, I, J, L.size) != space._codes_of(J):
-                        subdirect = False
+    Continuity is the openness of every X_abar = {xbar : abar in A_xbar} in
+    X^k: A_xbar lies in A_ybar for every ybar in N(x_1) x ... x N(x_k), the
+    smallest neighbourhood of xbar (Stong 1966).  ``_family_is_continuous``
+    tests only the steps, the ybar that move x_1 to another point of N(x_1).
+    A at a permuted tuple is the permuted set, so the steps of coordinate i
+    are those of the first at the tuples that list x_i first; setting one
+    coordinate after another reaches every ybar of the product by steps, and
+    inclusion chains.  Local constancy of every member of every A_I is
+    implied and not tested apart: for p, q in I with q in N(p), the step
+    moving p onto q from a tuple that lists I with p first reads q twice, so
+    the members of A_ybar, and with them those of A_I, agree at p and q.
 
+    Scott continuity of xbar -> A_xbar into Sub(L^k) is equivalent to the
+    openness of every X_abar, so it is reported as the same flag; the tests
+    check the equivalence against a direct computation over the principal
+    upsets of Sub(L^k).
+    """
+    n = space.n
+    _check_closed(space)
+    subdirect = _is_subdirect(space)
     continuous = _family_is_continuous(space)
 
     separated = True
@@ -376,20 +371,39 @@ def validate_constrained(space: ConstrainedSpace) -> ConstrainedReport:
     return ConstrainedReport(subdirect, continuous, separated, continuous)
 
 
+def _check_closed(space: ConstrainedSpace) -> None:
+    """InvalidInput unless every stored constraint is a subuniverse."""
+    # many keys hold the same set (a Priestley space has four pair sets at
+    # most), and the answer depends on the set alone
+    closed = set()
+    for I, codes in space._codes.items():
+        if (len(I), codes) not in closed:
+            if unclosed_operation(space.dualizer, len(I), space.constraint(I)) is not None:
+                raise InvalidInput("constraint for %r is not a subuniverse" % list(I))
+            closed.add((len(I), codes))
+
+
+def _is_subdirect(space: ConstrainedSpace) -> bool:
+    """Every projection of every largest stored A_I equals the A_J that
+    constraint() derives, so any two stored constraints agree on their
+    common points."""
+    m, size = min(space.k, space.n), space.dualizer.size
+    return all(_project(codes, I, J, size) == space._codes_of(J)
+               for I, codes in space._codes.items() if len(I) == m
+               for points in range(m) for J in itertools.combinations(I, points))
+
+
 def _family_is_continuous(space: ConstrainedSpace) -> bool:
-    top, k, n = space.topology, space.k, space.n
-    for key, funs in space.constraints.items():
-        order = tuple(sorted(key))
-        for f in funs:
-            if not top.is_locally_constant(order, f):
-                return False
-    # Each X_a = { xbar : abar in A_xbar } must be open in the product
-    # topology: A_xbar lies in A_ybar for every ybar in N(x1) x ... x N(xk).
-    nbhd = [bits_of(top.min_nbhd(x)) for x in range(n)]
-    for xbar in itertools.product(range(n), repeat=k):
-        here = space.constraint_tuple(xbar)
-        for ybar in itertools.product(*(nbhd[x] for x in xbar)):
-            if not here <= space.constraint_tuple(ybar):
+    """A_xbar lies in A_ybar for every step ybar from xbar: x_1 moved to
+    another point y of N(x_1).  The steps of other coordinates are these at
+    permuted tuples, and steps chain to all of N(x_1) x ... x N(x_k), so
+    this is openness of every X_abar (``validate_constrained``)."""
+    n = space.n
+    for x in range(n):
+        steps = bits_of(space.topology.nbhds[x] & ~(1 << x))
+        for rest in itertools.product(range(n), repeat=space.k - 1) if steps else ():
+            here = space.constraint_tuple((x,) + rest)
+            if not all(here <= space.constraint_tuple((y,) + rest) for y in steps):
                 return False
     return True
 
@@ -868,8 +882,13 @@ def local_to_global_verify(space: ConstrainedSpace, m: TermFunction,
     """If the space has the k(k-1)-ary local extension property, the global
     one must follow; any counterexample is an implementation bug, so it is
     reported as a fatal theorem violation.  The convexity of every
-    possible-extension set (relative to its fiber) is asserted along the way.
+    possible-extension set (relative to its fiber) is asserted along the way;
+    that lemma assumes a family of subuniverses that is subdirect, so a
+    set that is not convex raises InvalidInput naming the first hypothesis
+    the family fails, and AssertionError only if it meets both.
     """
+    if not isinstance(space, ConstrainedSpace):
+        raise InvalidInput("local_to_global_verify needs a k-ary constrained space")
     if not check_near_unanimity(space.dualizer, m):
         raise InvalidInput("local_to_global_verify needs a near-unanimity function")
     if m.arity != space.k + 1:
@@ -890,6 +909,10 @@ def local_to_global_verify(space: ConstrainedSpace, m: TermFunction,
                 if key not in convex:
                     convex[key] = _convex_within(L, m, bits_of(key[0]), bits_of(key[1]))
                 if not convex[key]:
+                    _check_closed(space)
+                    if not _is_subdirect(space):
+                        raise InvalidInput("constraint family is not subdirect: "
+                                           "the convexity lemma does not apply")
                     raise AssertionError(
                         "possible-extension set is not convex: lemma violated")
     lep, lep_wit = has_local_extension(space, k * (k - 1), budget=budget)

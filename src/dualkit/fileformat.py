@@ -14,7 +14,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 
-from .algebras import FiniteAlgebra, InvalidInput, Signature, power_tuple
+from .algebras import DEFAULT_BUDGET, FiniteAlgebra, InvalidInput, Signature, power_tuple
 from .catalog import build
 from .constrained import ConstrainedSpace, UnaryConstrainedSpace, _mv_order
 from .spaces import LSpace, lspace
@@ -141,6 +141,8 @@ def _algebra_from_document(doc: dict) -> AlgebraDocument:
         size = _integer(doc["size"], "size")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("bad signature/size: %s" % exc)
+    if size > DEFAULT_BUDGET:
+        raise ValidationError("size %d exceeds the largest carrier, %d" % (size, DEFAULT_BUDGET))
     labels = doc.get("labels")
     if labels is None:
         labels = [str(i) for i in range(size)]

@@ -170,12 +170,18 @@ def check_finite_bp(L: FiniteAlgebra, k: int, x_bound: int,
     k >= 2 only separated representations matter, for k = 1 candidates are
     limited to functions separating at most as much as the representation.
     Sampled mode draws seeded random generated subalgebras instead, as a
-    falsification attempt over the same bound.
+    falsification attempt over the same bound.  k must be at least 1 and the
+    bound at least 0 (1 when sampled, as are the samples at least 0), or
+    the sweep would pass vacuously.
     """
     if k < 1:
         raise InvalidInput("k must be >= 1")
     if strategy not in ("exhaustive", "sampled"):
         raise InvalidInput("strategy must be exhaustive or sampled")
+    if x_bound < 0:
+        raise InvalidInput("bound must be >= 0")
+    if strategy == "sampled" and (samples < 0 or x_bound < 1):
+        raise InvalidInput("sampled sweeps need samples >= 0 and a bound >= 1")
     rng = random.Random(seed)
     instances = 0
 
@@ -244,7 +250,10 @@ def chinese_remainder_check(A: FiniteAlgebra, k: int, system) -> CRPVerdict:
 
     ``system`` is a list of pairs (element, congruence); congruence-ness of
     each entry is validated, relativity is the caller's responsibility.
+    k must be at least 1: below that every system is k-wise solvable.
     """
+    if k < 1:
+        raise InvalidInput("k must be >= 1")
     system = list(system)
     for a, theta in system:
         if not 0 <= a < A.size:
@@ -276,7 +285,12 @@ def chinese_remainder_sweep(A: FiniteAlgebra, L: FiniteAlgebra, k: int,
     comes from ``relative_congruences``, so no system is re-validated.  A
     system is a sorted tuple of positions in the pool of equations, so its
     sub-systems are too, and each is solved once for the whole sweep.
+    k must be at least 1 and ``max_equations`` at least 0.
     """
+    if k < 1:
+        raise InvalidInput("k must be >= 1")
+    if max_equations < 0:
+        raise InvalidInput("bound must be >= 0")
     thetas = relative_congruences(A, L, budget=budget)
     pool = [(a, theta) for theta in thetas for a in A.elements]
     solutions: dict[tuple[int, ...], int | None] = {}

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dualkit.cli as cli
+from dualkit.algebras import DEFAULT_BUDGET
 from dualkit.catalog import dl2
 from dualkit.corpus import CriterionResult
 from dualkit.fileformat import serialize_algebra, serialize_space, space_document
@@ -207,6 +208,27 @@ def test_local2global_reports_consistent_verdicts(capsys, priestley_file):
     assert "theorem_holds: True" in out
 
 
+# a pair set over luk(2) that is not a subuniverse, with both fibers full
+OUTSIDE_THE_LEMMA = """\
+kind: constrained-2
+dualizer: builtin:luk(2)
+points: ["x", "y"]
+constraint ["x"]: [["0"], ["1/2"], ["1"]]
+constraint ["y"]: [["0"], ["1/2"], ["1"]]
+constraint ["x", "y"]: [["0", "1/2"], ["0", "1"], ["1/2", "1/2"], ["1/2", "1"], ["1", "0"], ["1", "1"]]
+"""
+
+
+def test_local2global_rejects_a_family_outside_the_lemma(capsys, tmp_path):
+    # a possible-extension set that is not convex used to end in an
+    # AssertionError traceback; the family fails the lemma's closedness
+    path = tmp_path / "outside.dk"
+    path.write_text(OUTSIDE_THE_LEMMA)
+    error = "error: constraint for [0, 1] is not a subuniverse\n"
+    assert run(capsys, "local2global", str(path)) == (2, "", error)
+    assert run(capsys, "props", str(path)) == (2, "", error)
+
+
 def test_roundtrip_algebra(capsys):
     code, out, _ = run(capsys, "roundtrip", "builtin:luk(2)", "--dualizer", "builtin:luk(2)")
     assert code == 0
@@ -278,6 +300,32 @@ def test_crp_check(capsys, tmp_path):
                        "--k", "2", "--bound", "3")
     assert code == 0
     assert "passed: True" in out
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--k", "0"], "k must be >= 1"),
+    (["--k", "-1"], "k must be >= 1"),
+    (["--bound", "-1"], "bound must be >= 0"),
+])
+def test_crp_check_rejects_vacuous_arguments(capsys, tmp_path, flags, error):
+    # k-wise solvability below k = 1 is vacuous, so every unsolvable system
+    # read as a counterexample; a negative bound passed with no systems
+    path = tmp_path / "dl2.dk"
+    path.write_text(serialize_algebra(AlgebraDocument("dl2", dl2().algebra, ("0", "1"))))
+    argv = ["crp-check", str(path), "--dualizer", "builtin:dl2"] + flags
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % error)
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--bound", "-1"], "bound must be >= 0"),
+    (["--strategy", "sampled", "--seed", "1", "--samples", "-3"],
+     "sampled sweeps need samples >= 0 and a bound >= 1"),
+    (["--strategy", "sampled", "--seed", "1", "--bound", "0"],
+     "sampled sweeps need samples >= 0 and a bound >= 1"),
+])
+def test_bp_check_rejects_vacuous_arguments(capsys, flags, error):
+    argv = ["bp-check", "--dualizer", "builtin:dl2"] + flags
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % error)
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -776,6 +824,16 @@ def _document(lines) -> str:
     return "".join("%s: %s\n" % (k, json.dumps(v)) for k, v in lines)
 
 
+def test_a_huge_size_is_refused_before_its_labels(tmp_path):
+    # without labels, a size of 10^9 would build a label per element first
+    lines = [("kind", "algebra"), ("signature", [["zero", 0]]), ("size", 10**9),
+             ("table zero", 0)]
+    start = time.perf_counter()
+    line = _spectrum_error(tmp_path / "doc.dk", _document(lines))
+    assert time.perf_counter() - start < 1
+    assert line == "error: size 1000000000 exceeds the largest carrier, 1000000\n"
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("labels", 5, "labels must be a list of strings or numbers"),
     ("labels", [[1], [2], [3]], "labels must be a list of strings or numbers"),
@@ -831,7 +889,8 @@ def test_mutated_top_level_keys_exit_cleanly(fuzz_path, case):
     """A mutated kind, signature, size, labels or name exits 0 only when the
     document still reads as an algebra, and otherwise 2 with one error line
     naming the key (a wrong signature may be named by a table it no longer
-    matches, a wrong integer size by the labels), never a traceback."""
+    matches, a wrong integer size up to the carrier cap by the labels),
+    never a traceback."""
     text, key, value = case
     line = _spectrum_error(fuzz_path, text)
     if line is None:
@@ -845,5 +904,6 @@ def test_mutated_top_level_keys_exit_cleanly(fuzz_path, case):
             assert all(isinstance(arity, int) for _, arity in value)
     else:
         named = {"kind": ["kind"], "signature": ["signature", "table"], "labels": ["labels"],
-                 "size": ["labels"] if isinstance(value, int) else ["size"], "name": []}
+                 "size": ["labels"] if isinstance(value, int) and value <= DEFAULT_BUDGET
+                 else ["size"], "name": []}
         assert any(word in line for word in named[key]), line

@@ -7,21 +7,25 @@ loop, ``compatible_local_functions`` filtering all of L^|I|,
 with its ``admissible`` check, ``possible_extensions`` by membership,
 ``local_to_global_verify`` on top of them, and
 ``_family_is_scott_continuous``, once a runtime self-check of
-``validate_constrained``.  Spaces are drawn at random: k-ary (k = 2, 3) and
-unary, over discrete and subbasis topologies, with families that need not
-be subdirect or continuous, empty constraints, and no points at all.
+``validate_constrained``.  ``local_to_global_verify`` names the failed
+hypothesis (InvalidInput) where the oracle raised the lemma violation, and
+each such family is checked to fail closedness or subdirectness.  Spaces
+are drawn at random: k-ary (k = 2, 3) and unary, over discrete and subbasis
+topologies, with families that need not be subdirect or continuous, empty
+constraints, and no points at all.
 
 A second set of oracles covers the code that one re-indexing helper and the
 binary presentation of unary spaces replaced: ``ccomp`` with its unary
 branch (its budget count included), ``validate_constrained`` with its
-pairwise subdirectness loop, ``is_constrained_map`` pulling constraints back
-one tuple at a time, ``priestley_to_order`` reading the forbidden pair
-(1, 0), and ``unary_to_binary`` building its family pair by pair; they run
-on the random spaces and on every reflexive relation over dl2 on up to four
-points.  The rows a unary search reads off the fibers are compared with
-those of ``unary_to_binary`` on every value of L, and both with the
-tuple-keyed tables that the unary-branch oracles build for themselves from
-``constraint()``.
+pairwise subdirectness loop and its two-pass continuity test (local
+constancy, then the whole product of neighbourhoods), ``is_constrained_map``
+pulling constraints back one tuple at a time, ``priestley_to_order`` reading
+the forbidden pair (1, 0), and ``unary_to_binary`` building its family pair
+by pair; they run on the random spaces and on every reflexive relation over
+dl2 on up to four points.  The rows a unary search reads off the fibers are
+compared with those of ``unary_to_binary`` on every value of L, and both
+with the tuple-keyed tables that the unary-branch oracles build for
+themselves from ``constraint()``.
 
 A third set covers the coded store and its one narrowing step: the
 ``ConstrainedSpace`` that stored frozensets of tuples and tables keyed by
@@ -88,6 +92,7 @@ from dualkit.topology import (
     FiniteTopology,
     bits_of,
     discrete_topology,
+    indiscrete_topology,
     mask_of,
     topology_from_subbasis,
 )
@@ -444,8 +449,31 @@ def verdict(fn, space, m):
     a valid constrained space."""
     try:
         return fn(space, m)
-    except AssertionError as exc:
-        return ("AssertionError", str(exc))
+    except (AssertionError, InvalidInput) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def meets_the_lemma(space) -> bool:
+    """The convexity lemma's hypotheses: a closed, subdirect family."""
+    try:
+        return two_loop_validate_constrained(space).subdirect
+    except InvalidInput:
+        return False
+
+
+def same_verdicts(space, m):
+    """The verdict of the oracle; where it raised the lemma violation, the
+    family fails a hypothesis of the lemma and InvalidInput names it."""
+    expected = verdict(old_local_to_global_verify, space, m)
+    got = verdict(local_to_global_verify, space, m)
+    if isinstance(expected, tuple):
+        assert expected[0] == "AssertionError"
+        assert not meets_the_lemma(space)
+        assert got[0] == "InvalidInput"
+        assert "subdirect" in got[1] or "not a subuniverse" in got[1]
+    else:
+        assert got == expected
+    return expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -453,8 +481,7 @@ def verdict(fn, space, m):
 def test_local_to_global_verify_matches(space):
     m = near_unanimity(space.dualizer, space.k + 1)
     assert m is not None
-    expected = verdict(old_local_to_global_verify, space, m)
-    assert verdict(local_to_global_verify, space, m) == expected
+    same_verdicts(space, m)
 
 
 def test_local_to_global_verify_matches_over_luk2_with_gapped_fibers():
@@ -469,15 +496,27 @@ def test_local_to_global_verify_matches_over_luk2_with_gapped_fibers():
             family[frozenset((x, y))] = {(a, b) for a in fibers[x] for b in fibers[y]
                                          if a <= b or x == 0}
         space = ConstrainedSpace(2, topology_from_subbasis(3, []), L2, family)
-        expected = verdict(old_local_to_global_verify, space, m)
-        assert verdict(local_to_global_verify, space, m) == expected
+        expected = same_verdicts(space, m)
         outcomes.add(expected[0] if isinstance(expected, tuple) else expected.lep)
     gap = ConstrainedSpace(2, topology_from_subbasis(2, []), L2,
                            {frozenset((0, 1)): {(0, 0), (0, 2), (1, 1)}})
-    expected = verdict(old_local_to_global_verify, gap, m)
-    assert expected[0] == "AssertionError"
-    assert verdict(local_to_global_verify, gap, m) == expected
+    assert same_verdicts(gap, m)[0] == "AssertionError"
     assert outcomes == {True, False}
+
+
+def test_local_to_global_verify_names_the_failed_hypothesis():
+    # over luk(2) the pair set {0, 1}^2 is a subuniverse, but its
+    # projections miss 1/2 in the full fibers: not subdirect
+    m = near_unanimity(L2, 3)
+    family = {frozenset((0, 1)): set(itertools.product((0, 2), repeat=2)),
+              frozenset((0,)): {(0,), (1,), (2,)}, frozenset((1,)): {(0,), (1,), (2,)}}
+    space = ConstrainedSpace(2, discrete_topology(2), L2, family)
+    with pytest.raises(InvalidInput, match="not subdirect: the convexity lemma"):
+        local_to_global_verify(space, m)
+    assert not validate_constrained(space).subdirect
+    unary = UnaryConstrainedSpace(discrete_topology(2), L2, [range(3)] * 2, range(2))
+    with pytest.raises(InvalidInput, match="needs a k-ary constrained space"):
+        local_to_global_verify(unary, m)
 
 
 def test_unary_spaces_on_two_points_exhaustively():
@@ -557,7 +596,8 @@ def test_scott_continuity_on_cons_of_random_lspaces(seed, k):
 #
 # ``ccomp`` as it was with its unary branch (and the two helpers that branched
 # with it), ``validate_constrained`` with its second, pairwise subdirectness
-# loop, ``is_constrained_map`` pulling constraints back one tuple at a time,
+# loop and ``_family_is_continuous`` as it was, in two passes,
+# ``is_constrained_map`` pulling constraints back one tuple at a time,
 # ``priestley_to_order`` reading the forbidden pair (1, 0), and
 # ``unary_to_binary`` building its family pair by pair.
 
@@ -674,7 +714,7 @@ def two_loop_validate_constrained(space: ConstrainedSpace) -> ConstrainedReport:
                 if p1 != p2:
                     subdirect = False
 
-    continuous = _family_is_continuous(space)
+    continuous = two_pass_family_is_continuous(space)
 
     separated = True
     for x in range(n):
@@ -683,6 +723,24 @@ def two_loop_validate_constrained(space: ConstrainedSpace) -> ConstrainedReport:
             if not any(a != b for a, b in pairs):
                 separated = False
     return ConstrainedReport(subdirect, continuous, separated, continuous)
+
+
+def two_pass_family_is_continuous(space: ConstrainedSpace) -> bool:
+    top, k, n = space.topology, space.k, space.n
+    for key, funs in space.constraints.items():
+        order = tuple(sorted(key))
+        for f in funs:
+            if not top.is_locally_constant(order, f):
+                return False
+    # Each X_a = { xbar : abar in A_xbar } must be open in the product
+    # topology: A_xbar lies in A_ybar for every ybar in N(x1) x ... x N(xk).
+    nbhd = [bits_of(top.min_nbhd(x)) for x in range(n)]
+    for xbar in itertools.product(range(n), repeat=k):
+        here = space.constraint_tuple(xbar)
+        for ybar in itertools.product(*(nbhd[x] for x in xbar)):
+            if not here <= space.constraint_tuple(ybar):
+                return False
+    return True
 
 
 def pull_back_is_constrained_map(values, X, Y, check_continuity: bool = True) -> bool:
@@ -772,6 +830,42 @@ def same_maps(X, Y, values):
 @given(space=st.one_of(kary_spaces(), unary_spaces().map(unary_to_binary)))
 def test_validation_and_order_reading_match_their_oracles(space):
     same_projections(space)
+
+
+@settings(max_examples=300, deadline=None)
+@given(space=st.one_of(kary_spaces(), closed_kary_spaces(),
+                       unary_spaces().map(unary_to_binary)))
+def test_continuity_steps_match_the_two_pass_test(space):
+    assert _family_is_continuous(space) == two_pass_family_is_continuous(space)
+
+
+def constants_family(top: FiniteTopology, k: int) -> ConstrainedSpace:
+    """The k-ary family over dl2 whose every A_I holds the two constants."""
+    return ConstrainedSpace(k, top, DL, {frozenset(I): {(0,) * k, (1,) * k}
+                                         for I in itertools.combinations(range(top.n), k)})
+
+
+def test_continuity_reads_each_tuple_and_each_step_once(monkeypatch):
+    # the continuity pass reads A_xbar for every xbar whose first point has a
+    # step, and A_ybar for each of its steps: n^(k-1) n (1 + (n - 1)) reads
+    # on an indiscrete space, within the n^k (1 + k (n - 1)) of stepping every
+    # coordinate, where the product of neighbourhoods took about n^2k;
+    # separation reads each pair once more
+    reads, read = [], ConstrainedSpace.constraint_tuple
+
+    def counting(space, xs):
+        reads.append(xs)
+        return read(space, xs)
+
+    monkeypatch.setattr(ConstrainedSpace, "constraint_tuple", counting)
+    n, k = 12, 3
+    report = validate_constrained(constants_family(indiscrete_topology(n), k))
+    assert report.continuous and report.subdirect
+    assert len(reads) - n * (n - 1) // 2 == n ** (k + 1) == 20_736
+    reads.clear()
+    report = validate_constrained(constants_family(discrete_topology(n), k))
+    assert report.continuous and report.subdirect
+    assert len(reads) == n * (n - 1) // 2
 
 
 @st.composite
