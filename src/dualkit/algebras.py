@@ -652,7 +652,8 @@ def subalgebra(A: FiniteAlgebra, universe) -> tuple[FiniteAlgebra, tuple[int, ..
 
 
 def _join_closure(bottom, atoms, join, budget: int, message: str) -> list:
-    """Every join of a subset of ``atoms``, ``bottom`` being the empty join.
+    """Every join of a subset of ``atoms``, ``bottom`` being the empty join;
+    ``join`` may be any semilattice operation, a meet included.
 
     The joins of the first i atoms are those of the first i-1 atoms plus
     each of them joined with atom i.  Found elements keep insertion order,
@@ -964,19 +965,6 @@ def generate_congruence(A: FiniteAlgebra, pairs) -> Congruence:
     return Congruence.from_blocks(_find(parent, x) for x in range(n))
 
 
-def all_congruences(A: FiniteAlgebra, budget: int = DEFAULT_BUDGET) -> list[Congruence]:
-    """Every congruence of A: the joins of its principal congruences."""
-    message = "congruence lattice exceeds budget"
-    principals: dict[Congruence, None] = {}
-    for pair in itertools.combinations(A.elements, 2):
-        principals.setdefault(generate_congruence(A, [pair]))
-        # the identity and the distinct principal congruences are distinct
-        if 1 + len(principals) > budget:
-            raise BudgetExceeded(message)
-    found = _join_closure(identity_congruence(A), principals, Congruence.join, budget, message)
-    return sorted(found, key=lambda t: (t.num_blocks, t.blocks), reverse=True)
-
-
 def in_prevariety(A: FiniteAlgebra, L: FiniteAlgebra) -> bool:
     """Whether A embeds in a power of L, i.e. Hom(A, L) separates elements.
 
@@ -997,12 +985,12 @@ def relative_congruences(A: FiniteAlgebra, L: FiniteAlgebra,
                          budget: int = DEFAULT_BUDGET) -> list[Congruence]:
     """Congruences whose quotient lies in the prevariety generated by L.
 
-    The result is closed under intersection, since A/(t1 meet t2) embeds in
-    A/t1 x A/t2.
+    A/theta embeds in a power of L exactly when theta is an intersection of
+    kernels of homomorphisms A -> L, the total congruence being the empty
+    one, so the result is the meet-closure of the kernels of Hom(A, L).
+    BudgetExceeded once more than ``budget`` are found.
     """
-    out = []
-    for theta in all_congruences(A, budget=budget):
-        Q, _ = quotient(A, theta)
-        if in_prevariety(Q, L):
-            out.append(theta)
-    return out
+    kernels = dict.fromkeys(Congruence.from_blocks(h.values) for h in enumerate_homs(A, L))
+    found = _join_closure(total_congruence(A), kernels, Congruence.meet, budget,
+                          "congruence lattice exceeds budget")
+    return sorted(found, key=lambda t: (t.num_blocks, t.blocks), reverse=True)

@@ -814,8 +814,6 @@ def has_global_extension(space, budget: int = DEFAULT_BUDGET):
         missing = allowed - covered
         if missing:
             return False, (I, power_tuple(size, len(I), min(missing))), functions
-        if not covered <= allowed:
-            return False, (I, None), functions
     return True, None, functions
 
 

@@ -27,7 +27,6 @@ from .algebras import (
     direct_power,
     enumerate_homs,
     generate_vectors,
-    in_prevariety,
     is_congruence,
     power_index,
     power_tuple,
@@ -502,27 +501,31 @@ def _is_distributive(thetas) -> bool:
 def _spectrum_report(A: FiniteAlgebra, L: FiniteAlgebra, thetas,
                      budget: int) -> CongruenceSpectrumReport:
     """``congruence_spectrum_antiisomorphism`` with the relative congruences
-    ``thetas`` already found."""
+    ``thetas`` already found.
+
+    The relative congruences are the meets of the kernels built here, so
+    Y |-> ker pi_Y is onto them by construction; ``bijective`` is its
+    injectivity."""
+    homs = sorted(enumerate_homs(A, L), key=lambda h: h.values)
     failures = []
     if L.size < 2:
         failures.append("dualizer is trivial")
     if not partial_endomorphisms(L, budget=budget).all_trivial:
         failures.append("dualizer has nontrivial partial endomorphisms")
-    if not in_prevariety(A, L):
+    if not _separates_points([h.values for h in homs], A.size):
         failures.append("algebra is not in the prevariety")
     if not _is_distributive(thetas):
         failures.append("relative congruence lattice is not distributive")
     if failures:
         return CongruenceSpectrumReport(False, tuple(failures), 0, len(thetas), False, False)
 
-    homs = sorted(enumerate_homs(A, L), key=lambda h: h.values)
     if 1 << len(homs) > budget:
         raise BudgetExceeded("congruence spectrum search over the 2^%d subsets of "
                              "Spec A exceeds budget %d" % (len(homs), budget))
     kernels = [total_congruence(A)]     # at a subset's mask, the meet of its homs' kernels
     for kernel_h in (Congruence.from_blocks(h.values) for h in homs):
         kernels += [theta.meet(kernel_h) for theta in kernels]
-    bijective = (len(set(kernels)) == len(kernels) and set(kernels) == set(thetas))
+    bijective = len(set(kernels)) == len(kernels)
     # refinement is transitive, so pairs Y, Y + {h} suffice for all Y <= Z
     order_reversing = all(
         kernels[small | 1 << i].leq(kernels[small])

@@ -25,7 +25,6 @@ from .algebras import (
     _rows,
     _tables_on,
     enumerate_homs,
-    in_prevariety,
 )
 from .topology import (
     FiniteTopology,
@@ -356,10 +355,11 @@ def check_duality_roundtrip_algebra(A: FiniteAlgebra, L: FiniteAlgebra,
     Spec A is full/separated/completely regular, and the triangle identity
     on Spec A holds pointwise."""
     report = RoundtripReport()
-    if not in_prevariety(A, L):
+    eta = canonical_embedding(A, L, gens=gens)
+    # A is in the prevariety exactly when Hom(A, L) separates A, i.e. eta_A is injective
+    if not eta.is_injective:
         report.record("algebra in prevariety", False, "Hom(A, L) does not separate")
         return report
-    eta = canonical_embedding(A, L, gens=gens)
     report.record("eta injective", eta.is_injective)
     report.record("eta isomorphism", eta.is_isomorphism)
     props = space_properties(eta.spectrum.space)

@@ -11,8 +11,8 @@ from dualkit.algebras import (
     FiniteAlgebra,
     InvalidInput,
     Signature,
-    all_congruences,
     direct_power,
+    direct_product,
     enumerate_homs,
     generate_congruence,
     generate_subalgebra,
@@ -67,7 +67,7 @@ def all_partitions(n):
 
 
 def brute_force_congruences(A):
-    """Compatible partitions by exhaustive filtering; oracle for all_congruences."""
+    """Con A: the compatible partitions, by exhaustive filtering."""
     out = []
     for blocks in all_partitions(A.size):
         compatible = True
@@ -353,7 +353,9 @@ def test_dl_is_simple():
 
 @pytest.mark.parametrize("A", [DL, BA, L2, direct_power(DL, 2)])
 def test_congruence_enumeration_matches_partition_filter(A):
-    assert set(all_congruences(A)) == brute_force_congruences(A)
+    # every quotient of these algebras lies in ISP(A), so all of A's
+    # congruences are relative to A itself
+    assert set(relative_congruences(A, A)) == brute_force_congruences(A)
 
 
 def test_generated_congruence_is_least():
@@ -422,6 +424,25 @@ def test_relative_congruences_contain_extremes(L, seeds):
     assert total_congruence(A) in rel
     if in_prevariety(A, L):
         assert identity_congruence(A) in rel
+
+
+# luk(n) embeds in luk(m) exactly when n divides m, and a product of simple
+# MV-chains maps to a simple chain only through a projection, so Hom(A, luk(m))
+# has one homomorphism per factor luk(n_i) with n_i | m, and their kernels
+# meet freely
+LUK_PRODUCTS = [(2,), (3,), (4,), (6,), (2, 2), (2, 3), (3, 4), (2, 6), (1, 2, 3), (2, 2, 2),
+                (2, 2, 3), (1, 1, 5)]
+
+
+@pytest.mark.parametrize("ns", LUK_PRODUCTS, ids=lambda ns: "x".join(map(str, ns)))
+def test_relative_congruences_of_luk_products_in_closed_form(ns):
+    A = direct_product([luk(n).algebra for n in ns])
+    for m in range(1, 13):
+        L = luk(m).algebra
+        d = sum(m % n == 0 for n in ns)
+        assert len(enumerate_homs(A, L)) == d, m
+        assert len(relative_congruences(A, L)) == 2 ** d, m
+        assert in_prevariety(A, L) == (d == len(ns)), m
 
 
 # --- homomorphism theorem spot check ---------------------------------------------------

@@ -338,9 +338,9 @@ def test_square_and_endomorphism_searches_stop_at_the_budget(capsys, argv, error
 
 
 def test_crp_check_stops_at_the_budget(capsys, tmp_path):
-    """The 4-element chain has 8 congruences, the partitions into intervals.
-    Seven are the identity and principal ones; the eighth, {a, b} {c, d}, is
-    a join of two principal ones, found past a budget of 7."""
+    """The 4-element chain has 8 congruences, the partitions into intervals,
+    and all are relative: the total one and the meets of the kernels of its
+    3 homomorphisms into dl2, the last found past a budget of 7."""
     from dualkit.algebras import algebra_from_vectors
     steps = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
     chain = algebra_from_vectors(dl2().algebra, 3, steps)[0]
@@ -352,9 +352,9 @@ def test_crp_check_stops_at_the_budget(capsys, tmp_path):
 
 
 def test_crp_check_on_the_square_stops_at_its_congruence_count(capsys, tmp_path):
-    """The dl2 square has 4 congruences, all of them the identity or principal;
-    ``all_congruences`` counts every congruence it finds, so budgets 1 to 3
-    stop it."""
+    """The dl2 square has 4 relative congruences, the total one and the meets
+    of the kernels of its 2 homomorphisms into dl2; ``relative_congruences``
+    counts every one it finds, so budgets 1 to 3 stop it."""
     from dualkit.algebras import direct_power
     path = tmp_path / "square.dk"
     path.write_text(serialize_algebra(AlgebraDocument("dlsq", direct_power(dl2().algebra, 2),

@@ -1,12 +1,13 @@
-"""The join-closure sweep against the three loops it replaced.
+"""The join-closure sweep against the loops it replaced.
 
 ``algebras._join_closure`` enumerates Sub A as the joins of the
-1-generated subuniverses, Con A as the joins of the principal congruences,
-and the open sets of a finite space as the unions of the minimal
-neighbourhoods.  The loops that ``subuniverses``, ``all_congruences`` and
+1-generated subuniverses, the relative congruences as the meets of the
+kernels of Hom(A, L), and the open sets of a finite space as the unions of
+the minimal neighbourhoods.  The loops that ``subuniverses`` and
 ``FiniteTopology.opens`` ran before stay here as oracles, verbatim up to
-names.  Results, their order, errors and budget boundaries are compared,
-and the work (closures and joins) is counted, not timed.
+names, and so does the one that listed Con A, which the other test modules
+read partitions from.  Results, their order, errors and budget boundaries
+are compared, and the work (closures and meets) is counted, not timed.
 """
 
 import itertools
@@ -24,15 +25,15 @@ from dualkit import algebras, topology
 from dualkit.algebras import (
     DEFAULT_BUDGET,
     BudgetExceeded,
-    Congruence,
     FiniteAlgebra,
     InvalidInput,
     Signature,
     algebra_from_vectors,
-    all_congruences,
     direct_power,
+    direct_product,
     generate_congruence,
     identity_congruence,
+    relative_congruences,
     subuniverses,
 )
 from dualkit.catalog import bool2, dl2, luk, posluk, reduct
@@ -113,13 +114,14 @@ def chain(n):
 
 
 def _algebras():
+    """name -> (algebra, the dualizer it is a power or a reduct of)."""
     out = {}
     for name, L in [("bool2", BA), ("dl2", DL)] + [
             ("%s(%d)" % (family.__name__, n), family(n).algebra)
             for family in (luk, posluk) for n in range(1, 5)]:
-        out[name + "^2"] = direct_power(L, 2)
+        out[name + "^2"] = (direct_power(L, 2), L)
     for name, L in TWO_ELEMENT.items():
-        out[name + "^3"] = direct_power(L, 3)
+        out[name + "^3"] = (direct_power(L, 3), L)
     # reducts without constants (the empty set is a subuniverse) and with them
     for name, L, names in (("dl2 lattice", DL, ("meet", "join")),
                            ("luk(2) oplus neg", luk(2).algebra, ("oplus", "neg")),
@@ -127,17 +129,27 @@ def _algebras():
                            ("luk(2) oplus zero", luk(2).algebra, ("oplus", "zero")),
                            ("posluk(2) odot one", posluk(2).algebra, ("odot", "one"))):
         R = reduct(L, names)
-        out[name] = R
-        out[name + "^2"] = direct_power(R, 2)
-    out["empty"] = FiniteAlgebra(Signature((("f", 2),)), 0, {"f": ()})
-    out["set(5)"] = _set_algebra(5)
+        out[name] = (R, R)
+        out[name + "^2"] = (direct_power(R, 2), R)
+    binary = Signature((("f", 2),))
+    out["empty"] = (FiniteAlgebra(binary, 0, {"f": ()}),
+                    FiniteAlgebra(binary, 2, {"f": (0, 0, 0, 1)}))
+    out["set(5)"] = (_set_algebra(5), _set_algebra(2))
     return out
 
 
-ALGEBRAS = _algebras()
-# chains and Boolean lattices, for the congruence lattices (2^k of them)
+ALGEBRAS_OVER = _algebras()
+ALGEBRAS = {name: A for name, (A, _) in ALGEBRAS_OVER.items()}
+# chains and Boolean lattices over dl2: every congruence is relative
 LATTICES = ([("chain(%d)" % n, chain(n)) for n in range(1, 13)]
             + [("2^%d" % k, direct_power(DL, k)) for k in range(4)])
+
+
+def old_relative_congruences(A, L):
+    """The oracle of ``tests/test_table_gather.py``, imported when first
+    called, since that module reads ``old_all_congruences`` from this one."""
+    from test_table_gather import old_relative_congruences
+    return old_relative_congruences(A, L)
 
 
 def _error(call, *args):
@@ -163,7 +175,7 @@ def _least_budget(call, hi=DEFAULT_BUDGET):
 
 def _same_for_less_work(monkeypatch, owner, name, new, old, A):
     """new(A) equals old(A), list and order, with no more calls of
-    ``owner.name`` (the closures or the joins); returns the list."""
+    ``owner.name``; returns the list."""
     calls = [0]
     function = getattr(owner, name)
 
@@ -189,15 +201,15 @@ def test_subuniverses_match_the_oracle(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
-def test_congruences_match_the_oracle(name, monkeypatch):
-    _same_for_less_work(monkeypatch, Congruence, "join",
-                        all_congruences, old_all_congruences, ALGEBRAS[name])
+def test_congruences_match_the_oracle(name):
+    A, L = ALGEBRAS_OVER[name]
+    assert relative_congruences(A, L) == old_relative_congruences(A, L)
 
 
 @pytest.mark.parametrize("name, A", LATTICES, ids=[name for name, _ in LATTICES])
-def test_congruences_of_chains_and_boolean_lattices_match_the_oracle(name, A, monkeypatch):
-    found = _same_for_less_work(monkeypatch, Congruence, "join",
-                                all_congruences, old_all_congruences, A)
+def test_congruences_of_chains_and_boolean_lattices_match_the_oracle(name, A):
+    found = relative_congruences(A, DL)
+    assert found == old_all_congruences(A)
     # every partition of a chain into intervals, and of 2^k the 2^k products
     assert len(found) == (2 ** (A.size - 1) if name.startswith("chain") else A.size)
 
@@ -228,7 +240,7 @@ def test_random_algebras_match_the_oracles(data):
     budget = data.draw(st.integers(0, 20))
     assert subuniverses(A) == old_subuniverses(A)
     assert _error(subuniverses, A, budget) == _error(old_subuniverses, A, budget)
-    assert all_congruences(A) == old_all_congruences(A)
+    assert relative_congruences(A, A) == old_relative_congruences(A, A)
 
 
 def _random_topologies(count, max_points, seed):
@@ -253,25 +265,28 @@ _WORK = """
 from dualkit import algebras
 from dualkit.algebras import Congruence, algebra_from_vectors, direct_power
 from dualkit.catalog import dl2, posluk
-count = {"closures": 0, "joins": 0}
-closure, join = algebras.generate_subalgebra, Congruence.join
+count = {"closures": 0, "meets": 0}
+closure, meet = algebras.generate_subalgebra, Congruence.meet
 def counted(key, function):
     def counting(*args):
         count[key] += 1
         return function(*args)
     return counting
 algebras.generate_subalgebra = counted("closures", closure)
-Congruence.join = counted("joins", join)
+Congruence.meet = counted("meets", meet)
 subs = algebras.subuniverses(direct_power(posluk(4).algebra, 2))
 steps = [(0,) * (10 - i) + (1,) * i for i in range(11)]
-cons = algebras.all_congruences(algebra_from_vectors(dl2().algebra, 10, steps)[0])
-print(len(subs), count["closures"], len(cons), count["joins"])
+L = dl2().algebra
+cons = algebras.relative_congruences(algebra_from_vectors(L, 10, steps)[0], L)
+print(len(subs), count["closures"], len(cons), count["meets"])
 """
 
 
 def test_work_is_the_same_under_two_hash_seeds():
-    """posluk(4)^2 took 865 closures and the 11-element chain 56,320 joins
-    (1,024 congruences times 55 principal ones) in the loops above."""
+    """posluk(4)^2 took 865 closures in the loop above.  The 11-element
+    chain has 10 homomorphisms into dl2 with distinct kernels, and each
+    kernel doubles the meets found: 1 + 2 + ... + 512 meets for its 1,024
+    congruences, which are all relative."""
     runs = []
     for seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
@@ -280,9 +295,9 @@ def test_work_is_the_same_under_two_hash_seeds():
                              capture_output=True, text=True).stdout
         runs.append(tuple(map(int, out.split())))
     assert runs[0] == runs[1]
-    subs, closures, cons, joins = runs[0]
+    subs, closures, cons, meets = runs[0]
     assert (subs, cons) == (52, 1024)
-    assert closures <= 865 and joins <= 56320
+    assert closures <= 865 and meets == 1023
 
 
 # --- budgets --------------------------------------------------------------------------
@@ -296,30 +311,38 @@ def test_subuniverse_budget_boundary_is_unchanged(name):
     assert least[0] == len(subuniverses(A))
 
 
-BUDGET_CASES = LATTICES[:8] + [("posluk(2)^2", ALGEBRAS["posluk(2)^2"]),
-                               ("set(4)", _set_algebra(4)), ("empty", ALGEBRAS["empty"])]
+BUDGET_CASES = [(name, A, DL) for name, A in LATTICES[:8]] + [
+    ("posluk(2)^2",) + ALGEBRAS_OVER["posluk(2)^2"], ("set(4)", _set_algebra(4), _set_algebra(2)),
+    ("empty",) + ALGEBRAS_OVER["empty"]]
 
 
-@pytest.mark.parametrize("name, A", BUDGET_CASES, ids=[name for name, _ in BUDGET_CASES])
-def test_congruence_budget_is_the_lattice_size(name, A):
-    """The loop before counted only congruences a join added, after all the
-    principal ones were stored; the sweep counts every congruence found."""
-    size = len(all_congruences(A))
-    assert _least_budget(lambda b: all_congruences(A, budget=b)) == (
+@pytest.mark.parametrize("name, A, L", BUDGET_CASES, ids=[name for name, _, _ in BUDGET_CASES])
+def test_congruence_budget_is_the_lattice_size(name, A, L):
+    """The budget counts the relative congruences found, the total one
+    included; the sweep over Con A before counted every congruence."""
+    size = len(relative_congruences(A, L))
+    assert _least_budget(lambda b: relative_congruences(A, L, budget=b)) == (
         size, (BudgetExceeded, "congruence lattice exceeds budget"))
 
 
-def test_congruence_budget_stops_the_principal_congruences(monkeypatch):
-    """The identity and the distinct principal congruences are distinct, so
-    the budget is passed once there are more of them than it allows.  luk(40)
-    is simple: its first principal congruence, the total one, is the second
-    congruence, so budget 1 stops after one of the 820 pairs."""
-    A = luk(40).algebra
-    calls = []
-    monkeypatch.setattr(algebras, "generate_congruence",
-                        lambda *args: calls.append(args) or generate_congruence(*args))
-    assert _error(all_congruences, A, 1) == (BudgetExceeded, "congruence lattice exceeds budget")
-    assert len(calls) == 1
+def _luk_product(*ns):
+    return direct_product([luk(n).algebra for n in ns])
+
+
+@pytest.mark.parametrize("A, L, before, after", [
+    (_luk_product(2, 2, 3), luk(5).algebra, 8, 1),
+    (_luk_product(2, 3), luk(2).algebra, 4, 2),
+    (luk(3).algebra, luk(2).algebra, 2, 1),
+    (direct_power(DL, 2), DL, 4, 4),
+    (chain(4), DL, 8, 8),
+], ids=["luk(2)xluk(2)xluk(3) over luk(5)", "luk(2)xluk(3) over luk(2)",
+        "luk(3) over luk(2)", "dl2^2 over dl2", "chain(4) over dl2"])
+def test_congruence_budget_counts_relative_congruences_only(A, L, before, after):
+    """The least budget was |Con A|, counted here by the oracle, and is now
+    the number of relative congruences; the two agree where every
+    congruence is relative, as on the dl2 square and the 4-element chain."""
+    assert len(old_all_congruences(A)) == before
+    assert _least_budget(lambda b: relative_congruences(A, L, budget=b))[0] == after
 
 
 def test_open_set_budget_boundary_is_unchanged(monkeypatch):

@@ -27,7 +27,6 @@ from dualkit.algebras import (
     FiniteAlgebra,
     Signature,
     algebra_from_vectors,
-    all_congruences,
     direct_power,
     enumerate_homs,
     generate_vectors,
@@ -48,6 +47,8 @@ from dualkit.properties import (
 from dualkit.spaces import spectrum
 from dualkit.topology import mask_of, topology_from_subbasis
 from dualkit.terms import TermFunction, pad_nu_function, search_nu_function
+from test_join_closure import old_all_congruences
+from test_table_gather import old_relative_congruences
 
 DL = dl2().algebra
 BA = bool2().algebra
@@ -263,7 +264,8 @@ def old_is_distributive(thetas):
 
 def old_spectrum(A, L):
     """congruence_spectrum_antiisomorphism as it was, with the order checked
-    on all 4^|homs| pairs of subsets."""
+    on all 4^|homs| pairs of subsets, and the kernels compared with the
+    relative congruences found over Con A."""
     failures = []
     if L.size < 2:
         failures.append("dualizer is trivial")
@@ -271,7 +273,7 @@ def old_spectrum(A, L):
         failures.append("dualizer has nontrivial partial endomorphisms")
     if not in_prevariety(A, L):
         failures.append("algebra is not in the prevariety")
-    thetas = relative_congruences(A, L)
+    thetas = old_relative_congruences(A, L)
     if not old_is_distributive(thetas):
         failures.append("relative congruence lattice is not distributive")
     if failures:
@@ -307,6 +309,8 @@ def test_spectrum_matches_the_triple_loop_on_the_benchmark_algebras(seed):
             L = resolve_algebra(dualizer).algebra
             assert congruence_spectrum_antiisomorphism(doc.algebra, L) == old_spectrum(
                 doc.algebra, L)
+            assert relative_congruences(doc.algebra, L) == old_relative_congruences(
+                doc.algebra, L)
             checked += 1
     assert checked == 20
 
@@ -335,7 +339,7 @@ def test_distributivity_matches_the_triple_loop_off_the_relative_congruences():
     rng = random.Random("distributive")
     verdicts = set()
     for n in range(5):
-        partitions = all_congruences(_set_algebra(n))
+        partitions = old_all_congruences(_set_algebra(n))
         assert properties._is_distributive(partitions) == old_is_distributive(partitions)
         for _ in range(40):
             thetas = rng.sample(partitions, rng.randint(0, min(6, len(partitions))))
@@ -343,7 +347,7 @@ def test_distributivity_matches_the_triple_loop_off_the_relative_congruences():
             assert verdict == old_is_distributive(thetas)
             verdicts.add(verdict)
     assert verdicts == {True, False}
-    assert not properties._is_distributive(all_congruences(_set_algebra(3)))
+    assert not properties._is_distributive(old_all_congruences(_set_algebra(3)))
 
 
 def test_each_join_of_relative_congruences_is_computed_once(monkeypatch):
@@ -392,10 +396,9 @@ def old_subset_kernels(A, homs):
 def _report_kernels(monkeypatch, A, L):
     """The kernels ``_spectrum_report`` compares, read off the meets it
     makes; the checks before them are passed, so that every algebra, of any
-    size, reaches them."""
+    size, reaches them.  The algebras given are in the prevariety."""
     monkeypatch.setattr(properties, "partial_endomorphisms",
                         lambda L, budget: SimpleNamespace(all_trivial=True))
-    monkeypatch.setattr(properties, "in_prevariety", lambda A, L: True)
     monkeypatch.setattr(properties, "_is_distributive", lambda thetas: True)
     meets = []
     meet = Congruence.meet

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dualkit import algebras
+from dualkit import algebras, spaces
 from dualkit.algebras import (
     FiniteAlgebra,
     InvalidInput,
@@ -14,6 +14,7 @@ from dualkit.algebras import (
     direct_power,
     enumerate_homs,
     generate_vectors,
+    in_prevariety,
     power_index,
     subalgebra,
 )
@@ -23,6 +24,7 @@ from dualkit.corpus import dualizer_suite, entry_label, sample_function_algebra,
 from dualkit.fileformat import parse_algebra, parse_document, parse_space, resolve_algebra
 from dualkit.spaces import (
     LMap,
+    RoundtripReport,
     _comp_triangle,
     _spectrum_triangle,
     canonical_embedding,
@@ -50,6 +52,8 @@ from dualkit.topology import (
     mask_of,
     topology_from_subbasis,
 )
+from test_property_kernels import _documents
+from test_table_gather import _n5
 
 DL = dl2().algebra
 BA = bool2().algebra
@@ -283,6 +287,74 @@ def test_roundtrip_luk2_subalgebras():
     A, _ = subalgebra(P, universe)
     report = check_duality_roundtrip_algebra(A, L2)
     assert report.ok, report.failures
+
+
+def old_roundtrip_algebra(A, L, gens=None):
+    """check_duality_roundtrip_algebra as it was, testing membership in the
+    prevariety with its own search of Hom(A, L) before the embedding's."""
+    report = RoundtripReport()
+    if not in_prevariety(A, L):
+        report.record("algebra in prevariety", False, "Hom(A, L) does not separate")
+        return report
+    eta = canonical_embedding(A, L, gens=gens)
+    report.record("eta injective", eta.is_injective)
+    report.record("eta isomorphism", eta.is_isomorphism)
+    props = space_properties(eta.spectrum.space)
+    report.record("spectrum separated", props.separated)
+    report.record("spectrum full", props.full)
+    report.record("spectrum completely regular", props.completely_regular)
+    ev = evaluation_map(eta.spectrum.space)
+    for i, values, transported in _spectrum_triangle(eta, ev):
+        report.record("triangle on spectrum point %d" % i, transported == values,
+                      (values, transported))
+    return report
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_roundtrip_reports_are_unchanged_for_one_hom_search_less(monkeypatch, seed):
+    """The benchmark's algebra documents at a seed, the one-element and the
+    empty algebra, and N5, which is outside the prevariety of dl2.  Inside it
+    the check searches Hom(A, L), Hom(Comp Spec A, L) for fullness and again
+    for the evaluation map; the prevariety test searched Hom(A, L) a second
+    time, except on at most one element."""
+    lattice = reduct(DL, ("meet", "join"))
+    cases = [(doc.algebra, resolve_algebra(dualizer).algebra)
+             for kind, doc, dualizer in _documents(seed) if kind == "algebra"]
+    cases += [(direct_power(DL, 0), DL),
+              (FiniteAlgebra(lattice.signature, 0, {"meet": (), "join": ()}), lattice),
+              (_n5(), DL)]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_homs(*args, **kwargs)
+
+    monkeypatch.setattr(algebras, "enumerate_homs", counting)
+    monkeypatch.setattr(spaces, "enumerate_homs", counting)
+    outside = 0
+    for A, L in cases:
+        calls.clear()
+        old = old_roundtrip_algebra(A, L)
+        old_calls = len(calls)
+        calls.clear()
+        report = check_duality_roundtrip_algebra(A, L)
+        assert report == old
+        if report.checked == ["algebra in prevariety"]:
+            outside += 1
+            assert (old_calls, len(calls)) == (1, 1)
+        else:
+            assert (old_calls, len(calls)) == (4 if A.size > 1 else 3, 3)
+    assert outside == 1 and not report.ok
+
+
+def test_generators_are_checked_outside_the_prevariety_too():
+    """The one change of the single hom search: generators that do not
+    generate were not read when A lay outside the prevariety."""
+    N5 = _n5()
+    assert old_roundtrip_algebra(N5, DL, gens=(0,)).failures == [
+        ("algebra in prevariety", "Hom(A, L) does not separate")]
+    with pytest.raises(InvalidInput, match="given generators do not generate"):
+        check_duality_roundtrip_algebra(N5, DL, gens=(0,))
 
 
 def _triangle_identities_hold(A, eta, ev) -> bool:

@@ -5,8 +5,9 @@ Quotient tables and congruence generation are read off the table stacks
 factor's table.  The oracles below are the versions they replaced, kept
 verbatim up to imports and names: the ``A.apply`` loops of
 ``_induced_tables``, ``generate_congruence`` and ``direct_product``, the
-pairwise loop of ``in_prevariety``, and ``relative_congruences`` with its
-runtime meet-closure assertion.
+pairwise loop of ``in_prevariety``, and ``relative_congruences`` as it
+was: every congruence of A, kept when its quotient lies in the prevariety,
+with its runtime meet-closure assertion.
 """
 
 import itertools
@@ -22,7 +23,6 @@ from dualkit.algebras import (
     InvalidInput,
     Signature,
     _find,
-    all_congruences,
     direct_power,
     direct_product,
     enumerate_homs,
@@ -35,7 +35,8 @@ from dualkit.algebras import (
     relative_congruences,
 )
 from dualkit.catalog import bool2, dl2, luk, posluk, reduct
-from dualkit.corpus import dualizer_suite, sample_function_algebra
+from dualkit.corpus import dualizer_suite, entry_label, sample_function_algebra
+from test_join_closure import old_all_congruences
 
 
 # --- oracles: the versions before the table gather ----------------------------------
@@ -146,7 +147,7 @@ def old_in_prevariety(A, L):
 
 def old_relative_congruences(A, L, budget=DEFAULT_BUDGET):
     out = []
-    for theta in all_congruences(A, budget=budget):
+    for theta in old_all_congruences(A, budget=budget):
         Q = old_quotient(A, theta)
         if old_in_prevariety(Q, L):
             out.append(theta)
@@ -193,6 +194,7 @@ def _n5():
                          {"meet": meet, "join": join, "zero": (0,), "one": (4,)})
 
 
+DL = dl2().algebra
 LATTICE = Signature((("meet", 2), ("join", 2)))
 EMPTY = FiniteAlgebra(LATTICE, 0, {"meet": (), "join": ()})
 LATTICE2 = reduct(dl2().algebra, ("meet", "join"))
@@ -308,18 +310,32 @@ def test_relative_congruences_match_the_asserting_version():
         assert relative_congruences(A, L) == old_relative_congruences(A, L)
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_relative_congruences_match_on_the_congruence_criterion(seed):
+    """Criterion 6's instances at a seed, drawn as it draws them, and its
+    anchor, the dl2 square."""
+    cases = [(direct_power(DL, 2), DL)]
+    for entry in (dl2(), luk(2)):
+        L = entry.algebra
+        rng = random.Random("%s|congruences|%s" % (seed, entry_label(entry)))
+        for _ in range(25):
+            cases.append((sample_function_algebra(L, rng, 3 if L.size == 2 else 2)[2], L))
+    for A, L in cases:
+        assert relative_congruences(A, L) == old_relative_congruences(A, L)
+
+
 def test_in_prevariety_matches_the_pairwise_loop():
     for L, A in _draws(8):
-        for theta in all_congruences(A):
+        for theta in old_all_congruences(A):
             Q, _ = quotient(A, theta)
             assert in_prevariety(Q, L) == old_in_prevariety(Q, L)
 
 
 def test_in_prevariety_with_one_unseparated_pair():
-    N5, DL = _n5(), dl2().algebra
+    N5 = _n5()
     assert {h.values[1] == h.values[2] for h in enumerate_homs(N5, DL)} == {True}
     assert not in_prevariety(N5, DL) and not old_in_prevariety(N5, DL)
-    for theta in all_congruences(N5):
+    for theta in old_all_congruences(N5):
         Q, _ = quotient(N5, theta)
         assert in_prevariety(Q, DL) == old_in_prevariety(Q, DL)
     assert relative_congruences(N5, DL) == old_relative_congruences(N5, DL)
