@@ -31,6 +31,7 @@ from dualkit.algebras import (
     total_congruence,
 )
 from dualkit.catalog import bool2, dl2, luk
+from dualkit.spaces import check_duality_roundtrip_algebra
 from dualkit.terms import App, Var, eval_term
 
 DL = dl2().algebra
@@ -443,6 +444,28 @@ def test_relative_congruences_of_luk_products_in_closed_form(ns):
         assert len(enumerate_homs(A, L)) == d, m
         assert len(relative_congruences(A, L)) == 2 ** d, m
         assert in_prevariety(A, L) == (d == len(ns)), m
+
+
+def test_subuniverses_of_luk_chains_in_closed_form():
+    # the subalgebras of luk(m) are the chains luk(d) for d | m, the multiples
+    # of m/d, in ascending d: 4, 6 and 8 of them at m = 6, 12 and 30
+    for m in list(range(1, 13)) + [30]:
+        chains = [frozenset(range(0, m + 1, m // d)) for d in range(1, m + 1) if m % d == 0]
+        assert subuniverses(luk(m).algebra) == chains, m
+
+
+def test_duality_roundtrips_of_luk_products_in_closed_form():
+    # A lies in ISP(luk(m)) exactly when every factor's n_i divides m, and
+    # there the round-trip of the duality holds
+    cases = 0
+    for ns in LUK_PRODUCTS:
+        A = direct_product([luk(n).algebra for n in ns])
+        for m in range(1, 13):
+            if all(m % n == 0 for n in ns):
+                report = check_duality_roundtrip_algebra(A, luk(m).algebra)
+                assert report.ok, (ns, m, report.failures)
+                cases += 1
+    assert cases == 38
 
 
 # --- homomorphism theorem spot check ---------------------------------------------------
