@@ -990,7 +990,15 @@ def relative_congruences(A: FiniteAlgebra, L: FiniteAlgebra,
     one, so the result is the meet-closure of the kernels of Hom(A, L).
     BudgetExceeded once more than ``budget`` are found.
     """
-    kernels = dict.fromkeys(Congruence.from_blocks(h.values) for h in enumerate_homs(A, L))
+    return _kernel_meets(A, enumerate_homs(A, L), budget)
+
+
+def _kernel_meets(A: FiniteAlgebra, homs, budget: int) -> list[Congruence]:
+    """``relative_congruences`` from the homomorphisms ``homs``, all of
+    Hom(A, L) in any order: the meets of their kernels, the total congruence
+    included, in ``relative_congruences``' order.  Whether more than
+    ``budget`` are found does not depend on the order of ``homs``."""
+    kernels = dict.fromkeys(Congruence.from_blocks(h.values) for h in homs)
     found = _join_closure(total_congruence(A), kernels, Congruence.meet, budget,
                           "congruence lattice exceeds budget")
     return sorted(found, key=lambda t: (t.num_blocks, t.blocks), reverse=True)

@@ -23,6 +23,7 @@ from .algebras import (
     Congruence,
     FiniteAlgebra,
     InvalidInput,
+    _kernel_meets,
     algebra_from_vectors,
     direct_power,
     enumerate_homs,
@@ -449,7 +450,8 @@ def congruence_spectrum_antiisomorphism(A: FiniteAlgebra, L: FiniteAlgebra,
     ``budget`` subsets of Spec A raise BudgetExceeded before any kernel is
     built.
     """
-    return _spectrum_report(A, L, relative_congruences(A, L, budget=budget), budget)
+    homs = sorted(enumerate_homs(A, L), key=lambda h: h.values)
+    return _spectrum_report(A, L, homs, _kernel_meets(A, homs, budget), budget)
 
 
 def _is_distributive(thetas) -> bool:
@@ -498,15 +500,15 @@ def _is_distributive(thetas) -> bool:
     return True
 
 
-def _spectrum_report(A: FiniteAlgebra, L: FiniteAlgebra, thetas,
+def _spectrum_report(A: FiniteAlgebra, L: FiniteAlgebra, homs, thetas,
                      budget: int) -> CongruenceSpectrumReport:
-    """``congruence_spectrum_antiisomorphism`` with the relative congruences
-    ``thetas`` already found.
+    """``congruence_spectrum_antiisomorphism`` with Hom(A, L) already found,
+    as ``homs`` sorted by their values, and the relative congruences
+    ``thetas`` too.
 
     The relative congruences are the meets of the kernels built here, so
     Y |-> ker pi_Y is onto them by construction; ``bijective`` is its
     injectivity."""
-    homs = sorted(enumerate_homs(A, L), key=lambda h: h.values)
     failures = []
     if L.size < 2:
         failures.append("dualizer is trivial")

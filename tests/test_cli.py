@@ -384,7 +384,7 @@ def test_congruences(capsys, tmp_path):
 
 
 # what congruences printed on the dl2 square before it found the relative
-# congruences once and read its budget
+# congruences once and read its budget, and before it searched Hom(A, L) once
 SQUARE_CONGRUENCES = {
     "text": 'relative_congruences: 4\npartitions: [[["00"], ["01"], ["10"], ["11"]], '
             '[["00", "10"], ["01", "11"]], [["00", "01"], ["10", "11"]], '
@@ -398,24 +398,30 @@ SQUARE_CONGRUENCES = {
 @pytest.mark.parametrize("fmt", sorted(SQUARE_CONGRUENCES))
 @pytest.mark.parametrize("budget", [[], ["--budget", "4"]])
 def test_congruences_prints_what_it_printed(capsys, tmp_path, fmt, budget, monkeypatch):
-    from dualkit.algebras import direct_power
-    calls = []
-    relative = cli.relative_congruences
+    from dualkit import algebras
+    calls, searched = [], []
+    meets, search = cli._kernel_meets, algebras.enumerate_homs
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs)
-        return relative(*args, **kwargs)
+    def counting(A, homs, budget):
+        calls.append(budget)
+        return meets(A, homs, budget)
 
-    # the spectrum check takes the command's relative congruences, and the
-    # search for them the command's budget
-    monkeypatch.setattr(cli, "relative_congruences", counting)
-    monkeypatch.setattr("dualkit.properties.relative_congruences", None)
+    def searching(A, B, gens=None):
+        searched.append((A.size, B.size))
+        return search(A, B, gens)
+
+    # the command searches Hom(A, L) once, for its relative congruences and
+    # its spectrum check alike, and meets the kernels at its budget
+    monkeypatch.setattr(cli, "_kernel_meets", counting)
+    for module in ("algebras", "cli", "properties", "spaces"):
+        monkeypatch.setattr("dualkit.%s.enumerate_homs" % module, searching)
     path = tmp_path / "square.dk"
-    path.write_text(serialize_algebra(AlgebraDocument("dlsq", direct_power(dl2().algebra, 2),
-                                                      ("00", "01", "10", "11"))))
+    path.write_text(serialize_algebra(AlgebraDocument("dlsq", algebras.direct_power(
+        dl2().algebra, 2), ("00", "01", "10", "11"))))
     assert run(capsys, "congruences", str(path), "--dualizer", "builtin:dl2",
                "--format", fmt, *budget) == (0, SQUARE_CONGRUENCES[fmt], "")
-    assert calls == [{"budget": int(budget[1]) if budget else 10**6}]
+    assert calls == [int(budget[1]) if budget else 10**6]
+    assert searched.count((4, 2)) == 1
 
 
 def test_congruences_exits_two_past_its_budget(capsys, tmp_path):

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from dualkit import constrained, properties, terms
+from dualkit import algebras, constrained, properties, terms
 from dualkit.algebras import (
     Congruence,
     FiniteAlgebra,
@@ -393,10 +393,11 @@ def old_subset_kernels(A, homs):
     return kernels
 
 
-def _report_kernels(monkeypatch, A, L):
+def _report_kernels(monkeypatch, A, L, homs):
     """The kernels ``_spectrum_report`` compares, read off the meets it
-    makes; the checks before them are passed, so that every algebra, of any
-    size, reaches them.  The algebras given are in the prevariety."""
+    makes from the sorted ``homs``; the checks before them are passed, so
+    that every algebra, of any size, reaches them.  The algebras given are
+    in the prevariety."""
     monkeypatch.setattr(properties, "partial_endomorphisms",
                         lambda L, budget: SimpleNamespace(all_trivial=True))
     monkeypatch.setattr(properties, "_is_distributive", lambda thetas: True)
@@ -408,7 +409,7 @@ def _report_kernels(monkeypatch, A, L):
         return meets[-1]
 
     monkeypatch.setattr(Congruence, "meet", recording)
-    properties._spectrum_report(A, L, [], properties.DEFAULT_BUDGET)
+    properties._spectrum_report(A, L, homs, [], properties.DEFAULT_BUDGET)
     monkeypatch.undo()
     return [total_congruence(A)] + meets
 
@@ -426,7 +427,7 @@ def test_subset_kernels_are_the_per_subset_profiles(monkeypatch, seed):
         assert len(cases) == 20
     for A, L in cases:
         homs = sorted(enumerate_homs(A, L), key=lambda h: h.values)
-        assert _report_kernels(monkeypatch, A, L) == old_subset_kernels(A, homs)
+        assert _report_kernels(monkeypatch, A, L, homs) == old_subset_kernels(A, homs)
 
 
 def test_spectrum_budget_counts_subsets_of_the_spectrum():
@@ -438,12 +439,28 @@ def test_spectrum_budget_counts_subsets_of_the_spectrum():
         congruence_spectrum_antiisomorphism(square, DL, budget=3)
 
 
+def test_spectrum_report_searches_hom_once(monkeypatch):
+    # the relative congruences and the spectrum are read off one Hom(A, L);
+    # the dualizer's partial endomorphisms search homs between its parts
+    searched, search = [], properties.enumerate_homs
+
+    def searching(A, B, gens=None):
+        searched.append((A.size, B.size))
+        return search(A, B, gens)
+
+    for module in (algebras, properties):
+        monkeypatch.setattr(module, "enumerate_homs", searching)
+    assert congruence_spectrum_antiisomorphism(direct_power(DL, 2), DL).ok
+    assert searched.count((4, 2)) == 1
+
+
 def test_spectrum_search_stops_past_its_own_budget():
     square = direct_power(DL, 2)
+    homs = sorted(enumerate_homs(square, DL), key=lambda h: h.values)
     thetas = relative_congruences(square, DL)
-    assert properties._spectrum_report(square, DL, thetas, 4).ok
+    assert properties._spectrum_report(square, DL, homs, thetas, 4).ok
     with pytest.raises(properties.BudgetExceeded) as raised:
-        properties._spectrum_report(square, DL, thetas, 3)
+        properties._spectrum_report(square, DL, homs, thetas, 3)
     assert str(raised.value) == ("congruence spectrum search over the 2^2 subsets of Spec A "
                                  "exceeds budget 3")
 
