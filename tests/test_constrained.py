@@ -89,6 +89,13 @@ def test_intermediate_constraint_keys_are_rejected():
     assert len(ccomp(ConstrainedSpace(3, discrete_topology(4), DL, family))) == 16
 
 
+def test_a_short_local_function_is_rejected_by_name():
+    # the store checks each function's length before it projects the
+    # function onto the points of a smaller key
+    with pytest.raises(InvalidInput, match=r"local function of wrong length for \(0, 1\)"):
+        ConstrainedSpace(2, discrete_topology(2), DL, {frozenset((0, 1)): {(0,)}})
+
+
 def test_non_antisymmetric_relation_is_not_separated():
     # x <= y and y <= x on distinct points: the pair constraint is a diagonal
     space = pair_space(DL, 2, {(0, 1): DIAG2})

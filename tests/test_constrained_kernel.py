@@ -1,51 +1,46 @@
-"""Differential tests of the extension-mask kernel of constrained spaces.
+"""Differential tests of the constrained-space store and searches.
 
 The oracles below are the functions the kernel replaced, kept verbatim up to
 imports and names: ``is_compatible_local`` with its subset/restrict_local
 loop, ``compatible_local_functions`` filtering all of L^|I|,
 ``has_local_extension`` testing one candidate value at a time, ``ccomp``
-with its ``admissible`` check, ``possible_extensions`` by membership,
-``local_to_global_verify`` on top of them, and
-``_family_is_scott_continuous``, once a runtime self-check of
-``validate_constrained``.  ``local_to_global_verify`` names the failed
-hypothesis (InvalidInput) where the oracle raised the lemma violation, and
-each such family is checked to fail closedness or subdirectness.  Spaces
-are drawn at random: k-ary (k = 2, 3) and unary, over discrete and subbasis
+with its ``admissible`` check, ``possible_extensions`` by membership and
+``local_to_global_verify`` on top of them.  ``local_to_global_verify``
+names the failed hypothesis (InvalidInput) where the oracle raised the lemma
+violation, and each such family is checked to fail closedness or
+subdirectness.  ``product_filter`` keeps every function in L^n whose
+preimages are open and whose restrictions are compatible.  Spaces are drawn
+at random: k-ary (k = 2, 3) and unary, over discrete and subbasis
 topologies, with families that need not be subdirect or continuous, empty
 constraints, and no points at all.
 
 A second set of oracles covers the code that one re-indexing helper and the
-binary presentation of unary spaces replaced: ``ccomp`` with its unary
-branch (its budget count included), ``validate_constrained`` with its
-pairwise subdirectness loop and its two-pass continuity test (local
-constancy, then the whole product of neighbourhoods), ``is_constrained_map``
-pulling constraints back one tuple at a time, ``priestley_to_order`` reading
-the forbidden pair (1, 0), and ``unary_to_binary`` building its family pair
-by pair; they run on the random spaces and on every reflexive relation over
+binary presentation of unary spaces replaced: ``validate_constrained`` with
+its pairwise subdirectness loop and its two-pass continuity test (local
+constancy, then the whole product of neighbourhoods), which also decides
+Scott continuity on closed families, ``is_constrained_map`` pulling
+constraints back one tuple at a time, ``priestley_to_order`` reading the
+forbidden pair (1, 0), and ``unary_to_binary`` building its family pair by
+pair; they run on the random spaces and on every reflexive relation over
 dl2 on up to four points.  The rows a unary search reads off the fibers are
 compared with those of ``unary_to_binary`` on every value of L, and both
-with the tuple-keyed tables that the unary-branch oracles build for
-themselves from ``constraint()``.
+with the masks read off its constraints.
 
-A third set covers the coded store and its one narrowing step: the
-``ConstrainedSpace`` that stored frozensets of tuples and tables keyed by
-(T, j), with ``_extensions``, ``ccomp``, ``has_local_extension``,
-``has_global_extension`` and ``compatible_local_functions`` on top of it.
-Both stores are built from the same random families (and must reject the
-same malformed ones with the same message), and every search must return
-the same results, witnesses and function lists and charge the same budget,
-on k-ary and unary spaces and on all 4,166 reflexive relations over dl2.
-``ccomp`` assigns points in ascending order where these oracles took them
-by fiber size, so its budget is compared with ``ascending_budget``, the
-same count made on tuples, and with the oracles' counts only on Priestley
-spaces over discrete topologies, where both orders try as many values.
+The coded store is compared with the family it was given
+(``projected_constraint``), and with it every search, on k-ary and unary
+spaces and on all 4,166 reflexive relations over dl2: ``ccomp`` against
+``product_filter``, ``has_global_extension`` against the first member of a
+stored A_I that no such function restricts to (``first_unextended``), and
+``has_local_extension`` and ``compatible_local_functions`` against the
+loops above, with the same results, witnesses and function lists.  Budgets
+are counted on tuples: ``ascending_budget`` for ``ccomp``, which assigns
+points in ascending order, and ``local_extension_budget`` for
+``has_local_extension``.
 """
 
-import functools
+
 import itertools
-import operator
 import tracemalloc
-from dataclasses import dataclass
 from functools import lru_cache
 
 import pytest
@@ -255,23 +250,6 @@ def old_local_to_global_verify(space, m, budget=DEFAULT_BUDGET):
         return LocalToGlobalVerdict(False, lep_wit, None, None)
     gep, gep_wit, _ = has_global_extension(space, budget=budget)
     return LocalToGlobalVerdict(True, None, gep, gep_wit)
-
-
-def old_family_is_scott_continuous(space) -> bool:
-    """The map xbar -> A_xbar is continuous into Sub(L^k) with the Scott topology."""
-    top, L, k, n = space.topology, space.dualizer, space.k, space.n
-    square = direct_power(L, k)
-    subs = [frozenset(power_tuple(L.size, k, u) for u in universe)
-            for universe in subuniverses(square)]
-    nbhd = [bits_of(top.min_nbhd(x)) for x in range(n)]
-    for C in subs:
-        for xbar in itertools.product(range(n), repeat=k):
-            if not C <= space.constraint_tuple(xbar):
-                continue
-            for ybar in itertools.product(*(nbhd[x] for x in xbar)):
-                if not C <= space.constraint_tuple(ybar):
-                    return False
-    return True
 
 
 # --- random spaces ---------------------------------------------------------------------
@@ -575,7 +553,7 @@ def closed_kary_spaces(draw):
 @settings(max_examples=150, deadline=None)
 @given(space=closed_kary_spaces())
 def test_scott_continuity_is_fiber_openness_on_closed_families(space):
-    scott = old_family_is_scott_continuous(space)
+    scott = two_pass_family_is_continuous(space)
     assert scott == _family_is_continuous(space)
     report = validate_constrained(space)
     assert report.scott_continuous == report.continuous == scott
@@ -587,24 +565,22 @@ def test_scott_continuity_on_cons_of_random_lspaces(seed, k):
     import random
     for L in (DL, L2):
         space = cons(sample_lspace(L, random.Random(seed)), k)
-        assert old_family_is_scott_continuous(space)
+        assert two_pass_family_is_continuous(space)
         assert validate_constrained(space).scott_continuous
 
 
 
-# --- oracles: the unary search branch and the per-call re-indexing ---------------------
+# --- oracles: the per-call re-indexing and the binary presentation ------------------
 #
-# ``ccomp`` as it was with its unary branch (and the two helpers that branched
-# with it), ``validate_constrained`` with its second, pairwise subdirectness
-# loop and ``_family_is_continuous`` as it was, in two passes,
-# ``is_constrained_map`` pulling constraints back one tuple at a time,
-# ``priestley_to_order`` reading the forbidden pair (1, 0), and
-# ``unary_to_binary`` building its family pair by pair.
+# ``validate_constrained`` with its second, pairwise subdirectness loop and
+# ``_family_is_continuous`` as it was, in two passes, ``is_constrained_map``
+# pulling constraints back one tuple at a time, ``priestley_to_order``
+# reading the forbidden pair (1, 0), and ``unary_to_binary`` building its
+# family pair by pair.
 
 def table_from_constraints(space, T, j) -> dict:
-    """The tuple-keyed table the unary branch read, built from
-    ``constraint()`` as ``ConstrainedSpace._build_table`` built it: values
-    of a function on the sorted tuple T -> mask of the values at j that
+    """The extension masks of T and j read off ``constraint()``: values of
+    a function on the sorted tuple T -> mask of the values at j that
     A_{T+{j}} allows with them."""
     S = tuple(sorted(T + (j,)))
     at = S.index(j)
@@ -613,80 +589,6 @@ def table_from_constraints(space, T, j) -> dict:
         key = f[:at] + f[at + 1:]
         table[key] = table.get(key, 0) | 1 << f[at]
     return table
-
-
-def unary_branch_fiber_mask(space, x: int) -> int:
-    if isinstance(space, UnaryConstrainedSpace):
-        return mask_of(space.fibers[x])
-    return table_from_constraints(space, (), x).get((), 0)
-
-
-def unary_branch_empty_compatible(space) -> bool:
-    """Whether the empty local function is compatible."""
-    if isinstance(space, UnaryConstrainedSpace):
-        return space.a_empty
-    return () in space.constraint(())
-
-
-def unary_branch_ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
-    """The continuous compatible global functions, by forward checking."""
-    top, n = space.topology, space.n
-    if not unary_branch_empty_compatible(space):
-        return []
-    if n == 0:
-        return [()]
-    unary = isinstance(space, UnaryConstrainedSpace)
-    start = [unary_branch_fiber_mask(space, x) for x in range(n)]
-    order = sorted(range(n), key=lambda x: (start[x].bit_count(), x))
-    components = top.components()
-    values: list[int | None] = [None] * n
-    out = []
-    tried = 0
-    tables = {}
-
-    def table_of(S, q):
-        if (S, q) not in tables:
-            tables[S, q] = table_from_constraints(space, S, q)
-        return tables[S, q]
-
-    def supports(idx, p):
-        """(S, values on S) for every sorted S holding p and at most k-2
-        points assigned before it."""
-        found = []
-        for size in range(min(space.k - 2, idx) + 1):
-            for rest in itertools.combinations(order[:idx], size):
-                S = tuple(sorted(rest + (p,)))
-                found.append((S, tuple(values[s] for s in S)))
-        return found
-
-    def extend(idx, domains):
-        nonlocal tried
-        if idx == n:
-            out.append(tuple(values))
-            return
-        p = order[idx]
-        for v in bits_of(domains[p]):
-            tried += 1
-            if tried > budget:
-                raise BudgetExceeded("ccomp search exceeds budget")
-            values[p] = v
-            held = () if unary else supports(idx, p)
-            narrowed = list(domains)
-            for q in order[idx + 1:]:
-                mask = narrowed[q]
-                if components[q] == components[p] or (unary and space.related(p, q)):
-                    mask &= 1 << v
-                for S, key in held:
-                    mask &= table_of(S, q).get(key, 0)
-                if not mask:
-                    break
-                narrowed[q] = mask
-            else:
-                extend(idx + 1, narrowed)
-        values[p] = None
-
-    extend(0, start)
-    return sorted(out)
 
 
 def two_loop_validate_constrained(space: ConstrainedSpace) -> ConstrainedReport:
@@ -928,27 +830,6 @@ def budget_outcome(fn, *args):
         return ("BudgetExceeded", str(exc))
 
 
-@settings(max_examples=200, deadline=None)
-@given(space=unary_spaces())
-def test_unary_search_counts_the_budget_of_the_unary_branch(space):
-    # the same functions as the old unary branch; the budget is the count of
-    # the ascending search over the binary presentation, on tuples
-    assert ccomp(space) == unary_branch_ccomp(space)
-    assert least_budget(lambda b: ccomp(space, budget=b)) == ascending_budget(space)
-    # has_local_extension charges each compatible local function on I and
-    # its n - |I| extension tests; with LEP(n) every one is charged
-    n = space.n
-    for n_arity in range(n + 1):
-        if not has_local_extension(space, n_arity)[0]:
-            continue
-        work = sum(len(old_compatible_local_functions(space, I)) * (1 + n - len(I))
-                   for I in subsets(n) if len(I) <= n_arity)
-        assert has_local_extension(space, n_arity, budget=work)[0]
-        if work:
-            with pytest.raises(BudgetExceeded):
-                has_local_extension(space, n_arity, budget=work - 1)
-
-
 def family_unary_to_binary(space: UnaryConstrainedSpace) -> ConstrainedSpace:
     """A_{x,y} := A_x x A_y off the equivalence, the diagonal of A_x on it."""
     n = space.n
@@ -1057,17 +938,15 @@ def test_unary_search_reads_the_binary_presentation(space):
                     == row_fields(_table(binary, (q,))[a], n, size) == expected)
 
 
-def test_unary_spaces_keep_the_unary_branch_budget_on_wide_fibers():
-    # four equivalent points whose fibers shrink along the order: the unary
-    # branch prunes by the equivalence, the binary presentation by the
-    # diagonals.  The unary branch took the points by fiber size and needed
-    # 4, 8 and 27 units; the ascending search tries the wide fibers first
+def test_unary_spaces_charge_the_ascending_budget_on_wide_fibers():
+    # four equivalent points whose fibers shrink along the order: the
+    # binary presentation prunes by the diagonals.  The ascending search
+    # tries the wide fibers first, 6, 15 and 45 units, where a search taking
+    # the points by fiber size needed 4, 8 and 27
     fibers = [{0, 1, 2}, {0, 2}, {0, 1, 2}, {2}]
-    cases = (([0, 0, 0, 0], 4, 6), ([0, 1, 0, 1], 8, 15), ([0, 1, 2, 3], 27, 45))
-    for equiv, branch_units, units in cases:
+    for equiv, units in (([0, 0, 0, 0], 6), ([0, 1, 0, 1], 15), ([0, 1, 2, 3], 45)):
         space = UnaryConstrainedSpace(discrete_topology(4), L2, fibers, equiv)
-        functions = unary_branch_ccomp(space)
-        assert least_budget(lambda b: unary_branch_ccomp(space, budget=b)) == branch_units
+        functions = product_filter(space)
         assert ascending_budget(space) == units
         for budget in range(0, 50):
             expected = functions if budget >= units else (
@@ -1075,366 +954,10 @@ def test_unary_spaces_keep_the_unary_branch_budget_on_wide_fibers():
             assert budget_outcome(ccomp, space, budget) == expected
 
 
-# --- oracles: the tuple-keyed store and the per-(g, j) extension masks -----------------
-#
-# ``ConstrainedSpace`` as it was, storing each A_I as a frozenset of tuples
-# and its tables keyed by (T, j) and tuples of values, with ``_extensions``
-# (one mask per local function g and point j), the searches built on it
-# (``ccomp``, ``has_local_extension``, ``has_global_extension``,
-# ``compatible_local_functions``) and the binary presentation of unary spaces
-# they read; kept verbatim up to names.
+# --- the store and the searches against their definitions ----------------------------
 
-def tuple_reindex(funs, I_sorted, xs) -> frozenset:
-    """The local functions funs on the sorted tuple I_sorted, read at the
-    points xs of I (in any order, repeats allowed)."""
-    position = {p: i for i, p in enumerate(I_sorted)}
-    at = [position[x] for x in xs]
-    return frozenset(tuple(f[i] for i in at) for f in funs)
-
-
-class TupleConstrainedSpace:
-    """A k-ary constrained space for k >= 2 (immutable after construction)."""
-
-    __slots__ = ("k", "topology", "dualizer", "constraints", "_derived", "_tables")
-
-    def __init__(self, k: int, topology: FiniteTopology, dualizer: FiniteAlgebra,
-                 constraints: dict):
-        if k < 2:
-            raise InvalidInput("k-ary constrained spaces require k >= 2; use the unary form")
-        n = topology.n
-        m = min(k, n)
-        required = {frozenset(c) for c in itertools.combinations(range(n), m)}
-        required |= {frozenset((x,)) for x in range(n)}
-        required.add(frozenset())
-        normalized = {}
-        given = {frozenset(key): frozenset(tuple(f) for f in funs)
-                 for key, funs in constraints.items()}
-        for key in given:
-            if not key <= set(range(n)):
-                raise InvalidInput("constraint key outside the point set")
-            if len(key) > k:
-                raise InvalidInput("constraint key larger than k")
-            if 1 < len(key) < m:
-                raise InvalidInput("constraint key %r has %d points; stored keys have %d "
-                                   "or at most one" % (sorted(key), len(key), m))
-        # larger keys first so smaller ones can be derived by projection
-        for key in sorted(required, key=lambda s: (-len(s), sorted(s))):
-            if key in given:
-                normalized[key] = given[key]
-            elif len(key) < m:
-                normalized[key] = tuple_derive_by_projection(normalized, key, n, m)
-            elif len(key) == 0 and dualizer.signature.constants:
-                normalized[key] = frozenset(((),))
-            else:
-                raise InvalidInput("missing constraint for %r" % sorted(key))
-        for key, funs in normalized.items():
-            order = tuple(sorted(key))
-            for f in funs:
-                if len(f) != len(order):
-                    raise InvalidInput("local function of wrong length for %r" % (order,))
-                if any(not 0 <= v < dualizer.size for v in f):
-                    raise InvalidInput("local function value outside the carrier")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "topology", topology)
-        object.__setattr__(self, "dualizer", dualizer)
-        object.__setattr__(self, "constraints", normalized)
-        object.__setattr__(self, "_derived", {})
-        # extension-mask tables keyed by (T, j), built on first use
-        object.__setattr__(self, "_tables", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConstrainedSpace is immutable")
-
-    @property
-    def n(self) -> int:
-        return self.topology.n
-
-    def constraint(self, points) -> frozenset:
-        """A_I for any I with |I| <= k, derived by projection if not stored."""
-        key = frozenset(points)
-        if len(key) > self.k:
-            raise InvalidInput("constraint arity exceeds k")
-        if key in self.constraints:
-            return self.constraints[key]
-        if key not in self._derived:
-            m = min(self.k, self.n)
-            self._derived[key] = tuple_derive_by_projection(
-                self.constraints, key, self.n, m)
-        return self._derived[key]
-
-    def constraint_tuple(self, xs) -> frozenset:
-        """A_{<x1..xl>} in the tuple presentation (repeats allowed)."""
-        xs = tuple(xs)
-        key_sorted = tuple(sorted(set(xs)))
-        return tuple_reindex(self.constraint(key_sorted), key_sorted, xs)
-
-    def _build_table(self, T, j) -> dict:
-        S = tuple(sorted(T + (j,)))
-        at = S.index(j)
-        table = {}
-        for f in self.constraint(S):
-            key = f[:at] + f[at + 1:]
-            table[key] = table.get(key, 0) | 1 << f[at]
-        return table
-
-
-def tuple_derive_by_projection(stored, key, n, m):
-    if len(key) >= m:
-        raise InvalidInput("cannot derive a constraint of size %d" % len(key))
-    rest = [p for p in range(n) if p not in key]
-    superset = frozenset(sorted(key) + rest[: m - len(key)])
-    base = stored.get(superset)
-    if base is None:
-        raise InvalidInput("missing constraint for %r" % sorted(superset))
-    return tuple_reindex(base, tuple(sorted(superset)), sorted(key))
-
-
-def tuple_table(space, T, j):
-    """Values of a function on the sorted tuple T -> mask of the values at j
-    that A_{T+{j}} allows with them (j outside T, |T| <= k-1)."""
-    table = space._tables.get((T, j))
-    if table is None:
-        table = space._tables[T, j] = space._build_table(T, j)
-    return table
-
-
-def tuple_fiber_mask(space, x: int) -> int:
-    return tuple_table(space, (), x).get((), 0)
-
-
-def tuple_empty_compatible(space) -> bool:
-    """Whether the empty local function is compatible."""
-    return () in space.constraint(())
-
-
-@dataclass(frozen=True, slots=True)
-class TuplePairTable:
-    """A pair table of ``TuplePresentation``: a value a in ``keys`` allows
-    ``values`` at the other point, or a alone when ``values`` is None."""
-    keys: int
-    values: int | None
-
-    def get(self, key, default):
-        (a,) = key
-        if not self.keys >> a & 1:
-            return default
-        return 1 << a if self.values is None else self.values
-
-
-class TuplePresentation:
-    """``unary_to_binary(space)`` as the search reads it: A_I and the tables
-    come from the fibers, and no pair constraint is built."""
-
-    k = 2
-
-    def __init__(self, space: UnaryConstrainedSpace):
-        self.unary, self.topology, self.n = space, space.topology, space.n
-        self._tables: dict = {}
-
-    def constraint(self, points) -> frozenset:
-        """A_I for at most two points, as ``unary_to_binary`` stores it."""
-        I, space = tuple(sorted(points)), self.unary
-        if not I:
-            return frozenset({()} if space.a_empty else ())
-        if len(I) == 2 and space.related(*I):
-            return frozenset((a, a) for a in space.fibers[I[0]])
-        return frozenset(itertools.product(*(sorted(space.fibers[x]) for x in I)))
-
-    def _build_table(self, T, j):
-        fibers = self.unary.fibers
-        if not T:
-            return {(): mask_of(fibers[j])}
-        (q,) = T
-        if self.unary.related(q, j):
-            return TuplePairTable(mask_of(fibers[min(q, j)]), None)
-        return TuplePairTable(mask_of(fibers[q]), mask_of(fibers[j]))
-
-
-def tuple_kary(space):
-    """The space a search runs on: a unary space's binary presentation."""
-    if isinstance(space, UnaryConstrainedSpace):
-        return TuplePresentation(space)
-    return space
-
-
-@functools.lru_cache(maxsize=4096)
-def tuple_subsets(I: tuple, most: int) -> tuple:
-    """(T, key) for every T <= I with |T| <= most, where key picks the
-    values on T out of a function on I as a tuple."""
-    out = []
-    for size in range(min(most, len(I)) + 1):
-        for positions in itertools.combinations(range(len(I)), size):
-            if size > 1:
-                key = operator.itemgetter(*positions)
-            else:       # a slice keeps the value a tuple
-                start = positions[0] if positions else 0
-                key = operator.itemgetter(slice(start, start + size))
-            out.append((tuple(I[i] for i in positions), key))
-    return tuple(out)
-
-
-def tuple_extensions(space, I: tuple, g: tuple, j: int) -> int:
-    """Bitmask over L of every b such that g, extended by j -> b, is
-    compatible on I + {j}; g must be compatible on the sorted tuple I."""
-    mask = -1
-    for T, key in tuple_subsets(I, space.k - 1):
-        mask &= tuple_table(space, T, j).get(key(g), 0)
-    nbhds = space.topology.nbhds
-    around = nbhds[j]
-    for q, v in zip(I, g):
-        if around >> q & 1 or nbhds[q] >> j & 1:
-            mask &= 1 << v
-    return mask
-
-
-def tuple_extend_all(space, I, funs, j) -> list[tuple[int, ...]]:
-    """Every compatible extension by j of the functions funs, compatible on
-    the sorted tuple I; with j above I, lexicographic order is kept."""
-    return [g + (b,) for g in funs for b in bits_of(tuple_extensions(space, I, g, j))]
-
-
-def tuple_local_functions(space, max_size: int):
-    """(I, compatible local functions on I) for every I of at most max_size
-    points, by size and then lexicographically; the functions on I are those
-    on I[:-1] extended by I[-1], so each list is in lexicographic order."""
-    if max_size < 0:
-        return
-    level = {(): [()] if tuple_empty_compatible(space) else []}
-    yield (), level[()]
-    for size in range(1, max_size + 1):
-        previous, level = level, {}
-        for I in itertools.combinations(range(space.n), size):
-            head, j = I[:-1], I[-1]
-            level[I] = funs = tuple_extend_all(space, head, previous[head], j)
-            yield I, funs
-
-
-def tuple_compatible_local_functions(space, points_sorted) -> list[tuple[int, ...]]:
-    """The compatible local functions on a sorted tuple of points, in
-    lexicographic order."""
-    space = tuple_kary(space)
-    I = tuple(points_sorted)
-    funs = [()] if tuple_empty_compatible(space) else []
-    for i, j in enumerate(I):
-        funs = tuple_extend_all(space, I[:i], funs, j)
-    return funs
-
-
-def tuple_ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
-    """The continuous compatible global functions, by forward checking.
-
-    Points are assigned in ascending fiber-size order.  Assigning p := v
-    narrows the value mask of every unassigned point q: by each constraint
-    on q, p and at most k-2 further assigned points (for a unary space, the
-    pair constraint of its binary presentation carries the equivalence), and
-    to v on p's topological component (which is exactly the continuity
-    requirement).  A point left without values ends the branch.  Every value
-    tried counts one unit of ``budget``; BudgetExceeded once the count
-    passes it.
-    """
-    space = tuple_kary(space)
-    top, n = space.topology, space.n
-    if not tuple_empty_compatible(space):
-        return []
-    if n == 0:
-        return [()]
-    start = [tuple_fiber_mask(space, x) for x in range(n)]
-    order = sorted(range(n), key=lambda x: (start[x].bit_count(), x))
-    components = top.components()
-    values: list[int | None] = [None] * n
-    out = []
-    tried = 0
-
-    @functools.cache
-    def supports(idx):
-        """Every sorted S holding order[idx] and at most k-2 points assigned
-        before it."""
-        return [tuple(sorted(rest + (order[idx],)))
-                for size in range(min(space.k - 2, idx) + 1)
-                for rest in itertools.combinations(order[:idx], size)]
-
-    def extend(idx, domains):
-        nonlocal tried
-        if idx == n:
-            out.append(tuple(values))
-            return
-        p = order[idx]
-        for v in bits_of(domains[p]):
-            tried += 1
-            if tried > budget:
-                raise BudgetExceeded("ccomp search exceeds budget")
-            values[p] = v
-            later = order[idx + 1:]
-            held = later and [(S, tuple(map(values.__getitem__, S))) for S in supports(idx)]
-            narrowed = list(domains)
-            for q in later:
-                mask = narrowed[q]
-                if components[q] == components[p]:
-                    mask &= 1 << v
-                for S, key in held:
-                    mask &= tuple_table(space, S, q).get(key, 0)
-                if not mask:
-                    break
-                narrowed[q] = mask
-            else:
-                extend(idx + 1, narrowed)
-        values[p] = None
-
-    extend(0, start)
-    return sorted(out)
-
-
-def tuple_has_global_extension(space, budget: int = DEFAULT_BUDGET):
-    """Whether every local constraint member extends to a global function.
-
-    Returns (flag, witness, functions); a witness is an unextendable pair
-    (points, local function), or a pair of points for the unary separation
-    clause.
-    """
-    functions = tuple_ccomp(space, budget=budget)
-    if isinstance(space, UnaryConstrainedSpace):
-        if space.a_empty and not functions:
-            return False, ((), ()), functions
-        for x in range(space.n):
-            for a in sorted(space.fibers[x]):
-                if not any(f[x] == a for f in functions):
-                    return False, ((x,), (a,)), functions
-        for x, y in itertools.product(range(space.n), repeat=2):
-            if not space.related(x, y) and all(f[x] == f[y] for f in functions):
-                return False, ((x, y), None), functions
-        return True, None, functions
-    for key in sorted(space.constraints, key=lambda s: (len(s), sorted(s))):
-        order = tuple(sorted(key))
-        covered = {tuple(f[p] for p in order) for f in functions}
-        for g in sorted(space.constraints[key]):
-            if g not in covered:
-                return False, (order, g), functions
-        if not covered <= space.constraints[key]:
-            return False, (order, None), functions
-    return True, None, functions
-
-
-def tuple_has_local_extension(space, n_arity: int, budget: int = DEFAULT_BUDGET):
-    """n-ary local extension property: every compatible local function on at
-    most n points extends by any one further point.  Returns (flag, witness)
-    with witness = (points, new point, local function).  The enumerated local
-    functions plus the extension tests may number at most ``budget``."""
-    space = tuple_kary(space)
-    n = space.n
-    work = 0
-    for I, funs in tuple_local_functions(space, min(n_arity, n)):
-        work += len(funs)
-        for g in funs:
-            work += n - len(I)          # the extension tests of g
-            if work > budget:
-                raise BudgetExceeded("local extension search exceeds budget")
-            for j in range(n):
-                if j not in I and not tuple_extensions(space, I, g, j):
-                    return False, (I, j, g)
-    return True, None
-
-def tuple_priestley_family(leq) -> dict:
-    """The tuple family ``priestley_from_order`` built for a relation."""
+def priestley_family(leq) -> dict:
+    """The family ``priestley_from_order`` builds for a relation, pair by pair."""
     n = len(leq)
     family: dict = {frozenset(): {()}}
     for x in range(n):
@@ -1449,7 +972,46 @@ def tuple_priestley_family(leq) -> dict:
     return family
 
 
-# --- the coded store and the narrowing step against the tuple-keyed store --------------
+def projected_constraint(k, n, family, J) -> frozenset:
+    """A_J read off the family a k-ary space on n points was given: the
+    given set, on no points the empty function, else the projection on J of
+    the set given on J and the first points outside it, m = min(k, n) in all."""
+    given = {tuple(sorted(key)): {tuple(f) for f in funs} for key, funs in family.items()}
+    m = min(k, n)
+    if J in given:
+        return frozenset(given[J])
+    if len(J) == m:                 # no points, and a constant in L
+        return frozenset({()})
+    rest = [p for p in range(n) if p not in J]
+    S = tuple(sorted(J + tuple(rest[:m - len(J)])))
+    return frozenset(tuple(f[S.index(p)] for p in J) for f in given[S])
+
+
+def first_unextended(space):
+    """``has_global_extension`` by its definition: the functions of
+    ``product_filter``, and the first member of a stored A_I, keys by size and
+    then lexicographically, that none of them restricts to.  A unary space
+    asks that the empty function, when compatible, extend, that every fiber
+    value be taken, and that every two unrelated points be told apart."""
+    functions, n = product_filter(space), space.n
+    if isinstance(space, UnaryConstrainedSpace):
+        if space.a_empty and not functions:
+            return False, ((), ()), functions
+        for x in range(n):
+            for a in sorted(space.fibers[x]):
+                if all(f[x] != a for f in functions):
+                    return False, ((x,), (a,)), functions
+        for x, y in itertools.product(range(n), repeat=2):
+            if not space.related(x, y) and all(f[x] == f[y] for f in functions):
+                return False, ((x, y), None), functions
+        return True, None, functions
+    for I in sorted((tuple(sorted(key)) for key in space.constraints), key=lambda I: (len(I), I)):
+        restrictions = {tuple(f[p] for p in I) for f in functions}
+        for g in sorted(space.constraint(I)):
+            if g not in restrictions:
+                return False, (I, g), functions
+    return True, None, functions
+
 
 def finishes(run, budget) -> bool:
     try:
@@ -1485,8 +1047,7 @@ def ascending_budget(space) -> int:
     q in N(p)).  The values tried at
     j are those that j keeps.  The search extends the empty function when
     it is compatible, and every live function it reaches.  A unary space is
-    read through the pair family of ``family_unary_to_binary``; ``space``
-    may be a coded or a tuple-keyed store."""
+    read through the pair family of ``family_unary_to_binary``."""
     if isinstance(space, UnaryConstrainedSpace):
         space = family_unary_to_binary(space)
     k, n, nbhds = space.k, space.n, space.topology.nbhds
@@ -1517,110 +1078,113 @@ def ascending_budget(space) -> int:
     return tried(())
 
 
-def same_budget(new, old):
-    """new charges exactly the budget units old charges."""
-    units = least_budget(old)
-    assert finishes(new, units)
-    if units > 0:
-        assert not finishes(new, units - 1)
-
-
-def same_store(new, old):
-    assert new.constraints == old.constraints
-    assert list(new.constraints) == list(old.constraints)
-    for size in range(new.k + 1):
-        for J in itertools.combinations(range(new.n), size):
-            assert _outcome(new.constraint, J) == _outcome(old.constraint, J)
-    for xs in itertools.product(range(new.n), repeat=min(new.k, 2)):
-        assert new.constraint_tuple(xs) == old.constraint_tuple(xs)
-
-
-def same_searches(new, old, budgets=True):
-    """The searches on the coded store (or a unary space) against the old
-    ones on the tuple-keyed store (or the same unary space): results,
-    witnesses, function lists and budget counts."""
-    n = new.n
-    assert ccomp(new) == tuple_ccomp(old)
-    assert has_global_extension(new) == tuple_has_global_extension(old)
-    for n_arity in range(0, n + 2):
-        assert has_local_extension(new, n_arity) == tuple_has_local_extension(old, n_arity)
+def local_extension_budget(space, n_arity) -> int:
+    """The budget ``has_local_extension`` charges, counted on the product
+    filter: each compatible local function on I, for I by size and then
+    lexicographically, and its n - |I| extension tests, up to the first
+    function that some point does not extend."""
+    n, work = space.n, 0
+    _, witness = old_has_local_extension(space, n_arity)
     for I in subsets(n):
-        assert compatible_local_functions(new, I) == tuple_compatible_local_functions(old, I)
-    if budgets:
-        assert least_budget(lambda b: ccomp(new, budget=b)) == ascending_budget(old)
-        for n_arity in range(n + 1):
-            same_budget(lambda b: has_local_extension(new, n_arity, budget=b),
-                        lambda b: tuple_has_local_extension(old, n_arity, budget=b))
+        if len(I) > n_arity:
+            break
+        funs = old_compatible_local_functions(space, I)
+        if witness and witness[0] == I:
+            return work + len(funs) + (funs.index(witness[2]) + 1) * (n - len(I))
+        work += len(funs) * (1 + n - len(I))
+    return work
+
+
+def same_store(space, family):
+    """The coded store holds what ``projected_constraint`` reads off the
+    family given: the stored keys, larger first, then lexicographically,
+    every A_J, and A_xbar at tuples with repeats."""
+    k, n = space.k, space.n
+    m = min(k, n)
+    stored = sorted((I for size in {0, min(m, 1), m} for I in itertools.combinations(range(n), size)),
+                    key=lambda I: (-len(I), I))
+    assert list(space.constraints) == [frozenset(I) for I in stored]
+    for J in subsets(n):
+        if len(J) <= k:
+            assert space.constraint(J) == projected_constraint(k, n, family, J)
+    for xs in itertools.product(range(n), repeat=min(k, 2)):
+        J = tuple(sorted(set(xs)))
+        assert space.constraint_tuple(xs) == {
+            tuple(f[J.index(x)] for x in xs) for f in projected_constraint(k, n, family, J)}
+
+
+def same_searches(space):
+    """The searches on the coded store (or a unary space) against their
+    oracles: results, witnesses, function lists and budget counts."""
+    n = space.n
+    assert ccomp(space) == product_filter(space)
+    assert has_global_extension(space) == first_unextended(space)
+    for n_arity in range(0, n + 2):
+        assert has_local_extension(space, n_arity) == old_has_local_extension(space, n_arity)
+    for I in subsets(n):
+        assert compatible_local_functions(space, I) == old_compatible_local_functions(space, I)
+    assert least_budget(lambda b: ccomp(space, budget=b)) == ascending_budget(space)
+    for n_arity in range(n + 1):
+        assert (least_budget(lambda b: has_local_extension(space, n_arity, budget=b))
+                == local_extension_budget(space, n_arity))
 
 
 @settings(max_examples=150, deadline=None)
 @given(family=kary_families())
-def test_the_coded_store_matches_the_tuple_store(family):
-    new, old = ConstrainedSpace(*family), TupleConstrainedSpace(*family)
-    same_store(new, old)
-    same_searches(new, old)
+def test_the_coded_store_matches_its_oracles(family):
+    space = ConstrainedSpace(*family)
+    same_store(space, family[3])
+    same_searches(space)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(space=unary_spaces())
-def test_unary_searches_match_the_tuple_store(space):
-    same_searches(space, space)
+def test_unary_searches_match_their_oracles(space):
+    # the functions and budget of the ascending search over the binary
+    # presentation; with LEP(n) every local function is charged
+    same_searches(space)
 
 
 def test_the_coded_store_rejects_what_the_tuple_store_rejected():
+    # each malformed family by the message the tuple-keyed store gave it
     top2, top3, top4 = (discrete_topology(n) for n in (2, 3, 4))
     pair = {frozenset((0, 1)): {(0, 1)}}
-    cases = [
-        (1, top2, DL, pair),
-        (2, top2, DL, {frozenset((0, 2)): {(0, 1)}}),
-        (2, top2, DL, {**pair, frozenset(("a",)): {(0,)}}),
-        (2, top3, DL, {frozenset((0, 1, 2)): {(0, 0, 0)}}),
-        (3, top4, DL, {frozenset((0, 1)): {(0, 0)}}),
-        (2, top3, DL, pair),
-        (2, top2, DL, {frozenset((0, 1)): {(0, 1, 1)}}),
-        (2, top2, DL, {frozenset((0, 1)): {(0, 2)}}),
-        (2, top2, DL, {frozenset((0, 1)): {(0, -1)}}),
+    rejected = [
+        ((1, top2, DL, pair), "k-ary constrained spaces require k >= 2; use the unary form"),
+        ((2, top2, DL, {frozenset((0, 2)): {(0, 1)}}), "constraint key outside the point set"),
+        ((2, top2, DL, {**pair, frozenset(("a",)): {(0,)}}), "constraint key outside the point set"),
+        ((2, top3, DL, {frozenset((0, 1, 2)): {(0, 0, 0)}}), "constraint key larger than k"),
+        ((3, top4, DL, {frozenset((0, 1)): {(0, 0)}}),
+         "constraint key [0, 1] has 2 points; stored keys have 3 or at most one"),
+        ((2, top3, DL, pair), "missing constraint for [0, 2]"),
+        ((2, top2, DL, {frozenset((0, 1)): {(0, 1, 1)}}), "local function of wrong length for (0, 1)"),
+        ((2, top2, DL, {frozenset((0, 1)): {(0, 2)}}), "local function value outside the carrier"),
+        ((2, top2, DL, {frozenset((0, 1)): {(0, -1)}}), "local function value outside the carrier"),
+        ((2, topology_from_subbasis(0, []), BARE_DL, {}), "missing constraint for []"),
+    ]
+    for case, message in rejected:
+        assert _outcome(ConstrainedSpace, *case) == ("InvalidInput", message)
+    accepted = [
         (2, top2, DL, {frozenset((0,)): {(0,)}, frozenset((0, 1)): [(0, 1), (1, 1)]}),
-        (2, topology_from_subbasis(0, []), BARE_DL, {}),
         (2, topology_from_subbasis(0, []), DL, {}),
         (2, top2, BARE_DL, {**pair, frozenset(): set()}),
     ]
-    outcomes = set()
-    for case in cases:
-        new = _outcome(ConstrainedSpace, *case)
-        old = _outcome(TupleConstrainedSpace, *case)
-        if isinstance(old, tuple):
-            assert new == old
-            outcomes.add(old[1])
-        else:
-            same_store(new, old)
-    assert len(outcomes) == 8
+    for case in accepted:
+        same_store(ConstrainedSpace(*case), case[3])
 
 
-def test_a_short_local_function_is_rejected_by_name():
-    # the tuple store indexed past the end of (0,) while projecting it onto
-    # the second point; the coded store checks lengths before projecting
-    case = (2, discrete_topology(2), DL, {frozenset((0, 1)): {(0,)}})
-    with pytest.raises(IndexError):
-        TupleConstrainedSpace(*case)
-    assert _outcome(ConstrainedSpace, *case) == (
-        "InvalidInput", "local function of wrong length for (0, 1)")
-
-
-def test_searches_match_the_tuple_store_on_every_reflexive_relation_over_dl2():
+def test_searches_match_their_oracles_on_every_reflexive_relation_over_dl2():
     # results, witnesses and function lists on all 4,166 relations; the
     # budget counts, by bisection, on every seventh
     for count, leq in enumerate(reflexive_relations()):
-        top = discrete_topology(len(leq))
-        new = priestley_from_order(top, leq, DL)
-        old = TupleConstrainedSpace(2, top, DL, tuple_priestley_family(leq))
-        assert new.constraints == old.constraints
-        assert has_local_extension(new, 2) == tuple_has_local_extension(old, 2)
-        assert has_global_extension(new) == tuple_has_global_extension(old)
+        space = priestley_from_order(discrete_topology(len(leq)), leq, DL)
+        assert space.constraints == priestley_family(leq)
+        assert has_local_extension(space, 2) == old_has_local_extension(space, 2)
+        assert has_global_extension(space) == first_unextended(space)
         if count % 7 == 0:
-            same_budget(lambda b: ccomp(new, budget=b), lambda b: tuple_ccomp(old, budget=b))
-            same_budget(lambda b: has_local_extension(new, 2, budget=b),
-                        lambda b: tuple_has_local_extension(old, 2, budget=b))
+            assert least_budget(lambda b: ccomp(space, budget=b)) == ascending_budget(space)
+            assert (least_budget(lambda b: has_local_extension(space, 2, budget=b))
+                    == local_extension_budget(space, 2))
     assert count + 1 == 4166
 
 
@@ -1643,8 +1207,12 @@ def test_the_store_stays_sparse_over_a_thousand_elements():
     finally:
         tracemalloc.stop()
     assert functions == sorted(globals_)
-    old = TupleConstrainedSpace(3, discrete_topology(n), big, family)
-    assert lep == tuple_has_local_extension(old, n)
+    # (1, 2, 3) on {2, 4, 5} projects onto no pair the globals take there, so
+    # the compatible local functions are the globals' restrictions, and
+    # each extends by every point
+    assert compatible_local_functions(space, (2, 4, 5)) == sorted(
+        (f[2], f[4], f[5]) for f in globals_)
+    assert lep == (True, None)
     assert peak < 2 * 2**20
 
 

@@ -8,8 +8,8 @@ up to names: ``generate_subalgebra`` on the vector kernel ``_close``, the
 greedy ``minimal_generating_set`` that closed again after every generator,
 ``subuniverses`` on those, and ``_HomPlan`` with its provenance closure and
 the per-element ``B.apply`` replay of ``enumerate_homs``.  Both read the
-argument-column view ``_op_columns`` that ``FiniteAlgebra`` no longer
-caches, so a copy of it lives here too.
+argument-column view ``_op_columns`` of ``tests/test_closure.py``, which
+``FiniteAlgebra`` no longer caches.
 """
 
 import itertools
@@ -36,27 +36,10 @@ from dualkit.algebras import (
 )
 from dualkit.catalog import bool2, dl2, luk, posluk, reduct
 from dualkit.corpus import dualizer_suite, entry_label, sample_function_algebra
+from test_closure import _error, _op_columns
 
 
 # --- oracles: the versions before the staged closure ----------------------------
-
-def _op_columns(A):
-    """Per operation: argument index columns and the flat result array.
-
-    The flat table is already in lexicographic argument order, so the result
-    array is the table itself; the argument columns are its mixed-radix
-    decode.  Built on every call; the algebra holds no cache for it.
-    """
-    n = A.size
-    out = {}
-    for name, arity in A.signature.ops:
-        if arity == 0:
-            continue
-        idx = np.arange(n**arity)
-        cols = [(idx // n ** (arity - 1 - i)) % n for i in range(arity)]
-        out[name] = (cols, np.array(A.tables[name], dtype=np.int64))
-    return out
-
 
 def old_generate_subalgebra(A: FiniteAlgebra, seed) -> frozenset:
     """Least subuniverse of A containing ``seed`` and all constants."""
@@ -241,14 +224,6 @@ def old_enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra, gens=None) -> list[El
 
 
 # --- helpers -------------------------------------------------------------------------
-
-def _error(call, *args):
-    try:
-        call(*args)
-    except (InvalidInput, BudgetExceeded) as exc:
-        return type(exc), str(exc)
-    return None
-
 
 def _homs(A, B, gens=None):
     """enumerate_homs and its oracle as value lists, in order, or their errors."""

@@ -3,11 +3,12 @@
 ``algebras._join_closure`` enumerates Sub A as the joins of the
 1-generated subuniverses, the relative congruences as the meets of the
 kernels of Hom(A, L), and the open sets of a finite space as the unions of
-the minimal neighbourhoods.  The loops that ``subuniverses`` and
-``FiniteTopology.opens`` ran before stay here as oracles, verbatim up to
-names, and so does the one that listed Con A, which the other test modules
-read partitions from.  Results, their order, errors and budget boundaries
-are compared, and the work (closures and meets) is counted, not timed.
+the minimal neighbourhoods.  The loop that ``FiniteTopology.opens`` ran
+before stays here as an oracle, verbatim up to names; ``subuniverses`` is
+compared with the upward sweep of ``tests/test_hom_plan.py``, and the
+relative congruences with the Con A sweep of ``tests/test_table_gather.py``.  Results, their order, errors and
+budget boundaries are compared, and the work (closures and meets) is
+counted, not timed.
 """
 
 import itertools
@@ -26,63 +27,23 @@ from dualkit.algebras import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     FiniteAlgebra,
-    InvalidInput,
     Signature,
     algebra_from_vectors,
     direct_power,
     direct_product,
-    generate_congruence,
-    identity_congruence,
     relative_congruences,
     subuniverses,
 )
 from dualkit.catalog import bool2, dl2, luk, posluk, reduct
 from dualkit.topology import FiniteTopology, discrete_topology, topology_from_subbasis
+from test_closure import _error
+from test_hom_plan import old_subuniverses
+from test_table_gather import old_all_congruences, old_relative_congruences
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 # --- oracles: the loops before the sweep ------------------------------------------
-
-def old_subuniverses(A, budget=DEFAULT_BUDGET):
-    if A.size > 64:
-        raise BudgetExceeded("subuniverse enumeration capped at carrier 64")
-    base = algebras.generate_subalgebra(A, ())
-    found = {base}
-    queue = [base]
-    while queue:
-        u = queue.pop()
-        for x in A.elements:
-            if x in u:
-                continue
-            bigger = algebras.generate_subalgebra(A, tuple(u) + (x,))
-            if bigger not in found:
-                found.add(bigger)
-                queue.append(bigger)
-        if len(found) > budget:
-            raise BudgetExceeded("more than %d subuniverses" % budget)
-    return sorted(found, key=lambda u: (len(u), sorted(u)))
-
-
-def old_all_congruences(A, budget=DEFAULT_BUDGET):
-    delta = identity_congruence(A)
-    principals = set()
-    for a in A.elements:
-        for b in range(a + 1, A.size):
-            principals.add(generate_congruence(A, [(a, b)]))
-    found = {delta} | principals
-    queue = list(found)
-    while queue:
-        theta = queue.pop()
-        for p in principals:
-            j = theta.join(p)
-            if j not in found:
-                found.add(j)
-                queue.append(j)
-                if len(found) > budget:
-                    raise BudgetExceeded("congruence lattice exceeds budget")
-    return sorted(found, key=lambda t: (t.num_blocks, t.blocks), reverse=True)
-
 
 def old_opens(top):
     opens = {0}
@@ -145,21 +106,6 @@ LATTICES = ([("chain(%d)" % n, chain(n)) for n in range(1, 13)]
             + [("2^%d" % k, direct_power(DL, k)) for k in range(4)])
 
 
-def old_relative_congruences(A, L):
-    """The oracle of ``tests/test_table_gather.py``, imported when first
-    called, since that module reads ``old_all_congruences`` from this one."""
-    from test_table_gather import old_relative_congruences
-    return old_relative_congruences(A, L)
-
-
-def _error(call, *args):
-    try:
-        call(*args)
-    except (InvalidInput, BudgetExceeded) as exc:
-        return type(exc), str(exc)
-    return None
-
-
 def _least_budget(call, hi=DEFAULT_BUDGET):
     """The least budget at which ``call(budget)`` does not raise, found by
     bisection, and the error one below it."""
@@ -173,9 +119,8 @@ def _least_budget(call, hi=DEFAULT_BUDGET):
     return lo, (_error(call, lo - 1) if lo else None)
 
 
-def _same_for_less_work(monkeypatch, owner, name, new, old, A):
-    """new(A) equals old(A), list and order, with no more calls of
-    ``owner.name``; returns the list."""
+def _counted(monkeypatch, owner, name, call, A):
+    """call(A), and how many times it called ``owner.name``."""
     calls = [0]
     function = getattr(owner, name)
 
@@ -184,20 +129,22 @@ def _same_for_less_work(monkeypatch, owner, name, new, old, A):
         return function(*args)
 
     monkeypatch.setattr(owner, name, counting)
-    found = new(A)
-    work = calls[0]
-    assert found == old(A)
-    assert work <= calls[0] - work
+    found = call(A)
     monkeypatch.undo()
-    return found
+    return found, calls[0]
 
 
 # --- the same lists, in the same order, for less work -----------------------------
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_subuniverses_match_the_oracle(name, monkeypatch):
-    _same_for_less_work(monkeypatch, algebras, "generate_subalgebra",
-                        subuniverses, old_subuniverses, ALGEBRAS[name])
+    # the same list, in the same order, for no more closures
+    A = ALGEBRAS[name]
+    found, work = _counted(monkeypatch, algebras, "generate_subalgebra", subuniverses, A)
+    expected, old_work = _counted(monkeypatch, sys.modules[old_subuniverses.__module__],
+                                  "old_generate_subalgebra", old_subuniverses, A)
+    assert found == expected
+    assert work <= old_work
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))

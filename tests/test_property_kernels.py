@@ -47,8 +47,8 @@ from dualkit.properties import (
 from dualkit.spaces import spectrum
 from dualkit.topology import mask_of, topology_from_subbasis
 from dualkit.terms import TermFunction, pad_nu_function, search_nu_function
-from test_join_closure import old_all_congruences
-from test_table_gather import old_relative_congruences
+from test_join_closure import chain
+from test_table_gather import old_all_congruences, old_relative_congruences
 
 DL = dl2().algebra
 BA = bool2().algebra
@@ -92,12 +92,6 @@ def _documents(seed):
             elif kind == "lspace" or kind.startswith("constrained"):
                 out.append((kind, parse_space(text), None))
         return tuple(out)
-
-
-def chain(n):
-    """The n-element bounded chain, as the step vectors of dl2^(n-1)."""
-    vectors = [(0,) * (n - 1 - i) + (1,) * i for i in range(n)]
-    return algebra_from_vectors(DL, n - 1, vectors)[0]
 
 
 # chains and Boolean lattices of up to 7 elements, with their dualizer

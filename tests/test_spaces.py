@@ -1,8 +1,6 @@
 import dataclasses
-import importlib.util
 import itertools
 import random
-from pathlib import Path
 
 import pytest
 
@@ -52,7 +50,7 @@ from dualkit.topology import (
     mask_of,
     topology_from_subbasis,
 )
-from test_property_kernels import _documents
+from test_property_kernels import _docgen, _documents
 from test_table_gather import _n5
 
 DL = dl2().algebra
@@ -490,14 +488,6 @@ def test_spectrum_of_the_empty_algebra():
     assert X.n == 1 and X.functions == frozenset()
     assert X.comp_algebra() == (empty, ())
     _assert_comp_is_tabulated(X)
-
-
-def _docgen():
-    path = Path(__file__).resolve().parents[1] / "bench" / "docgen.py"
-    spec = importlib.util.spec_from_file_location("docgen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("seed", [0, 7])

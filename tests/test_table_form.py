@@ -29,7 +29,8 @@ from dualkit.algebras import (
 )
 from dualkit.catalog import BOOL_SIGNATURE, DL_SIGNATURE, MV_SIGNATURE, POSMV_SIGNATURE
 from dualkit.corpus import dualizer_suite, sample_function_algebra
-from test_table_gather import ALGEBRAS, _partitions, old_induced_tables
+from test_one_implementation import _partitions
+from test_table_gather import ALGEBRAS, old_induced_tables
 
 
 # --- oracles: the tuple-storing class and its stacks ------------------------------------

@@ -4,10 +4,12 @@ Quotient tables and congruence generation are read off the table stacks
 ``_stacks``, and product tables are built by broadcasting each
 factor's table.  The oracles below are the versions they replaced, kept
 verbatim up to imports and names: the ``A.apply`` loops of
-``_induced_tables``, ``generate_congruence`` and ``direct_product``, the
-pairwise loop of ``in_prevariety``, and ``relative_congruences`` as it
-was: every congruence of A, kept when its quotient lies in the prevariety,
-with its runtime meet-closure assertion.
+``_induced_tables`` and ``direct_product``, the pairwise loop of
+``in_prevariety``, and ``relative_congruences`` as it was: every congruence
+of A (``old_all_congruences``, joins of principal congruences), kept when
+its quotient lies in the prevariety, with its runtime meet-closure
+assertion.  Congruence generation is compared with the loop of
+``tests/test_one_implementation.py``.
 """
 
 import itertools
@@ -18,15 +20,14 @@ import pytest
 from dualkit.algebras import (
     DEFAULT_BUDGET,
     BudgetExceeded,
-    Congruence,
     FiniteAlgebra,
     InvalidInput,
     Signature,
-    _find,
     direct_power,
     direct_product,
     enumerate_homs,
     generate_congruence,
+    identity_congruence,
     in_prevariety,
     is_congruence,
     product_index,
@@ -36,7 +37,7 @@ from dualkit.algebras import (
 )
 from dualkit.catalog import bool2, dl2, luk, posluk, reduct
 from dualkit.corpus import dualizer_suite, entry_label, sample_function_algebra
-from test_join_closure import old_all_congruences
+from test_one_implementation import _partitions, old_generate_congruence
 
 
 # --- oracles: the versions before the table gather ----------------------------------
@@ -64,34 +65,6 @@ def old_quotient(A, theta):
     if tables is None:
         raise InvalidInput("partition is not compatible with the operations")
     return FiniteAlgebra(A.signature, theta.num_blocks, tables)
-
-
-def old_generate_congruence(A, pairs):
-    n = A.size
-    parent = list(range(n))
-    queue = []
-
-    def union(a, b):
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra != rb:
-            parent[ra] = rb
-            queue.append((a, b))
-
-    for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise InvalidInput("pair outside carrier")
-        union(a, b)
-    while queue:
-        a, b = queue.pop()
-        for name, arity in A.signature.ops:
-            if arity == 0:
-                continue
-            for pos in range(arity):
-                for context in itertools.product(range(n), repeat=arity - 1):
-                    args_a = context[:pos] + (a,) + context[pos:]
-                    args_b = context[:pos] + (b,) + context[pos:]
-                    union(A.apply(name, *args_a), A.apply(name, *args_b))
-    return Congruence.from_blocks(_find(parent, x) for x in range(n))
 
 
 def old_direct_product(factors, budget=DEFAULT_BUDGET):
@@ -143,6 +116,26 @@ def old_in_prevariety(A, L):
             if not any(h.values[a] != h.values[b] for h in homs):
                 return False
     return True
+
+
+def old_all_congruences(A, budget=DEFAULT_BUDGET):
+    delta = identity_congruence(A)
+    principals = set()
+    for a in A.elements:
+        for b in range(a + 1, A.size):
+            principals.add(generate_congruence(A, [(a, b)]))
+    found = {delta} | principals
+    queue = list(found)
+    while queue:
+        theta = queue.pop()
+        for p in principals:
+            j = theta.join(p)
+            if j not in found:
+                found.add(j)
+                queue.append(j)
+                if len(found) > budget:
+                    raise BudgetExceeded("congruence lattice exceeds budget")
+    return sorted(found, key=lambda t: (t.num_blocks, t.blocks), reverse=True)
 
 
 def old_relative_congruences(A, L, budget=DEFAULT_BUDGET):
@@ -215,17 +208,6 @@ ALGEBRAS = {
     "n5": _n5(),
     "empty": EMPTY,
 }
-
-
-def _partitions(n):
-    """Every partition of 0..n-1 as a restricted growth string."""
-    def grow(prefix, top):
-        if len(prefix) == n:
-            yield Congruence(tuple(prefix))
-            return
-        for b in range(top + 2):
-            yield from grow(prefix + [b], max(top, b))
-    yield from grow([], -1)
 
 
 # --- quotients and the compatibility test -------------------------------------------
