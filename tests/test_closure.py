@@ -761,8 +761,7 @@ def test_powers_past_the_cap_are_built_afresh(monkeypatch):
 
 
 def test_power_codes_match_the_constrained_codes():
-    # the code of a vector is its digits in base |L|, the first most
-    # significant, as constrained spaces once computed it themselves
+    # the code of a vector is its digits in base |L|, the first most significant
     rng = random.Random(2)
     for _ in range(3000):
         size, length = rng.randint(1, 1000), rng.randint(0, 20)

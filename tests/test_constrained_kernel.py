@@ -524,7 +524,7 @@ def test_witnesses_on_the_first_failure_in_loop_order():
         assert has_local_extension(space, n_arity) == old_has_local_extension(space, n_arity)
 
 
-# --- the Scott self-check, now a test --------------------------------------------------
+# --- Scott continuity on closed families ----------------------------------------------
 
 @lru_cache(maxsize=None)
 def closed_sets(L, m):
@@ -939,10 +939,9 @@ def test_unary_search_reads_the_binary_presentation(space):
 
 
 def test_unary_spaces_charge_the_ascending_budget_on_wide_fibers():
-    # four equivalent points whose fibers shrink along the order: the
-    # binary presentation prunes by the diagonals.  The ascending search
-    # tries the wide fibers first, 6, 15 and 45 units, where a search taking
-    # the points by fiber size needed 4, 8 and 27
+    # four points whose fibers shrink along the order, under three
+    # equivalences that the binary presentation prunes by its diagonals; the
+    # ascending search tries the wide fibers first
     fibers = [{0, 1, 2}, {0, 2}, {0, 1, 2}, {2}]
     for equiv, units in (([0, 0, 0, 0], 6), ([0, 1, 0, 1], 15), ([0, 1, 2, 3], 45)):
         space = UnaryConstrainedSpace(discrete_topology(4), L2, fibers, equiv)
@@ -1140,13 +1139,12 @@ def test_the_coded_store_matches_its_oracles(family):
 @settings(max_examples=200, deadline=None)
 @given(space=unary_spaces())
 def test_unary_searches_match_their_oracles(space):
-    # the functions and budget of the ascending search over the binary
-    # presentation; with LEP(n) every local function is charged
+    # the searches read a unary space through its binary presentation
     same_searches(space)
 
 
 def test_the_coded_store_rejects_what_the_tuple_store_rejected():
-    # each malformed family by the message the tuple-keyed store gave it
+    # each malformed family with the message the tuple-keyed store gave it
     top2, top3, top4 = (discrete_topology(n) for n in (2, 3, 4))
     pair = {frozenset((0, 1)): {(0, 1)}}
     rejected = [
