@@ -838,7 +838,7 @@ def _row_kernels_agree(L, length, seeds, rng, bisect=True):
     closed = algebras._close(L, rows, DEFAULT_BUDGET)
     expected = old_generate_vectors(L, length, list(start))
     assert closed.dtype == np.int64 and list(map(tuple, closed.tolist())) == expected
-    sample = closed[::-(-len(closed) // 40) or 1]
+    sample = closed[::max(1, -(-len(closed) // 40))]
     repeated = sample[rng.choices(range(len(sample)), k=2 * len(sample))]
     for some in (sample, sample[::2], rows, repeated):
         assert _pieces(algebras._row_images(L, some)) == loop_images(L, some)

@@ -6,9 +6,10 @@ kernels of Hom(A, L), and the open sets of a finite space as the unions of
 the minimal neighbourhoods.  The loop that ``FiniteTopology.opens`` ran
 before stays here as an oracle, verbatim up to names; ``subuniverses`` is
 compared with the upward sweep of ``tests/test_hom_plan.py``, and the
-relative congruences with the Con A sweep of ``tests/test_table_gather.py``.  Results, their order, errors and
-budget boundaries are compared, and the work (closures and meets) is
-counted, not timed.
+relative congruences with the Con A sweep of
+``tests/test_table_gather.py``.  Results, their order, errors and budget
+boundaries are compared, and the work (closures and meets) is counted, not
+timed.
 """
 
 import itertools
@@ -24,7 +25,6 @@ from hypothesis import strategies as st
 
 from dualkit import algebras, topology
 from dualkit.algebras import (
-    DEFAULT_BUDGET,
     BudgetExceeded,
     FiniteAlgebra,
     Signature,
@@ -36,7 +36,7 @@ from dualkit.algebras import (
 )
 from dualkit.catalog import bool2, dl2, luk, posluk, reduct
 from dualkit.topology import FiniteTopology, discrete_topology, topology_from_subbasis
-from test_closure import _error
+from test_closure import _error, _least_budget
 from test_hom_plan import old_subuniverses
 from test_table_gather import old_all_congruences, old_relative_congruences
 
@@ -104,19 +104,6 @@ ALGEBRAS = {name: A for name, (A, _) in ALGEBRAS_OVER.items()}
 # chains and Boolean lattices over dl2: every congruence is relative
 LATTICES = ([("chain(%d)" % n, chain(n)) for n in range(1, 13)]
             + [("2^%d" % k, direct_power(DL, k)) for k in range(4)])
-
-
-def _least_budget(call, hi=DEFAULT_BUDGET):
-    """The least budget at which ``call(budget)`` does not raise, found by
-    bisection, and the error one below it."""
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _error(call, mid) is None:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo, (_error(call, lo - 1) if lo else None)
 
 
 def _counted(monkeypatch, owner, name, call, A):

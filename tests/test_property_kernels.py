@@ -24,8 +24,6 @@ import pytest
 from dualkit import algebras, constrained, properties, terms
 from dualkit.algebras import (
     Congruence,
-    FiniteAlgebra,
-    Signature,
     algebra_from_vectors,
     direct_power,
     enumerate_homs,
@@ -47,7 +45,7 @@ from dualkit.properties import (
 from dualkit.spaces import spectrum
 from dualkit.topology import mask_of, topology_from_subbasis
 from dualkit.terms import TermFunction, pad_nu_function, search_nu_function
-from test_join_closure import chain
+from test_join_closure import _set_algebra, chain
 from test_table_gather import old_all_congruences, old_relative_congruences
 
 DL = dl2().algebra
@@ -320,11 +318,6 @@ def test_spectrum_matches_the_triple_loop_on_random_subalgebras(name):
                  for _ in range(rng.randint(1, 2))]
         A, _ = algebra_from_vectors(L, length, generate_vectors(L, length, seeds))
         assert congruence_spectrum_antiisomorphism(A, L) == old_spectrum(A, L)
-
-
-def _set_algebra(n):
-    """n elements and one unary identity: every partition is a congruence."""
-    return FiniteAlgebra(Signature((("id", 1),)), n, {"id": tuple(range(n))})
 
 
 def test_distributivity_matches_the_triple_loop_off_the_relative_congruences():

@@ -37,7 +37,7 @@ from dualkit.algebras import (
 )
 from dualkit.catalog import bool2, dl2, luk, posluk, reduct
 from dualkit.corpus import dualizer_suite, entry_label, sample_function_algebra
-from test_one_implementation import _partitions, old_generate_congruence
+from test_one_implementation import _outcome, _partitions, old_generate_congruence
 
 
 # --- oracles: the versions before the table gather ----------------------------------
@@ -149,13 +149,6 @@ def old_relative_congruences(A, L, budget=DEFAULT_BUDGET):
             if t1.meet(t2) not in out:
                 raise AssertionError("relative congruences not meet-closed")
     return out
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except (InvalidInput, BudgetExceeded) as exc:
-        return type(exc), str(exc)
 
 
 # --- the algebras -------------------------------------------------------------------
