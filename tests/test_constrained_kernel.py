@@ -1136,11 +1136,34 @@ def test_the_coded_store_matches_its_oracles(family):
     same_searches(space)
 
 
+@settings(max_examples=150, deadline=None)
+@given(space=unary_spaces())
+def test_unary_searches_match_the_tuple_store(space):
+    # the searches read a unary space through its binary presentation; the
+    # results the tuple-keyed store gave are those of the oracles
+    same_searches(space)
+
+
 @settings(max_examples=200, deadline=None)
 @given(space=unary_spaces())
-def test_unary_searches_match_their_oracles(space):
-    # the searches read a unary space through its binary presentation
-    same_searches(space)
+def test_unary_search_counts_the_budget_of_the_unary_branch(space):
+    # the functions the unary branch found are those of the product filter;
+    # the budget is the count of the ascending search over the binary
+    # presentation, on tuples
+    assert ccomp(space) == product_filter(space)
+    assert least_budget(lambda b: ccomp(space, budget=b)) == ascending_budget(space)
+    # has_local_extension charges each compatible local function on I and
+    # its n - |I| extension tests; with LEP(n) every one is charged
+    n = space.n
+    for n_arity in range(n + 1):
+        if not has_local_extension(space, n_arity)[0]:
+            continue
+        work = sum(len(old_compatible_local_functions(space, I)) * (1 + n - len(I))
+                   for I in subsets(n) if len(I) <= n_arity)
+        assert has_local_extension(space, n_arity, budget=work)[0]
+        if work:
+            with pytest.raises(BudgetExceeded):
+                has_local_extension(space, n_arity, budget=work - 1)
 
 
 def test_the_coded_store_rejects_what_the_tuple_store_rejected():
