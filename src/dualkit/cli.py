@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from .algebras import BudgetExceeded, InvalidInput, _kernel_meets, enumerate_homs
+from .algebras import BudgetExceeded, InvalidInput
 from .constrained import (
     ConstrainedSpace,
     UnaryConstrainedSpace,
@@ -248,15 +248,13 @@ def cmd_jonsson_check(args):
 def cmd_congruences(args):
     doc = _load_algebra(args.input)
     dualizer = _load_algebra(args.dualizer)
-    homs = sorted(enumerate_homs(doc.algebra, dualizer.algebra), key=lambda h: h.values)
-    thetas = _kernel_meets(doc.algebra, homs, args.budget)
+    thetas, report = _spectrum_report(doc.algebra, dualizer.algebra, args.budget)
     partitions = []
     for theta in thetas:
         blocks: dict[int, list] = {}
         for element, block in enumerate(theta.blocks):
             blocks.setdefault(block, []).append(doc.labels[element])
         partitions.append(sorted(blocks.values()))
-    report = _spectrum_report(doc.algebra, dualizer.algebra, homs, thetas, args.budget)
     fields = [("relative_congruences", len(thetas)),
               ("partitions", partitions),
               ("hypotheses_ok", not report.hypothesis_failures),

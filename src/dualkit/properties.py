@@ -450,8 +450,7 @@ def congruence_spectrum_antiisomorphism(A: FiniteAlgebra, L: FiniteAlgebra,
     ``budget`` subsets of Spec A raise BudgetExceeded before any kernel is
     built.
     """
-    homs = sorted(enumerate_homs(A, L), key=lambda h: h.values)
-    return _spectrum_report(A, L, homs, _kernel_meets(A, homs, budget), budget)
+    return _spectrum_report(A, L, budget)[1]
 
 
 def _is_distributive(thetas) -> bool:
@@ -500,15 +499,16 @@ def _is_distributive(thetas) -> bool:
     return True
 
 
-def _spectrum_report(A: FiniteAlgebra, L: FiniteAlgebra, homs, thetas,
-                     budget: int) -> CongruenceSpectrumReport:
-    """``congruence_spectrum_antiisomorphism`` with Hom(A, L) already found,
-    as ``homs`` sorted by their values, and the relative congruences
-    ``thetas`` too.
+def _spectrum_report(A: FiniteAlgebra, L: FiniteAlgebra,
+                     budget: int) -> tuple[list[Congruence], CongruenceSpectrumReport]:
+    """The relative congruences of A and ``congruence_spectrum_antiisomorphism``,
+    both read off one search of Hom(A, L), its homs sorted by their values.
 
     The relative congruences are the meets of the kernels built here, so
     Y |-> ker pi_Y is onto them by construction; ``bijective`` is its
     injectivity."""
+    homs = sorted(enumerate_homs(A, L), key=lambda h: h.values)
+    thetas = _kernel_meets(A, homs, budget)
     failures = []
     if L.size < 2:
         failures.append("dualizer is trivial")
@@ -519,7 +519,8 @@ def _spectrum_report(A: FiniteAlgebra, L: FiniteAlgebra, homs, thetas,
     if not _is_distributive(thetas):
         failures.append("relative congruence lattice is not distributive")
     if failures:
-        return CongruenceSpectrumReport(False, tuple(failures), 0, len(thetas), False, False)
+        return thetas, CongruenceSpectrumReport(False, tuple(failures), 0, len(thetas),
+                                                False, False)
 
     if 1 << len(homs) > budget:
         raise BudgetExceeded("congruence spectrum search over the 2^%d subsets of "
@@ -535,7 +536,8 @@ def _spectrum_report(A: FiniteAlgebra, L: FiniteAlgebra, homs, thetas,
         if not small >> i & 1
     )
     ok = bijective and order_reversing
-    return CongruenceSpectrumReport(ok, (), len(homs), len(thetas), bijective, order_reversing)
+    return thetas, CongruenceSpectrumReport(ok, (), len(homs), len(thetas), bijective,
+                                            order_reversing)
 
 
 # --- Helly-style intersection of convex sets ------------------------------------

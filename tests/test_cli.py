@@ -398,9 +398,9 @@ SQUARE_CONGRUENCES = {
 @pytest.mark.parametrize("fmt", sorted(SQUARE_CONGRUENCES))
 @pytest.mark.parametrize("budget", [[], ["--budget", "4"]])
 def test_congruences_prints_what_it_printed(capsys, tmp_path, fmt, budget, monkeypatch):
-    from dualkit import algebras
+    from dualkit import algebras, properties
     calls, searched = [], []
-    meets, search = cli._kernel_meets, algebras.enumerate_homs
+    meets, search = properties._kernel_meets, algebras.enumerate_homs
 
     def counting(A, homs, budget):
         calls.append(budget)
@@ -412,8 +412,8 @@ def test_congruences_prints_what_it_printed(capsys, tmp_path, fmt, budget, monke
 
     # the command searches Hom(A, L) once, for its relative congruences and
     # its spectrum check alike, and meets the kernels at its budget
-    monkeypatch.setattr(cli, "_kernel_meets", counting)
-    for module in ("algebras", "cli", "properties", "spaces"):
+    monkeypatch.setattr(properties, "_kernel_meets", counting)
+    for module in ("algebras", "properties", "spaces"):
         monkeypatch.setattr("dualkit.%s.enumerate_homs" % module, searching)
     path = tmp_path / "square.dk"
     path.write_text(serialize_algebra(AlgebraDocument("dlsq", algebras.direct_power(

@@ -866,13 +866,12 @@ def test_row_kernels_match_limbs_and_ranks_past_the_cap(L, monkeypatch):
 
 def test_row_kernels_match_across_the_int64_boundary():
     """dl2 at 62-65 coordinates: int64 codes up to 2**63, then exact ints.
-    Bisection on two seeds; four seeds on each side of 2**63."""
+    Bisection on two seeds, the rest on four."""
     L, rng = dl2().algebra, random.Random(62)
     for length, dtype in ((62, np.int64), (63, np.int64), (64, object), (65, object)):
         assert algebras._radix(2, length).dtype == dtype
         _row_kernels_agree(L, length, _seeds(L, length, rng, 2), rng)
-        if length in (63, 64):
-            _row_kernels_agree(L, length, _seeds(L, length, rng, 4), rng, bisect=False)
+        _row_kernels_agree(L, length, _seeds(L, length, rng, 4), rng, bisect=False)
 
 
 def test_row_kernels_match_on_wide_lukasiewicz_rows():

@@ -380,11 +380,12 @@ def old_subset_kernels(A, homs):
     return kernels
 
 
-def _report_kernels(monkeypatch, A, L, homs):
+def _report_kernels(monkeypatch, A, L):
     """The kernels ``_spectrum_report`` compares, read off the meets it
-    makes from the sorted ``homs``; the checks before them are passed, so
-    that every algebra, of any size, reaches them.  The algebras given are
-    in the prevariety."""
+    makes from the sorted homs; the relative congruences and the checks
+    before the kernels are passed, so that every algebra, of any size,
+    reaches them.  The algebras given are in the prevariety."""
+    monkeypatch.setattr(properties, "_kernel_meets", lambda A, homs, budget: [])
     monkeypatch.setattr(properties, "partial_endomorphisms",
                         lambda L, budget: SimpleNamespace(all_trivial=True))
     monkeypatch.setattr(properties, "_is_distributive", lambda thetas: True)
@@ -396,7 +397,7 @@ def _report_kernels(monkeypatch, A, L, homs):
         return meets[-1]
 
     monkeypatch.setattr(Congruence, "meet", recording)
-    properties._spectrum_report(A, L, homs, [], properties.DEFAULT_BUDGET)
+    properties._spectrum_report(A, L, properties.DEFAULT_BUDGET)
     monkeypatch.undo()
     return [total_congruence(A)] + meets
 
@@ -414,7 +415,7 @@ def test_subset_kernels_are_the_per_subset_profiles(monkeypatch, seed):
         assert len(cases) == 20
     for A, L in cases:
         homs = sorted(enumerate_homs(A, L), key=lambda h: h.values)
-        assert _report_kernels(monkeypatch, A, L, homs) == old_subset_kernels(A, homs)
+        assert _report_kernels(monkeypatch, A, L) == old_subset_kernels(A, homs)
 
 
 def test_spectrum_budget_counts_subsets_of_the_spectrum():
@@ -441,13 +442,16 @@ def test_spectrum_report_searches_hom_once(monkeypatch):
     assert searched.count((4, 2)) == 1
 
 
-def test_spectrum_search_stops_past_its_own_budget():
+def test_spectrum_search_stops_past_its_own_budget(monkeypatch):
+    # the relative congruences are met at the default budget, so that the
+    # spectrum search, not the congruence sweep, meets the budget given
+    meets = properties._kernel_meets
+    monkeypatch.setattr(properties, "_kernel_meets",
+                        lambda A, homs, budget: meets(A, homs, properties.DEFAULT_BUDGET))
     square = direct_power(DL, 2)
-    homs = sorted(enumerate_homs(square, DL), key=lambda h: h.values)
-    thetas = relative_congruences(square, DL)
-    assert properties._spectrum_report(square, DL, homs, thetas, 4).ok
+    assert properties._spectrum_report(square, DL, 4)[1].ok
     with pytest.raises(properties.BudgetExceeded) as raised:
-        properties._spectrum_report(square, DL, homs, thetas, 3)
+        properties._spectrum_report(square, DL, 3)
     assert str(raised.value) == ("congruence spectrum search over the 2^2 subsets of Spec A "
                                  "exceeds budget 3")
 
