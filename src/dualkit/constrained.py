@@ -67,7 +67,7 @@ from .algebras import (
     unclosed_operation,
 )
 from .spaces import LSpace
-from .terms import TermFunction, _convex_within, check_near_unanimity
+from .terms import TermFunction, _convex_masks, check_near_unanimity
 from .topology import FiniteTopology, bits_of, mask_of
 
 
@@ -880,10 +880,12 @@ def local_to_global_verify(space: ConstrainedSpace, m: TermFunction,
     """If the space has the k(k-1)-ary local extension property, the global
     one must follow; any counterexample is an implementation bug, so it is
     reported as a fatal theorem violation.  The convexity of every
-    possible-extension set (relative to its fiber) is asserted along the way;
-    that lemma assumes a family of subuniverses that is subdirect, so a
-    set that is not convex raises InvalidInput naming the first hypothesis
-    the family fails, and AssertionError only if it meets both.
+    possible-extension set (relative to its fiber) is asserted first: the
+    walk over the local functions collects the distinct (set, fiber) mask
+    pairs, and one batch decides them.  That lemma assumes a family of
+    subuniverses that is subdirect, so a set that is not convex raises
+    InvalidInput naming the first hypothesis the family fails, and
+    AssertionError only if it meets both.
     """
     if not isinstance(space, ConstrainedSpace):
         raise InvalidInput("local_to_global_verify needs a k-ary constrained space")
@@ -894,25 +896,21 @@ def local_to_global_verify(space: ConstrainedSpace, m: TermFunction,
     k, L = space.k, space.dualizer
     w, full = L.size + 1, (1 << L.size) - 1
     fibers = _table(space, ())[0]
-    convex: dict[tuple[int, int], bool] = {}    # (M mask, fiber mask) -> verdict
+    pairs: dict[tuple[int, int], None] = {}     # distinct (M mask, fiber mask), in order
     for I, funs, _ in _local_functions(space, k - 1):
         table = _table(space, I)
         for g in funs:
             # the possible-extension sets of g, one per point y outside I
             row = table[power_index(L.size, g)] & fibers
             for y in range(space.n):
-                if y in I:
-                    continue
-                key = (row >> y * w & full, fibers >> y * w & full)
-                if key not in convex:
-                    convex[key] = _convex_within(L, m, bits_of(key[0]), bits_of(key[1]))
-                if not convex[key]:
-                    _check_closed(space)
-                    if not _is_subdirect(space):
-                        raise InvalidInput("constraint family is not subdirect: "
-                                           "the convexity lemma does not apply")
-                    raise AssertionError(
-                        "possible-extension set is not convex: lemma violated")
+                if y not in I:
+                    pairs[row >> y * w & full, fibers >> y * w & full] = None
+    if not _convex_masks(L, m, list(pairs)).all():
+        _check_closed(space)
+        if not _is_subdirect(space):
+            raise InvalidInput("constraint family is not subdirect: "
+                               "the convexity lemma does not apply")
+        raise AssertionError("possible-extension set is not convex: lemma violated")
     lep, lep_wit = has_local_extension(space, k * (k - 1), budget=budget)
     if not lep:
         return LocalToGlobalVerdict(False, lep_wit, None, None)

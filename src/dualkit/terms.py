@@ -8,21 +8,25 @@ enumeration is never needed and absence at a given arity is decidable.
 
 The near-unanimity cells of a carrier size and arity (``_nu_cells``) are
 listed once here and serve both ``check_near_unanimity`` and the predicate
-and priority of ``search_nu_function``.  The convexity loop,
-``_convex_within``, also lives here, one table gather per position:
-``is_convex`` runs it against all of L, and the local-to-global check in
-``constrained`` against a fiber.
+and priority of ``search_nu_function``.  The convexity check,
+``_convex_masks``, also lives here and decides a batch of (subset, ambient)
+mask pairs at once: ``is_convex`` asks it for one pair, against all of L,
+and the local-to-global check in ``constrained`` for every distinct pair of
+a possible-extension set and its fiber.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import algebras
 from .algebras import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -33,6 +37,7 @@ from .algebras import (
     power_index,
     power_tuple,
 )
+from .topology import bits_of, mask_of
 
 
 @dataclass(frozen=True)
@@ -210,70 +215,186 @@ def clone_search(L: FiniteAlgebra, arity: int, predicate,
     popped.  ``budget`` caps the work: every table tried counts against
     it, duplicates included, so an absence proof that would combine more
     argument tuples than that raises BudgetExceeded instead.
+
+    Tables are tried in batches, the rows of a small-int array with one
+    column per cell: ``predicate`` maps a batch to one bool per row and
+    ``priority`` to one integer per row.  Each new table reaches them once,
+    in the order a search one table at a time would meet it; the new tables
+    of a batch past its first hit reach ``predicate`` too.  A popped table's
+    candidates are built per run of operations of one arity, with the other
+    arguments broadcast from the array of tables popped so far and one
+    gather of the run's stacked tables, in batches of at most
+    ``algebras._BLOCK_CELLS`` cells.  Each table found is kept once, as the
+    bytes of its row, which are also its key for deduplication.
     """
     length = L.size**arity
     if length > budget:
         raise BudgetExceeded("clone tables of size %d exceed budget" % length)
-    if priority is None:
-        priority = lambda table: 0
     n = L.size
-    tables: list[tuple] = []
-    recipe: list = []
-    index: dict[tuple, int] = {}
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    tables: list[bytes] = []    # the tables found, by index, as the bytes of their rows
+    seen: set[bytes] = set()
+    recipe: list = []           # (describe, j) per table: describe(j) is a Var or (op, args)
     heap: list[tuple] = []
-    hit: list[int] = []
     tried = 0
 
+    @functools.cache
     def witness(i) -> Term:
-        kind, payload = recipe[i]
-        if kind == "var":
-            return Var(payload)
-        op, args = payload
+        describe, j = recipe[i]
+        made = describe(j)
+        if isinstance(made, Var):
+            return made
+        op, args = made
         return App(op, tuple(witness(a) for a in args))
 
-    def insert(candidate, entry):
+    def offer(rows, describe):
+        """Try the rows in order and return the index of the first hit, or None."""
         nonlocal tried
-        tried += 1
-        if tried > budget:
+        take = min(len(rows), budget - tried)
+        tried += take
+        keys = _row_keys(rows[:take])
+        fresh = [j for j, key in enumerate(keys) if key not in seen and not seen.add(key)]
+        if fresh:
+            new = rows.take(fresh, axis=0) if len(fresh) < len(rows) else rows
+            hits = np.asarray(predicate(new)).nonzero()[0]
+            if len(hits):
+                del fresh[hits[0] + 1:]
+            tables.extend(keys[j] for j in fresh)
+            recipe.extend((describe, j) for j in fresh)
+            if len(hits):
+                return len(tables) - 1
+            weights = [0] * len(new) if priority is None else np.asarray(priority(new)).tolist()
+            for i, weight in enumerate(weights, len(tables) - len(new)):
+                heapq.heappush(heap, (weight, i))
+        if take < len(rows):
             raise BudgetExceeded("clone search exceeds budget %d" % budget)
-        if candidate in index:
-            return False
-        i = len(tables)
-        index[candidate] = i
-        tables.append(candidate)
-        recipe.append(entry)
-        if predicate(candidate):
-            hit.append(i)
-            return True
-        heapq.heappush(heap, (priority(candidate), i))
-        return False
+        return None
 
-    for i in range(arity):
-        if insert(projection_function(L, arity, i).table, ("var", i)):
-            return TermFunction(arity, tables[hit[0]], witness(hit[0]))
-    for name, op_arity in L.signature.ops:
-        if op_arity == 0:
-            if insert((L.apply(name),) * length, ("app", (name, ()))):
-                return TermFunction(arity, tables[hit[0]], witness(hit[0]))
+    def table(i) -> np.ndarray:
+        return np.frombuffer(tables[i], dtype=dtype)
 
-    # unary, then binary, then wider operations, each group in signature
-    # order: the order in which tables are found fixes the witness terms
-    ops = sorted(((name, r, L._flat[name].tolist()) for name, r in L.signature.ops if r > 0),
-                 key=lambda op: min(op[1], 3))
+    def result(hit):
+        return TermFunction(arity, tuple(table(hit).tolist()), witness(hit))
+
+    # the projections, then the constants in signature order
+    constants = L.signature.constants
+    values = np.array([L.apply(name) for name in constants], dtype=dtype)
+    start = np.concatenate((np.indices((n,) * arity, dtype=dtype).reshape(arity, length),
+                            values[:, None].repeat(length, axis=1)))
+    hit = offer(start, lambda j: Var(j) if j < arity else (constants[j - arity], ()))
+    if hit is not None:
+        return result(hit)
+
+    runs = _runs(L)
+    limit = max(1, algebras._BLOCK_CELLS // max(length, 1))     # rows per batch
     done: list[int] = []
+    popped = np.empty((2 * arity + 2, length), dtype=dtype)    # the tables of done, in order
     while heap:
         _, current = heapq.heappop(heap)
+        if len(done) == len(popped):
+            popped = np.concatenate((popped, np.empty_like(popped)))
+        popped[len(done)] = table(current)
         done.append(current)
-        for name, r, table in ops:
-            for rest in itertools.product(done, repeat=r - 1):
-                for pos in range(r):
-                    args = rest[:pos] + (current,) + rest[pos:]
-                    flat = tables[args[0]]
-                    for a in args[1:]:
-                        flat = [i * n + x for i, x in zip(flat, tables[a])]
-                    if insert(tuple([table[i] for i in flat]), ("app", (name, args))):
-                        return TermFunction(arity, tables[hit[0]], witness(hit[0]))
+        for rows, describe in _batches(_candidates(runs, popped[:len(done)], done, limit),
+                                       limit):
+            hit = offer(rows, describe)
+            if hit is not None:
+                return result(hit)
     return None
+
+
+@functools.lru_cache(maxsize=64)
+def _runs(L: FiniteAlgebra) -> tuple:
+    """L's operations as runs for ``_candidates``: (r, names, moved,
+    positions) per run of operations of one arity r, where
+    moved[op, pos, c, *rest] (read-only) is the operation with c at
+    position pos and rest at the others, and positions is 0..r-1 as a column.
+    Unary, then binary, then wider operations, each group in signature
+    order: the order in which tables are found fixes the witness terms."""
+    ops = sorted(((name, r) for name, r in L.signature.ops if r > 0),
+                 key=lambda op: min(op[1], 3))
+    runs = []
+    for r, run in itertools.groupby(ops, key=lambda op: op[1]):
+        names = [name for name, _ in run]
+        tables = np.stack([L._flat[name] for name in names])
+        tables = tables.astype(np.min_scalar_type(max(L.size - 1, 0)))
+        tables = tables.reshape((len(names),) + (L.size,) * r)
+        moved = np.stack([np.moveaxis(tables, 1 + pos, 1) for pos in range(r)], axis=1)
+        moved.flags.writeable = False
+        runs.append((r, names, moved, np.arange(r).reshape(r, 1)))
+    return tuple(runs)
+
+
+def _candidates(runs, rows, done, limit):
+    """The tables that popping done[-1] tries, as (rows, describe) pieces
+    in order: per run of operations of one arity r, the operation, then
+    the other r - 1 arguments from done (the first most significant), then
+    the position of done[-1] among the r.  ``rows`` holds the tables of
+    done.  A piece is one chunk of that grid, at most ``limit`` rows unless
+    one grid cell alone is more, and one gather of the run's ``moved``."""
+    width = rows.shape[1]
+    for r, names, moved, positions in runs:
+        dims = (len(names),) + (len(done),) * (r - 1)
+        for chunk in algebras._grid_chunks(dims, limit // r):
+            index = (chunk[0], positions, rows[-1])
+            for q, s in enumerate(chunk[1:]):
+                part = rows[s]
+                index += (part.reshape((1,) * q + (len(part),) + (1,) * (r - 2 - q) + (1, width)),)
+            block = moved[index]
+            # done only grows, so the indices the chunk names stay valid
+            yield (block.reshape(math.prod(block.shape[:-1]), width),
+                   functools.partial(_recipe, names, done, chunk, dims, done[-1]))
+
+
+def _recipe(names, done, chunk, dims, current, j):
+    """(operation, argument indices) of row j of a ``_candidates`` piece:
+    the chunk of the grid ``dims`` over the operations and done."""
+    spans = [range(*s.indices(d)) for s, d in zip(chunk, dims)]
+    j, pos = divmod(j, len(dims))           # r positions, as the grid has r axes
+    index = []
+    for span in reversed(spans):
+        j, digit = divmod(j, len(span))
+        index.append(span[digit])
+    op, *rest = reversed(index)
+    args = [done[d] for d in rest]
+    args.insert(pos, current)
+    return names[op], tuple(args)
+
+
+def _batches(pieces, limit):
+    """(rows, describe) pieces joined in order into batches of at most
+    ``limit`` rows, or one piece where that alone is more; a batch's
+    describe sends row j to the piece that holds it.  A small pop is then
+    one batch, whatever its runs: one key pass and one predicate and
+    priority call, which set the time of a search over a two-element
+    algebra."""
+    group, size = [], 0
+    for piece in itertools.chain(pieces, [None]):
+        if group and (piece is None or size + len(piece[0]) > limit):
+            if len(group) == 1:
+                yield group[0]
+            else:
+                ends = list(itertools.accumulate(len(rows) for rows, _ in group))
+                yield (np.concatenate([rows for rows, _ in group]),
+                       functools.partial(_piece_of, ends, [d for _, d in group]))
+            group, size = [], 0
+        if piece is not None:
+            group.append(piece)
+            size += len(piece[0])
+
+
+def _piece_of(ends, describes, j):
+    k = bisect.bisect_right(ends, j)
+    return describes[k](j - (ends[k - 1] if k else 0))
+
+
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """One bytes key per row of a 2-d array; equal rows, equal keys."""
+    width = rows.shape[1] * rows.itemsize
+    if not width:
+        return [b""] * len(rows)
+    data = rows.tobytes()
+    return [data[i:i + width] for i in range(0, len(data), width)]
 
 
 def search_nu_function(L: FiniteAlgebra, arity: int,
@@ -286,10 +407,11 @@ def search_nu_function(L: FiniteAlgebra, arity: int,
     """
     if arity < 3:
         raise InvalidInput("near-unanimity arity must be >= 3")
-    cells = _nu_cells(L.size, arity)
-    return clone_search(L, arity, lambda t: all(t[i] == a for i, a in cells),
+    cells = np.array(_nu_cells(L.size, arity), dtype=np.int64).reshape(-1, 2)
+    at, want = cells[:, 0], cells[:, 1]
+    return clone_search(L, arity, lambda rows: (rows.take(at, axis=1) == want).all(axis=1),
                         budget=budget,
-                        priority=lambda t: sum(t[i] != a for i, a in cells))
+                        priority=lambda rows: (rows.take(at, axis=1) != want).sum(axis=1))
 
 
 def pad_nu_function(L: FiniteAlgebra, f: TermFunction, arity: int) -> TermFunction:
@@ -354,21 +476,29 @@ def is_convex(L: FiniteAlgebra, m: TermFunction, M) -> bool:
     M = set(M)
     if not M.issubset(L.elements):
         raise InvalidInput("subset element outside carrier")
-    return _convex_within(L, m, M, L.elements)
+    return bool(_convex_masks(L, m, [(mask_of(M), mask_of(L.elements))])[0])
 
 
-def _convex_within(L: FiniteAlgebra, m: TermFunction, subset, ambient) -> bool:
-    """Convexity of subset relative to ambient: the odd entry ranges over
-    ambient rather than all of L (the form the extension lemma provides).
-    One gather of m's table per position of the odd entry, read through a
-    membership mask of subset."""
-    subset, ambient = sorted(subset), sorted(ambient)
-    inside = np.zeros(L.size, dtype=bool)
-    inside[subset] = True
-    table = np.asarray(m.table, dtype=np.int64).reshape((L.size,) * m.arity)
-    for pos in range(m.arity):
-        axes = [subset] * m.arity
-        axes[pos] = ambient
-        if not inside[table[np.ix_(*axes)]].all():
-            return False
-    return True
+def _convex_masks(L: FiniteAlgebra, m: TermFunction, pairs) -> np.ndarray:
+    """For each (subset mask, ambient mask) pair, the convexity of subset
+    relative to ambient: m maps into subset every tuple with one entry,
+    the odd one, in ambient and the others in subset (the form the
+    extension lemma provides).  One bool per pair, decided for all pairs
+    at once over every cell of m's table, in blocks of at most
+    ``algebras._BLOCK_CELLS`` pair-cells."""
+    n, arity = L.size, m.arity
+    masks = np.zeros((len(pairs), 2, n), dtype=bool)
+    for p, (subset, ambient) in enumerate(pairs):
+        masks[p, 0, bits_of(subset)] = True
+        masks[p, 1, bits_of(ambient)] = True
+    coords = np.indices((n,) * arity).reshape(arity, -1)    # each cell's arguments
+    table = np.asarray(m.table, dtype=np.int64)
+    verdicts = np.empty(len(pairs), dtype=bool)
+    step = max(1, algebras._BLOCK_CELLS // max(arity * len(table), 1))
+    for first in range(0, len(pairs), step):
+        inside, ambient = masks[first:first + step].transpose(1, 0, 2)
+        odd = ~inside[:, coords]                # (pairs, arity, cells): entry outside subset
+        others_inside = odd.sum(axis=1, keepdims=True) - odd == 0
+        reached = (ambient[:, coords] & others_inside).any(axis=1)
+        verdicts[first:first + step] = ~(reached & ~inside[:, table]).any(axis=1)
+    return verdicts

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualkit.algebras import (
+    BudgetExceeded,
     Congruence,
     ElementMap,
     FiniteAlgebra,
@@ -359,6 +360,15 @@ def test_congruence_enumeration_matches_partition_filter(A):
     assert set(relative_congruences(A, A)) == brute_force_congruences(A)
 
 
+def test_congruence_order_is_refinement():
+    # a block of the left that two blocks of the right split, in either
+    # order of their numbers, is not below it
+    assert Congruence.from_blocks([0, 0, 1]).leq(Congruence.from_blocks([0, 0, 0]))
+    assert Congruence.from_blocks([0, 1, 1]).leq(Congruence.from_blocks([0, 1, 1]))
+    assert not Congruence.from_blocks([0, 0, 1]).leq(Congruence.from_blocks([0, 1, 1]))
+    assert not Congruence.from_blocks([1, 1, 0]).leq(Congruence.from_blocks([1, 0, 0]))
+
+
 def test_generated_congruence_is_least():
     P = direct_power(DL, 2)
     pair = (power_index(2, (0, 0)), power_index(2, (0, 1)))
@@ -448,10 +458,13 @@ def test_relative_congruences_of_luk_products_in_closed_form(ns):
 
 def test_subuniverses_of_luk_chains_in_closed_form():
     # the subalgebras of luk(m) are the chains luk(d) for d | m, the multiples
-    # of m/d, in ascending d: 4, 6 and 8 of them at m = 6, 12 and 30
-    for m in list(range(1, 13)) + [30]:
+    # of m/d, in ascending d: 4, 6 and 8 of them at m = 6, 12 and 30, and 6
+    # at m = 63, whose 64 elements are the most the enumeration takes
+    for m in list(range(1, 13)) + [30, 63]:
         chains = [frozenset(range(0, m + 1, m // d)) for d in range(1, m + 1) if m % d == 0]
         assert subuniverses(luk(m).algebra) == chains, m
+    with pytest.raises(BudgetExceeded, match="capped at carrier 64"):
+        subuniverses(luk(64).algebra)
 
 
 def test_duality_roundtrips_of_luk_products_in_closed_form():

@@ -5,7 +5,8 @@ imports and names: ``is_compatible_local`` with its subset/restrict_local
 loop, ``compatible_local_functions`` filtering all of L^|I|,
 ``has_local_extension`` testing one candidate value at a time, ``ccomp``
 with its ``admissible`` check, ``possible_extensions`` by membership and
-``local_to_global_verify`` on top of them.  ``local_to_global_verify``
+``local_to_global_verify`` on top of them, with the convexity loop of
+``test_property_kernels``.  ``local_to_global_verify``
 names the failed hypothesis (InvalidInput) where the oracle raised the lemma
 violation, and each such family is checked to fail closedness or
 subdirectness.  ``product_filter`` keeps every function in L^n whose
@@ -82,7 +83,7 @@ from dualkit.constrained import (
 )
 from dualkit import constrained
 from dualkit.corpus import sample_lspace
-from dualkit.terms import _convex_within, check_near_unanimity, search_nu_function
+from dualkit.terms import check_near_unanimity, search_nu_function
 from dualkit.topology import (
     FiniteTopology,
     bits_of,
@@ -91,6 +92,7 @@ from dualkit.topology import (
     mask_of,
     topology_from_subbasis,
 )
+from test_property_kernels import old_convex_within
 
 DL = dl2().algebra
 BARE_DL = reduct(DL, ("meet", "join"))      # constant-free: empty fibers exist
@@ -242,7 +244,7 @@ def old_local_to_global_verify(space, m, budget=DEFAULT_BUDGET):
                         continue
                     M = old_possible_extensions(space, I, g, y)
                     fiber = {f[0] for f in space.constraint((y,))}
-                    if not _convex_within(space.dualizer, m, M, fiber):
+                    if not old_convex_within(space.dualizer, m, M, fiber):
                         raise AssertionError(
                             "possible-extension set is not convex: lemma violated")
     lep, lep_wit = old_has_local_extension(space, k * (k - 1))

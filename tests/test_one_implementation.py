@@ -16,10 +16,12 @@ import heapq
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualkit import algebras
 from dualkit.algebras import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -421,21 +423,81 @@ def test_nu_check_errors_match():
 
 
 # --- the clone step --------------------------------------------------------------------
+#
+# clone_search tries its tables in batches and scores them with array-level
+# predicates and priorities; the oracle tries one tuple at a time.  The same
+# tables must come in the same order, with the same hit, witness and budget
+# outcome.
 
-@pytest.mark.parametrize("L", BUILTINS + [TERN, TERN_M])
-@pytest.mark.parametrize("arity", (3, 4))
+CLONE_CASES = BUILTINS + [TERN, TERN_M, _mixed_algebra()]
+NU_CASES = [(L, arity) for L in CLONE_CASES for arity in (3, 4, 5)] + [(luk(6).algebra, 4)]
+
+
+def _term_and_table(f):
+    return f if f is None or isinstance(f, tuple) else (f.term, f.table)
+
+
+@pytest.mark.parametrize("L", CLONE_CASES)
+@pytest.mark.parametrize("arity", (3, 4, 5))
 def test_nu_search_returns_the_same_term_and_table(L, arity):
     new, old = search_nu_function(L, arity), old_search_nu_function(L, arity)
-    if old is None:
-        assert new is None
-    else:
-        assert (new.term, new.table) == (old.term, old.table)
+    assert _term_and_table(new) == _term_and_table(old)
 
 
-def _enumeration(search, L, arity, budget, priority=None):
+def test_nu_search_returns_the_same_term_and_table_on_luk6_at_arity_4():
+    L = luk(6).algebra
+    new, old = search_nu_function(L, 4), old_search_nu_function(L, 4)
+    assert new is not None and _term_and_table(new) == _term_and_table(old)
+
+
+def _least_passing_budget(L, arity):
+    """The least budget at which the oracle's NU search does not raise."""
+    low, high = 0, 1
+    while isinstance(_outcome(old_search_nu_function, L, arity, high), tuple):
+        low, high = high, 2 * high
+    while high - low > 1:
+        middle = (low + high) // 2
+        if isinstance(_outcome(old_search_nu_function, L, arity, middle), tuple):
+            low = middle
+        else:
+            high = middle
+    return high
+
+
+def test_nu_search_budgets_match_on_every_small_case():
+    # every budget from 0 to one past the least passing one, wherever the
+    # search passes within 300 tables tried
+    small = 0
+    for L, arity in NU_CASES:
+        least = _least_passing_budget(L, arity)
+        if least >= 300:
+            continue
+        small += 1
+        for budget in range(least + 2):
+            new = _outcome(search_nu_function, L, arity, budget)
+            old = _outcome(old_search_nu_function, L, arity, budget)
+            assert _term_and_table(new) == _term_and_table(old), (L, arity, budget)
+    assert small == 38
+
+
+def recording(seen):
+    """An array-level predicate that never holds and records each table it
+    is shown, as a tuple."""
+    return lambda rows: seen.extend(map(tuple, rows.tolist())) or np.zeros(len(rows), bool)
+
+
+def _enumeration(L, arity, budget, weigh=False):
+    """Every table clone_search meets, in order, and how it ends."""
     seen = []
-    outcome = _outcome(search, L, arity, lambda t: seen.append(t) or False, budget, priority)
-    return outcome, seen
+    priority = (lambda rows: rows.sum(axis=1) % 3) if weigh else None
+    return _outcome(clone_search, L, arity, recording(seen), budget, priority), seen
+
+
+def _old_enumeration(L, arity, budget, weigh=False):
+    seen = []
+    priority = (lambda t: sum(t) % 3) if weigh else None
+    return _outcome(old_clone_search, L, arity, lambda t: seen.append(t) or False,
+                    budget, priority), seen
 
 
 @pytest.mark.parametrize("L, arity, budget", [
@@ -448,22 +510,45 @@ def _enumeration(search, L, arity, budget, priority=None):
     (TERN_M, 3, DEFAULT_BUDGET),
     (_mixed_algebra(), 2, DEFAULT_BUDGET),
     (_mixed_algebra(), 3, 120),
+    (TERN, 0, DEFAULT_BUDGET),  # tables of one cell
+    (FiniteAlgebra(Signature((("f", 2), ("m", 3), ("s", 1))), 0,
+                   {"f": [], "m": [], "s": []}), 2, DEFAULT_BUDGET),    # of none
 ])
 def test_clone_tables_come_in_the_same_order(L, arity, budget):
-    assert _enumeration(clone_search, L, arity, budget) == \
-        _enumeration(old_clone_search, L, arity, budget)
-    weigh = lambda t: sum(t) % 3
-    assert _enumeration(clone_search, L, arity, budget, weigh) == \
-        _enumeration(old_clone_search, L, arity, budget, weigh)
+    for weigh in (False, True):
+        assert _enumeration(L, arity, budget, weigh) == _old_enumeration(L, arity, budget, weigh)
 
 
 def test_clone_hit_and_witness_match_on_the_mixed_algebra():
     A = _mixed_algebra()
     for goal in itertools.product(range(2), repeat=4):
-        new = clone_search(A, 2, lambda t: t == goal)
+        new = clone_search(A, 2, lambda rows: (rows == goal).all(axis=1))
         old = old_clone_search(A, 2, lambda t: t == goal)
-        assert (None if new is None else (new.term, new.table)) == \
-            (None if old is None else (old.term, old.table))
+        assert _term_and_table(new) == _term_and_table(old)
+    # predicates that many tables of one batch meet: the first of them wins
+    for cell, value in itertools.product(range(8), range(2)):
+        new = clone_search(A, 3, lambda rows: (rows[:, cell] == value) & (rows.sum(axis=1) == 4))
+        old = old_clone_search(A, 3, lambda t: t[cell] == value and sum(t) == 4)
+        assert new is not None and _term_and_table(new) == _term_and_table(old)
+
+
+def test_clone_batches_cut_inside_a_pop_match(monkeypatch):
+    """Batches of a few rows: the cap falls inside one pop's candidates,
+    inside one run of operations, and (at one row) inside one grid cell."""
+    cases = [(dl2().algebra, 3, DEFAULT_BUDGET), (luk(2).algebra, 2, 2000),
+             (TERN, 2, 150), (_mixed_algebra(), 3, 120), (bool2().algebra, 2, DEFAULT_BUDGET)]
+    for L, arity, budget in cases:
+        old = {weigh: _old_enumeration(L, arity, budget, weigh) for weigh in (False, True)}
+        old_nu = {(a, b): _outcome(old_search_nu_function, L, a, b)
+                  for a in (3, 4) for b in (40, 90, DEFAULT_BUDGET)}
+        for rows in (1, 2, 3, 7):
+            monkeypatch.setattr(algebras, "_BLOCK_CELLS", rows * L.size**arity)
+            for weigh in (False, True):
+                assert _enumeration(L, arity, budget, weigh) == old[weigh]
+            for (a, b), outcome in old_nu.items():
+                assert _term_and_table(_outcome(search_nu_function, L, a, b)) == \
+                    _term_and_table(outcome)
+            monkeypatch.undo()
 
 
 # --- convexity ---------------------------------------------------------------------------

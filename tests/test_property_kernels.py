@@ -4,9 +4,10 @@
 ``properties._is_distributive`` compares numbered congruences, the order
 check of ``congruence_spectrum_antiisomorphism`` reads covering pairs of
 subsets only, and the kernels it compares are meets of one-hom kernels;
-``terms._convex_within`` gathers one table slice per position, and
-``constrained.local_to_global_verify`` asks it once per distinct pair of
-masks; ``properties.chinese_remainder_sweep`` solves each sub-system once.
+``terms._convex_masks`` decides a batch of mask pairs over every cell of
+the table, and ``constrained.local_to_global_verify`` hands it each
+distinct pair of masks once, in one batch;
+``properties.chinese_remainder_sweep`` solves each sub-system once.
 The old loops stay here as oracles, and the work each new check does is
 counted, not timed.
 """
@@ -19,6 +20,7 @@ import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from dualkit import algebras, constrained, properties, terms
@@ -32,7 +34,7 @@ from dualkit.algebras import (
     relative_congruences,
     total_congruence,
 )
-from dualkit.catalog import bool2, dl2, luk, posluk, reduct
+from dualkit.catalog import bool2, build, dl2, luk, posluk, reduct
 from dualkit.corpus import dualizer_suite, entry_label, sample_function_algebra
 from dualkit.constrained import ConstrainedSpace, bits_of, local_to_global_verify
 from dualkit.fileformat import parse_algebra, parse_document, parse_space, resolve_algebra
@@ -540,14 +542,33 @@ def test_convexity_matches_the_tuple_loop():
     rng = random.Random("convex")
     outcomes = set()
     for L, m in _term_functions(rng):
+        pairs = []
         for subset in itertools.chain.from_iterable(
                 itertools.combinations(L.elements, r) for r in range(L.size + 1)):
             for _ in range(3):
-                ambient = rng.sample(L.elements, rng.randint(0, L.size))
-                verdict = terms._convex_within(L, m, subset, ambient)
-                assert verdict == old_convex_within(L, m, subset, ambient)
-                outcomes.add(verdict)
+                pairs.append((subset, rng.sample(L.elements, rng.randint(0, L.size))))
+        verdicts = terms._convex_masks(L, m, [(mask_of(a), mask_of(b)) for a, b in pairs])
+        assert verdicts.tolist() == [old_convex_within(L, m, a, b) for a, b in pairs]
+        outcomes.update(verdicts.tolist())
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("arity", (3, 4))
+@pytest.mark.parametrize("name", ["dl2", "bool2", "luk(2)", "luk(3)", "luk(4)",
+                                  "posluk(2)", "posluk(3)", "posluk(4)"])
+def test_convexity_batch_on_every_extension_pair(monkeypatch, name, arity):
+    """Every (M, fiber) pair with M inside fiber, as local_to_global_verify
+    meets them, in one batch and in blocks of a few pairs."""
+    L = build(name).algebra
+    m = search_nu_function(L, arity)
+    pairs = [(M, fiber) for fiber in range(1 << L.size) for M in range(1 << L.size)
+             if M & ~fiber == 0]
+    expected = [old_convex_within(L, m, bits_of(M), bits_of(fiber)) for M, fiber in pairs]
+    assert terms._convex_masks(L, m, pairs).tolist() == expected
+    monkeypatch.setattr(algebras, "_BLOCK_CELLS", 3 * arity * L.size**arity)
+    assert terms._convex_masks(L, m, pairs).tolist() == expected
+    # on two elements every subset is convex, on the longer chains not
+    assert (False in expected) == (L.size > 2)
 
 
 def _benchmark_constrained(seed):
@@ -580,18 +601,20 @@ def test_each_extension_set_is_tested_once(monkeypatch, seed):
     for space in spaces:
         m = search_nu_function(space.dualizer, space.k + 1)
         expected = local_to_global_verify(space, m)
-        calls = []
+        batches = []
 
-        def counting(L, m, subset, ambient):
-            calls.append((tuple(subset), tuple(ambient)))
-            return old_convex_within(L, m, subset, ambient)
+        def counting(L, m, pairs):
+            batches.append(list(pairs))
+            return np.array([old_convex_within(L, m, bits_of(a), bits_of(f)) for a, f in pairs])
 
-        monkeypatch.setattr(constrained, "_convex_within", counting)
+        monkeypatch.setattr(constrained, "_convex_masks", counting)
         assert local_to_global_verify(space, m) == expected
         monkeypatch.undo()
         pairs = _mask_pairs(space)
+        calls = batches[0]
+        assert len(batches) == 1
         assert len(calls) == len(set(calls)) == len(set(pairs))
-        assert set(calls) == {(bits_of(a & f), bits_of(f)) for a, f in pairs}
+        assert set(calls) == {(a & f, f) for a, f in pairs}
         visits, distinct = visits + len(pairs), distinct + len(calls)
     assert distinct < visits
 
@@ -599,7 +622,8 @@ def test_each_extension_set_is_tested_once(monkeypatch, seed):
 def test_a_non_convex_set_still_raises_once_remembered(monkeypatch):
     space = _benchmark_constrained(0)[0]
     m = search_nu_function(space.dualizer, space.k + 1)
-    monkeypatch.setattr(constrained, "_convex_within", lambda *args: False)
+    monkeypatch.setattr(constrained, "_convex_masks",
+                        lambda L, m, pairs: np.zeros(len(pairs), dtype=bool))
     with pytest.raises(AssertionError, match="not convex"):
         local_to_global_verify(space, m)
 

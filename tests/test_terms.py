@@ -1,6 +1,7 @@
 import itertools
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,7 @@ from dualkit.terms import (
     term_function,
     term_to_text,
 )
+from test_one_implementation import recording
 
 DL = dl2().algebra
 BA = bool2().algebra
@@ -120,9 +122,13 @@ def test_clone_search_on_chains(entry):
     assert term_function(entry.algebra, found.term, 3).table == found.table
 
 
+def never(rows):
+    return np.zeros(len(rows), bool)
+
+
 def test_clone_search_enumerates_unary_boolean_clone():
     seen = []
-    clone_search(BA, 1, lambda t: seen.append(t) or False)
+    clone_search(BA, 1, recording(seen))
     assert sorted(set(seen)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -131,18 +137,18 @@ def test_clone_search_budget_charges_every_table_tried():
     # projections, the 2 constants and 840 argument tuples, most of them
     # rebuilding a table already found
     seen = []
-    assert clone_search(DL, 3, lambda t: seen.append(t) or False, budget=845) is None
+    assert clone_search(DL, 3, recording(seen), budget=845) is None
     assert len(seen) == 20
     for budget in (100, 844):
         with pytest.raises(BudgetExceeded, match="clone search exceeds budget %d" % budget):
-            clone_search(DL, 3, lambda t: False, budget=budget)
+            clone_search(DL, 3, never, budget=budget)
 
 
 def test_clone_search_absence_proof_stops_at_the_budget():
     # luk(2)'s binary clone is large: the work budget, not the closure, ends this search
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded, match="clone search"):
-        clone_search(L2, 2, lambda t: False, budget=5000)
+        clone_search(L2, 2, never, budget=5000)
     assert time.perf_counter() - start < 1.0
 
 
