@@ -16,8 +16,9 @@ and short vectors are handled as its elements.  They close with the element
 closure of ``generate_subalgebra`` (``_closure``: a mask over the carrier
 grown by ``_rounds``, whose rounds are also ``_HomPlan``'s stages), and
 ``_images`` looks them up with one gather per stack of the power's tables.
-``_images`` serves the closedness test ``unclosed_operation``
-(constrained-space validation) and, through ``_tables_on``, the table
+``_images`` serves the closedness test ``unclosed_operation`` (and
+``_unclosed_codes``, which constrained-space validation gives the stored
+codes) and, through ``_tables_on``, the table
 building in L-space validation (which keeps the tables as Comp X),
 ``algebra_from_vectors`` and ``subalgebra``.  Longer vectors take the row
 kernels on sorted codes: ``_close`` closes them in semi-naive rounds, and
@@ -570,7 +571,17 @@ def unclosed_operation(L: FiniteAlgebra, length: int, vectors) -> str | None:
     """The first operation, in signature order, under which the vectors over
     L are not closed (a constant when its constant vector is missing), or
     None for a subuniverse of L**length."""
-    rows = _rows(_checked(L, length, vectors, "vector"), length)
+    return _unclosed(L, _rows(_checked(L, length, vectors, "vector"), length))
+
+
+def _unclosed_codes(L: FiniteAlgebra, length: int, codes) -> str | None:
+    """``unclosed_operation`` on the vectors given by their codes (each
+    below |L|**length), read into rows by arithmetic, with no tuple built."""
+    codes = np.fromiter(codes, dtype=_radix(L.size, length).dtype, count=len(codes))
+    return _unclosed(L, _decode(codes, L.size, length))
+
+
+def _unclosed(L: FiniteAlgebra, rows: np.ndarray) -> str | None:
     return _first_in_signature(L, {name for name, positions in _images(L, rows)
                                    if (positions < 0).any()})
 

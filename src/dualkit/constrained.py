@@ -15,7 +15,9 @@ functions.  Each A_I is a frozenset of codes, held once, so the store grows
 with the sum of |A_I| and never with |L|^|I|.  ``constraints``,
 ``constraint()`` and ``constraint_tuple()`` decode on first use and present
 A_I as frozensets of tuples aligned with sorted(I); ``_reindex`` reads those
-at other points of I.
+at other points of I.  Validation reads the codes themselves: a projection
+takes digits by division (``_project``), the closure kernel reads the codes
+as rows, and a pair (a, a) on two points has the code a(|L| + 1).
 
 Every search over local and global functions assigns points in ascending
 order and keeps one packed row: a Python int in which point q owns a field
@@ -62,6 +64,7 @@ from .algebras import (
     FiniteAlgebra,
     InvalidInput,
     _is_element,
+    _unclosed_codes,
     power_index,
     power_tuple,
     unclosed_operation,
@@ -79,12 +82,21 @@ def _reindex(funs, I_sorted, xs) -> frozenset:
     return frozenset(tuple(f[i] for i in at) for f in funs)
 
 
-def _project(codes, I: tuple, J: tuple, size: int) -> frozenset:
-    """The codes of local functions on the sorted tuple I, read at the sorted
-    points J of I."""
-    at = [I.index(x) for x in J]
-    return frozenset(power_index(size, [values[i] for i in at])
-                     for values in (power_tuple(size, len(I), c) for c in codes))
+def _project(codes, length: int, at: tuple, size: int) -> frozenset:
+    """The codes of local functions on ``length`` points, read at the
+    ascending positions ``at``: each digit taken from the code by division."""
+    weights = [size ** (length - 1 - i) for i in at]
+    projected = set()
+    for c in codes:
+        code = 0
+        for weight in weights:
+            code = code * size + c // weight % size
+        projected.add(code)
+    return frozenset(projected)
+
+
+def _wrong_length(I: tuple) -> InvalidInput:
+    return InvalidInput("local function of wrong length for %r" % (I,))
 
 
 def _encode_functions(funs, I: tuple, size: int) -> frozenset:
@@ -92,7 +104,7 @@ def _encode_functions(funs, I: tuple, size: int) -> frozenset:
     codes = set()
     for f in funs:
         if len(f) != len(I):
-            raise InvalidInput("local function of wrong length for %r" % (I,))
+            raise _wrong_length(I)
         if any(not 0 <= v < size for v in f):
             raise InvalidInput("local function value outside the carrier")
         codes.add(power_index(size, f))
@@ -100,6 +112,10 @@ def _encode_functions(funs, I: tuple, size: int) -> frozenset:
 
 
 def _given_codes(codes, I: tuple, size: int) -> frozenset:
+    """The codes as given; None stands for local functions of the wrong
+    length, refused here, where ``_encode_functions`` refuses them."""
+    if codes is None:
+        raise _wrong_length(I)
     return frozenset(codes)
 
 
@@ -120,7 +136,9 @@ class ConstrainedSpace:
     @classmethod
     def _from_codes(cls, k: int, topology: FiniteTopology, dualizer: FiniteAlgebra,
                     codes: dict) -> "ConstrainedSpace":
-        """The space whose constraint on each key I holds the given codes."""
+        """The space whose constraint on each key I holds the given codes;
+        None in place of a key's codes stands for local functions of the
+        wrong length, refused where the constructor refuses them."""
         space = object.__new__(cls)
         space._store(k, topology, dualizer, codes, _given_codes)
         return space
@@ -279,7 +297,7 @@ def _derive_by_projection(stored, I, n, m, size):
     base = stored.get(superset)
     if base is None:
         raise InvalidInput("missing constraint for %r" % list(superset))
-    return _project(base, superset, I, size)
+    return _project(base, m, tuple(superset.index(x) for x in I), size)
 
 
 class UnaryConstrainedSpace:
@@ -357,28 +375,26 @@ def validate_constrained(space: ConstrainedSpace) -> ConstrainedReport:
     check the equivalence against a direct computation over the principal
     upsets of Sub(L^k).
     """
-    n = space.n
     _check_closed(space)
     subdirect = _is_subdirect(space)
     continuous = _family_is_continuous(space)
-
-    separated = True
-    for x in range(n):
-        for y in range(x + 1, n):
-            pairs = space.constraint_tuple((x, y))
-            if not any(a != b for a, b in pairs):
-                separated = False
+    # x and y are separated when A_{x,y} holds a pair (a, b) with a != b; the
+    # code of (a, a) is a(|L| + 1), so that is a code off the multiples of |L| + 1
+    diagonal = space.dualizer.size + 1
+    separated = all(any(c % diagonal for c in space._codes_of(I))
+                    for I in itertools.combinations(range(space.n), 2))
     return ConstrainedReport(subdirect, continuous, separated, continuous)
 
 
 def _check_closed(space: ConstrainedSpace) -> None:
-    """InvalidInput unless every stored constraint is a subuniverse."""
+    """InvalidInput unless every stored constraint is a subuniverse; the
+    closure kernel reads the stored codes."""
     # many keys hold the same set (a Priestley space has four pair sets at
     # most), and the answer depends on the set alone
     closed = set()
     for I, codes in space._codes.items():
         if (len(I), codes) not in closed:
-            if unclosed_operation(space.dualizer, len(I), space.constraint(I)) is not None:
+            if _unclosed_codes(space.dualizer, len(I), codes) is not None:
                 raise InvalidInput("constraint for %r is not a subuniverse" % list(I))
             closed.add((len(I), codes))
 
@@ -388,9 +404,9 @@ def _is_subdirect(space: ConstrainedSpace) -> bool:
     constraint() derives, so any two stored constraints agree on their
     common points."""
     m, size = min(space.k, space.n), space.dualizer.size
-    return all(_project(codes, I, J, size) == space._codes_of(J)
+    return all(_project(codes, m, at, size) == space._codes_of(tuple([I[i] for i in at]))
                for I, codes in space._codes.items() if len(I) == m
-               for points in range(m) for J in itertools.combinations(I, points))
+               for points in range(m) for at in itertools.combinations(range(m), points))
 
 
 def _family_is_continuous(space: ConstrainedSpace) -> bool:
@@ -1044,9 +1060,15 @@ class MVPriestleyReport:
 
 
 def _mv_order(space) -> list[list[bool]]:
-    """x <= y iff every pair (a, b) of A_{x,y} has a <= b."""
-    return [[all(a <= b for a, b in space.constraint_tuple((x, y))) for y in range(space.n)]
-            for x in range(space.n)]
+    """x <= y iff every pair (a, b) of A_{x,y} has a <= b.  For x < y the
+    code of (a, b) is a|L| + b, so both directions are read off its digits."""
+    n, size = space.n, space.dualizer.size
+    leq = [[x == y for y in range(n)] for x in range(n)]
+    for x, y in itertools.combinations(range(n), 2):
+        codes = space._codes_of((x, y))
+        leq[x][y] = all(c // size <= c % size for c in codes)
+        leq[y][x] = all(c % size <= c // size for c in codes)
+    return leq
 
 
 def mv_priestley_validate(space: ConstrainedSpace,

@@ -4,17 +4,19 @@ Documents are ``key: value`` lines with JSON-style values; ``#`` starts a
 comment line and duplicate keys are rejected.  Algebra tables are nested
 arrays, row-major in the first argument.  Element values inside space
 documents are written as dualizer labels; bare indices are accepted on
-input.  Parsing errors carry line numbers and are distinct from semantic
-validation errors.
+input, and JSON's true and false are neither.  Parsing errors carry line
+numbers and are distinct from semantic validation errors.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 from dataclasses import dataclass, field
 
-from .algebras import DEFAULT_BUDGET, FiniteAlgebra, InvalidInput, Signature, power_tuple
+from .algebras import (DEFAULT_BUDGET, FiniteAlgebra, InvalidInput, Signature, power_index,
+                       power_tuple)
 from .catalog import build
 from .constrained import ConstrainedSpace, UnaryConstrainedSpace, _mv_order
 from .spaces import LSpace, lspace
@@ -33,6 +35,28 @@ class ValidationError(InvalidInput):
     """Well-formed document with inconsistent content."""
 
 
+_SCAN = json.JSONDecoder().scan_once
+_SPACE = json.decoder.WHITESPACE.match
+
+
+def _json_value(text: str, default):
+    """``json.loads(text)``, or ``default`` where that raises
+    JSONDecodeError: one scan from the first character after JSON
+    whitespace, which must end the text but for more whitespace.  A text
+    that starts with a BOM, which ``json.loads`` refuses, has no value
+    there, so the scan refuses it too."""
+    try:
+        value, end = _SCAN(text, _SPACE(text).end())
+    except (StopIteration, json.JSONDecodeError):
+        return default
+    return value if end == len(text) or _SPACE(text, end).end() == len(text) else default
+
+
+def _boolean(value, key: str) -> ValidationError:
+    """JSON's true and false are Python ints, but name no element."""
+    return ValidationError("boolean %s in %r is not an element" % (json.dumps(value), key))
+
+
 def parse_document(text: str) -> dict:
     """Key/value lines -> ordered dict; values are JSON or raw strings."""
     out: dict[str, object] = {}
@@ -49,10 +73,7 @@ def parse_document(text: str) -> dict:
         if key in out:
             raise ParseError(number, "duplicate key %r" % key)
         value = value.strip()
-        try:
-            out[key] = json.loads(value)
-        except json.JSONDecodeError:
-            out[key] = value
+        out[key] = _json_value(value, value)
     return out
 
 
@@ -115,7 +136,11 @@ class AlgebraDocument:
             index.setdefault(label, element)
         object.__setattr__(self, "_index", index)
 
-    def label_index(self, value) -> int:
+    def label_index(self, value, key: str) -> int:
+        """The element an index or a label names; ``key`` names the document
+        entry a boolean, which is refused, stands in."""
+        if isinstance(value, bool):
+            raise _boolean(value, key)
         if isinstance(value, int):
             if not 0 <= value < self.algebra.size:
                 raise ValidationError("element index %r out of range" % value)
@@ -158,6 +183,8 @@ def _algebra_from_document(doc: dict) -> AlgebraDocument:
             raise ValidationError("missing %r" % key)
         flat = _flatten_table(doc[key], size, arity, name)
         for position, entry in enumerate(flat):
+            if isinstance(entry, bool):
+                raise _boolean(entry, key)
             if not 0 <= entry < size:
                 args = power_tuple(size, arity, position)
                 raise ValidationError(
@@ -205,7 +232,11 @@ class SpaceDocument:
 
 def _parse_points(doc):
     points = doc.get("points")
-    if not isinstance(points, list) or len(set(points)) != len(points):
+    try:
+        distinct = isinstance(points, list) and len(set(points)) == len(points)
+    except TypeError:           # an unhashable label, such as a list
+        distinct = False
+    if not distinct:
         raise ValidationError("points must be a list of distinct labels")
     return tuple(str(p) for p in points)
 
@@ -235,8 +266,26 @@ def _parse_topology(doc, points):
     return topology_from_subbasis(n, masks)
 
 
-def _value_tuple(dualizer_doc, values):
-    return tuple(dualizer_doc.label_index(v) for v in values)
+def _element_rows(dualizer: AlgebraDocument, value, key: str, convert) -> list:
+    """``convert`` of the elements of each row of ``value``, a list of lists
+    of element labels or indices, in one loop over the rows.
+
+    ValidationError naming ``key`` unless ``value`` has that shape, and
+    else at the first value that names no element (``label_index``); a
+    row's fault waits for the shape of the rows after it."""
+    out = []
+    if isinstance(value, list):
+        for row in value:
+            if not isinstance(row, list):
+                break
+            try:
+                out.append(convert([dualizer.label_index(v, key) for v in row]))
+            except ValidationError:
+                _list_of_lists(value, key, "element labels")
+                raise
+        else:
+            return out
+    raise ValidationError("%s must be a list of lists of element labels" % key)
 
 
 def parse_space(text: str) -> SpaceDocument:
@@ -263,8 +312,7 @@ def _space_from_document(doc: dict) -> SpaceDocument:
         comp = doc.get("comp")
         if not isinstance(comp, list):
             raise ValidationError("lspace documents need a comp block")
-        functions = [_value_tuple(dualizer, f)
-                     for f in _list_of_lists(comp, "comp", "element labels")]
+        functions = _element_rows(dualizer, comp, "comp", tuple)
         space = lspace(top, dualizer.algebra, functions)
         return SpaceDocument(kind, points, ref, dualizer, space)
 
@@ -272,8 +320,7 @@ def _space_from_document(doc: dict) -> SpaceDocument:
         fibers_doc = doc.get("fibers")
         if not isinstance(fibers_doc, list) or len(fibers_doc) != len(points):
             raise ValidationError("fibers must list one value set per point")
-        fibers = [frozenset(dualizer.label_index(v) for v in f)
-                  for f in _list_of_lists(fibers_doc, "fibers", "element labels")]
+        fibers = _element_rows(dualizer, fibers_doc, "fibers", frozenset)
         equiv_doc = doc.get("equiv")
         classes = list(range(len(points)))
         if equiv_doc is not None:
@@ -295,27 +342,32 @@ def _space_from_document(doc: dict) -> SpaceDocument:
         k = int(kind.split("-", 1)[1])
     except ValueError:
         raise ValidationError("unknown document kind %r" % kind)
-    family = {}
+    # each entry straight to the codes of its rows, keyed by its points
+    # ascending, as ConstrainedSpace stores them
+    family: dict = {}
+    encode = functools.partial(power_index, dualizer.algebra.size)
     for key, value in doc.items():
         if not key.startswith("constraint "):
             continue
-        try:
-            subset = json.loads(key[len("constraint "):])
-        except json.JSONDecodeError:
-            raise ValidationError("bad constraint key %r" % key)
-        if not isinstance(subset, list) or not all(isinstance(p, str) for p in subset):
+        subset = _json_value(key[len("constraint "):], None)
+        if not isinstance(subset, list) or not all([isinstance(p, str) for p in subset]):
             raise ValidationError("bad constraint key %r" % key)
         try:
-            pts = tuple(index[p] for p in subset)
+            pts = tuple(map(index.__getitem__, subset))
         except KeyError as exc:
             raise ValidationError("unknown point %s in constraint key" % exc)
-        if sorted(pts) != list(pts):
-            raise ValidationError("constraint keys list points in document order")
-        family[frozenset(pts)] = {_value_tuple(dualizer, f)
-                                  for f in _list_of_lists(value, key, "element labels")}
+        if not all(map(operator.lt, pts, pts[1:])):
+            if sorted(pts) != list(pts):
+                raise ValidationError("constraint keys list points in document order")
+            repeated = next(p for p, q in zip(subset, subset[1:]) if index[p] == index[q])
+            raise ValidationError("point %r repeated in constraint key %r" % (repeated, key))
+        codes = frozenset(_element_rows(dualizer, value, key, encode))
+        # a row of another length is refused where the constructor refuses
+        # it, after every fault of the keys and the labels
+        family[pts] = codes if all([len(row) == len(pts) for row in value]) else None
     if "a_empty" in doc:
-        family[frozenset()] = {()} if doc["a_empty"] else set()
-    space = ConstrainedSpace(k, top, dualizer.algebra, family)
+        family[()] = frozenset((0,)) if doc["a_empty"] else frozenset()
+    space = ConstrainedSpace._from_codes(k, top, dualizer.algebra, family)
     return SpaceDocument(kind, points, ref, dualizer, space)
 
 

@@ -20,6 +20,8 @@ from dualkit.fileformat import AlgebraDocument
 from dualkit.spaces import lspace
 from dualkit.topology import discrete_topology
 
+from test_space_documents import mutated_space_documents
+
 PRIESTLEY_DOC = """\
 kind: constrained-2
 dualizer: builtin:dl2
@@ -809,13 +811,29 @@ def test_mutated_algebra_documents_exit_cleanly(fuzz_path, case):
         assert "'%s'" % name in line or "'table %s'" % name in line
 
 
+@settings(max_examples=200, deadline=None)
+@given(text=mutated_space_documents())
+def test_mutated_space_documents_exit_cleanly(fuzz_path, text):
+    """``props`` on a mutated constrained, unary or lspace document (keys,
+    entries, rows, labels, whitespace, points, a_empty) exits 0, or 2 with
+    one error line, never a traceback."""
+    _error_line(fuzz_path, text, ["props", str(fuzz_path)])
+
+
 def _spectrum_error(path, text):
     """Runs ``spectrum`` on the document text against dl2 and returns its
     one error line, or None when it exits 0 with nothing on stderr."""
+    return _error_line(path, text, ["spectrum", str(path), "--dualizer", "builtin:dl2"])
+
+
+def _error_line(path, text, argv):
+    """Runs the command on the document text, written to ``path``, and
+    returns its one error line, or None when it exits 0 with nothing on
+    stderr."""
     path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["spectrum", str(path), "--dualizer", "builtin:dl2"])
+        code = cli.main(argv)
     assert code in (0, 2)
     if code == 0:
         assert err.getvalue() == ""

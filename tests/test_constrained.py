@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from dualkit.algebras import BudgetExceeded, InvalidInput, generate_vectors, unclosed_operation
+from dualkit.algebras import BudgetExceeded, InvalidInput, _unclosed_codes, generate_vectors
 from dualkit.catalog import bool2, dl2, luk, posluk
 from dualkit.constrained import (
     ConstrainedSpace,
@@ -577,11 +577,11 @@ def test_validation_checks_each_distinct_constraint_set_once(monkeypatch):
     # each of comparable, equivalent, reversed and incomparable points
     calls = []
 
-    def counting(L, arity, funs):
-        calls.append((arity, frozenset(funs)))
-        return unclosed_operation(L, arity, funs)
+    def counting(L, arity, codes):
+        calls.append((arity, frozenset(codes)))
+        return _unclosed_codes(L, arity, codes)
 
-    monkeypatch.setattr("dualkit.constrained.unclosed_operation", counting)
+    monkeypatch.setattr("dualkit.constrained._unclosed_codes", counting)
     leq = [[x == y or x <= y < 4 for y in range(7)] for x in range(7)]
     leq[4][5] = leq[5][4] = leq[5][0] = True
     space = priestley_from_order(discrete_topology(7), leq, DL)

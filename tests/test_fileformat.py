@@ -1,5 +1,6 @@
 import pytest
 
+from dualkit.algebras import InvalidInput
 from dualkit.catalog import dl2, luk
 from dualkit.constrained import ConstrainedSpace, UnaryConstrainedSpace
 from dualkit.fileformat import (
@@ -253,7 +254,88 @@ def _outcome(call, *args):
 @pytest.mark.parametrize("labels", [("0", "1/2", "1"), ("a", "b", "a")], ids=["luk2", "repeated"])
 def test_label_index_matches_two_scans(labels):
     doc = AlgebraDocument("luk2", luk(2).algebra, labels)
-    values = list(labels) + [0, 2, 3, -1, True, "2/3", "", ["0"], ("0",), {"0": 1}, None, 1.0]
+    values = list(labels) + [0, 2, 3, -1, "2/3", "", ["0"], ("0",), {"0": 1}, None, 1.0]
     for value in values:
-        assert _outcome(doc.label_index, value) == _outcome(old_label_index, doc, value)
-    assert _outcome(doc.label_index, ["0"]) == "unknown element label ['0']"
+        assert _outcome(doc.label_index, value, "comp") == _outcome(old_label_index, doc, value)
+    assert _outcome(doc.label_index, ["0"], "comp") == "unknown element label ['0']"
+    # the two scans read True as the index 1; a boolean names no element
+    assert _outcome(old_label_index, doc, True) == 1
+    assert _outcome(doc.label_index, True, "comp") == "boolean true in 'comp' is not an element"
+    assert _outcome(doc.label_index, False, "comp") == "boolean false in 'comp' is not an element"
+
+
+def test_a_repeated_point_in_a_constraint_key_is_named():
+    # sorted, so the document-order check passed it, and the key of one
+    # point then refused its rows of two values
+    text = PRIESTLEY_DOC.replace('constraint ["x", "y"]', 'constraint ["x", "x"]')
+    with pytest.raises(ValidationError) as err:
+        parse_space(text)
+    assert str(err.value) == "point 'x' repeated in constraint key 'constraint [\"x\", \"x\"]'"
+    text = PRIESTLEY_DOC.replace('constraint ["x", "y"]', 'constraint ["y", "x", "x"]')
+    with pytest.raises(ValidationError, match="document order"):
+        parse_space(text)
+
+
+@pytest.mark.parametrize("text, key, value", [
+    (PRIESTLEY_DOC.replace('[["0", "0"], ["0", "1"]', '[[true, true], ["0", "1"]'),
+     'constraint ["x", "y"]', "true"),
+    (TWO_POINT_LSPACE.replace('[["0", "0"], ["1", "1"]]', "[[false, false], [true, true]]"),
+     "comp", "false"),
+    (UNARY_DOC.replace('[["0", "1"], ["0", "1"]]', '[["0", "1"], [true]]'), "fibers", "true"),
+], ids=["constraint", "comp", "fibers"])
+def test_a_json_boolean_is_no_element_of_a_space(text, key, value):
+    # true and false are the Python ints 1 and 0, which label_index took
+    # for element indices
+    with pytest.raises(ValidationError) as err:
+        parse_space(text)
+    assert str(err.value) == "boolean %s in %r is not an element" % (value, key)
+
+
+@pytest.mark.parametrize("old, new, key, value", [
+    ("table neg: [1, 0]", "table neg: [true, false]", "table neg", "true"),
+    ("table zero: 0", "table zero: false", "table zero", "false"),
+    ("table meet: [[0, 0], [0, 1]]", "table meet: [[0, 0], [false, true]]", "table meet",
+     "false"),
+], ids=["unary", "constant", "binary"])
+def test_a_json_boolean_is_no_table_entry(old, new, key, value):
+    text = serialize_algebra(resolve_algebra("builtin:bool2"))
+    assert old in text
+    with pytest.raises(ValidationError) as err:
+        parse_algebra(text.replace(old, new))
+    assert str(err.value) == "boolean %s in %r is not an element" % (value, key)
+
+
+def test_constraint_keys_read_as_json_after_the_prefix():
+    # json.loads skips JSON whitespace before the value, so these parsed
+    for spacing in ("  ", " \t", " \t "):
+        text = PRIESTLEY_DOC.replace('constraint ["x"]', 'constraint%s["x"]' % spacing)
+        assert parse_space(text).space.constraint((0,)) == frozenset({(0,), (1,)})
+    # but not other whitespace, a BOM, or more than one value
+    for key in ('constraint \u00a0["x"]', 'constraint \ufeff["x"]', 'constraint ["x"] ["y"]'):
+        with pytest.raises(ValidationError, match="bad constraint key"):
+            parse_space(PRIESTLEY_DOC.replace('constraint ["x"]', key))
+
+
+def test_a_row_of_the_wrong_length_is_refused_after_every_other_fault():
+    short = PRIESTLEY_DOC.replace('[["0", "0"], ["0", "1"], ["1", "1"]]', '[["0"], ["1", "1"]]')
+    with pytest.raises(InvalidInput, match=r"local function of wrong length for \(0, 1\)"):
+        parse_space(short)
+    # a label fault in a later entry comes first
+    later = short.replace('constraint ["y"]: [["0"], ["1"]]', 'constraint ["y"]: [["0"], ["2/3"]]')
+    with pytest.raises(ValidationError, match="unknown element label '2/3'"):
+        parse_space(later)
+    # and a fault of the keys the store finds, such as a missing constraint
+    missing = short.replace('points: ["x", "y"]', 'points: ["x", "y", "z"]')
+    with pytest.raises(InvalidInput, match=r"missing constraint for \[0, 2\]"):
+        parse_space(missing)
+    # the largest keys are encoded first, so the pair is named before the point
+    both = short.replace('constraint ["x"]: [["0"], ["1"]]', 'constraint ["x"]: [["0", "0"]]')
+    with pytest.raises(InvalidInput, match=r"local function of wrong length for \(0, 1\)"):
+        parse_space(both)
+
+
+def test_points_that_cannot_be_hashed_are_refused():
+    # a list among the points made set() raise TypeError, a traceback
+    text = TWO_POINT_LSPACE.replace('points: ["x", "y"]', 'points: [["x"], "y"]')
+    with pytest.raises(ValidationError, match="points must be a list of distinct labels"):
+        parse_space(text)
