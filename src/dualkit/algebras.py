@@ -646,7 +646,7 @@ def generate_subalgebra(A: FiniteAlgebra, seed) -> frozenset:
 
 def minimal_generating_set(A: FiniteAlgebra) -> tuple[int, ...]:
     """Small generating set, grown greedily from the constants closure."""
-    return _HomPlan(A).gens
+    return _plan(A, None).gens
 
 
 def subalgebra(A: FiniteAlgebra, universe) -> tuple[FiniteAlgebra, tuple[int, ...]]:
@@ -803,7 +803,8 @@ class _HomPlan:
     stages.  ``stages[t]`` groups, per stack of ``_stacks`` (operations
     of one arity), the argument tuples whose latest argument is at stage t:
     (stack index, argument columns, results as operations x tuples, and the
-    positions there whose result is first reached at stage t + 1).
+    positions there whose result is first reached at stage t + 1).  Its
+    arrays are read-only: equal algebras share one plan (``_plan``).
     """
 
     def __init__(self, A: FiniteAlgebra, gens=None):
@@ -840,7 +841,27 @@ class _HomPlan:
             for t in np.flatnonzero(np.bincount(at.ravel())).tolist():
                 args = np.nonzero(at == t)
                 out = tables[(slice(None),) + args]
-                self.stages[t].append((s, args, out, np.nonzero(stage[out] == t + 1)))
+                derive = np.nonzero(stage[out] == t + 1)
+                for array in args + (out,) + derive:
+                    array.flags.writeable = False
+                self.stages[t].append((s, args, out, derive))
+        self.consts.flags.writeable = False
+
+
+def _plan(A: FiniteAlgebra, gens) -> _HomPlan:
+    """``_HomPlan(A, gens)``, ``gens`` a tuple or None.  Equal algebras with
+    equal ``gens`` share one plan while A's stacks fit ``_BLOCK_CELLS``
+    cells, as ``_power``'s powers do; a larger algebra builds a fresh plan
+    per call, so no large plan outlives its call."""
+    if sum(tables.size for _, tables in A._stacks) > _BLOCK_CELLS:
+        return _HomPlan(A, gens)
+    return _shared_plan(A, gens)
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_plan(A: FiniteAlgebra, gens) -> _HomPlan:
+    # sampled subalgebras of powers repeat by value, as separate objects
+    return _HomPlan(A, gens)
 
 
 def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra, gens=None) -> list[ElementMap]:
@@ -862,7 +883,10 @@ def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra, gens=None) -> list[Elemen
         for g in gens:
             if not _is_element(g, A.size):
                 raise InvalidInput("generator %r outside carrier" % (g,))
-    plan = _HomPlan(A, gens)  # raises if the given generators do not generate
+        # plain ints: equal generators key one cached plan, and True is
+        # element 1, not a numpy mask
+        gens = tuple(map(operator.index, gens))
+    plan = _plan(A, gens)  # raises if the given generators do not generate
     gens = plan.gens
     b_stacks = [tables for _, tables in B._stacks]
     const_images = np.array([B.apply(name) for name in B.signature.constants], dtype=np.int64)
@@ -892,7 +916,7 @@ def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra, gens=None) -> list[Elemen
 
     def search(level):
         if level > len(gens):
-            results.append(ElementMap(A, B, tuple(int(v) for v in image)))
+            results.append(ElementMap(A, B, tuple(image.tolist())))
             return
         for b in B.elements if level else (None,):
             if replay(level, b):

@@ -236,9 +236,11 @@ def _parse_points(doc):
         distinct = isinstance(points, list) and len(set(points)) == len(points)
     except TypeError:           # an unhashable label, such as a list
         distinct = False
-    if not distinct:
+    labels = tuple(str(p) for p in points) if distinct else ()
+    # distinct values can print as one label, such as 1 and "1"
+    if not distinct or len(set(labels)) != len(labels):
         raise ValidationError("points must be a list of distinct labels")
-    return tuple(str(p) for p in points)
+    return labels
 
 
 def _list_of_lists(value, key, what, entry=object):
@@ -347,9 +349,12 @@ def _space_from_document(doc: dict) -> SpaceDocument:
     family: dict = {}
     encode = functools.partial(power_index, dualizer.algebra.size)
     for key, value in doc.items():
-        if not key.startswith("constraint "):
+        if not key.startswith("constraint"):
             continue
-        subset = _json_value(key[len("constraint "):], None)
+        # a misspelled key, such as constraint["x"], is refused, not skipped
+        subset = None
+        if key.startswith("constraint "):
+            subset = _json_value(key[len("constraint "):], None)
         if not isinstance(subset, list) or not all([isinstance(p, str) for p in subset]):
             raise ValidationError("bad constraint key %r" % key)
         try:

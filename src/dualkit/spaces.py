@@ -174,6 +174,12 @@ class Spectrum:
     space: LSpace
 
 
+def _eta(A: FiniteAlgebra, homs) -> list[tuple]:
+    """eta_A's vectors: element a's images under ``homs``, one tuple per a
+    (|A| empty tuples when there is no homomorphism)."""
+    return list(zip(*[h.values for h in homs])) if homs else [()] * A.size
+
+
 def spectrum(A: FiniteAlgebra, L: FiniteAlgebra, gens=None) -> Spectrum:
     """The dual space of A: Hom(A, L) under the clopen subbasis U_{a -> W}.
 
@@ -183,7 +189,7 @@ def spectrum(A: FiniteAlgebra, L: FiniteAlgebra, gens=None) -> Spectrum:
     homomorphisms' value vectors.
     """
     homs = sorted(enumerate_homs(A, L, gens=gens), key=lambda h: h.values)
-    vectors = [tuple(h.values[a] for h in homs) for a in A.elements]    # eta_A
+    vectors = _eta(A, homs)
     top = discrete_topology(len(homs))
     # Comp Spec A is A/ker(eta_A), its blocks numbered in the carrier's order
     carrier = tuple(sorted(set(vectors)))
@@ -217,7 +223,7 @@ def canonical_embedding(A: FiniteAlgebra, L: FiniteAlgebra, gens=None) -> Canoni
     spec = spectrum(A, L, gens=gens)
     comp_alg, carrier = spec.space.comp_algebra()
     lookup = {v: i for i, v in enumerate(carrier)}
-    values = tuple(lookup[tuple(h.values[a] for h in spec.homs)] for a in A.elements)
+    values = tuple(lookup[v] for v in _eta(A, spec.homs))
     return CanonicalEmbedding(spec, comp_alg, carrier, ElementMap(A, comp_alg, values))
 
 

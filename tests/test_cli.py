@@ -485,6 +485,20 @@ def test_intermediate_constraint_key_exits_two(capsys, tmp_path, command):
                    "stored keys have 3 or at most one\n")
 
 
+@pytest.mark.parametrize("key", ['constraint["x"]', 'constraint\u00a0["x"]'],
+                         ids=["no space", "non-breaking space"])
+def test_misspelled_constraint_key_exits_two(capsys, tmp_path, key):
+    # the key was skipped, so comp counted all 4 functions on two points
+    path = tmp_path / "misspelled.dk"
+    path.write_text('kind: constrained-2\ndualizer: builtin:dl2\npoints: ["x", "y"]\n'
+                    'constraint ["x", "y"]: [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]\n'
+                    '%s: [["1"]]\n' % key, encoding="utf-8")
+    assert run(capsys, "comp", str(path)) == (2, "", "error: bad constraint key %r\n" % key)
+    path.write_text(path.read_text(encoding="utf-8").replace(key, 'constraint ["x"]'))
+    code, out, _ = run(capsys, "comp", str(path))
+    assert code == 0 and "count: 2" in out
+
+
 # the pair set of a and b is the diagonal, the other two swap the values:
 # neither is closed under meet, and a, c is the first of them in key order
 NOT_CLOSED = """\

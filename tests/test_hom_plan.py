@@ -10,6 +10,11 @@ greedy ``minimal_generating_set`` that closed again after every generator,
 the per-element ``B.apply`` replay of ``enumerate_homs``.  Both read the
 argument-column view ``_op_columns`` of ``tests/test_closure.py``, which
 ``FiniteAlgebra`` no longer caches.
+
+Plans are shared by value (``_plan``): equal algebras with equal generators
+get one read-only plan while their stacks fit ``_BLOCK_CELLS``, and the hom
+lists that the criteria read through shared plans are compared with the
+oracle call by call.
 """
 
 import itertools
@@ -25,15 +30,19 @@ from dualkit.algebras import (
     FiniteAlgebra,
     InvalidInput,
     Signature,
+    _BLOCK_CELLS,
     _close,
     _HomPlan,
+    _plan,
     _rows,
+    _shared_plan,
     direct_power,
     enumerate_homs,
     generate_subalgebra,
     minimal_generating_set,
     subuniverses,
 )
+from dualkit import algebras, corpus, properties, spaces
 from dualkit.catalog import bool2, dl2, luk, posluk, reduct
 from dualkit.corpus import dualizer_suite, entry_label, sample_function_algebra
 from test_closure import _error, _op_columns
@@ -363,3 +372,92 @@ def test_generate_subalgebra_on_every_subset(entry):
 def test_subuniverses_of_squares(entry):
     square = direct_power(entry.algebra, 2)
     assert subuniverses(square) == old_subuniverses(square)
+
+
+# --- one plan per algebra value -----------------------------------------------------
+
+def _arrays(plan):
+    for stage in plan.stages:
+        for _, args, out, derive in stage:
+            yield from args + (out,) + derive
+    yield plan.consts
+
+
+def test_equal_algebras_share_one_read_only_plan():
+    P = direct_power(luk(2).algebra, 2)
+    copy = FiniteAlgebra(P.signature, P.size, P.tables)
+    assert copy is not P and copy == P
+    for gens in (None, minimal_generating_set(P)):
+        plan = _plan(P, gens)
+        assert _plan(copy, gens) is plan
+        arrays = list(_arrays(plan))
+        assert arrays and all(not a.flags.writeable for a in arrays)
+        for a in arrays:
+            if a.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[(0,) * a.ndim] = 0
+    # a plan for other generators is another plan
+    assert _plan(P, tuple(P.elements)) is not _plan(P, None)
+
+
+def test_non_generating_generators_raise_on_every_call():
+    P = direct_power(luk(2).algebra, 2)
+    _shared_plan.cache_clear()
+    for _ in range(2):
+        with pytest.raises(InvalidInput, match="given generators do not generate"):
+            enumerate_homs(P, luk(2).algebra, ())
+    assert _shared_plan.cache_info().currsize == 0
+
+
+def test_generators_are_read_as_plain_ints():
+    # a boolean generator indexed the plan's masks as a numpy mask, and
+    # enumerate_homs raised ValueError; now True is element 1
+    L = luk(2).algebra
+    assert [h.values for h in enumerate_homs(L, L, (True,))] == _homs(L, L, (1,))[0] == [(0, 1, 2)]
+    assert _plan(L, (1,)) is _shared_plan(L, (True,))
+
+
+def test_a_plan_past_the_block_cap_is_not_kept():
+    # luk(5)^3: 216 elements, four binary tables and one unary, 186,840 cells
+    L = luk(5).algebra
+    cube = direct_power(L, 3)
+    assert sum(tables.size for _, tables in cube._stacks) == 186840 > _BLOCK_CELLS
+    _shared_plan.cache_clear()
+    homs = enumerate_homs(cube, L)
+    projections = [tuple(a // 6 ** (2 - i) % 6 for a in cube.elements) for i in range(3)]
+    assert sorted(h.values for h in homs) == projections
+    assert minimal_generating_set(cube) == _HomPlan(cube).gens
+    assert _shared_plan.cache_info().currsize == 0
+
+
+def _recorded_homs(monkeypatch, criteria, seeds):
+    """(A, B, gens, hom values) of every enumerate_homs call the criteria make."""
+    calls, real = [], algebras.enumerate_homs
+
+    def recording(A, B, gens=None):
+        homs = real(A, B, gens)
+        calls.append((A, B, None if gens is None else tuple(gens), [h.values for h in homs]))
+        return homs
+
+    for module in (algebras, properties, spaces):
+        monkeypatch.setattr(module, "enumerate_homs", recording)
+    for seed in seeds:
+        for criterion in criteria:
+            assert criterion(seed=seed).passed
+    return calls
+
+
+def test_criteria_hom_lists_through_shared_plans_match_oracle(monkeypatch):
+    # criteria 1, 4, 6 and 11 sample subalgebras of powers that repeat by
+    # value; each call's list, cached plan or not, equals the oracle's
+    _shared_plan.cache_clear()
+    calls = _recorded_homs(monkeypatch, [
+        corpus.criterion_duality_roundtrip, corpus.criterion_partial_endomorphisms,
+        corpus.criterion_congruence_representation, corpus.criterion_jonsson], (0, 7))
+    assert _shared_plan.cache_info().hits > 1000
+    oracle = {}
+    for A, B, gens, got in calls:
+        if (A, B, gens) not in oracle:
+            oracle[A, B, gens] = [h.values for h in old_enumerate_homs(A, B, gens)]
+        assert got == oracle[A, B, gens]
+    assert len(oracle) < len(calls) / 4

@@ -12,11 +12,15 @@ on that projection, and ``validate_constrained`` and ``_mv_order`` (the
 order ``priestley_to_order`` reads) reading each pair of points through
 ``constraint_tuple``.
 
-Two changes of meaning are switched on in the oracle by name, so every
+Three changes of meaning are switched on in the oracle by name, so every
 other message is compared as the old parser gave it: ``booleans`` refuses a
-JSON boolean where an element is expected, naming the key, and ``repeats``
+JSON boolean where an element is expected, naming the key, ``repeats``
 refuses a constraint key that repeats a point, naming the point (the old
-order check let it through to a wrong-length error on the smaller key).
+order check let it through to a wrong-length error on the smaller key), and
+``misspelled`` refuses a key that starts with ``constraint`` but not with
+``constraint `` (the old loop skipped it, dropping its entry).  The oracle
+reads ``points`` with today's ``_parse_points``, which refuses points that
+are distinct values but one label, such as 1 and "1".
 
 The documents compared are every space document of the benchmark's input
 sets 0, 1 and 7, and documents mutated at random: keys, entries, rows,
@@ -33,6 +37,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dualkit.cli as cli
 from dualkit.algebras import InvalidInput, power_index, power_tuple, unclosed_operation
 from dualkit.catalog import luk
 from dualkit.constrained import (
@@ -110,7 +115,7 @@ def old_value_tuple(dualizer_doc, values, key, booleans):
     return tuple(old_label_index(dualizer_doc, v, key, booleans) for v in values)
 
 
-def old_space_from_document(doc: dict, booleans=False, repeats=False):
+def old_space_from_document(doc: dict, booleans=False, repeats=False, misspelled=False):
     """The space of a document already split by ``parse_document``."""
     kind = doc.get("kind")
     if kind == "poset":
@@ -165,6 +170,8 @@ def old_space_from_document(doc: dict, booleans=False, repeats=False):
     family = {}
     for key, value in doc.items():
         if not key.startswith("constraint "):
+            if misspelled and key.startswith("constraint"):
+                raise ValidationError("bad constraint key %r" % key)
             continue
         try:
             subset = json.loads(key[len("constraint "):])
@@ -269,7 +276,8 @@ def new_parse(text):
 
 
 def old_parse(text):
-    return summary(old_space_from_document(old_parse_document(text), booleans=True, repeats=True))
+    return summary(old_space_from_document(old_parse_document(text), booleans=True, repeats=True,
+                                           misspelled=True))
 
 
 def same_checks(space):
@@ -408,7 +416,9 @@ def mutated_space_documents(draw):
             except json.JSONDecodeError:        # a key mutated already
                 subset = None
             if isinstance(subset, list):
-                lines[at][0] = "constraint " + _subset_text(draw, subset, points)
+                prefix = draw(st.sampled_from(["constraint "] * 4 + [
+                    "constraint", "constraint\u00a0", "constraints "]))
+                lines[at][0] = prefix + _subset_text(draw, subset, points)
         elif kind == "entry":
             lines[at][1] = draw(JSON_VALUES)
         elif kind == "rows" and isinstance(value, list) and key not in ("points", "opens",
@@ -475,6 +485,37 @@ def test_the_two_changes_of_meaning():
         assert outcome(old_parse, text) == ("ValidationError", message)
         assert outcome(new_parse, text) != outcome(
             lambda t: summary(old_space_from_document(old_parse_document(t))), text)
+
+
+@pytest.mark.parametrize("prefix", ["constraint", "constraint\u00a0", "constraints "])
+def test_a_misspelled_constraint_key_is_refused(prefix):
+    # the old loop skipped it, so its entry was dropped without a word
+    def document(lines):
+        return "".join("%s: %s\n" % (key, json.dumps(value)) for key, value in lines.items())
+
+    lines = dict(BASES["priestley"])
+    lines[prefix + '["p0"]'] = lines.pop('constraint ["p0"]')
+    text = document(lines)
+    message = "bad constraint key %r" % (prefix + '["p0"]')
+    assert outcome(new_parse, text) == outcome(old_parse, text) == ("ValidationError", message)
+    skipped = summary(old_space_from_document(old_parse_document(text), booleans=True,
+                                              repeats=True))
+    del lines[prefix + '["p0"]']
+    assert skipped == new_parse(document(lines))
+
+
+def test_points_that_print_as_one_label_are_refused(capsys, tmp_path):
+    # 1 and "1" are distinct JSON values, and export-dot drew two nodes "1"
+    text = 'kind: lspace\ndualizer: builtin:dl2\npoints: [1, "1"]\ncomp: [["0", "0"], ["1", "1"]]\n'
+    assert outcome(new_parse, text) == (
+        "ValidationError", "points must be a list of distinct labels")
+    path = tmp_path / "points.dk"
+    path.write_text(text)
+    code = cli.main(["export-dot", str(path)])
+    assert (code,) + tuple(capsys.readouterr()) == (
+        2, "", "error: points must be a list of distinct labels\n")
+    # labels that differ as text still pass
+    assert new_parse(text.replace('[1, "1"]', '[1, "x"]'))[1] == ("1", "x")
 
 
 # --- the JSON scan ----------------------------------------------------------------
