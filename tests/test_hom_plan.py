@@ -413,7 +413,8 @@ def test_generators_are_read_as_plain_ints():
     # a boolean generator indexed the plan's masks as a numpy mask, and
     # enumerate_homs raised ValueError; now True is element 1
     L = luk(2).algebra
-    assert [h.values for h in enumerate_homs(L, L, (True,))] == _homs(L, L, (1,))[0] == [(0, 1, 2)]
+    values = [h.values for h in enumerate_homs(L, L, (True,))]
+    assert values == _homs(L, L, (1,))[0] == [(0, 1, 2)]
     assert _plan(L, (1,)) is _shared_plan(L, (True,))
 
 
@@ -430,8 +431,9 @@ def test_a_plan_past_the_block_cap_is_not_kept():
     assert _shared_plan.cache_info().currsize == 0
 
 
-def _recorded_homs(monkeypatch, criteria, seeds):
-    """(A, B, gens, hom values) of every enumerate_homs call the criteria make."""
+def test_criteria_hom_lists_through_shared_plans_match_oracle(monkeypatch):
+    # criteria 1, 4, 6 and 11 sample subalgebras of powers that repeat by
+    # value; each call's list, cached plan or not, equals the oracle's
     calls, real = [], algebras.enumerate_homs
 
     def recording(A, B, gens=None):
@@ -441,19 +443,12 @@ def _recorded_homs(monkeypatch, criteria, seeds):
 
     for module in (algebras, properties, spaces):
         monkeypatch.setattr(module, "enumerate_homs", recording)
-    for seed in seeds:
-        for criterion in criteria:
-            assert criterion(seed=seed).passed
-    return calls
-
-
-def test_criteria_hom_lists_through_shared_plans_match_oracle(monkeypatch):
-    # criteria 1, 4, 6 and 11 sample subalgebras of powers that repeat by
-    # value; each call's list, cached plan or not, equals the oracle's
     _shared_plan.cache_clear()
-    calls = _recorded_homs(monkeypatch, [
-        corpus.criterion_duality_roundtrip, corpus.criterion_partial_endomorphisms,
-        corpus.criterion_congruence_representation, corpus.criterion_jonsson], (0, 7))
+    for seed in (0, 7):
+        for criterion in (corpus.criterion_duality_roundtrip,
+                          corpus.criterion_partial_endomorphisms,
+                          corpus.criterion_congruence_representation, corpus.criterion_jonsson):
+            assert criterion(seed=seed).passed
     assert _shared_plan.cache_info().hits > 1000
     oracle = {}
     for A, B, gens, got in calls:
