@@ -339,7 +339,7 @@ def cmd_priestley(args):
         print(serialize_space(SpaceDocument("constrained-2", doc.points,
                                             dualizer_ref, dualizer, space)), end="")
         return 0
-    if not isinstance(doc.space, ConstrainedSpace):
+    if not isinstance(doc.space, ConstrainedSpace) or doc.space.k != 2:
         raise ValidationError("priestley expects a poset or binary constrained document")
     leq = priestley_to_order(doc.space)
     print(serialize_space(SpaceDocument("poset", doc.points, "", None, leq)), end="")

@@ -126,8 +126,7 @@ class ConstrainedSpace:
     aligned with sorted(I).
     """
 
-    __slots__ = ("k", "topology", "dualizer", "_codes", "_derived", "_decoded", "_tables",
-                 "_constraints")
+    __slots__ = ("k", "topology", "dualizer", "_codes", "_derived", "_decoded", "_tables")
 
     def __init__(self, k: int, topology: FiniteTopology, dualizer: FiniteAlgebra,
                  constraints: dict):
@@ -185,7 +184,6 @@ class ConstrainedSpace:
         object.__setattr__(self, "_decoded", {})
         # extension rows by point set T, built on first use
         object.__setattr__(self, "_tables", {})
-        object.__setattr__(self, "_constraints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ConstrainedSpace is immutable")
@@ -197,10 +195,7 @@ class ConstrainedSpace:
     @property
     def constraints(self) -> dict:
         """The stored constraints, keyed by frozenset(I), larger keys first."""
-        if self._constraints is None:
-            object.__setattr__(self, "_constraints",
-                               {frozenset(I): self.constraint(I) for I in self._codes})
-        return self._constraints
+        return {frozenset(I): self.constraint(I) for I in self._codes}
 
     def constraint(self, points) -> frozenset:
         """A_I for any I with |I| <= k, derived by projection if not stored."""

@@ -423,14 +423,15 @@ def serialize_space(doc: SpaceDocument) -> str:
         if not space.dualizer.signature.constants:
             items.append(("a_empty", space.a_empty))
     else:
-        for key in sorted(space.constraints, key=lambda s: (len(s), sorted(s))):
+        constraints = space.constraints
+        for key in sorted(constraints, key=lambda s: (len(s), sorted(s))):
             if not key and space.dualizer.signature.constants:
                 continue
             if not key:
-                items.append(("a_empty", () in space.constraints[key]))
+                items.append(("a_empty", () in constraints[key]))
                 continue
             pts = sorted(key)
-            funs = sorted([labels[v] for v in f] for f in space.constraints[key])
+            funs = sorted([labels[v] for v in f] for f in constraints[key])
             items.append(("constraint %s" % json.dumps([points[p] for p in pts]), funs))
     return serialize_document(items)
 

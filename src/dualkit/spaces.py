@@ -270,12 +270,9 @@ class SpaceProperties:
 
 
 def _separates_points(functions, n) -> bool:
-    """Whether the functions tell every two of the n points apart."""
-    for x in range(n):
-        for y in range(x + 1, n):
-            if not any(f[x] != f[y] for f in functions):
-                return False
-    return True
+    """Whether the functions tell every two of the n points apart: whether
+    the n columns of their values are distinct."""
+    return n < 2 or len(set(zip(*functions))) == n
 
 
 def space_properties(X: LSpace) -> SpaceProperties:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import dualkit.cli as cli
 from dualkit.algebras import DEFAULT_BUDGET
 from dualkit.catalog import dl2
+from dualkit.constrained import cons
 from dualkit.corpus import CriterionResult
 from dualkit.fileformat import serialize_algebra, serialize_space, space_document
 from dualkit.fileformat import AlgebraDocument
@@ -550,6 +551,21 @@ def test_priestley_both_directions(capsys, tmp_path, priestley_file):
     code, out2, _ = run(capsys, "priestley", str(poset))
     assert code == 0
     assert "kind: constrained-2" in out2
+
+
+@pytest.mark.parametrize("command,message", [
+    ("priestley", "priestley expects a poset or binary constrained document"),
+    ("mv-priestley", "MV-Priestley validation expects a binary space"),
+])
+def test_priestley_refuses_a_ternary_document(capsys, tmp_path, command, message):
+    """Both commands read an order off binary constraints only."""
+    X = lspace(discrete_topology(3), dl2().algebra, [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)])
+    path = tmp_path / "ternary.dk"
+    path.write_text(serialize_space(space_document(cons(X, 3), "builtin:dl2",
+                                                   points=("a", "b", "c"))))
+    assert path.read_text().startswith("kind: constrained-3\n")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_mv_priestley(capsys, tmp_path):

@@ -1,9 +1,9 @@
 """The property checks against the loops they replaced.
 
 ``properties.jonsson_finite_cover_check`` tests partitions, not covers;
-``properties._is_distributive`` compares numbered congruences, the order
-check of ``congruence_spectrum_antiisomorphism`` reads covering pairs of
-subsets only, and the kernels it compares are meets of one-hom kernels;
+``properties._is_distributive`` compares numbered congruences, and
+``congruence_spectrum_antiisomorphism`` reads its report off the meets of
+the one-hom kernels;
 ``terms._convex_masks`` decides a batch of mask pairs over every cell of
 the table, and ``constrained.local_to_global_verify`` hands it each
 distinct pair of masks once, in one batch;
@@ -22,17 +22,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualkit import algebras, constrained, properties, terms
 from dualkit.algebras import (
     Congruence,
+    FiniteAlgebra,
     algebra_from_vectors,
     direct_power,
     enumerate_homs,
     generate_vectors,
     in_prevariety,
     relative_congruences,
-    total_congruence,
 )
 from dualkit.catalog import bool2, build, dl2, luk, posluk, reduct
 from dualkit.corpus import dualizer_suite, entry_label, sample_function_algebra
@@ -48,7 +50,7 @@ from dualkit.spaces import spectrum
 from dualkit.topology import mask_of, topology_from_subbasis
 from dualkit.terms import TermFunction, pad_nu_function, search_nu_function
 from test_join_closure import _set_algebra, chain
-from test_table_gather import old_all_congruences, old_relative_congruences
+from test_table_gather import _n5, old_all_congruences, old_relative_congruences
 
 DL = dl2().algebra
 BA = bool2().algebra
@@ -322,6 +324,21 @@ def test_spectrum_matches_the_triple_loop_on_random_subalgebras(name):
         assert congruence_spectrum_antiisomorphism(A, L) == old_spectrum(A, L)
 
 
+def test_prevariety_is_read_off_the_finest_relative_congruence():
+    """The pentagon, outside the prevariety; the empty lattice; and the
+    trivial bounded lattice, which has no hom into dl2."""
+    bare = reduct(DL, ("meet", "join"))
+    trivial = FiniteAlgebra(DL.signature, 1, {"meet": (0,), "join": (0,), "zero": (0,),
+                                              "one": (0,)})
+    cases = [(_n5(), DL), (FiniteAlgebra(bare.signature, 0, {"meet": (), "join": ()}), bare),
+             (trivial, DL)]
+    reports = [congruence_spectrum_antiisomorphism(A, L) for A, L in cases]
+    assert reports == [old_spectrum(A, L) for A, L in cases]
+    assert reports[0].hypothesis_failures == ("algebra is not in the prevariety",)
+    assert "algebra is not in the prevariety" not in reports[1].hypothesis_failures
+    assert reports[2].ok and reports[2].spectrum_size == 0
+
+
 def test_distributivity_matches_the_triple_loop_off_the_relative_congruences():
     """Partition lattices are not distributive, and in subsets of them
     joins and meets leave the set."""
@@ -365,10 +382,11 @@ def test_order_check_reads_covering_pairs_only(monkeypatch):
         calls.append(1)
         return leq(self, other)
 
+    # no order check runs at all: a meet refines each of its parts
     monkeypatch.setattr(Congruence, "leq", counting)
     report = congruence_spectrum_antiisomorphism(chain(7), DL)
-    assert report.ok and report.spectrum_size == 6
-    assert len(calls) <= 6 * 2 ** 5
+    assert report.ok and report.order_reversing and report.spectrum_size == 6
+    assert calls == []
 
 
 def old_subset_kernels(A, homs):
@@ -382,42 +400,53 @@ def old_subset_kernels(A, homs):
     return kernels
 
 
-def _report_kernels(monkeypatch, A, L):
-    """The kernels ``_spectrum_report`` compares, read off the meets it
-    makes from the sorted homs; the relative congruences and the checks
-    before the kernels are passed, so that every algebra, of any size,
-    reaches them.  The algebras given are in the prevariety."""
-    monkeypatch.setattr(properties, "_kernel_meets", lambda A, homs, budget: [])
+def _stubbed_report(monkeypatch, A, L):
+    """``_spectrum_report`` with the dualizer and distributivity checks
+    passed, so that every algebra in the prevariety, of any size, reaches
+    the count of its relative congruences."""
     monkeypatch.setattr(properties, "partial_endomorphisms",
                         lambda L, budget: SimpleNamespace(all_trivial=True))
     monkeypatch.setattr(properties, "_is_distributive", lambda thetas: True)
-    meets = []
-    meet = Congruence.meet
-
-    def recording(self, other):
-        meets.append(meet(self, other))
-        return meets[-1]
-
-    monkeypatch.setattr(Congruence, "meet", recording)
-    properties._spectrum_report(A, L, properties.DEFAULT_BUDGET)
+    report = properties._spectrum_report(A, L, properties.DEFAULT_BUDGET)[1]
     monkeypatch.undo()
-    return [total_congruence(A)] + meets
+    return report
 
 
 @pytest.mark.parametrize("seed", [None, 0, 7], ids=["lattices", "documents-0", "documents-7"])
-def test_subset_kernels_are_the_per_subset_profiles(monkeypatch, seed):
+def test_spectrum_is_bijective_when_the_subset_kernels_are_distinct(monkeypatch, seed):
     """Chains of 1 to 12 elements and Boolean lattices 2^0 to 2^3 over dl2,
-    or the algebra documents of the benchmark at a seed."""
+    or the algebra documents of the benchmark at a seed; with the square of
+    the bare lattice, whose two constant homs share the total kernel."""
     if seed is None:
+        bare = reduct(DL, ("meet", "join"))
         cases = ([(chain(n), DL) for n in range(1, 13)]
-                 + [(direct_power(DL, k), DL) for k in range(4)])
+                 + [(direct_power(DL, k), DL) for k in range(4)]
+                 + [(direct_power(bare, 2), bare)])
     else:
         cases = [(doc.algebra, resolve_algebra(dualizer).algebra)
                  for kind, doc, dualizer in _documents(seed) if kind == "algebra"]
         assert len(cases) == 20
     for A, L in cases:
         homs = sorted(enumerate_homs(A, L), key=lambda h: h.values)
-        assert _report_kernels(monkeypatch, A, L) == old_subset_kernels(A, homs)
+        kernels = old_subset_kernels(A, homs)
+        report = _stubbed_report(monkeypatch, A, L)
+        assert report.hypothesis_failures == ()
+        assert report.bijective == (len(set(kernels)) == len(kernels))
+        assert report.ok == report.bijective and report.order_reversing
+    if seed is None:        # the last case, the bare square
+        assert (report.spectrum_size, report.relative_count) == (4, 4)
+        assert not report.bijective
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 7).flatmap(
+    lambda n: st.tuples(st.lists(st.integers(0, 6), min_size=n, max_size=n),
+                        st.lists(st.integers(0, 6), min_size=n, max_size=n))))
+def test_a_meet_refines_both_its_sides(pair):
+    """The identity the spectrum's order reversal rests on: ker pi_Z, the
+    meet over Z, refines ker pi_Y for every Y <= Z."""
+    a, b = (Congruence.from_blocks(blocks) for blocks in pair)
+    assert a.meet(b).leq(a) and a.meet(b).leq(b)
 
 
 def test_spectrum_budget_counts_subsets_of_the_spectrum():
@@ -425,7 +454,7 @@ def test_spectrum_budget_counts_subsets_of_the_spectrum():
     the congruence sweep stops before the spectrum search starts."""
     square = direct_power(DL, 2)
     assert congruence_spectrum_antiisomorphism(square, DL, budget=4).ok
-    with pytest.raises(properties.BudgetExceeded, match="congruence lattice exceeds budget"):
+    with pytest.raises(algebras.BudgetExceeded, match="congruence lattice exceeds budget"):
         congruence_spectrum_antiisomorphism(square, DL, budget=3)
 
 
@@ -442,20 +471,6 @@ def test_spectrum_report_searches_hom_once(monkeypatch):
         monkeypatch.setattr(module, "enumerate_homs", searching)
     assert congruence_spectrum_antiisomorphism(direct_power(DL, 2), DL).ok
     assert searched.count((4, 2)) == 1
-
-
-def test_spectrum_search_stops_past_its_own_budget(monkeypatch):
-    # the relative congruences are met at the default budget, so that the
-    # spectrum search, not the congruence sweep, meets the budget given
-    meets = properties._kernel_meets
-    monkeypatch.setattr(properties, "_kernel_meets",
-                        lambda A, homs, budget: meets(A, homs, properties.DEFAULT_BUDGET))
-    square = direct_power(DL, 2)
-    assert properties._spectrum_report(square, DL, 4)[1].ok
-    with pytest.raises(properties.BudgetExceeded) as raised:
-        properties._spectrum_report(square, DL, 3)
-    assert str(raised.value) == ("congruence spectrum search over the 2^2 subsets of Spec A "
-                                 "exceeds budget 3")
 
 
 # --- Spec A is discrete ---------------------------------------------------------
@@ -507,7 +522,7 @@ def test_spectrum_topology_is_the_subbasis_topology():
     lattice = reduct(DL, ("meet", "join"))
     A = algebra_from_vectors(lattice, 20, [(0,) * (20 - i) + (1,) * i for i in range(21)])[0]
     for build in (lambda: spectrum(A, lattice), lambda: old_spectrum_topology(A, lattice)):
-        with pytest.raises(properties.BudgetExceeded, match="too many points for an explicit topology"):
+        with pytest.raises(algebras.BudgetExceeded, match="too many points for an explicit topology"):
             build()
 
 

@@ -188,6 +188,30 @@ def test_constants_not_separated():
     assert not props.separated
 
 
+def old_separates_points(functions, n):
+    """The pairwise loop ``_separates_points`` replaced."""
+    for x in range(n):
+        for y in range(x + 1, n):
+            if not any(f[x] != f[y] for f in functions):
+                return False
+    return True
+
+
+def test_point_separation_matches_the_pairwise_loop():
+    """Random function sets, the empty one included, on 0 to 6 points."""
+    rng = random.Random("separates")
+    verdicts = set()
+    for n in range(7):
+        for _ in range(60):
+            functions = {tuple(rng.randrange(3) for _ in range(n))
+                         for _ in range(rng.randint(0, 4))}
+            verdict = spaces._separates_points(functions, n)
+            assert verdict == old_separates_points(functions, n), (functions, n)
+            verdicts.add((n < 2, verdict))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+    assert spaces._separates_points([], 1) and not spaces._separates_points([], 2)
+
+
 def test_spectra_are_full_separated_regular():
     spec = spectrum(direct_power(L2, 2), L2)
     props = space_properties(spec.space)
