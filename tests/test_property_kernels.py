@@ -432,7 +432,7 @@ def test_spectrum_is_bijective_when_the_subset_kernels_are_distinct(monkeypatch,
         report = _stubbed_report(monkeypatch, A, L)
         assert report.hypothesis_failures == ()
         assert report.bijective == (len(set(kernels)) == len(kernels))
-        assert report.ok == report.bijective and report.order_reversing
+        assert report.order_reversing and report.ok == report.bijective
     if seed is None:        # the last case, the bare square
         assert (report.spectrum_size, report.relative_count) == (4, 4)
         assert not report.bijective
@@ -450,8 +450,8 @@ def test_a_meet_refines_both_its_sides(pair):
 
 
 def test_spectrum_budget_counts_subsets_of_the_spectrum():
-    """The dl2 square has 4 congruences and 4 subsets of Spec A; at budget 3
-    the congruence sweep stops before the spectrum search starts."""
+    """The dl2 square has 4 relative congruences, one per subset of Spec A;
+    at budget 3 the congruence sweep stops."""
     square = direct_power(DL, 2)
     assert congruence_spectrum_antiisomorphism(square, DL, budget=4).ok
     with pytest.raises(algebras.BudgetExceeded, match="congruence lattice exceeds budget"):
