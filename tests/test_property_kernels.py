@@ -401,22 +401,26 @@ def old_subset_kernels(A, homs):
 
 
 def _stubbed_report(monkeypatch, A, L):
-    """``_spectrum_report`` with the dualizer and distributivity checks
-    passed, so that every algebra in the prevariety, of any size, reaches
-    the count of its relative congruences."""
+    """``_spectrum_report``, its relative congruences and its report, with
+    the dualizer and distributivity checks passed, so that every algebra in
+    the prevariety, of any size, reaches the count of its relative
+    congruences."""
     monkeypatch.setattr(properties, "partial_endomorphisms",
                         lambda L, budget: SimpleNamespace(all_trivial=True))
     monkeypatch.setattr(properties, "_is_distributive", lambda thetas: True)
-    report = properties._spectrum_report(A, L, properties.DEFAULT_BUDGET)[1]
+    thetas, report = properties._spectrum_report(A, L, properties.DEFAULT_BUDGET)
     monkeypatch.undo()
-    return report
+    return thetas, report
 
 
 @pytest.mark.parametrize("seed", [None, 0, 7], ids=["lattices", "documents-0", "documents-7"])
-def test_spectrum_is_bijective_when_the_subset_kernels_are_distinct(monkeypatch, seed):
-    """Chains of 1 to 12 elements and Boolean lattices 2^0 to 2^3 over dl2,
-    or the algebra documents of the benchmark at a seed; with the square of
-    the bare lattice, whose two constant homs share the total kernel."""
+def test_subset_kernels_are_the_per_subset_profiles(monkeypatch, seed):
+    """The relative congruences the report reads are the distinct kernels of
+    the subsets of Hom(A, L), finest first, and it is bijective exactly when
+    no two subsets share a kernel.  Chains of 1 to 12 elements and Boolean
+    lattices 2^0 to 2^3 over dl2, or the algebra documents of the benchmark
+    at a seed; with the square of the bare lattice, whose two constant homs
+    share the total kernel."""
     if seed is None:
         bare = reduct(DL, ("meet", "join"))
         cases = ([(chain(n), DL) for n in range(1, 13)]
@@ -429,7 +433,9 @@ def test_spectrum_is_bijective_when_the_subset_kernels_are_distinct(monkeypatch,
     for A, L in cases:
         homs = sorted(enumerate_homs(A, L), key=lambda h: h.values)
         kernels = old_subset_kernels(A, homs)
-        report = _stubbed_report(monkeypatch, A, L)
+        thetas, report = _stubbed_report(monkeypatch, A, L)
+        assert len(set(thetas)) == len(thetas) and set(thetas) == set(kernels)
+        assert thetas[0] == kernels[-1]
         assert report.hypothesis_failures == ()
         assert report.bijective == (len(set(kernels)) == len(kernels))
         assert report.order_reversing and report.ok == report.bijective
