@@ -23,9 +23,10 @@ Every search over local and global functions assigns points in ascending
 order and keeps one packed row: a Python int in which point q owns a field
 of |L| + 1 bits at offset q(|L| + 1).  The low |L| bits of the field are
 q's value mask (bit b: q may still take b), and its top bit is a guard that
-stays 0.  One narrowing step, ``_narrow``, changes the row.  Assigning p := v
-ANDs in, for each S of at most k-2 points assigned earlier, the extension
-row of T = S + {p} at the code of the values on T: its field at q holds the
+stays 0.  Assigning p := v narrows the row by ANDs, written inline in the
+two walks (``_extend_all`` and ``ccomp``): for T = {p} and for T = S + {p}
+with each nonempty S of at most k-2 points assigned earlier, the extension
+row of T at the code of the values on T: its field at q holds the
 values A_{T+{q}} allows at q with them, and its fields on T hold all of L,
 so the points assigned keep their values.  p is the last point of T, so its
 digit is the last of that code.  The points tied to p are then pinned to v
@@ -35,7 +36,8 @@ exactly when (row + ADD) & GUARD != GUARD, where ADD holds 2^|L| - 1 in
 every field and GUARD every guard bit: the add carries into a field's guard
 bit exactly when the field is not empty, and never across fields.  The
 rows of one T are built from the codes on first use and cached on the
-space, so every search on one space shares them.  The compatible local
+space, so every search on one space shares them; a walk reads p's own table
+once, and those of S + {p} (``_step``) only for k >= 3.  The compatible local
 functions on I (for ``compatible_local_functions``, the local extension
 property and ``local_to_global_verify``) each carry their row, extended
 level by level, so g on I extends by j exactly when j's field of its row is
@@ -479,7 +481,8 @@ def _layout(n: int, size: int) -> tuple[int, int, int, int]:
     return w, full, full * ones, ones << size
 
 
-def _pins(masks, n: int, size: int) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=256)
+def _pins(masks: tuple, n: int, size: int) -> tuple[tuple[int, int], ...]:
     """(keep, one) for each point mask: ANDing a row with keep | one << v
     pins those points to v and leaves the rest."""
     w, full, add, _ = _layout(n, size)
@@ -489,7 +492,7 @@ def _pins(masks, n: int, size: int) -> list[tuple[int, int]]:
         for q in bits_of(mask):
             one |= 1 << q * w
         pins.append((add & ~(full * one), one))
-    return pins
+    return tuple(pins)
 
 
 def _first_empty(row: int, w: int, add: int, guard: int) -> int:
@@ -499,22 +502,6 @@ def _first_empty(row: int, w: int, add: int, guard: int) -> int:
     (row + ADD) & GUARD != GUARD tests for an empty field."""
     empty = ~(row + add) & guard
     return (empty & -empty).bit_length() // w - 1
-
-
-def _narrow(row: int, own, held, pin, v: int) -> int:
-    """The packed row after p := v: ANDed with the table of p alone at v,
-    and with the table of T = S + {p} for every nonempty S of at most k-2
-    points assigned earlier, listed in ``held`` as (T's table, the code of
-    the values on S times |L|).  p comes after S, so its digit is the last
-    of T's code.  A table's fields on T are full, so the points assigned
-    keep their values.  ``pin`` = (keep, one) pins the points that must take
-    v: those local constancy ties to p, or in ``ccomp`` the later points of
-    p's component."""
-    row &= own[v]
-    for table, base in held:
-        row &= table[base + v]
-    keep, one = pin
-    return row & (keep | one << v)
 
 
 def _codes_on(columns, count: int, I: tuple, size: int) -> frozenset:
@@ -614,36 +601,40 @@ def _start(space):
     return [()], [_table(space, ())[0]]
 
 
-def _step(space, I, j):
-    """The tables the step by j reads after functions on the sorted tuple I,
-    with j above I: j's own, and (S, the table of the points of I at S plus
-    j) for every nonempty S of at most k-2 positions of I."""
-    return _table(space, (j,)), [(S, _table(space, tuple([I[i] for i in S]) + (j,)))
-                                 for S in _subsets(len(I), space.k - 2)]
+def _step(space, I, j) -> list:
+    """The held tables of the step by j after functions on the sorted tuple
+    I, with j above I: (S, the table of the points of I at S plus j) for
+    every nonempty S of at most k-2 positions of I, so none for k = 2."""
+    return [(S, _table(space, tuple([I[i] for i in S]) + (j,)))
+            for S in _subsets(len(I), space.k - 2)]
 
 
 def _held(tables, g, size: int) -> list:
-    """``_narrow``'s held entries for the function g on I: each table of
-    ``_step`` with the code of g at its positions S, times |L|."""
+    """The held entries for the function g on I: each table of ``_step``
+    with the code of g at its positions S, times |L|."""
     return [(table, power_index(size, [g[i] for i in S]) * size) for S, table in tables]
 
 
-def _extend_all(space, I, funs, rows, j, pin, most=math.inf):
+def _extend_all(space, own, tables, funs, rows, j, pin, most=math.inf):
     """Every compatible extension by j of the functions funs on the sorted
     tuple I (stopping once more than ``most`` are found), and their packed
     rows; with j above I, lexicographic order is kept.  The values g may
-    take at j are the set bits of j's field of g's row, and each extension
-    narrows that row at once, since a packed row narrows with one AND per
-    table."""
+    take at j are the set bits of j's field of g's row, and g + (j -> b)
+    narrows that row at once: AND in j's own table ``own[j]`` at b, each
+    held table of ``_step(space, I, j)`` at its base (``_held``) plus b,
+    and keep | one << b, where ``pin`` = (keep, one)."""
     size = space.dualizer.size
     shift, full = j * (size + 1), (1 << size) - 1
-    own, tables = _step(space, I, j)
+    mine, (keep, one) = own[j], pin
     extended, narrowed = [], []
     for g, row in zip(funs, rows):
         held = _held(tables, g, size) if tables else ()
         for b in bits_of(row >> shift & full):
             extended.append(g + (b,))
-            narrowed.append(_narrow(row, own, held, pin, b))
+            new = row & mine[b]
+            for table, base in held:
+                new &= table[base + b]
+            narrowed.append(new & (keep | one << b))
         if len(extended) > most:
             break
     return extended, narrowed
@@ -667,12 +658,14 @@ def _local_functions(space, max_size: int, budget=math.inf):
     level = {(): _start(space)}
     spent = len(level[()][0]) * (1 + n)
     yield ((), *level[()])
+    own = [_table(space, (j,)) for j in range(n)] if max_size else []
     for points in range(1, max_size + 1):
         previous, level = level, {}
         for I in itertools.combinations(range(n), points):
             head, j = I[:-1], I[-1]
+            tables = _step(space, head, j) if space.k > 2 else ()
             most = max(budget - spent - (n - points), 0)
-            funs, rows = _extend_all(space, head, *previous[head], j, pins[j], most)
+            funs, rows = _extend_all(space, own, tables, *previous[head], j, pins[j], most)
             if len(funs) > most:
                 raise BudgetExceeded("local extension search exceeds budget")
             spent += len(funs) * (1 + n - points)
@@ -701,9 +694,11 @@ def compatible_local_functions(space, points_sorted) -> list[tuple[int, ...]]:
     if list(I) != sorted(I):
         raise InvalidInput("points %r are not in ascending order" % (I,))
     pins = _pins(space.topology.ties, space.n, space.dualizer.size)
+    own = {j: _table(space, (j,)) for j in I}
     funs, rows = _start(space)
     for i, j in enumerate(I):
-        funs, rows = _extend_all(space, I[:i], funs, rows, j, pins[j])
+        tables = _step(space, I[:i], j) if space.k > 2 else ()
+        funs, rows = _extend_all(space, own, tables, funs, rows, j, pins[j])
     return funs
 
 
@@ -713,9 +708,10 @@ def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
     """The continuous compatible global functions, in lexicographic order.
 
     A depth-first search over the points in ascending order, extending a
-    function on the points below j by j with the step ``_extend_all`` takes
-    for local functions (``_step``, ``_held``): assigning j := v narrows the
-    packed row (``_narrow``) by each constraint on j, at most k-2 earlier
+    function on the points below j by j with the narrowing ``_extend_all``
+    does for local functions, inline: j's own and held tables (``_step``,
+    ``_held``) are read on the first visit to depth j, and assigning j := v
+    narrows the packed row by each constraint on j, at most k-2 earlier
     points and one more point (for a unary space, the pair constraint of its binary
     presentation carries the equivalence), and pins to v the later points of
     j's topological component (``FiniteTopology.component_masks``), which is
@@ -729,9 +725,9 @@ def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
     space = _kary(space)
     n, size = space.n, space.dualizer.size
     w, full, add, guard = _layout(n, size)
-    pins = _pins([component >> j + 1 << j + 1
-                  for j, component in enumerate(space.topology.component_masks)], n, size)
-    steps = []          # the tables of the step by each point, built on first use
+    pins = _pins(tuple([component >> j + 1 << j + 1
+                        for j, component in enumerate(space.topology.component_masks)]), n, size)
+    own, steps = [], []     # each point's own and held tables, on the first visit to its depth
     out = []
     tried = 0
 
@@ -741,15 +737,19 @@ def ccomp(space, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
         if j == n:
             out.append(h)
             return
-        if j == len(steps):
-            steps.append(_step(space, range(j), j))
-        own, tables = steps[j]
+        if j == len(own):
+            own.append(_table(space, (j,)))
+            steps.append(_step(space, range(j), j) if space.k > 2 else ())
+        mine, tables, (keep, one) = own[j], steps[j], pins[j]
         held = _held(tables, h, size) if tables else ()
         for v in bits_of(row >> j * w & full):
             tried += 1
             if tried > budget:
                 raise BudgetExceeded("ccomp search exceeds budget")
-            narrowed = _narrow(row, own, held, pins[j], v)
+            narrowed = row & mine[v]
+            for table, base in held:
+                narrowed &= table[base + v]
+            narrowed &= keep | one << v
             # an assigned point keeps the value it took, which every later
             # assignment allowed, so an empty field is a later point without
             # values; adding ADD leaves some guard bit clear exactly then
@@ -822,9 +822,10 @@ def has_global_extension(space, budget: int = DEFAULT_BUDGET):
     for I in _key_orders(space.n, min(space.k, space.n))[2]:
         allowed = space._codes[I]
         covered = _codes_on(columns, len(functions), I, size)
-        missing = allowed - covered
-        if missing:
-            return False, (I, power_tuple(size, len(I), min(missing))), functions
+        # ccomp narrows by every constraint on at most k points, so covered
+        # lies in allowed, and the counts decide
+        if len(covered) != len(allowed):
+            return False, (I, power_tuple(size, len(I), min(allowed - covered))), functions
     return True, None, functions
 
 

@@ -18,8 +18,8 @@ are checked against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .algebras import DEFAULT_BUDGET, BudgetExceeded, InvalidInput, _join_closure
 
@@ -93,7 +93,7 @@ class FiniteTopology:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    @cached_property
+    @functools.cached_property
     def opens(self) -> frozenset[int]:
         """Every open set as a bitmask: the unions of minimal neighbourhoods."""
         return frozenset(_join_closure(0, dict.fromkeys(self.nbhds), int.__or__,
@@ -114,33 +114,16 @@ class FiniteTopology:
         """Smallest open set containing the point."""
         return self.nbhds[point]
 
-    @cached_property
+    @property
     def ties(self) -> tuple[int, ...]:
         """The points local constancy ties to each point p: those in N(p)
-        and those whose neighbourhood holds p, less p."""
-        inside = [u & ~(1 << p) for p, u in enumerate(self.nbhds)]
-        ties = list(inside)
-        for q, u in enumerate(inside):
-            for p in bits_of(u):
-                ties[p] |= 1 << q
-        return tuple(ties)
+        and those whose neighbourhood holds p, less p (kept by value)."""
+        return _ties(self.nbhds)
 
-    @cached_property
+    @property
     def component_masks(self) -> tuple[int, ...]:
         """The mask of each point's component, the closure of its ties."""
-        ties, masks = self.ties, [0] * self.n
-        for p in range(self.n):
-            if not masks[p]:
-                reach, frontier = 1 << p, ties[p]
-                while frontier:
-                    reach |= frontier
-                    grown = 0
-                    for q in bits_of(frontier):
-                        grown |= ties[q]
-                    frontier = grown & ~reach
-                for q in bits_of(reach):
-                    masks[q] = reach
-        return tuple(masks)
+        return _component_masks(self.nbhds)
 
     def components(self) -> tuple[int, ...]:
         """Classes of the equivalence generated by y in min_nbhd(x),
@@ -233,6 +216,35 @@ class FiniteTopology:
             reach.append(r)
         return all(rows[x] >> y & 1 or not reach[x] & nbhds[y]
                    for x in range(self.n) for y in range(self.n))
+
+
+# Searches meet many topologies with few distinct neighbourhood tuples (4,766
+# and 5 in criterion 7), so what depends on those alone is kept by value.
+@functools.lru_cache(maxsize=256)
+def _ties(nbhds: tuple[int, ...]) -> tuple[int, ...]:
+    inside = [u & ~(1 << p) for p, u in enumerate(nbhds)]
+    ties = list(inside)
+    for q, u in enumerate(inside):
+        for p in bits_of(u):
+            ties[p] |= 1 << q
+    return tuple(ties)
+
+
+@functools.lru_cache(maxsize=256)
+def _component_masks(nbhds: tuple[int, ...]) -> tuple[int, ...]:
+    ties, masks = _ties(nbhds), [0] * len(nbhds)
+    for p in range(len(nbhds)):
+        if not masks[p]:
+            reach, frontier = 1 << p, ties[p]
+            while frontier:
+                reach |= frontier
+                grown = 0
+                for q in bits_of(frontier):
+                    grown |= ties[q]
+                frontier = grown & ~reach
+            for q in bits_of(reach):
+                masks[q] = reach
+    return tuple(masks)
 
 
 def discrete_topology(n: int) -> FiniteTopology:

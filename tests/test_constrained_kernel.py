@@ -42,6 +42,7 @@ points in ascending order, and ``local_extension_budget`` for
 
 import itertools
 import tracemalloc
+import types
 from functools import lru_cache
 
 import pytest
@@ -55,6 +56,7 @@ from dualkit.algebras import (
     InvalidInput,
     Signature,
     direct_power,
+    power_index,
     power_tuple,
     subuniverses,
     unclosed_operation,
@@ -883,20 +885,29 @@ def test_packed_row_primitives_match_a_loop_over_fields(case, data):
         assert constrained._first_empty(row, w, add, guard) == fields.index(0)
     v = data.draw(st.integers(0, size - 1))
     points = data.draw(st.integers(0, (1 << n) - 1))
-    (keep, one), = constrained._pins([points], n, size)
+    (keep, one), = constrained._pins((points,), n, size)
     pinned = [f & 1 << v if points >> q & 1 else f for q, f in enumerate(fields)]
     assert row_fields(row & (keep | one << v), n, size) == pinned
-    # one own table and one held table, each read at its code for v; the
-    # tables' fields on T are full, as a built table's are
+    # the step by a point j = n after a function g whose row leaves j only v:
+    # one own table and one held table, on the positions S of g, each read
+    # at its code for v; the tables' fields on T and at j are full, as a
+    # built table's are, and the pins of a row of n + 1 points leave j free
     own_fields, held_fields = (
         [full if q in T else data.draw(st.integers(0, full)) for q in range(n)]
         for _ in range(2))
-    base = data.draw(st.integers(0, 3)) * size
-    own, held = {v: pack(own_fields, size)}, [({base + v: pack(held_fields, size)}, base)]
-    narrowed = constrained._narrow(row, own, held, (keep, one), v)
+    g = tuple(data.draw(st.lists(st.integers(0, size - 1), max_size=3)))
+    S = tuple(range(len(g)))
+    base = power_index(size, g) * size
+    own = [{}] * n + [{v: pack(own_fields + [full], size)}]
+    tables = [(S, {base + v: pack(held_fields + [full], size)})]
+    space = types.SimpleNamespace(dualizer=types.SimpleNamespace(size=size))
+    pin = constrained._pins((points,), n + 1, size)[0]
+    extended, narrowed = constrained._extend_all(
+        space, own, tables, [g], [row | 1 << v << n * w], n, pin)
     expected = [a & b & c for a, b, c in zip(fields, own_fields, held_fields)]
     expected = [f & 1 << v if points >> q & 1 else f for q, f in enumerate(expected)]
-    assert row_fields(narrowed, n, size) == expected
+    assert extended == [g + (v,)] and len(narrowed) == 1
+    assert row_fields(narrowed[0], n + 1, size) == expected + [1 << v]
     assert all(expected[q] == fields[q] for q in T if not points >> q & 1)
 
 
@@ -1012,6 +1023,28 @@ def first_unextended(space):
             if g not in restrictions:
                 return False, (I, g), functions
     return True, None, functions
+
+
+def assert_projections_inside(space):
+    """Every projection of Comp X onto a stored key I lies in A_I: ccomp
+    narrows by every constraint on at most k points.  ``has_global_extension``
+    compares the count of the projections with |A_I| on that ground."""
+    functions = ccomp(space)
+    for key in space.constraints:
+        I = tuple(sorted(key))
+        assert {tuple(f[p] for p in I) for f in functions} <= space.constraint(I)
+
+
+def test_global_functions_project_into_the_stored_constraints_of_every_relation():
+    for count, space in enumerate(reflexive_relation_spaces()):
+        assert_projections_inside(space)
+    assert count + 1 == 4166
+
+
+@settings(max_examples=300, deadline=None)
+@given(space=kary_spaces(arities=(2, 3)))
+def test_global_functions_project_into_the_stored_constraints(space):
+    assert_projections_inside(space)
 
 
 def finishes(run, budget) -> bool:

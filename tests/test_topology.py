@@ -197,6 +197,13 @@ def test_neighbourhoods_match_open_family(n):
         assert [new.min_nbhd(x) for x in range(n)] == [old.min_nbhd(x) for x in range(n)]
         assert new.components() == old.components()
         assert new.specialization() == old.specialization()
+        # ties: the symmetric specialization less the diagonal; a component
+        # mask: the points of the oracle's component
+        leq, classes = old.specialization(), old.components()
+        assert new.ties == tuple(mask_of(q for q in range(n) if q != p and (leq[p][q] or leq[q][p]))
+                                 for p in range(n))
+        assert new.component_masks == tuple(mask_of(q for q in range(n) if classes[q] == classes[p])
+                                            for p in range(n))
         for points in subsets:
             old_sub = old.subspace(points)
             assert new.subspace(points).opens == old_sub.opens
@@ -207,6 +214,18 @@ def test_neighbourhoods_match_open_family(n):
             assert new.quotient(classes).opens == old.quotient(classes).opens
         for vec in itertools.product(range(3), repeat=n):
             assert is_continuous_vector(new, vec) == oracle_vector_continuous(old, vec)
+
+
+def test_equal_topologies_share_what_their_neighbourhoods_fix():
+    # ties and component masks are kept by the value of the neighbourhoods,
+    # so equal topologies built apart read the same tuples; a topology is not
+    # shared itself, since ``opens`` is derived under the budget in force then
+    for n in range(5):
+        for family in TOPOLOGIES[n]:
+            a, b = topology_from_opens(n, family), topology_from_subbasis(n, family)
+            assert a == b and a is not b
+            assert a.ties is b.ties and a.component_masks is b.component_masks
+    assert discrete_topology(3) is not discrete_topology(3)
 
 
 def test_point_map_continuity_matches_open_family():
